@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "library/table.hpp"
@@ -84,7 +85,7 @@ struct Cell {
   double setup = 0.0;
   double hold = 0.0;
 
-  [[nodiscard]] std::optional<std::size_t> find_pin(const std::string& pin_name) const {
+  [[nodiscard]] std::optional<std::size_t> find_pin(std::string_view pin_name) const {
     for (std::size_t i = 0; i < pins.size(); ++i) {
       if (pins[i].name == pin_name) return i;
     }

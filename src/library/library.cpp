@@ -17,7 +17,7 @@ std::size_t Library::add_cell(Cell cell) {
   return idx;
 }
 
-std::optional<std::size_t> Library::find(const std::string& cell_name) const {
+std::optional<std::size_t> Library::find(std::string_view cell_name) const {
   const auto it = index_.find(cell_name);
   if (it == index_.end()) return std::nullopt;
   return it->second;

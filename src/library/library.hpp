@@ -10,10 +10,11 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "library/cell.hpp"
+#include "util/strings.hpp"
 
 namespace nw::lib {
 
@@ -47,7 +48,8 @@ class Library {
   [[nodiscard]] const Cell& cell(std::size_t i) const { return cells_.at(i); }
   [[nodiscard]] const std::vector<Cell>& cells() const noexcept { return cells_; }
 
-  [[nodiscard]] std::optional<std::size_t> find(const std::string& cell_name) const;
+  /// Hashed lookup by name, without a std::string temporary.
+  [[nodiscard]] std::optional<std::size_t> find(std::string_view cell_name) const;
   /// Lookup that throws std::out_of_range with the cell name on a miss.
   [[nodiscard]] const Cell& require(const std::string& cell_name) const;
 
@@ -55,7 +57,7 @@ class Library {
   std::string name_ = "unnamed";
   double vdd_ = 1.2;
   std::vector<Cell> cells_;
-  std::unordered_map<std::string, std::size_t> index_;
+  StringMap<std::size_t> index_;
 };
 
 /// Build the default generated library:

@@ -11,9 +11,23 @@ PinId Design::make_pin(Pin p) {
   return id;
 }
 
-NetId Design::add_net(const std::string& net_name) {
+PinId Design::make_port(PinKind kind, std::string_view port_name, NetId net) {
+  if (port_index_.contains(port_name)) {
+    throw std::invalid_argument("Design: duplicate port '" + std::string(port_name) + "'");
+  }
+  Pin p;
+  p.kind = kind;
+  p.net = net;
+  p.port_name = port_name;
+  const PinId pid = make_pin(std::move(p));
+  port_index_.emplace(port_name, pid);
+  return pid;
+}
+
+NetId Design::add_net(std::string_view net_name) {
   if (net_index_.contains(net_name)) {
-    throw std::invalid_argument("Design::add_net: duplicate net '" + net_name + "'");
+    throw std::invalid_argument("Design::add_net: duplicate net '" + std::string(net_name) +
+                                "'");
   }
   const NetId id{nets_.size()};
   Net n;
@@ -23,13 +37,15 @@ NetId Design::add_net(const std::string& net_name) {
   return id;
 }
 
-InstId Design::add_instance(const std::string& inst_name, const std::string& cell_name) {
+InstId Design::add_instance(std::string_view inst_name, std::string_view cell_name) {
   if (inst_index_.contains(inst_name)) {
-    throw std::invalid_argument("Design::add_instance: duplicate instance '" + inst_name + "'");
+    throw std::invalid_argument("Design::add_instance: duplicate instance '" +
+                                std::string(inst_name) + "'");
   }
   const auto cell_idx = lib_->find(cell_name);
   if (!cell_idx) {
-    throw std::invalid_argument("Design::add_instance: unknown cell '" + cell_name + "'");
+    throw std::invalid_argument("Design::add_instance: unknown cell '" +
+                                std::string(cell_name) + "'");
   }
   const InstId id{insts_.size()};
   Instance inst;
@@ -50,13 +66,13 @@ InstId Design::add_instance(const std::string& inst_name, const std::string& cel
   return id;
 }
 
-void Design::connect(InstId inst, const std::string& pin_name, NetId net) {
+void Design::connect(InstId inst, std::string_view pin_name, NetId net) {
   const Instance& instance = insts_.at(inst.index());
   const lib::Cell& cell = lib_->cell(instance.cell);
   const auto pin_idx = cell.find_pin(pin_name);
   if (!pin_idx) {
     throw std::invalid_argument("Design::connect: cell '" + cell.name +
-                                "' has no pin '" + pin_name + "'");
+                                "' has no pin '" + std::string(pin_name) + "'");
   }
   const PinId pid = instance.pins.at(*pin_idx);
   Pin& p = pins_.at(pid.index());
@@ -77,30 +93,23 @@ void Design::connect(InstId inst, const std::string& pin_name, NetId net) {
   }
 }
 
-PinId Design::add_input_port(const std::string& port_name, NetId net, PortDrive drive) {
+PinId Design::add_input_port(std::string_view port_name, NetId net, PortDrive drive) {
   Net& n = nets_.at(net.index());
   if (n.driver.valid()) {
     throw std::invalid_argument("Design::add_input_port: net '" + n.name +
                                 "' already has a driver");
   }
-  Pin p;
-  p.kind = PinKind::kInputPort;
-  p.net = net;
-  p.port_name = port_name;
-  const PinId pid = make_pin(std::move(p));
+  const PinId pid = make_port(PinKind::kInputPort, port_name, net);
   n.driver = pid;
   in_ports_.push_back(pid);
   port_drives_.emplace(pid.value(), drive);
   return pid;
 }
 
-PinId Design::add_output_port(const std::string& port_name, NetId net, double load_cap) {
-  Pin p;
-  p.kind = PinKind::kOutputPort;
-  p.net = net;
-  p.port_name = port_name;
-  const PinId pid = make_pin(std::move(p));
-  nets_.at(net.index()).loads.push_back(pid);
+PinId Design::add_output_port(std::string_view port_name, NetId net, double load_cap) {
+  Net& n = nets_.at(net.index());
+  const PinId pid = make_port(PinKind::kOutputPort, port_name, net);
+  n.loads.push_back(pid);
   out_ports_.push_back(pid);
   port_caps_.emplace(pid.value(), load_cap);
   return pid;
@@ -132,15 +141,21 @@ std::string Design::set_instance_cell(InstId inst, const std::string& cell_name)
   return old_cell.name;
 }
 
-std::optional<NetId> Design::find_net(const std::string& net_name) const {
+std::optional<NetId> Design::find_net(std::string_view net_name) const {
   const auto it = net_index_.find(net_name);
   if (it == net_index_.end()) return std::nullopt;
   return it->second;
 }
 
-std::optional<InstId> Design::find_instance(const std::string& inst_name) const {
+std::optional<InstId> Design::find_instance(std::string_view inst_name) const {
   const auto it = inst_index_.find(inst_name);
   if (it == inst_index_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::optional<PinId> Design::find_port(std::string_view port_name) const {
+  const auto it = port_index_.find(port_name);
+  if (it == port_index_.end()) return std::nullopt;
   return it->second;
 }
 
@@ -287,14 +302,14 @@ std::size_t Design::memory_bytes() const noexcept {
   bytes += in_ports_.capacity() * sizeof(PinId);
   bytes += out_ports_.capacity() * sizeof(PinId);
   bytes += seqs_.capacity() * sizeof(InstId);
-  for (const auto& [name, id] : net_index_) {
-    bytes += string_bytes(name) + sizeof(name) + sizeof(id) + kMapNodeOverhead;
-  }
-  for (const auto& [name, id] : inst_index_) {
-    bytes += string_bytes(name) + sizeof(name) + sizeof(id) + kMapNodeOverhead;
-  }
-  bytes += net_index_.bucket_count() * sizeof(void*);
-  bytes += inst_index_.bucket_count() * sizeof(void*);
+  const auto index_bytes = [&](const auto& index) {
+    std::size_t b = index.bucket_count() * sizeof(void*);
+    for (const auto& [name, id] : index) {
+      b += string_bytes(name) + sizeof(name) + sizeof(id) + kMapNodeOverhead;
+    }
+    return b;
+  };
+  bytes += index_bytes(net_index_) + index_bytes(inst_index_) + index_bytes(port_index_);
   bytes += port_drives_.size() * (sizeof(PinId::value_type) + sizeof(PortDrive) + kMapNodeOverhead);
   bytes += port_caps_.size() * (sizeof(PinId::value_type) + sizeof(double) + kMapNodeOverhead);
   bytes += port_drives_.bucket_count() * sizeof(void*);

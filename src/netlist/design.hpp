@@ -7,11 +7,13 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "library/library.hpp"
 #include "util/ids.hpp"
+#include "util/strings.hpp"
 
 namespace nw::net {
 
@@ -60,21 +62,23 @@ class Design {
   // ---- construction -------------------------------------------------------
 
   /// Create a net; throws on duplicate name.
-  NetId add_net(const std::string& net_name);
+  NetId add_net(std::string_view net_name);
 
   /// Create an instance of `cell_name` (throws if the cell is unknown or the
   /// instance name is a duplicate). Pins start unconnected.
-  InstId add_instance(const std::string& inst_name, const std::string& cell_name);
+  InstId add_instance(std::string_view inst_name, std::string_view cell_name);
 
   /// Connect instance pin `pin_name` to `net`. Output pins become the net's
   /// driver (throws if the net already has one); input pins become loads.
-  void connect(InstId inst, const std::string& pin_name, NetId net);
+  void connect(InstId inst, std::string_view pin_name, NetId net);
 
-  /// Create a primary input port driving `net` (throws if driven already).
-  PinId add_input_port(const std::string& port_name, NetId net, PortDrive drive = {});
+  /// Create a primary input port driving `net` (throws if driven already or
+  /// if any port already has this name).
+  PinId add_input_port(std::string_view port_name, NetId net, PortDrive drive = {});
 
-  /// Create a primary output port loading `net`.
-  PinId add_output_port(const std::string& port_name, NetId net, double load_cap = 5e-15);
+  /// Create a primary output port loading `net` (throws if any port already
+  /// has this name).
+  PinId add_output_port(std::string_view port_name, NetId net, double load_cap = 5e-15);
 
   // ---- ECO mutation -------------------------------------------------------
 
@@ -96,8 +100,12 @@ class Design {
   [[nodiscard]] const Instance& instance(InstId id) const { return insts_.at(id.index()); }
   [[nodiscard]] const Pin& pin(PinId id) const { return pins_.at(id.index()); }
 
-  [[nodiscard]] std::optional<NetId> find_net(const std::string& net_name) const;
-  [[nodiscard]] std::optional<InstId> find_instance(const std::string& inst_name) const;
+  // Name lookups are hashed, O(1) expected, and take a std::string_view so
+  // readers can pass a slice of the line without copying it.
+  [[nodiscard]] std::optional<NetId> find_net(std::string_view net_name) const;
+  [[nodiscard]] std::optional<InstId> find_instance(std::string_view inst_name) const;
+  /// The input or output port pin named `port_name`.
+  [[nodiscard]] std::optional<PinId> find_port(std::string_view port_name) const;
 
   /// The library cell of an instance.
   [[nodiscard]] const lib::Cell& cell_of(InstId id) const {
@@ -152,6 +160,8 @@ class Design {
 
  private:
   PinId make_pin(Pin p);
+  /// Create a port pin on `net` and index its name; throws on a duplicate.
+  PinId make_port(PinKind kind, std::string_view port_name, NetId net);
 
   const lib::Library* lib_;
   std::string name_;
@@ -161,8 +171,9 @@ class Design {
   std::vector<PinId> in_ports_;
   std::vector<PinId> out_ports_;
   std::vector<InstId> seqs_;
-  std::unordered_map<std::string, NetId> net_index_;
-  std::unordered_map<std::string, InstId> inst_index_;
+  StringMap<NetId> net_index_;
+  StringMap<InstId> inst_index_;
+  StringMap<PinId> port_index_;
   std::unordered_map<PinId::value_type, PortDrive> port_drives_;
   std::unordered_map<PinId::value_type, double> port_caps_;
 };

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "util/strings.hpp"
 
@@ -13,6 +15,10 @@ namespace nw::net {
 void write_netlist(std::ostream& os, const Design& design) {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "module " << design.name() << "\n";
+  // Every net first, in NetId order, so the reader numbers them the same.
+  for (std::size_t i = 0; i < design.net_count(); ++i) {
+    os << "wire " << design.net(NetId{i}).name << "\n";
+  }
   for (const PinId p : design.input_ports()) {
     const Pin& pin = design.pin(p);
     const PortDrive& pd = design.port_drive(p);
@@ -23,18 +29,6 @@ void write_netlist(std::ostream& os, const Design& design) {
     const Pin& pin = design.pin(p);
     os << "output " << pin.port_name << ' ' << design.net(pin.net).name << " cap "
        << design.pin_cap(p) << "\n";
-  }
-  // Wires not already introduced by a port line.
-  for (std::size_t i = 0; i < design.net_count(); ++i) {
-    const Net& n = design.net(NetId{i});
-    bool from_port = false;
-    if (n.driver.valid() && design.pin(n.driver).kind == PinKind::kInputPort) {
-      from_port = true;
-    }
-    for (const PinId l : n.loads) {
-      from_port |= design.pin(l).kind == PinKind::kOutputPort;
-    }
-    if (!from_port) os << "wire " << n.name << "\n";
   }
   for (std::size_t i = 0; i < design.instance_count(); ++i) {
     const Instance& inst = design.instance(InstId{i});
@@ -58,6 +52,7 @@ std::string write_netlist_string(const Design& design) {
 
 Design read_netlist(std::istream& is, const lib::Library& library) {
   std::string line;
+  std::vector<std::string_view> toks;
   int lineno = 0;
   auto fail = [&](const std::string& msg) -> void {
     throw std::runtime_error("nv line " + std::to_string(lineno) + ": " + msg);
@@ -70,80 +65,77 @@ Design read_netlist(std::istream& is, const lib::Library& library) {
   bool have_design = false;
 
   auto get_or_make_net = [&](std::string_view name) {
-    const auto id = design.find_net(std::string(name));
+    const auto id = design.find_net(name);
     if (id) return *id;
-    return design.add_net(std::string(name));
+    return design.add_net(name);
   };
 
   while (std::getline(is, line)) {
     ++lineno;
     const auto t = nw::trim(line);
     if (t.empty() || nw::starts_with(t, "//")) continue;
-    const auto toks = nw::split(t);
+    nw::split_into(t, toks);
     const auto key = toks[0];
 
-    if (key == "module") {
-      if (in_module) fail("nested module");
-      if (toks.size() < 2) fail("module needs a name");
-      design = Design(library, std::string(toks[1]));
-      in_module = true;
-      have_design = true;
-    } else if (key == "endmodule") {
-      if (!in_module) fail("endmodule outside module");
-      return design;
-    } else if (key == "input") {
-      if (!in_module || toks.size() < 3) fail("bad input line");
-      const NetId net = get_or_make_net(toks[2]);
-      PortDrive pd;
-      for (std::size_t i = 3; i + 1 < toks.size(); i += 2) {
-        if (toks[i] == "drive") {
-          pd.resistance = nw::parse_double(toks[i + 1]);
-        } else if (toks[i] == "slew") {
-          pd.slew = nw::parse_double(toks[i + 1]);
-        } else {
-          fail("unknown input attribute '" + std::string(toks[i]) + "'");
+    // Design and number-parsing errors (unknown cells or pins, duplicate
+    // names, double drivers, bad numbers) are rethrown below with the line.
+    try {
+      if (key == "module") {
+        if (in_module) fail("nested module");
+        if (toks.size() < 2) fail("module needs a name");
+        design = Design(library, std::string(toks[1]));
+        in_module = true;
+        have_design = true;
+      } else if (key == "endmodule") {
+        if (!in_module) fail("endmodule outside module");
+        return design;
+      } else if (key == "input") {
+        if (!in_module || toks.size() < 3) fail("bad input line");
+        const NetId net = get_or_make_net(toks[2]);
+        PortDrive pd;
+        for (std::size_t i = 3; i + 1 < toks.size(); i += 2) {
+          if (toks[i] == "drive") {
+            pd.resistance = nw::parse_double(toks[i + 1]);
+          } else if (toks[i] == "slew") {
+            pd.slew = nw::parse_double(toks[i + 1]);
+          } else {
+            fail("unknown input attribute '" + std::string(toks[i]) + "'");
+          }
         }
-      }
-      design.add_input_port(std::string(toks[1]), net, pd);
-    } else if (key == "output") {
-      if (!in_module || toks.size() < 3) fail("bad output line");
-      const NetId net = get_or_make_net(toks[2]);
-      double cap = 5e-15;
-      for (std::size_t i = 3; i + 1 < toks.size(); i += 2) {
-        if (toks[i] == "cap") {
-          cap = nw::parse_double(toks[i + 1]);
-        } else {
-          fail("unknown output attribute '" + std::string(toks[i]) + "'");
+        design.add_input_port(toks[1], net, pd);
+      } else if (key == "output") {
+        if (!in_module || toks.size() < 3) fail("bad output line");
+        const NetId net = get_or_make_net(toks[2]);
+        double cap = 5e-15;
+        for (std::size_t i = 3; i + 1 < toks.size(); i += 2) {
+          if (toks[i] == "cap") {
+            cap = nw::parse_double(toks[i + 1]);
+          } else {
+            fail("unknown output attribute '" + std::string(toks[i]) + "'");
+          }
         }
-      }
-      design.add_output_port(std::string(toks[1]), net, cap);
-    } else if (key == "wire") {
-      if (!in_module || toks.size() < 2) fail("bad wire line");
-      if (design.find_net(std::string(toks[1]))) fail("duplicate wire '" + std::string(toks[1]) + "'");
-      design.add_net(std::string(toks[1]));
-    } else if (key == "inst") {
-      if (!in_module || toks.size() < 3) fail("bad inst line");
-      InstId inst;
-      try {
-        inst = design.add_instance(std::string(toks[1]), std::string(toks[2]));
-      } catch (const std::invalid_argument& e) {
-        fail(e.what());
-      }
-      for (std::size_t i = 3; i < toks.size(); ++i) {
-        const auto eq = toks[i].find('=');
-        if (eq == std::string_view::npos) fail("expected PIN=net, got '" + std::string(toks[i]) + "'");
-        const auto pin_name = toks[i].substr(0, eq);
-        const auto net_name = toks[i].substr(eq + 1);
-        const auto net = design.find_net(std::string(net_name));
-        if (!net) fail("undeclared net '" + std::string(net_name) + "'");
-        try {
-          design.connect(inst, std::string(pin_name), *net);
-        } catch (const std::invalid_argument& e) {
-          fail(e.what());
+        design.add_output_port(toks[1], net, cap);
+      } else if (key == "wire") {
+        if (!in_module || toks.size() < 2) fail("bad wire line");
+        design.add_net(toks[1]);
+      } else if (key == "inst") {
+        if (!in_module || toks.size() < 3) fail("bad inst line");
+        const InstId inst = design.add_instance(toks[1], toks[2]);
+        for (std::size_t i = 3; i < toks.size(); ++i) {
+          const auto eq = toks[i].find('=');
+          if (eq == std::string_view::npos) {
+            fail("expected PIN=net, got '" + std::string(toks[i]) + "'");
+          }
+          const auto net_name = toks[i].substr(eq + 1);
+          const auto net = design.find_net(net_name);
+          if (!net) fail("undeclared net '" + std::string(net_name) + "'");
+          design.connect(inst, toks[i].substr(0, eq), *net);
         }
+      } else {
+        fail("unknown keyword '" + std::string(key) + "'");
       }
-    } else {
-      fail("unknown keyword '" + std::string(key) + "'");
+    } catch (const std::logic_error& e) {
+      fail(e.what());
     }
   }
   if (!have_design || in_module) fail("missing endmodule");

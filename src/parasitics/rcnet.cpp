@@ -1,5 +1,6 @@
 #include "parasitics/rcnet.hpp"
 
+#include <cmath>
 #include <vector>
 
 namespace nw::para {
@@ -13,7 +14,12 @@ std::uint32_t RcNet::add_node(double cground, PinId pin) {
   return idx;
 }
 
-void RcNet::add_cap(std::uint32_t node, double c) { nodes_.at(node).cground += c; }
+void RcNet::add_cap(std::uint32_t node, double c) {
+  if (!(c >= 0.0) || !std::isfinite(c)) {
+    throw std::invalid_argument("RcNet::add_cap: negative or non-finite capacitance");
+  }
+  nodes_.at(node).cground += c;
+}
 
 void RcNet::attach_pin(std::uint32_t node, PinId pin) {
   RcNode& n = nodes_.at(node);
@@ -26,7 +32,9 @@ void RcNet::add_res(std::uint32_t a, std::uint32_t b, double r) {
     throw std::out_of_range("RcNet::add_res: node index");
   }
   if (a == b) throw std::invalid_argument("RcNet::add_res: self-loop");
-  if (r <= 0.0) throw std::invalid_argument("RcNet::add_res: non-positive resistance");
+  if (!(r > 0.0) || !std::isfinite(r)) {
+    throw std::invalid_argument("RcNet::add_res: non-positive or non-finite resistance");
+  }
   ress_.push_back({a, b, r});
 }
 
@@ -76,8 +84,9 @@ bool RcNet::is_tree() const {
 }
 
 void RcNet::scale(double cap_factor, double res_factor) {
-  if (cap_factor <= 0.0 || res_factor <= 0.0) {
-    throw std::invalid_argument("RcNet::scale: non-positive factor");
+  if (!(cap_factor > 0.0) || !std::isfinite(cap_factor) || !(res_factor > 0.0) ||
+      !std::isfinite(res_factor)) {
+    throw std::invalid_argument("RcNet::scale: non-positive or non-finite factor");
   }
   for (auto& n : nodes_) n.cground *= cap_factor;
   for (auto& e : ress_) e.r *= res_factor;
@@ -95,7 +104,9 @@ std::size_t Parasitics::add_coupling(NetId a, std::uint32_t node_a, NetId b,
   if (node_a >= net(a).node_count() || node_b >= net(b).node_count()) {
     throw std::out_of_range("Parasitics::add_coupling: node index");
   }
-  if (c <= 0.0) throw std::invalid_argument("Parasitics::add_coupling: non-positive cap");
+  if (!(c > 0.0) || !std::isfinite(c)) {
+    throw std::invalid_argument("Parasitics::add_coupling: non-positive or non-finite cap");
+  }
   const std::size_t idx = caps_.size();
   caps_.push_back({a, node_a, b, node_b, c});
   incident_.at(a.index()).push_back(idx);
@@ -123,8 +134,8 @@ double Parasitics::set_coupling_value(std::size_t index, double c) {
   if (index >= caps_.size()) {
     throw std::out_of_range("Parasitics::set_coupling_value: bad index");
   }
-  if (c <= 0.0) {
-    throw std::invalid_argument("Parasitics::set_coupling_value: non-positive cap");
+  if (!(c > 0.0) || !std::isfinite(c)) {
+    throw std::invalid_argument("Parasitics::set_coupling_value: non-positive or non-finite cap");
   }
   const double old = caps_[index].c;
   caps_[index].c = c;

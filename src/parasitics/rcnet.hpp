@@ -40,11 +40,13 @@ class RcNet {
 
   /// Add a node with grounded cap and (optionally) an attached pin.
   std::uint32_t add_node(double cground = 0.0, PinId pin = {});
-  /// Add grounded cap to an existing node.
+  /// Add grounded cap to an existing node (throws std::invalid_argument on
+  /// a negative or non-finite value).
   void add_cap(std::uint32_t node, double c);
   /// Attach a pin to a node (throws if the node already has one).
   void attach_pin(std::uint32_t node, PinId pin);
-  /// Add a resistor between two existing nodes.
+  /// Add a resistor between two existing nodes (throws on a self-loop or a
+  /// non-positive or non-finite value).
   void add_res(std::uint32_t a, std::uint32_t b, double r);
 
   /// Node a pin is attached to, or node_count() if absent.
@@ -52,7 +54,7 @@ class RcNet {
 
   /// ECO: scale every grounded cap by `cap_factor` and every resistance by
   /// `res_factor` (wire respacing / re-layering what-ifs). Factors must be
-  /// positive (throws std::invalid_argument). Coupling caps live in
+  /// positive and finite (throws std::invalid_argument). Coupling caps live in
   /// Parasitics and are not touched.
   void scale(double cap_factor, double res_factor);
 
@@ -103,14 +105,15 @@ class Parasitics {
   [[nodiscard]] RcNet& net(NetId id) { return nets_.at(id.index()); }
   [[nodiscard]] const RcNet& net(NetId id) const { return nets_.at(id.index()); }
 
-  /// Register a coupling cap; returns its index.
+  /// Register a coupling cap; returns its index. Throws
+  /// std::invalid_argument on a non-positive or non-finite value.
   std::size_t add_coupling(NetId a, std::uint32_t node_a, NetId b,
                            std::uint32_t node_b, double c);
 
   /// ECO: change an existing coupling cap's value in place (the incidence
   /// structure is untouched). Returns the previous value (the inverse
   /// edit). Throws std::out_of_range on a bad index and
-  /// std::invalid_argument on a non-positive value.
+  /// std::invalid_argument on a non-positive or non-finite value.
   double set_coupling_value(std::size_t index, double c);
 
   /// ECO: replace a net's RC network wholesale (bit-exact undo of scaling

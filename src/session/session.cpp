@@ -276,14 +276,10 @@ void Session::set_coupling_cap(const std::string& net_a, const std::string& net_
 }
 
 void Session::set_arrival_window(const std::string& port, Interval window) {
-  bool found = false;
-  for (const PinId pid : design().input_ports()) {
-    if (design().pin(pid).port_name == port) {
-      found = true;
-      break;
-    }
+  const auto pid = design().find_port(port);
+  if (!pid || design().pin(*pid).kind != net::PinKind::kInputPort) {
+    throw NotFound("unknown input port '" + port + "'");
   }
-  if (!found) throw NotFound("unknown input port '" + port + "'");
   if (window.is_empty()) {
     throw std::invalid_argument("set_arrival_window: empty window for '" + port + "'");
   }

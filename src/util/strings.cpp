@@ -14,6 +14,13 @@ std::string_view trim(std::string_view s) noexcept {
 
 std::vector<std::string_view> split(std::string_view s, std::string_view delims) {
   std::vector<std::string_view> out;
+  split_into(s, out, delims);
+  return out;
+}
+
+void split_into(std::string_view s, std::vector<std::string_view>& out,
+                std::string_view delims) {
+  out.clear();
   std::size_t pos = 0;
   while (pos < s.size()) {
     const auto start = s.find_first_not_of(delims, pos);
@@ -23,7 +30,6 @@ std::vector<std::string_view> split(std::string_view s, std::string_view delims)
     out.push_back(s.substr(start, end - start));
     pos = end;
   }
-  return out;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) noexcept {

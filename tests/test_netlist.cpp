@@ -89,6 +89,48 @@ TEST_F(NetlistTest, FindByName) {
   EXPECT_FALSE(d.find_instance("nope").has_value());
 }
 
+TEST_F(NetlistTest, FindByStringViewSlice) {
+  Design d(library_);
+  const NetId n = d.add_net("mynet");
+  const InstId i = d.add_instance("myinst", "BUF_X1");
+  // Slices of a longer line: neither is NUL-terminated at its end.
+  const std::string line = "inst myinst BUF_X1 A=mynet_tail";
+  const std::string_view view(line);
+  EXPECT_EQ(d.find_instance(view.substr(5, 6)), i);
+  EXPECT_EQ(d.find_net(view.substr(21, 5)), n);
+  EXPECT_FALSE(d.find_net(view.substr(21)).has_value());  // "mynet_tail"
+  EXPECT_FALSE(d.find_instance(view.substr(5, 5)).has_value());  // "myins"
+}
+
+TEST_F(NetlistTest, FindPort) {
+  Design d(library_);
+  const NetId a = d.add_net("a");
+  const NetId y = d.add_net("y");
+  const PinId in = d.add_input_port("in", a);
+  const PinId out = d.add_output_port("out", y);
+  EXPECT_EQ(d.find_port("in"), in);
+  EXPECT_EQ(d.find_port("out"), out);
+  EXPECT_FALSE(d.find_port("a").has_value());  // a net, not a port
+  EXPECT_FALSE(d.find_port("nope").has_value());
+  const std::string line = "out in";
+  EXPECT_EQ(d.find_port(std::string_view(line).substr(0, 3)), out);
+}
+
+TEST_F(NetlistTest, DuplicatePortNamesThrow) {
+  Design d(library_);
+  const NetId a = d.add_net("a");
+  const NetId b = d.add_net("b");
+  const NetId c = d.add_net("c");
+  const PinId in = d.add_input_port("p", a);
+  EXPECT_THROW(d.add_input_port("p", b), std::invalid_argument);
+  EXPECT_THROW(d.add_output_port("p", c), std::invalid_argument);
+  // A rejected port leaves the design untouched.
+  EXPECT_EQ(d.pin_count(), 1u);
+  EXPECT_FALSE(d.net(b).driver.valid());
+  EXPECT_TRUE(d.net(c).loads.empty());
+  EXPECT_EQ(d.find_port("p"), in);
+}
+
 TEST_F(NetlistTest, PortDriveAccess) {
   Design d(library_);
   const NetId n = d.add_net("n");

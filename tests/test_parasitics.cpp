@@ -36,6 +36,29 @@ TEST(RcNet, Validation) {
   EXPECT_EQ(rc.node_of_pin(PinId{9}), rc.node_count());
 }
 
+TEST(RcNet, RejectsNonFiniteValues) {
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  RcNet rc;
+  const auto n1 = rc.add_node();
+  EXPECT_THROW(rc.add_res(0, n1, nan), std::invalid_argument);
+  EXPECT_THROW(rc.add_res(0, n1, inf), std::invalid_argument);
+  EXPECT_THROW(rc.add_cap(n1, nan), std::invalid_argument);
+  EXPECT_THROW(rc.add_cap(n1, inf), std::invalid_argument);
+  EXPECT_THROW(rc.add_cap(n1, -1e-15), std::invalid_argument);
+  rc.add_cap(n1, 0.0);  // zero is a valid (absent) cap
+  rc.add_res(0, n1, 10.0);
+  rc.add_cap(n1, 1e-15);
+  EXPECT_THROW(rc.scale(nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(rc.scale(1.0, nan), std::invalid_argument);
+  EXPECT_THROW(rc.scale(inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(rc.scale(1.0, 0.0), std::invalid_argument);
+  // A rejected value leaves the net unchanged.
+  EXPECT_EQ(rc.res_count(), 1u);
+  EXPECT_DOUBLE_EQ(rc.total_ground_cap(), 1e-15);
+  EXPECT_DOUBLE_EQ(rc.total_res(), 10.0);
+}
+
 TEST(RcNet, TreeDetection) {
   RcNet rc;
   const auto n1 = rc.add_node();
@@ -78,6 +101,13 @@ TEST(Parasitics, CouplingValidation) {
   EXPECT_THROW(p.add_coupling(NetId{0}, 0, NetId{0}, 0, 1e-15), std::invalid_argument);
   EXPECT_THROW(p.add_coupling(NetId{0}, 5, NetId{1}, 0, 1e-15), std::out_of_range);
   EXPECT_THROW(p.add_coupling(NetId{0}, 0, NetId{1}, 0, 0.0), std::invalid_argument);
+  EXPECT_THROW(p.add_coupling(NetId{0}, 0, NetId{1}, 0, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(p.add_coupling(NetId{0}, 0, NetId{1}, 0, HUGE_VAL), std::invalid_argument);
+  const std::size_t ci = p.add_coupling(NetId{0}, 0, NetId{1}, 0, 1e-15);
+  EXPECT_THROW(p.set_coupling_value(ci, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(p.set_coupling_value(ci, HUGE_VAL), std::invalid_argument);
+  EXPECT_THROW(p.set_coupling_value(ci, -1e-15), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(p.coupling(ci).c, 1e-15);
 }
 
 TEST(Elmore, SingleSegment) {

@@ -1,9 +1,19 @@
 // SPEF-like format round-trip against a real design.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include "bench/suite.hpp"
+#include "gen/bus.hpp"
+#include "gen/randlogic.hpp"
+#include "library/liberty_io.hpp"
 #include "library/library.hpp"
 #include "netlist/design.hpp"
+#include "netlist/verilog.hpp"
 #include "parasitics/spef.hpp"
+#include "tools/cli.hpp"
 
 namespace nw::para {
 namespace {
@@ -94,6 +104,106 @@ TEST(Spef, ParseErrors) {
                std::runtime_error);  // *C outside net
   EXPECT_THROW((void)read_spef_string("*NWSPEF 1\n*NET na 1\n", f.design),
                std::runtime_error);  // missing *END
+}
+
+/// Expect `text` to fail to read, with a diagnostic naming line `line`.
+void expect_fails_at_line(const std::string& text, const net::Design& design,
+                          std::size_t line) {
+  try {
+    (void)read_spef_string(text, design);
+    ADD_FAILURE() << "expected a parse error at line " << line;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// Replace the last token of the first line starting with `prefix` by
+/// `value`; returns that line's 1-based number.
+std::size_t replace_last_token(std::string& text, const std::string& prefix,
+                               const std::string& value) {
+  std::size_t line = 1;
+  std::size_t begin = 0;
+  while (text.compare(begin, prefix.size(), prefix) != 0) {
+    begin = text.find('\n', begin);
+    if (begin == std::string::npos) throw std::logic_error("no line " + prefix);
+    ++begin;
+    ++line;
+  }
+  const std::size_t end = text.find('\n', begin);
+  const std::size_t last = text.rfind(' ', end) + 1;
+  text.replace(last, end - last, value);
+  return line;
+}
+
+// Bad values fail at read time naming their line: NaN couplings and
+// resistances (which would otherwise reach the analyzer's sort comparators),
+// non-finite or negative caps, node counts too large to allocate, malformed
+// numbers, unknown names and out-of-range node indices.
+TEST(Spef, Errors) {
+  const lib::Library library = lib::default_library();
+  gen::BusConfig cfg;
+  cfg.bits = 8;
+  const gen::Generated g = gen::make_bus(library, cfg);
+  const std::string good = write_spef_string(g.design, g.para);
+
+  std::string text = good;
+  expect_fails_at_line(text, g.design, replace_last_token(text, "*CC ", "nan"));
+  text = good;
+  expect_fails_at_line(text, g.design, replace_last_token(text, "*R ", "nan"));
+  text = good;
+  expect_fails_at_line(text, g.design, replace_last_token(text, "*C ", "inf"));
+  text = good;
+  expect_fails_at_line(text, g.design, replace_last_token(text, "*C ", "-1e-15"));
+  text = good;
+  expect_fails_at_line(text, g.design, replace_last_token(text, "*NET ", "3000000000"));
+  text = good;
+  expect_fails_at_line(text, g.design, replace_last_token(text, "*R ", "1.0e"));
+
+  // Unknown names on *P lines name the line too.
+  const std::string bad_port = "*NWSPEF 1\n*NET w0 2\n*P 1 in0\n*P 1 nosuch\n*ENDNET\n*END\n";
+  expect_fails_at_line(bad_port, g.design, 4);
+  expect_fails_at_line("*NWSPEF 1\n*NET w0 2\n*P 1 nosuch/A\n*ENDNET\n*END\n", g.design, 3);
+  expect_fails_at_line("*NWSPEF 1\n*NET w0 2\n*P 99 in0\n*ENDNET\n*END\n", g.design, 3);
+  // A node index that would wrap a 32-bit index onto node 1.
+  expect_fails_at_line("*NWSPEF 1\n*NET w0 2\n*R 0 4294967297 10\n*ENDNET\n*END\n",
+                       g.design, 3);
+
+  // From files through the CLI under no-filtering, where a NaN coupling
+  // would otherwise yield a "clean" report: the run fails naming the line.
+  text = good;
+  const std::size_t cc_line = replace_last_token(text, "*CC ", "nan");
+  const auto dir = std::filesystem::temp_directory_path() / "noisewin_spef_errors";
+  std::filesystem::create_directories(dir);
+  const auto lib_path = (dir / "lib.nlib").string();
+  const auto nv_path = (dir / "top.nv").string();
+  const auto spef_path = (dir / "top.nwspef").string();
+  std::ofstream(lib_path) << lib::write_library_string(library);
+  std::ofstream(nv_path) << net::write_netlist_string(g.design);
+  std::ofstream(spef_path) << text;
+  std::ostringstream out;
+  std::ostringstream err;
+  const std::vector<std::string> args = {"--lib",  lib_path,  "--netlist", nv_path, "--spef",
+                                         spef_path, "--mode", "no-filtering"};
+  const int rc = cli::run_cli(args, out, err);
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(rc, 1) << out.str();
+  EXPECT_NE(err.str().find("line " + std::to_string(cc_line) + ":"), std::string::npos)
+      << err.str();
+  EXPECT_EQ(out.str().find("violations"), std::string::npos) << out.str();
+}
+
+// A port-heavy design (about a quarter of its nets end at output ports)
+// read back through both formats writes the same SPEF bytes it was read
+// from.
+TEST(Spef, PortHeavyRoundTripIsIdentical) {
+  const lib::Library library = lib::default_library();
+  const gen::Generated g = gen::make_rand_logic(library, bench::logic_config(20000));
+  ASSERT_GT(g.design.output_ports().size(), 2000u);
+  const std::string text = write_spef_string(g.design, g.para);
+  const net::Design back = net::read_netlist_string(net::write_netlist_string(g.design), library);
+  EXPECT_EQ(write_spef_string(back, read_spef_string(text, back)), text);
 }
 
 TEST(Spef, ResolvesPortsAndInstancePins) {
