@@ -1,5 +1,5 @@
 // Microbenchmarks of the flat SoA kernels (noise/kernels.hpp) against the
-// per-net scalar machinery they replace, on synthetic CSR rows of varying
+// per-item operations they batch, on synthetic CSR rows of varying
 // fan-in — isolating the kernel win from whole-pipeline effects:
 //
 //   BM_PeaksScalar/Vector    per-pair estimate_two_pi() calls vs. one
@@ -108,7 +108,7 @@ void BM_PeaksScalar(benchmark::State& state) {
 void BM_PeaksVector(benchmark::State& state) {
   const auto fanin = static_cast<std::size_t>(state.range(0));
   const Row row = make_row(fanin, 42);
-  // Same tracked slabs FlatKernelBuffers uses in production, so this record
+  // Same tracked slabs KernelBuffers uses in production, so this record
   // carries a nonzero kernel_buffers peak for bench_history's memory gate.
   noise::KbVec<double> p(fanin), w(fanin), d(fanin);
   for (auto _ : state) {
@@ -139,8 +139,7 @@ std::vector<noise::Contribution> make_contributions(std::size_t n,
   return cs;
 }
 
-/// The scalar combine inner loop, as analyzer.cpp's reference path runs it:
-/// materialize WeightedWindow copies, then scan.
+/// The per-item combine: materialize WeightedWindow copies, then scan.
 ScanResult scalar_combine(const std::vector<noise::Contribution>& cs) {
   std::vector<WeightedWindow> items;
   items.reserve(cs.size());
@@ -299,7 +298,6 @@ int main(int argc, char** argv) {
     meta.model = "two-pi";
     meta.options_digest = "-";
     meta.build = obs::build_version();
-    meta.simd = "vector";
     obs::MetricsSnapshot snap;
     const auto gauge = [&](const char* name, const char* help, double ms) {
       obs::MetricSample s;

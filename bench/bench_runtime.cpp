@@ -85,29 +85,6 @@ void BM_ThreadScaling(benchmark::State& state) {
   state.counters["endpoints_ms"] = tel.endpoints_seconds * 1e3;
 }
 
-// Kernel-path comparison on the deep-propagation case: the same analysis
-// with the scalar per-net reference (arg 0) and the flat SoA kernels
-// (arg 1). Results are bit-identical; the per-phase counters show where
-// the flat path wins (propagate: no per-combination window heap churn).
-void BM_SimdPath(benchmark::State& state) {
-  static const gen::Generated g =
-      gen::make_rand_logic(library(), bench::logic_config(10000));
-  static const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
-  noise::Options o;
-  o.mode = noise::AnalysisMode::kNoiseWindows;
-  o.clock_period = g.sta_options.clock_period;
-  o.simd = state.range(0) == 0 ? noise::SimdMode::kScalar : noise::SimdMode::kVector;
-  noise::Telemetry tel;
-  for (auto _ : state) {
-    const noise::Result r = noise::analyze(g.design, g.para, timing, o);
-    tel = r.telemetry;
-    benchmark::DoNotOptimize(r.violations.size());
-  }
-  state.counters["estimate_ms"] = tel.estimate_seconds * 1e3;
-  state.counters["propagate_ms"] = tel.propagate_seconds * 1e3;
-  state.counters["endpoints_ms"] = tel.endpoints_seconds * 1e3;
-}
-
 void BM_StaOnly(benchmark::State& state) {
   const auto g = gen::make_bus(library(), bench::bus_config(
                                               static_cast<std::size_t>(state.range(0))));
@@ -126,11 +103,6 @@ BENCHMARK(BM_ThreadScaling)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(BM_SimdPath)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_StaOnly)->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);

@@ -17,7 +17,6 @@
 #include "obs/resource.hpp"
 #include "obs/tracer.hpp"
 #include "util/executor.hpp"
-#include "util/scanline.hpp"
 
 namespace nw::noise {
 
@@ -28,19 +27,6 @@ const char* to_string(AnalysisMode m) noexcept {
     case AnalysisMode::kNoiseWindows: return "noise-windows";
   }
   return "?";
-}
-
-const char* to_string(SimdMode m) noexcept {
-  switch (m) {
-    case SimdMode::kAuto: return "auto";
-    case SimdMode::kScalar: return "scalar";
-    case SimdMode::kVector: return "vector";
-  }
-  return "?";
-}
-
-SimdMode resolve_simd(SimdMode m) noexcept {
-  return m == SimdMode::kAuto ? SimdMode::kVector : m;
 }
 
 const char* to_string(FilterStage s) noexcept {
@@ -108,56 +94,6 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-// The scalar reference combination (Combined itself lives in
-// noise/kernels.hpp, shared with the flat path).
-Combined combine(const std::vector<Contribution>& contributions, AnalysisMode mode,
-                 const Interval& restrict_to, const Constraints& constraints) {
-  Combined out;
-  if (mode == AnalysisMode::kNoFiltering && constraints.empty()) {
-    // Everything coincides, always.
-    for (std::size_t i = 0; i < contributions.size(); ++i) {
-      out.peak += contributions[i].peak;
-      out.width = std::max(out.width, contributions[i].width);
-      out.active.push_back(i);
-    }
-    out.alignment = Interval::everything();
-    return out;
-  }
-  std::vector<WeightedWindow> items;
-  items.reserve(contributions.size());
-  for (const auto& c : contributions) {
-    WeightedWindow ww;
-    ww.weight = c.peak;
-    // No-filtering mode ignores windows but still honours logic
-    // constraints (functional filtering is orthogonal to temporal).
-    const IntervalSet& win = (mode == AnalysisMode::kNoFiltering)
-                                 ? IntervalSet::everything()
-                                 : c.window;
-    ww.window = restrict_to == Interval::everything() ? win
-                                                      : win.intersect(restrict_to);
-    items.push_back(std::move(ww));
-  }
-  ScanResult scan;
-  if (constraints.empty()) {
-    scan = scan_max_overlap(items);
-  } else {
-    std::vector<int> groups(contributions.size(), -1);
-    for (std::size_t i = 0; i < contributions.size(); ++i) {
-      if (contributions[i].aggressor.valid()) {
-        groups[i] = constraints.group_of(contributions[i].aggressor);
-      }
-    }
-    scan = scan_max_overlap_grouped(items, groups);
-  }
-  out.peak = scan.best_sum;
-  out.alignment = scan.best_interval;
-  out.active = scan.active;
-  for (const auto i : scan.active) {
-    out.width = std::max(out.width, contributions[i].width);
-  }
-  return out;
-}
-
 /// What one endpoint check produced (slot-addressed so the parallel check
 /// stage folds back into Result in deterministic endpoint order).
 struct EndpointOutcome {
@@ -181,7 +117,6 @@ class Pipeline {
         sta_(sta_result),
         opt_(opt),
         progress_(progress),
-        vector_(resolve_simd(opt.simd) == SimdMode::kVector),
         exec_(opt.threads),
         start_(std::chrono::steady_clock::now()),
         phase_start_(start_),
@@ -195,12 +130,10 @@ class Pipeline {
       PhaseTimer timer(times_.context);
       ctx_ = AnalysisContext::build(design, para, sta_result, opt);
       switch_win_ = ctx_.switch_window;
-      if (vector_) {
-        // Structural slabs only (CSR adjacency, level/instance/endpoint
-        // slabs): O(nets + pairs + instances) copies, no FP transforms.
-        // Per-pair scenario operands pack lazily in estimate_injected.
-        kb_ = KernelBuffers::build(design, ctx_);
-      }
+      // Structural slabs only (CSR adjacency, level/instance slabs):
+      // O(nets + pairs + instances) copies, no FP transforms. Per-pair
+      // scenario operands pack lazily in estimate_injected.
+      kb_ = KernelBuffers::build(design, ctx_);
       // The arena self-charges the adjacency rows and the kernel slabs
       // charge through their allocator; the hook covers the rest of the
       // context plus this pipeline's window copy.
@@ -398,7 +331,6 @@ class Pipeline {
     res.run_meta.options_digest = options_digest(opt_);
     res.run_meta.build = obs::build_version();
     res.run_meta.threads = exec_.thread_count();
-    res.run_meta.simd = to_string(resolve_simd(opt_.simd));
     res.run_meta.iterations = res.iterations;
     res.executor = exec_.utilization();
     res.attribution = build_attribution(res);
@@ -468,17 +400,15 @@ class Pipeline {
     const std::size_t batch =
         progress_ != nullptr ? kEstimateBatch : std::max<std::size_t>(n, 1);
     begin_phase("estimate-injected", n);
-    if (vector_) {
-      // Refresh the flat switching windows for this pass, and pack the
-      // per-pair estimation operands once per Pipeline (dirty rows only on
-      // incremental runs — clean victims reuse previous contributions and
-      // never read their slots). Refinement passes 2+ hit the packed_
-      // guard and reuse the slabs: the operands depend only on immutable
-      // design/parasitics/STA state, never on the inflated windows.
-      kb_.set_switch_windows(switch_win_);
-      if (!kb_.scenarios_packed()) {
-        kb_.pack_scenarios(design_, para_, sta_, opt_, dirty, exec_);
-      }
+    // Refresh the flat switching windows for this pass, and pack the
+    // per-pair estimation operands once per Pipeline (dirty rows only on
+    // incremental runs — clean victims reuse previous contributions and
+    // never read their slots). Refinement passes 2+ hit the packed_ guard
+    // and reuse the slabs: the operands depend only on immutable
+    // design/parasitics/STA state, never on the inflated windows.
+    kb_.set_switch_windows(switch_win_);
+    if (!kb_.scenarios_packed()) {
+      kb_.pack_scenarios(design_, para_, sta_, opt_, dirty, exec_);
     }
     for (std::size_t base = 0; base < n; base += batch) {
       const std::size_t limit = std::min(n, base + batch);
@@ -486,11 +416,7 @@ class Pipeline {
                          [&](std::size_t begin, std::size_t end) {
         for (std::size_t vi = base + begin; vi < base + end; ++vi) {
           if (dirty == nullptr || (*dirty)[vi]) {
-            if (vector_) {
-              estimate_for_victim_vector(res.nets[vi], vi);
-            } else {
-              estimate_for_victim(res.nets[vi], NetId{vi});
-            }
+            estimate_for_victim(res.nets[vi], vi);
           } else {
             // Reuse the previous injected contributions (propagated ones are
             // rebuilt below); aggressor bookkeeping is restored with them.
@@ -523,47 +449,7 @@ class Pipeline {
     reg_.counter(kMetricVictimsReused, "").add(reused);
   }
 
-  void estimate_for_victim(NetNoise& nn, NetId victim) const {
-    for (const AggressorEdge& edge : ctx_.aggressors[victim.index()]) {
-      const NetId agg = edge.net;
-      ++nn.aggressor_count;
-
-      const sta::NetTiming& at = sta_.nets[agg.index()];
-      double slew = at.slew_min > 0.0 ? at.slew_min : opt_.default_slew;
-      slew = std::max(slew, 1e-12);
-
-      GlitchEstimate g;
-      if (opt_.model == GlitchModel::kMnaExact) {
-        g = estimate_mna(design_, para_, victim, agg, slew, ctx_.vdd, opt_.mna_tran);
-      } else if (opt_.model == GlitchModel::kReducedMna) {
-        g = estimate_reduced(design_, para_, victim, agg, slew, ctx_.vdd);
-      } else {
-        g = estimate(opt_.model, scenario_for(design_, para_, victim, agg, slew, ctx_.vdd));
-      }
-      if (g.peak < opt_.min_peak) continue;
-
-      Contribution c;
-      c.aggressor = agg;
-      c.peak = g.peak;
-      c.width = g.width;
-      if (opt_.mode == AnalysisMode::kNoFiltering) {
-        c.window = IntervalSet::everything();
-      } else {
-        const Interval sw = switch_win_[agg.index()];
-        if (sw.is_empty()) {
-          // The aggressor never switches: temporally filtered out.
-          ++nn.filtered_temporal;
-          continue;
-        }
-        // The glitch can exist from the earliest aggressor transition to
-        // the latest one plus injection ramp plus glitch width.
-        c.window = IntervalSet(sw.dilated(0.0, g.peak_delay + g.width));
-      }
-      nn.contributions.push_back(std::move(c));
-    }
-  }
-
-  /// Per-thread flat scratch for the vector estimation path.
+  /// Per-thread flat scratch for the estimation stage.
   struct EstimateScratch {
     std::vector<double> peak, width, delay;
     std::vector<double> win_lo, win_hi, ext_hi;
@@ -581,13 +467,16 @@ class Pipeline {
     return s;
   }
 
-  /// Flat-span estimation over one CSR row: the same per-pair model calls
-  /// and filter sequence as estimate_for_victim, with the analytic models
-  /// batched over the packed scenario slabs and the window construction
-  /// (gather + right-edge extension) vectorized. Emptiness is judged on
-  /// the RAW switching window, before extension, exactly like the scalar
-  /// path — extension cannot revive a never-switching aggressor.
-  void estimate_for_victim_vector(NetNoise& nn, std::size_t vi) const {
+  /// Estimates victim vi's injected glitches over its CSR row: the analytic
+  /// models run batched over the packed scenario slabs, the MNA models per
+  /// pair. A contribution below min_peak is dropped; under temporal
+  /// filtering an aggressor that never switches is dropped (and counted),
+  /// and every other glitch gets the window [sw.lo, sw.hi + peak_delay +
+  /// width] — the earliest aggressor transition to the latest one plus
+  /// injection ramp plus glitch width. Emptiness is judged on the RAW
+  /// switching window, before extension, so extension cannot revive a
+  /// never-switching aggressor.
+  void estimate_for_victim(NetNoise& nn, std::size_t vi) const {
     const std::uint32_t row = kb_.agg_offsets[vi];
     const std::size_t m = kb_.agg_offsets[vi + 1] - row;
     nn.aggressor_count += m;
@@ -670,43 +559,22 @@ class Pipeline {
   // Within a level no instance reads another's outputs and every net has a
   // single driver, so instances of a level run in parallel.
 
-  /// Route a combination through the flat kernels or the scalar reference.
-  /// The scalar branch materializes the view by copying, exactly as the
-  /// original per-net code did; the flat branch gathers it in place.
-  [[nodiscard]] Combined combine_dispatch(const std::vector<Contribution>& cs,
-                                          AnalysisMode mode,
-                                          const Interval& restrict_to,
-                                          CombineView view) const {
-    if (vector_) {
-      return combine_flat(cs, mode, restrict_to, opt_.constraints, view,
-                          combine_scratch());
-    }
-    if (view == CombineView::kInjectedOnly) {
-      std::vector<Contribution> injected_only;
-      for (const auto& c : cs) {
-        if (!c.is_propagated()) injected_only.push_back(c);
-      }
-      return combine(injected_only, mode, restrict_to, opt_.constraints);
-    }
-    if (view == CombineView::kPropagatedOpen) {
-      std::vector<Contribution> open = cs;
-      for (auto& c : open) {
-        if (c.is_propagated()) c.window = IntervalSet::everything();
-      }
-      return combine(open, mode, restrict_to, opt_.constraints);
-    }
-    return combine(cs, mode, restrict_to, opt_.constraints);
+  /// Worst simultaneous combination of one view of a contribution set
+  /// under the run's logic constraints.
+  [[nodiscard]] Combined combine(const std::vector<Contribution>& cs, AnalysisMode mode,
+                                 const Interval& restrict_to, CombineView view) const {
+    return combine_flat(cs, mode, restrict_to, opt_.constraints, view,
+                        combine_scratch());
   }
 
   void finalize_net(Result& res, NetId id) const {
     NetNoise& nn = res.nets[id.index()];
     // Injected-only combination (diagnostic; excludes fanin-propagated).
-    nn.injected_peak = combine_dispatch(nn.contributions, opt_.mode,
-                                        Interval::everything(),
-                                        CombineView::kInjectedOnly)
+    nn.injected_peak = combine(nn.contributions, opt_.mode, Interval::everything(),
+                               CombineView::kInjectedOnly)
                            .peak;
-    const Combined total = combine_dispatch(nn.contributions, opt_.mode,
-                                            Interval::everything(), CombineView::kAll);
+    const Combined total = combine(nn.contributions, opt_.mode, Interval::everything(),
+                                   CombineView::kAll);
     nn.total_peak = total.peak;
     nn.width = total.width;
     nn.worst_alignment = total.alignment;
@@ -716,7 +584,7 @@ class Pipeline {
     }
     if (opt_.mode == AnalysisMode::kNoFiltering) {
       nn.window = IntervalSet::everything();
-    } else if (vector_) {
+    } else {
       // Batch union: one flat sort + sweep over every member instead of k
       // incremental add() rebalances — union_flat yields the same
       // canonical interval list add() converges to.
@@ -726,87 +594,26 @@ class Pipeline {
         for (const Interval& iv : c.window.intervals()) members.push_back(iv);
       }
       nn.window = kernels::union_flat(members);
-    } else {
-      for (const auto& c : nn.contributions) nn.window.add(c.window);
     }
   }
 
-  void propagate_instance(Result& res, InstId inst_id) const {
-    const net::Instance& inst = design_.instance(inst_id);
-    const lib::Cell& cell = design_.cell_of(inst_id);
-    if (cell.is_sequential()) {
-      // Sequential cells do not propagate glitches from D to Q (a latched
-      // upset is a functional failure, handled at the endpoint check).
-      for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
-        if (cell.pins[pi].dir == lib::PinDir::kOutput) {
-          const net::Pin& op = design_.pin(inst.pins[pi]);
-          if (op.net.valid()) finalize_net(res, op.net);
-        }
-      }
-      return;
-    }
-    // Worst input glitch over the cell's input pins.
-    double in_peak = 0.0;
-    double in_width = 0.0;
-    IntervalSet in_window;
-    NetId in_net;
-    for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
-      if (cell.pins[pi].dir != lib::PinDir::kInput) continue;
-      const net::Pin& ip = design_.pin(inst.pins[pi]);
-      if (!ip.net.valid()) continue;
-      const NetNoise& fan = res.nets[ip.net.index()];
-      if (fan.total_peak > in_peak) {
-        in_peak = fan.total_peak;
-        in_width = fan.width;
-        in_window = fan.window;
-        in_net = ip.net;
-      }
-    }
-    for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
-      if (cell.pins[pi].dir != lib::PinDir::kOutput) continue;
-      const net::Pin& op = design_.pin(inst.pins[pi]);
-      if (!op.net.valid()) continue;
-      if (in_peak >= opt_.min_peak && !cell.arcs.empty()) {
-        const double out_peak = cell.propagation.out_peak.lookup(in_peak, in_width);
-        if (out_peak >= opt_.min_peak) {
-          const double out_width =
-              cell.propagation.out_width.lookup(in_peak, in_width);
-          const double load = ctx_.load_cap[op.net.index()];
-          // Representative gate delay for the window shift: the first
-          // arc's rise delay at (input width as slew proxy, load).
-          const double gate_delay =
-              cell.arcs.front().delay_rise.lookup(in_width, load);
-          Contribution c;
-          c.from_net = in_net;
-          c.peak = out_peak;
-          c.width = out_width;
-          // Only full noise-window mode tracks *when* propagated noise
-          // can exist; the weaker modes assume it coincides with anything.
-          c.window = (opt_.mode == AnalysisMode::kNoiseWindows)
-                         ? in_window.shifted(gate_delay)
-                               .dilated(0.0, std::max(out_width - in_width, 0.0))
-                         : IntervalSet::everything();
-          res.nets[op.net.index()].contributions.push_back(std::move(c));
-        }
-      }
-      finalize_net(res, op.net);
-    }
-  }
-
-  /// Flat-slab variant of propagate_instance: identical table lookups and
-  /// selection logic, reading the level-major CSR slabs instead of walking
-  /// design pins, with the window transform batched (uniform shift + right
-  /// extension over the fanin members, then an already-sorted sweep merge).
-  void propagate_instance_vector(Result& res, std::size_t pos) const {
+  /// Propagates the instance at level-major slab position `pos`: the
+  /// worst input glitch goes through the cell's noise-propagation tables
+  /// onto every output net, which is then finalized. The window transform
+  /// is batched (uniform shift + right extension over the fanin members,
+  /// then an already-sorted sweep merge).
+  void propagate_instance(Result& res, std::size_t pos) const {
     const std::uint32_t out_b = kb_.out_offsets[pos];
     const std::uint32_t out_e = kb_.out_offsets[pos + 1];
     if (kb_.slab_seq[pos]) {
+      // Sequential cells do not propagate glitches from D to Q (a latched
+      // upset is a functional failure, handled at the endpoint check).
       for (std::uint32_t k = out_b; k < out_e; ++k) finalize_net(res, kb_.out_net[k]);
       return;
     }
     const lib::Cell& cell = *kb_.slab_cell[pos];
     // Worst input glitch over the cell's input pins (slab pin order —
-    // strict > keeps the first maximum, as the scalar loop does).
+    // strict > keeps the first maximum).
     double in_peak = 0.0;
     double in_width = 0.0;
     const IntervalSet* in_window = nullptr;
@@ -827,13 +634,17 @@ class Pipeline {
         if (out_peak >= opt_.min_peak) {
           const double out_width =
               cell.propagation.out_width.lookup(in_peak, in_width);
-          const double load = kb_.load_cap[out.index()];
+          const double load = ctx_.load_cap[out.index()];
+          // Representative gate delay for the window shift: the first
+          // arc's rise delay at (input width as slew proxy, load).
           const double gate_delay =
               cell.arcs.front().delay_rise.lookup(in_width, load);
           Contribution c;
           c.from_net = in_net;
           c.peak = out_peak;
           c.width = out_width;
+          // Only full noise-window mode tracks *when* propagated noise
+          // can exist; the weaker modes assume it coincides with anything.
           if (opt_.mode == AnalysisMode::kNoiseWindows) {
             // Flat shifted().dilated(0, after): a uniform shift keeps the
             // members sorted, so union_flat's sort is an identity
@@ -883,18 +694,12 @@ class Pipeline {
       if (obs::spans_active()) {
         level_span.emplace("level " + std::to_string(li), obs::SpanKind::kLevel);
       }
-      // Both paths use the same (n, chunk) decomposition, so the
-      // executor_tasks counter for this region is identical.
-      const std::size_t level_base = vector_ ? kb_.level_offsets[li] : 0;
+      const std::size_t level_base = kb_.level_offsets[li];
       const auto level_t0 = std::chrono::steady_clock::now();
       exec_.parallel_for("propagate-level", level.size(), kPropagateChunk,
                          [&](std::size_t begin, std::size_t end) {
                            for (std::size_t i = begin; i < end; ++i) {
-                             if (vector_) {
-                               propagate_instance_vector(res, level_base + i);
-                             } else {
-                               propagate_instance(res, level[i]);
-                             }
+                             propagate_instance(res, level_base + i);
                            }
                          });
       // Per-level wall attribution (accumulated over refinement passes;
@@ -982,11 +787,7 @@ class Pipeline {
   [[nodiscard]] EndpointOutcome check_sequential(const Result& res,
                                                  std::size_t ep_index) const {
     const EndpointRef& ep = ctx_.endpoints[ep_index];
-    // The flat endpoint slabs hold the same values the context records;
-    // the vector path reads them to stay on the packed arrays.
-    const Interval sens =
-        vector_ ? Interval{kb_.sens_lo[ep_index], kb_.sens_hi[ep_index]}
-                : ep.sensitivity;
+    const Interval& sens = ep.sensitivity;
     const NetNoise& nn = res.nets[ep.net.index()];
     double peak = nn.total_peak;
     double width = nn.width;
@@ -994,7 +795,7 @@ class Pipeline {
     if (opt_.mode == AnalysisMode::kNoiseWindows) {
       // Worst combination *inside* the sampling window.
       const Combined in_sens =
-          combine_dispatch(nn.contributions, opt_.mode, sens, CombineView::kAll);
+          combine(nn.contributions, opt_.mode, sens, CombineView::kAll);
       peak = in_sens.peak;
       width = in_sens.width;
       temporal = peak > 0.0;
@@ -1039,17 +840,15 @@ class Pipeline {
     // built every window as `everything`), which is exactly the diagnostic:
     // the stages show what the stronger regime would have concluded from
     // the evidence this run collected.
-    const Combined unfiltered =
-        combine_dispatch(nn.contributions, AnalysisMode::kNoFiltering,
-                         Interval::everything(), CombineView::kAll);
-    const Combined switching =
-        combine_dispatch(nn.contributions, AnalysisMode::kNoiseWindows,
-                         Interval::everything(), CombineView::kPropagatedOpen);
-    const Combined noise_win =
-        combine_dispatch(nn.contributions, AnalysisMode::kNoiseWindows,
-                         Interval::everything(), CombineView::kAll);
-    const Combined in_sens = combine_dispatch(
-        nn.contributions, AnalysisMode::kNoiseWindows, sensitivity, CombineView::kAll);
+    const Combined unfiltered = combine(nn.contributions, AnalysisMode::kNoFiltering,
+                                        Interval::everything(), CombineView::kAll);
+    const Combined switching = combine(nn.contributions, AnalysisMode::kNoiseWindows,
+                                       Interval::everything(),
+                                       CombineView::kPropagatedOpen);
+    const Combined noise_win = combine(nn.contributions, AnalysisMode::kNoiseWindows,
+                                       Interval::everything(), CombineView::kAll);
+    const Combined in_sens = combine(nn.contributions, AnalysisMode::kNoiseWindows,
+                                     sensitivity, CombineView::kAll);
     p.peak_unfiltered = unfiltered.peak;
     p.peak_switching = switching.peak;
     p.peak_noise_window = noise_win.peak;
@@ -1071,8 +870,8 @@ class Pipeline {
     // windows, the net's mode-level combination everywhere else.
     const bool sens_check =
         cell != nullptr && opt_.mode == AnalysisMode::kNoiseWindows;
-    const Combined total = combine_dispatch(nn.contributions, opt_.mode,
-                                            Interval::everything(), CombineView::kAll);
+    const Combined total = combine(nn.contributions, opt_.mode, Interval::everything(),
+                                   CombineView::kAll);
     const Combined& worst = sens_check ? in_sens : total;
     p.alignment = worst.alignment;
 
@@ -1121,28 +920,7 @@ class Pipeline {
                 return a.from_net < b.from_net;
               });
 
-    // Propagation path: follow the strongest in-worst propagated member of
-    // each net's combination — the trace_origin walk, reimplemented here
-    // because noise/trace.hpp includes this header.
-    std::vector<char> visited(res.nets.size(), 0);
-    NetId cur = net;
-    while (cur.valid() && !visited[cur.index()]) {
-      visited[cur.index()] = 1;
-      const NetNoise& node = res.nets[cur.index()];
-      if (node.total_peak <= 0.0) break;
-      p.path.push_back({cur, node.total_peak, node.width});
-      NetId next;
-      double best = 0.0;
-      for (const auto& c : node.contributions) {
-        if (!c.in_worst || !c.is_propagated()) continue;
-        if (c.peak > best) {
-          best = c.peak;
-          next = c.from_net;
-        }
-      }
-      if (!next.valid()) break;
-      cur = next;
-    }
+    p.path = origin_path(res, net);
     return p;
   }
 
@@ -1171,8 +949,6 @@ class Pipeline {
   const sta::Result& sta_;
   const Options& opt_;
   ProgressSink* progress_;  ///< not owned; may be nullptr
-  /// Resolved kernel-path choice (Options::simd): true = flat SoA kernels.
-  const bool vector_;
   util::Executor exec_;
   std::chrono::steady_clock::time_point start_;
   std::chrono::steady_clock::time_point phase_start_;
@@ -1191,8 +967,7 @@ class Pipeline {
     double endpoints = 0.0;
   } times_;
   AnalysisContext ctx_;
-  /// Flat mirrors + packed per-pair operands for the vector path (empty
-  /// when vector_ is false).
+  /// Flat CSR/level slabs + packed per-pair operands the stages stream.
   KernelBuffers kb_;
   std::vector<Interval> switch_win_;  ///< per-pass inflated windows
   /// Hook charge for the context members the arena does not back.
@@ -1204,12 +979,37 @@ class Pipeline {
 
 }  // namespace
 
+std::vector<ProvenanceStep> origin_path(const Result& result, NetId net) {
+  std::vector<ProvenanceStep> path;
+  std::vector<char> visited(result.nets.size(), 0);
+  NetId cur = net;
+  while (cur.valid() && !visited[cur.index()]) {
+    visited[cur.index()] = 1;
+    const NetNoise& nn = result.nets[cur.index()];
+    if (nn.total_peak <= 0.0) break;
+    path.push_back({cur, nn.total_peak, nn.width});
+    // Follow the strongest propagated member of the worst combination.
+    NetId next;
+    double best = 0.0;
+    for (const auto& c : nn.contributions) {
+      if (!c.in_worst || !c.is_propagated()) continue;
+      if (c.peak > best) {
+        best = c.peak;
+        next = c.from_net;
+      }
+    }
+    if (!next.valid()) break;
+    cur = next;
+  }
+  return path;
+}
+
 std::string options_digest(const Options& o) {
   // Canonical rendering: exact doubles (hexfloat), every field in a fixed
-  // order, constraints enumerated deterministically. `threads` and `simd`
-  // are deliberately excluded — results (and therefore digests) are
-  // identical for every thread count and either kernel path, so caches
-  // keyed on the digest stay valid across both knobs.
+  // order, constraints enumerated deterministically. `threads` is
+  // deliberately excluded — results (and therefore digests) are identical
+  // for every thread count, so caches keyed on the digest stay valid
+  // across it.
   std::ostringstream os;
   os << std::hexfloat;
   os << "mode=" << to_string(o.mode) << ";model=" << to_string(o.model)

@@ -60,21 +60,6 @@ enum class AnalysisMode { kNoFiltering, kSwitchingWindows, kNoiseWindows };
 
 [[nodiscard]] const char* to_string(AnalysisMode m) noexcept;
 
-/// Kernel-path selection for the analysis hot loops. kScalar runs the
-/// per-net reference code; kVector runs the flat structure-of-arrays
-/// kernels over KernelBuffers (noise/kernels.hpp). Both paths share one
-/// compiled implementation of every floating-point expression, so the
-/// Result is bit-identical for either value — like Options::threads, the
-/// choice is an execution detail and is excluded from options_digest().
-enum class SimdMode { kAuto, kScalar, kVector };
-
-[[nodiscard]] const char* to_string(SimdMode m) noexcept;
-
-/// kAuto resolves to kVector: the flat kernels are portable C++ (the
-/// compiler vectorizes them where -DNW_SIMD / -march allow) and win on
-/// cache locality and allocation pressure even without SIMD units.
-[[nodiscard]] SimdMode resolve_simd(SimdMode m) noexcept;
-
 struct Options {
   AnalysisMode mode = AnalysisMode::kNoiseWindows;
   GlitchModel model = GlitchModel::kTwoPi;
@@ -91,9 +76,6 @@ struct Options {
   /// value — stages write to pre-sized per-index slots and reduce in index
   /// order (see DESIGN.md "Execution model").
   int threads = 1;
-  /// Hot-loop kernel path: scalar per-net reference code or flat SoA
-  /// kernels (see SimdMode). Results are bit-identical either way.
-  SimdMode simd = SimdMode::kAuto;
   spice::TranOptions mna_tran{2e-9, 0.5e-12};  ///< kMnaExact settings
   /// Functional filtering: mutual-exclusion groups of aggressor nets.
   /// Applies in every mode (it is orthogonal to temporal filtering).
@@ -165,7 +147,8 @@ struct AggressorShare {
   [[nodiscard]] bool is_propagated() const noexcept { return !aggressor.valid(); }
 };
 
-/// One hop of the propagation path from the endpoint back to injection.
+/// One hop of a propagation path from a noisy net back to injection
+/// (Provenance::path, NoiseTrace::path).
 struct ProvenanceStep {
   NetId net;
   double peak = 0.0;   ///< combined glitch on the net [V]
@@ -193,8 +176,7 @@ struct Provenance {
   Interval alignment;  ///< worst-alignment interval of the endpoint check
   /// Ranked: in-worst shares first, then peak descending, then net id.
   std::vector<AggressorShare> shares;
-  /// Endpoint net first, injection net last (strongest propagated member
-  /// followed at each hop — the same walk as trace_origin).
+  /// Endpoint net first, injection net last (origin_path of the net).
   std::vector<ProvenanceStep> path;
 };
 
@@ -269,6 +251,13 @@ struct Result {
 
   [[nodiscard]] const NetNoise& net(NetId id) const { return nets.at(id.index()); }
 };
+
+/// The path of `net`'s worst glitch back to where it was injected: `net`
+/// first, then at each hop the fanin net of the strongest in-worst
+/// propagated contribution, ending at the first net with none (the
+/// injection net). Stops at a net without noise and never revisits a net.
+/// Empty when `net` carries no noise. `net` must lie inside `result.nets`.
+[[nodiscard]] std::vector<ProvenanceStep> origin_path(const Result& result, NetId net);
 
 /// Stable hex digest of every analysis option (FNV-1a over a canonical
 /// rendering) — two runs with equal digests analyzed under the same

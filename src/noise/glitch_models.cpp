@@ -23,10 +23,10 @@ const char* to_string(GlitchModel m) noexcept {
 // The three analytic models as elementwise span kernels — the canonical
 // implementations. Slot i reads only index i of every span, so the loops
 // auto-vectorize (charge-sharing/devgan fully; two-pi up to the libm
-// calls). The scalar estimate_* wrappers below run the same loops with
-// count 1: one compiled expression per formula, so the per-net reference
-// path and the SoA kernel path cannot diverge bitwise, whatever the
-// compiler's FP-contraction choices. NW_KERNEL_NOINLINE keeps the wrappers
+// calls). The per-scenario estimate_* wrappers below run the same loops
+// with count 1: one compiled expression per formula, so a single estimate
+// and the analyzer's batched estimation cannot diverge bitwise, whatever
+// the compiler's FP-contraction choices. NW_KERNEL_NOINLINE keeps the wrappers
 // from inlining a private copy whose late FMA formation could differ from
 // the out-of-line loop.
 #if defined(__GNUC__) || defined(__clang__)

@@ -54,13 +54,13 @@ struct GlitchEstimate {
 [[nodiscard]] GlitchEstimate estimate_two_pi(const CouplingScenario& s);
 
 /// Flat span variants of the three analytic models — the elementwise
-/// estimation kernels the SoA path (noise/kernels.hpp) runs over CSR rows
-/// of scenario operands. All spans share one length; slot i is the
+/// estimation kernels the analyzer runs over CSR rows of scenario operands
+/// (noise/kernels.hpp). All spans share one length; slot i is the
 /// scenario (r_hold[i], c_ground[i], c_couple[i], slew[i], vdd). These are
-/// the CANONICAL implementations: the scalar estimate_* functions above
-/// call them with count-1 spans, so scalar and vector paths execute the
-/// same compiled floating-point expressions and stay bit-identical even
-/// under FP contraction (-ffp-contract=fast). Callers guarantee slew > 0
+/// the CANONICAL implementations: the per-scenario estimate_* functions
+/// above call them with count-1 spans, so both execute the same compiled
+/// floating-point expressions and stay bit-identical even under FP
+/// contraction (-ffp-contract=fast). Callers guarantee slew > 0
 /// for devgan/two-pi (the wrappers keep the throwing checks).
 void peaks_charge_sharing(std::span<const double> r_hold,
                           std::span<const double> c_ground,

@@ -13,8 +13,7 @@ Combined combine_flat(std::span<const Contribution> contributions, AnalysisMode 
   Combined out;
   const bool injected_only = view == CombineView::kInjectedOnly;
   if (mode == AnalysisMode::kNoFiltering && constraints.empty()) {
-    // Everything coincides, always. Summation in (compacted) index order —
-    // the order the scalar path sums its (filtered) vector in.
+    // Everything coincides, always. Summation in (compacted) index order.
     std::size_t j = 0;
     for (const auto& c : contributions) {
       if (injected_only && c.is_propagated()) continue;
@@ -27,8 +26,8 @@ Combined combine_flat(std::span<const Contribution> contributions, AnalysisMode 
   }
 
   // Gather the view's member intervals into flat spans in (item, member)
-  // order — exactly the event sequence the scalar path builds — so the
-  // event sort (and with it summation order at ties) cannot differ.
+  // order; the event sort breaks ties by that order, which fixes the
+  // summation order.
   s.lo.clear();
   s.hi.clear();
   s.item.clear();
@@ -145,18 +144,13 @@ KernelBuffers KernelBuffers::build(const net::Design& design,
 
   kb.agg_offsets.reserve(n + 1);
   kb.agg_net.reserve(pairs);
-  kb.agg_cap.reserve(pairs);
   kb.agg_offsets.push_back(0);
   for (const auto& row : ctx.aggressors) {
-    for (const AggressorEdge& e : row) {
-      kb.agg_net.push_back(e.net);
-      kb.agg_cap.push_back(e.coupling);
-    }
+    for (const AggressorEdge& e : row) kb.agg_net.push_back(e.net);
     kb.agg_offsets.push_back(static_cast<std::uint32_t>(kb.agg_net.size()));
   }
   kb.pair_slew.assign(pairs, 0.0);
 
-  kb.load_cap.assign(ctx.load_cap.begin(), ctx.load_cap.end());
   kb.switch_lo.resize(n);
   kb.switch_hi.resize(n);
 
@@ -176,8 +170,7 @@ KernelBuffers KernelBuffers::build(const net::Design& design,
       const lib::Cell& cell = design.cell_of(inst_id);
       kb.slab_cell.push_back(&cell);
       kb.slab_seq.push_back(cell.is_sequential() ? 1 : 0);
-      // Valid nets in pin order — the order the scalar propagate loops
-      // visit them in (max-selection tie-breaking depends on it).
+      // Valid nets in pin order (max-selection tie-breaking depends on it).
       for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
         const net::Pin& p = design.pin(inst.pins[pi]);
         if (!p.net.valid()) continue;
@@ -191,15 +184,6 @@ KernelBuffers KernelBuffers::build(const net::Design& design,
       kb.out_offsets.push_back(static_cast<std::uint32_t>(kb.out_net.size()));
     }
     kb.level_offsets.push_back(static_cast<std::uint32_t>(kb.slab_cell.size()));
-  }
-
-  kb.sens_lo.reserve(ctx.endpoints.size());
-  kb.sens_hi.reserve(ctx.endpoints.size());
-  kb.ep_net.reserve(ctx.endpoints.size());
-  for (const EndpointRef& ep : ctx.endpoints) {
-    kb.sens_lo.push_back(ep.sensitivity.lo);
-    kb.sens_hi.push_back(ep.sensitivity.hi);
-    kb.ep_net.push_back(ep.net);
   }
   return kb;
 }
@@ -231,16 +215,16 @@ void KernelBuffers::pack_scenarios(const net::Design& design,
       if (dirty != nullptr && !(*dirty)[vi]) continue;
       for (std::uint32_t k = agg_offsets[vi]; k < agg_offsets[vi + 1]; ++k) {
         const NetId agg = agg_net[k];
-        // The slew rule of the scalar estimation loop, verbatim
-        // (comparison + select + max: no arithmetic, bit-exact).
+        // The aggressor slew: STA's fastest transition, else the default,
+        // floored at 1 ps (comparison + select + max: no arithmetic).
         const sta::NetTiming& at = sta.nets[agg.index()];
         double slew = at.slew_min > 0.0 ? at.slew_min : opt.default_slew;
         slew = std::max(slew, 1e-12);
         pair_slew[k] = slew;
         if (analytic) {
-          // The same scenario_for() call the scalar path makes per pair —
-          // its mixed-order c_other_coupling accumulation is not
-          // decomposable, so it is shared rather than re-derived.
+          // scenario_for() itself, per pair — its mixed-order
+          // c_other_coupling accumulation is not decomposable, so it is
+          // called rather than re-derived.
           const CouplingScenario s =
               scenario_for(design, para, NetId{vi}, agg, slew, vdd);
           sc_r_hold[k] = s.r_hold;

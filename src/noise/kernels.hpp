@@ -1,36 +1,33 @@
 // Structure-of-arrays kernel buffers and the flat analysis kernels.
 //
-// The per-net hot path (noise/analyzer.cpp) walks pointer-rich structures:
-// vector<vector<AggressorEdge>> adjacency, IntervalSet windows on every
-// contribution, and per-pair CouplingScenario construction inside the
-// estimation loop. KernelBuffers mirrors everything those loops read into
-// flat, contiguous slabs — CSR aggressor adjacency, packed per-pair
-// estimation operands, flat switching windows, per-level instance slabs,
-// and flat endpoint sensitivities — so the stage kernels stream over plain
-// double arrays instead of chasing heap nodes.
+// The analysis stages (noise/analyzer.cpp) stream over flat, contiguous
+// slabs instead of the context's pointer-rich structures: KernelBuffers
+// holds the CSR aggressor adjacency, packed per-pair estimation operands,
+// flat switching windows and per-level instance slabs, derived once per
+// analysis from the AnalysisContext. Values the stages read only once per
+// use (endpoint sensitivities, gate loads) stay in the context.
 //
-// Bit-identity contract: the vector path (Options::simd == kVector) must
-// produce a byte-identical Result to the scalar reference path. Three
-// mechanisms guarantee it:
+// Each flat kernel computes a definition the tests check it against
+// directly (tests/test_kernels.cpp):
 //
-//   1. Shared arithmetic. Every floating-point expression lives in exactly
-//      one compiled function — the flat kernels (peaks_* in glitch_models,
-//      the event-scan cores in util/scanline) — and the scalar path calls
-//      the same functions with count-1 spans. With one definition there is
-//      one FP-contraction decision, so -ffp-contract=fast cannot split the
-//      paths.
-//   2. Identical sequences. combine_flat() feeds the scan core the same
-//      (interval, item) event sequence the scalar combine() builds, in the
-//      same order, so sorting and summation order cannot differ.
-//   3. Selection-only restructuring. The batch union and window transforms
-//      only shift/compare/min/max endpoint values — the same operations
-//      IntervalSet::add()/intersect() perform, in an order that provably
-//      produces the same canonical interval list.
+//   - combine_flat() is the worst simultaneous sum: the largest total
+//     weight of contributions whose windows share one instant, at most
+//     one per mutual-exclusion group — the brute-force maximum over every
+//     window's left edge, computed by one sorted event sweep.
+//   - union_flat() is the canonical union repeated IntervalSet::add()
+//     converges to; merged endpoints are min/max selections, no arithmetic.
+//   - clip() is IntervalSet::intersect(Interval), elementwise; extend_right()
+//     is Interval::dilated(0, delay + width), batched.
 //
-// The buffers are derived from an AnalysisContext once per Pipeline and
-// packed lazily: structure (CSR, slabs) at build time, per-pair scenario
-// operands on first estimation (incremental runs pack only dirty rows —
-// clean rows reuse previous contributions and never read their slots).
+// Every floating-point expression lives in exactly one compiled function
+// (the peaks_* kernels in glitch_models, the event-scan cores in
+// util/scanline), so the per-pair estimate() wrappers and the batched
+// estimation agree to the bit, and -ffp-contract=fast has one contraction
+// decision to make per expression.
+//
+// The per-pair operands are packed lazily, on first estimation (incremental
+// runs pack only dirty rows — clean rows reuse previous contributions and
+// never read their slots).
 #pragma once
 
 #include <cstddef>
@@ -53,7 +50,7 @@ namespace nw::noise {
 
 /// Worst simultaneous sum of contributions, optionally restricted to a
 /// time window (mode 3 latch checks restrict to the sensitivity window).
-/// Produced by both the scalar combine and combine_flat().
+/// Produced by combine_flat().
 struct Combined {
   double peak = 0.0;
   double width = 0.0;
@@ -61,27 +58,25 @@ struct Combined {
   std::vector<std::size_t> active;
 };
 
-/// Which contributions a combination sees. The scalar path materializes
-/// these views by copying the contribution vector; the flat path gathers
-/// them directly.
+/// Which contributions a combination sees. combine_flat() gathers the view
+/// in place, without copying the contribution vector.
 enum class CombineView {
   /// Every contribution, windows as recorded. `active` holds original
   /// contribution indices.
   kAll,
   /// Injected contributions only (skips fanin-propagated ones). Indices
-  /// are COMPACTED — 0..m-1 in original relative order — matching the
-  /// scalar path's filtered-copy vector, so event sort tie-breaking (and
-  /// with it summation order) is identical. Only `.peak` is meaningful to
-  /// current callers.
+  /// are COMPACTED — 0..m-1 in original relative order — exactly as if the
+  /// injected contributions were copied into their own vector first; the
+  /// indices order event-sort ties, and with them the summation order.
+  /// Only `.peak` is meaningful to current callers.
   kInjectedOnly,
   /// Propagated windows widened to `everything` (provenance's
   /// "switching-windows" stage). Original indices.
   kPropagatedOpen,
 };
 
-/// Reusable gather/scan scratch for combine_flat — one per thread, so the
-/// per-combination IntervalSet/WeightedWindow heap churn of the scalar
-/// path disappears entirely.
+/// Reusable gather/scan scratch for combine_flat — one per thread, so a
+/// combination allocates nothing once the scratch has grown.
 struct CombineScratch {
   std::vector<double> lo, hi;       ///< member intervals, flat
   std::vector<std::size_t> item;    ///< owning item per member
@@ -92,9 +87,11 @@ struct CombineScratch {
 };
 
 /// Flat-span combine: gathers the view's member intervals into scratch
-/// spans, clips them against `restrict_to` elementwise, and runs the shared
-/// event-scan core. Bit-identical to the scalar combine() on the same view
-/// (see file header). Thread-safe for distinct scratch objects.
+/// spans, clips them against `restrict_to` elementwise, and runs the
+/// event-scan core. No-filtering mode treats every window as `everything`
+/// (logic constraints still apply); without constraints it sums every
+/// member, whatever `restrict_to`. `width` is the widest active member. Thread-safe for distinct
+/// scratch objects.
 [[nodiscard]] Combined combine_flat(std::span<const Contribution> contributions,
                                     AnalysisMode mode, const Interval& restrict_to,
                                     const Constraints& constraints, CombineView view,
@@ -109,8 +106,8 @@ namespace kernels {
 void clip(std::span<double> lo, std::span<double> hi, const Interval& r);
 
 /// out[i] = hi[i] + (delay[i] + width[i]) — the right-edge extension of
-/// Interval::dilated(0.0, peak_delay + width), batched. The association
-/// matches the scalar path exactly: `after` is formed first, then added.
+/// Interval::dilated(0.0, peak_delay + width), batched, with the same
+/// association: `after` is formed first, then added.
 void extend_right(std::span<const double> hi, std::span<const double> delay,
                   std::span<const double> width, std::span<double> out);
 
@@ -132,7 +129,7 @@ void extend_right(std::span<const double> hi, std::span<const double> delay,
 template <class T>
 using KbVec = std::vector<T, obs::TrackedAlloc<T, obs::MemAccountId::kKernelBuffers>>;
 
-/// Flat mirror of the AnalysisContext structures the stage kernels read,
+/// Flat copy of the AnalysisContext structures the stage kernels stream,
 /// plus packed per-pair estimation operands. Immutable structure after
 /// build(); set_switch_windows() and pack_scenarios() fill the mutable
 /// slabs (per refinement pass and lazily-once respectively).
@@ -142,7 +139,6 @@ struct KernelBuffers {
   // --- CSR aggressor adjacency (victim-major; row vi = net vi) ---
   KbVec<std::uint32_t> agg_offsets;  ///< net_count+1 row starts
   KbVec<NetId> agg_net;              ///< aggressor id per pair slot
-  KbVec<double> agg_cap;             ///< summed coupling per pair slot
 
   // --- per-pair estimation operands (slot-parallel to agg_net) ---
   /// Aggressor slew after the STA/default/floor rule — the raw input the
@@ -154,7 +150,6 @@ struct KernelBuffers {
 
   // --- flat per-net arrays ---
   KbVec<double> switch_lo, switch_hi;  ///< current pass's windows
-  KbVec<double> load_cap;              ///< gate-delay lookup loads
 
   // --- per-level contiguous instance slabs (level-major "slab position") ---
   KbVec<std::uint32_t> level_offsets;  ///< levels+1 starts into slabs
@@ -164,10 +159,6 @@ struct KernelBuffers {
   KbVec<NetId> in_net;                 ///< valid input nets, pin order
   KbVec<std::uint32_t> out_offsets;    ///< slab+1: CSR of output nets
   KbVec<NetId> out_net;                ///< valid output nets, pin order
-
-  // --- flat endpoints ---
-  KbVec<double> sens_lo, sens_hi;
-  KbVec<NetId> ep_net;
 
   /// Derive every structural slab from the context (O(nets + pairs +
   /// instances); no floating-point transformation, values are copied).

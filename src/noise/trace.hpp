@@ -15,15 +15,10 @@
 
 namespace nw::noise {
 
-struct TraceStep {
-  NetId net;
-  double peak = 0.0;   ///< combined noise on this net [V]
-  double width = 0.0;  ///< [s]
-};
-
 struct NoiseTrace {
-  /// From the queried net (front) back to the injection net (back).
-  std::vector<TraceStep> path;
+  /// From the queried net (front) back to the injection net (back): the
+  /// net's origin_path (noise/analyzer.hpp).
+  std::vector<ProvenanceStep> path;
   /// Aggressors in the worst combination at the injection net.
   std::vector<NetId> aggressors;
 };

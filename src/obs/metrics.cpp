@@ -245,9 +245,7 @@ void write_stats_json(std::ostream& os, const RunMeta& meta,
      << json_escape(meta.design) << "\",\"mode\":\"" << json_escape(meta.mode)
      << "\",\"model\":\"" << json_escape(meta.model) << "\",\"options_digest\":\""
      << json_escape(meta.options_digest) << "\",\"build\":\""
-     << json_escape(meta.build) << "\",\"simd\":\""
-     << json_escape(meta.simd.empty() ? "scalar" : meta.simd)
-     << "\",\"threads\":" << meta.threads
+     << json_escape(meta.build) << "\",\"threads\":" << meta.threads
      << ",\"iterations\":" << meta.iterations << "},\n";
 
   // Section membership is a partition: deterministic metrics split by kind,

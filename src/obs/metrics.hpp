@@ -40,9 +40,11 @@ namespace nw::obs {
 /// "memory" section (per-account heap accounting from obs::MemTracker —
 /// current/peak bytes and alloc/free counts per named subsystem account,
 /// rendered directly by write_stats_json so every stats writer carries
-/// it). Clients feature-detect it through the `stats_schema` field of
-/// the server's `hello` response.
-inline constexpr int kStatsSchemaVersion = 5;
+/// it). v6 drops the kernel-path meta field: the analysis has one kernel
+/// path, so there is no choice left to record. Clients feature-detect the
+/// layout through the `stats_schema` field of the server's `hello`
+/// response.
+inline constexpr int kStatsSchemaVersion = 6;
 
 /// Monotone event count.
 class Counter {
@@ -171,7 +173,6 @@ struct RunMeta {
   std::string model;           ///< glitch model string
   std::string options_digest;  ///< stable hash of every analysis option
   std::string build;           ///< git describe (or "unknown")
-  std::string simd;            ///< resolved kernel path ("scalar"/"vector")
   int threads = 1;             ///< resolved executor parallelism
   int iterations = 1;          ///< analysis passes run
 };

@@ -331,7 +331,7 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
     const GateGuard gate(gate_, session_, cmd);
     const noise::NoiseTrace tr = session_.trace(id);
     Json path = Json::array();
-    for (const noise::TraceStep& step : tr.path) {
+    for (const noise::ProvenanceStep& step : tr.path) {
       Json s = Json::object();
       s.set("net", session_.design().net(step.net).name);
       s.set("peak", step.peak);

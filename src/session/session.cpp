@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -42,13 +43,6 @@ std::optional<noise::GlitchModel> parse_model(const std::string& s) {
   if (s == "two-pi") return noise::GlitchModel::kTwoPi;
   if (s == "reduced-mna") return noise::GlitchModel::kReducedMna;
   if (s == "mna-exact") return noise::GlitchModel::kMnaExact;
-  return std::nullopt;
-}
-
-std::optional<noise::SimdMode> parse_simd(const std::string& s) {
-  if (s == "auto") return noise::SimdMode::kAuto;
-  if (s == "scalar") return noise::SimdMode::kScalar;
-  if (s == "vector") return noise::SimdMode::kVector;
   return std::nullopt;
 }
 
@@ -280,6 +274,12 @@ void Session::set_arrival_window(const std::string& port, Interval window) {
   if (!pid || design().pin(*pid).kind != net::PinKind::kInputPort) {
     throw NotFound("unknown input port '" + port + "'");
   }
+  // NaN edges pass the lo > hi emptiness test, and a non-finite arrival
+  // poisons every downstream window, so both are rejected here.
+  if (!std::isfinite(window.lo) || !std::isfinite(window.hi)) {
+    throw std::invalid_argument("set_arrival_window: non-finite window for '" + port +
+                                "'");
+  }
   if (window.is_empty()) {
     throw std::invalid_argument("set_arrival_window: empty window for '" + port + "'");
   }
@@ -346,16 +346,6 @@ void Session::set_option(const std::string& name, const std::string& value) {
                                   "' (expected an integer in [0, 1024])");
     }
     cfg_.noise.threads = static_cast<int>(*v);
-  } else if (name == "simd") {
-    // Like threads, a pure execution knob: results are bit-identical on
-    // either kernel path and simd is excluded from the options digest, so
-    // switching it never invalidates the result cache.
-    const auto m = parse_simd(value);
-    if (!m) {
-      throw std::invalid_argument("set_option simd: '" + value +
-                                  "' (expected auto | scalar | vector)");
-    }
-    cfg_.noise.simd = *m;
   } else if (name == "refine") {
     const auto v = parse_uint(value);
     if (!v || *v > 64) {
@@ -365,7 +355,7 @@ void Session::set_option(const std::string& name, const std::string& value) {
     cfg_.noise.refine_iterations = static_cast<int>(*v);
   } else if (name == "period") {
     const auto v = parse_double(value);
-    if (!v || *v <= 0.0) {
+    if (!v || !std::isfinite(*v) || *v <= 0.0) {
       throw std::invalid_argument("set_option period: '" + value +
                                   "' (expected a positive number of seconds)");
     }
@@ -373,7 +363,7 @@ void Session::set_option(const std::string& name, const std::string& value) {
   } else {
     throw std::invalid_argument(
         "set_option: unknown option '" + name +
-        "' (expected mode | model | threads | simd | refine | period)");
+        "' (expected mode | model | threads | refine | period)");
   }
   UndoEntry e;
   e.what = "set_option " + name + " " + value;

@@ -170,7 +170,9 @@ class Session {
   /// single cap is added between the driver roots.
   void set_coupling_cap(const std::string& net_a, const std::string& net_b, double cap);
 
-  /// Override an input port's arrival window (re-timed input).
+  /// Override an input port's arrival window (re-timed input). Throws
+  /// std::invalid_argument naming the port for a non-finite or empty
+  /// window.
   void set_arrival_window(const std::string& port, Interval window);
 
   /// Declare a mutual-exclusion constraint group (an *options* edit: the
@@ -178,8 +180,9 @@ class Session {
   int set_constraint_group(std::span<const std::string> nets);
 
   /// Change an analysis option: "mode", "model", "threads", "refine",
-  /// "period". Options other than "threads" change the options digest, so
-  /// the next query runs fully (or hits the cache if seen before).
+  /// "period" (a positive, finite number of seconds). Options other than
+  /// "threads" change the options digest, so the next query runs fully (or
+  /// hits the cache if seen before).
   void set_option(const std::string& name, const std::string& value);
 
   /// Revert the most recent edit (bit-exact). False when the journal is

@@ -552,7 +552,7 @@ TEST(Daemon, HelloAdvertisesWatchFeatureAndSchemaV4) {
     const session::Json& data = *resp.find("data");
     EXPECT_EQ(data.find("stats_schema")->as_number(),
               static_cast<double>(obs::kStatsSchemaVersion));
-    EXPECT_EQ(data.find("stats_schema")->as_number(), 5.0);
+    EXPECT_EQ(data.find("stats_schema")->as_number(), 6.0);
     const session::Json* features = data.find("features");
     ASSERT_NE(features, nullptr);
     bool has_watch = false;

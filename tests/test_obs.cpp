@@ -262,7 +262,7 @@ TEST(Metrics, StatsJsonParsesAndSeparatesTiming) {
   obs::write_stats_json(os, meta, reg.snapshot());
   const std::string json = os.str();
   EXPECT_TRUE(JsonChecker(json).parse()) << json;
-  EXPECT_NE(json.find("\"schema_version\":5"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos);
   EXPECT_NE(json.find("\"d\\\"quoted\\\"\""), std::string::npos);
   // The nondeterministic gauge lands in "timing", not in "gauges".
   const auto gauges_at = json.find("\"gauges\"");

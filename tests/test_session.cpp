@@ -7,6 +7,7 @@
 // counts, leaning on the analyzer's own determinism guarantee.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -251,6 +252,24 @@ TEST(Session, FailedEditsLeaveStateUntouched) {
 
   EXPECT_EQ(s.epoch(), epoch0);
   EXPECT_EQ(s.undo_depth(), 0u);
+  expect_bit_identical(s.result(), snapshot);
+}
+
+TEST(Session, NonFiniteArrivalAndPeriodRejected) {
+  // NaN passes both `lo > hi` and `<= 0`: accepted, a NaN arrival edge hung
+  // the next analysis and a NaN period moved every sensitivity window.
+  Session s = make_session();
+  const noise::Result snapshot = s.result();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Interval w : {Interval{nan, 1e-10}, Interval{0.0, nan}, Interval{-inf, 0.0},
+                           Interval{0.0, inf}}) {
+    EXPECT_THROW(s.set_arrival_window("in0", w), std::invalid_argument);
+  }
+  for (const char* period : {"nan", "inf", "-inf"}) {
+    EXPECT_THROW(s.set_option("period", period), std::invalid_argument) << period;
+  }
+  EXPECT_EQ(s.epoch(), 0u);
   expect_bit_identical(s.result(), snapshot);
 }
 

@@ -1,6 +1,7 @@
 #include "tools/cli.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <memory>
@@ -89,8 +90,6 @@ const char kUsage[] =
     "  --period <s>        clock period in seconds (default 1e-9)\n"
     "  --refine <n>        noise-on-delay refinement passes (default 0)\n"
     "  --threads <n>       analysis threads: 1 = serial (default), 0 = all cores\n"
-    "  --simd <p>          hot-loop kernel path: auto (default) | scalar | vector;\n"
-    "                      results are bit-identical either way\n"
     "  --stats             print per-phase telemetry after the report\n"
     "  --mem-report        print the per-subsystem memory accounting table\n"
     "                      (current/peak bytes and alloc/free counts per\n"
@@ -145,13 +144,6 @@ std::optional<noise::GlitchModel> parse_model(std::string_view s) {
   if (s == "two-pi") return noise::GlitchModel::kTwoPi;
   if (s == "reduced-mna") return noise::GlitchModel::kReducedMna;
   if (s == "mna-exact") return noise::GlitchModel::kMnaExact;
-  return std::nullopt;
-}
-
-std::optional<noise::SimdMode> parse_simd(std::string_view s) {
-  if (s == "auto") return noise::SimdMode::kAuto;
-  if (s == "scalar") return noise::SimdMode::kScalar;
-  if (s == "vector") return noise::SimdMode::kVector;
   return std::nullopt;
 }
 
@@ -232,6 +224,11 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
       const auto v = need_value();
       if (!v) return std::nullopt;
       a.noise_opt.clock_period = nw::parse_double(*v);
+      if (!std::isfinite(a.noise_opt.clock_period) || a.noise_opt.clock_period <= 0.0) {
+        err << "noisewin: --period '" << *v
+            << "' is not a positive finite number of seconds\n";
+        return std::nullopt;
+      }
     } else if (arg == "--refine") {
       const auto v = need_value();
       if (!v) return std::nullopt;
@@ -240,16 +237,6 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
       const auto v = need_value();
       if (!v) return std::nullopt;
       a.noise_opt.threads = static_cast<int>(nw::parse_uint(*v));
-    } else if (arg == "--simd") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const auto m = parse_simd(*v);
-      if (!m) {
-        err << "noisewin: unknown --simd value '" << *v
-            << "' (expected auto | scalar | vector)\n";
-        return std::nullopt;
-      }
-      a.noise_opt.simd = *m;
     } else if (arg == "--stats") {
       a.stats = true;
     } else if (arg == "--mem-report") {
@@ -519,12 +506,21 @@ void load_inputs(const Args& a, lib::Library& library, std::optional<net::Design
         const auto t = nw::trim(line);
         if (t.empty() || nw::starts_with(t, "#")) continue;
         const auto toks = nw::split(t);
-        if (toks.size() < 3) {
-          throw std::runtime_error("arrivals line " + std::to_string(lineno) +
-                                   ": expected '<port> <lo> <hi>'");
+        const auto fail = [&](const std::string& msg) {
+          throw std::runtime_error("arrivals line " + std::to_string(lineno) + ": " +
+                                   msg);
+        };
+        if (toks.size() < 3) fail("expected '<port> <lo> <hi>'");
+        Interval window;
+        try {
+          window = Interval{nw::parse_double(toks[1]), nw::parse_double(toks[2])};
+        } catch (const std::invalid_argument& e) {
+          fail(e.what());
         }
-        sta_opt.input_arrivals[std::string(toks[0])] =
-            Interval{nw::parse_double(toks[1]), nw::parse_double(toks[2])};
+        if (!std::isfinite(window.lo) || !std::isfinite(window.hi)) {
+          fail("non-finite arrival window for port '" + std::string(toks[0]) + "'");
+        }
+        sta_opt.input_arrivals[std::string(toks[0])] = window;
       }
     }
   }

@@ -5,16 +5,15 @@
 //   noisewin --lib <file.nlib> --netlist <file.nv> --spef <file.nwspef>
 //            [--arrivals <file>] [--mode no-filtering|switching-windows|noise-windows]
 //            [--model charge-sharing|devgan|two-pi|reduced-mna|mna-exact]
-//            [--period <seconds>] [--threads <n>] [--simd auto|scalar|vector]
+//            [--period <seconds>] [--threads <n>]
 //            [--stats] [--report <file>] [--delay-impact]
 //   noisewin --demo bus|logic|pipeline [--mode ...] [...]
 //   noisewin serve --demo bus [...]     JSONL session server on stdin/stdout
 //   noisewin shell --demo bus [...]     interactive session REPL
 //
-// The arrivals file has lines: `<port> <earliest> <latest>` (seconds).
-// `--threads 0` uses every hardware thread; results are identical for any
-// thread count, and `--simd scalar`/`--simd vector` select the per-net
-// reference path or the flat SoA kernels with bit-identical results.
+// The arrivals file has lines: `<port> <earliest> <latest>` (seconds,
+// finite). `--threads 0` uses every hardware thread; results are identical
+// for any thread count.
 // `--stats` appends the per-phase telemetry table.
 // Exit code: 0 = clean, 2 = violations found, 1 = usage/input error.
 //

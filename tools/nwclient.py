@@ -194,7 +194,7 @@ def check_hello(c: NwClient, daemon: bool) -> dict:
     hello = c.request("hello")
     check(hello["protocol"] == 1, f"protocol v1, design '{hello['design']}'")
     check(
-        hello.get("stats_schema") == 5,
+        hello.get("stats_schema") == 6,
         f"server {hello.get('version', '?')} ({hello.get('build', '?')}) "
         f"speaks stats schema v{hello.get('stats_schema')}",
     )

@@ -11,7 +11,7 @@ Usage:
 
 Checks the Chrome trace-event JSON (parses, per-thread spans well-nested,
 required keys present, counter events well-formed) and the stats JSON
-(schema v5 meta, required metrics, histogram bucket counts + quantile
+(schema v6 meta, required metrics, histogram bucket counts + quantile
 summaries consistent, "resources", "executor" and "memory" sections
 present and internally consistent, "timeseries" ring invariants when
 sampling ran). The v5 "memory" section must satisfy the per-account
@@ -33,14 +33,13 @@ import argparse
 import json
 import sys
 
-STATS_SCHEMA_VERSION = 5  # obs::kStatsSchemaVersion
+STATS_SCHEMA_VERSION = 6  # obs::kStatsSchemaVersion
 
 REQUIRED_COUNTERS = ["victims_estimated", "aggressor_pairs", "executor_tasks"]
 REQUIRED_GAUGES = ["propagation_levels", "endpoints_checked", "violations"]
 REQUIRED_HISTOGRAMS = ["glitch_peak_v", "aggressors_per_victim", "level_width"]
 REQUIRED_META = ["schema_version", "design", "mode", "model", "options_digest",
-                 "build", "simd", "threads", "iterations"]
-SIMD_VALUES = ("scalar", "vector")  # resolved kernel path, never "auto"
+                 "build", "threads", "iterations"]
 REQUIRED_BENCH = ["record_version", "git_sha", "git_describe", "build_type",
                   "timestamp_utc", "unix_time", "peak_rss_bytes"]
 PHASES = ["estimate-injected", "propagate", "check-endpoints"]
@@ -285,9 +284,6 @@ def validate_stats(path, server=False):
     if meta["schema_version"] != STATS_SCHEMA_VERSION:
         fail(f"stats: unexpected schema_version {meta['schema_version']} "
              f"(expected {STATS_SCHEMA_VERSION})")
-    if meta["simd"] not in SIMD_VALUES:
-        fail(f"stats: meta simd '{meta['simd']}' not in {SIMD_VALUES} "
-             f"(must be the resolved path, not 'auto')")
 
     for section in ("counters", "gauges", "histograms", "resources", "timing"):
         if not isinstance(doc.get(section), dict):
