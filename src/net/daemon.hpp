@@ -4,10 +4,12 @@
 // Threading model (one line per connection in a trace):
 //   accept thread        poll-accept loop; reaps finished connections;
 //                        owns drain (SIGTERM / `shutdown` command)
-//   per-conn reader      getline → bounded request queue; full queue sheds
-//                        with `overloaded` (cancel lines bypass the bound)
+//   per-conn reader      getline → the connection's LineEngine queue
+//                        (session/server.hpp, the engine stdio `serve`
+//                        runs too); a full queue sheds with `overloaded`
+//                        (cancel lines bypass the bound)
 //   per-conn worker      Session (COW overlay over the shared base) +
-//                        Protocol; pops the queue, writes responses
+//                        Protocol in the engine's worker loop
 //   sampler thread       fixed-interval telemetry (obs/timeseries.hpp):
 //                        reads daemon gauges into the bounded ring, rotates
 //                        the analyze-latency window, emits trace counters

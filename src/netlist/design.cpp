@@ -1,9 +1,24 @@
 #include "netlist/design.hpp"
 
+#include <cmath>
 #include <deque>
 #include <stdexcept>
 
 namespace nw::net {
+
+namespace {
+
+/// Port drive, slew and load values feed the delay and noise models
+/// directly; a NaN there hangs the analysis or reads as "clean".
+void require_port_value(const char* fn, std::string_view port, const char* what,
+                        double v) {
+  if (!std::isfinite(v) || v < 0.0) {
+    throw std::invalid_argument("Design::" + std::string(fn) + ": negative or non-finite " +
+                                what + " on port '" + std::string(port) + "'");
+  }
+}
+
+}  // namespace
 
 PinId Design::make_pin(Pin p) {
   const PinId id{pins_.size()};
@@ -94,6 +109,8 @@ void Design::connect(InstId inst, std::string_view pin_name, NetId net) {
 }
 
 PinId Design::add_input_port(std::string_view port_name, NetId net, PortDrive drive) {
+  require_port_value("add_input_port", port_name, "drive", drive.resistance);
+  require_port_value("add_input_port", port_name, "slew", drive.slew);
   Net& n = nets_.at(net.index());
   if (n.driver.valid()) {
     throw std::invalid_argument("Design::add_input_port: net '" + n.name +
@@ -107,6 +124,7 @@ PinId Design::add_input_port(std::string_view port_name, NetId net, PortDrive dr
 }
 
 PinId Design::add_output_port(std::string_view port_name, NetId net, double load_cap) {
+  require_port_value("add_output_port", port_name, "cap", load_cap);
   Net& n = nets_.at(net.index());
   const PinId pid = make_port(PinKind::kOutputPort, port_name, net);
   n.loads.push_back(pid);

@@ -72,12 +72,13 @@ class Design {
   /// driver (throws if the net already has one); input pins become loads.
   void connect(InstId inst, std::string_view pin_name, NetId net);
 
-  /// Create a primary input port driving `net` (throws if driven already or
-  /// if any port already has this name).
+  /// Create a primary input port driving `net` (throws if driven already,
+  /// if any port already has this name, or if the drive resistance or slew
+  /// is negative or non-finite).
   PinId add_input_port(std::string_view port_name, NetId net, PortDrive drive = {});
 
   /// Create a primary output port loading `net` (throws if any port already
-  /// has this name).
+  /// has this name, or if the load cap is negative or non-finite).
   PinId add_output_port(std::string_view port_name, NetId net, double load_cap = 5e-15);
 
   // ---- ECO mutation -------------------------------------------------------

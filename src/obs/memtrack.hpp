@@ -50,7 +50,7 @@ enum class MemAccountId : unsigned {
   kSessionCache,     ///< session LRU: retained Results + STA per slot
   kUndoJournal,      ///< session undo journal entries + captured state
   kTraceBuffers,     ///< tracer event buffers + profiler folded aggregate
-  kDaemonQueues,     ///< daemon per-connection request-line queues
+  kDaemonQueues,     ///< serving request-line queues (daemon and stdio)
   kCount,
 };
 

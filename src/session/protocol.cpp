@@ -86,11 +86,11 @@ std::size_t arg_limit(const Json& args, std::size_t fallback) {
   if (!args.is_object()) return fallback;
   const Json* v = args.find("limit");
   if (v == nullptr) return fallback;
-  if (!v->is_number() || v->as_number() < 0 ||
+  if (!v->is_number() || !std::isfinite(v->as_number()) || v->as_number() < 0 ||
       v->as_number() != std::floor(v->as_number())) {
     bad_args("'limit' must be a non-negative integer");
   }
-  return static_cast<std::size_t>(v->as_number());
+  return static_cast<std::size_t>(std::min(v->as_number(), kMaxListLimit));
 }
 
 Json interval_json(const Interval& iv) {

@@ -45,6 +45,11 @@ inline constexpr int kProtocolVersion = 1;
 /// bad_request before parsing (a hostile client cannot balloon the heap).
 inline constexpr std::size_t kMaxLineBytes = 1u << 20;
 
+/// Client-supplied list limits (`limit`, the shell's `violations n`)
+/// saturate here before their cast to size_t: far above any list a design
+/// yields, and inside size_t's range, so the cast is always defined.
+inline constexpr double kMaxListLimit = 1e15;
+
 /// Transport/limit facts the server advertises in `hello` so clients can
 /// feature-detect (daemon vs stdio, quotas) without out-of-band config.
 struct ServerCaps {

@@ -1,6 +1,7 @@
 // The noisewin CLI driver, exercised in-process (file and demo flows).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -126,6 +127,27 @@ TEST(Cli, FileFlowEndToEnd) {
               1);
     EXPECT_NE(err.find(message), std::string::npos) << err;
   }
+
+  // A NaN port drive is refused with its netlist line, not analyzed as clean.
+  std::string netlist = net::write_netlist_string(g.design);
+  const std::size_t drive = netlist.find("input in0 w0 drive ");
+  ASSERT_NE(drive, std::string::npos) << netlist;
+  const std::size_t value = drive + std::string("input in0 w0 drive ").size();
+  netlist.replace(value, netlist.find(' ', value) - value, "nan");
+  const std::size_t lineno =
+      1 + static_cast<std::size_t>(std::count(netlist.begin(), netlist.begin() + value, '\n'));
+  {
+    std::ofstream f(nv_path);
+    f << netlist;
+  }
+  EXPECT_EQ(run({"--lib", lib_path, "--netlist", nv_path, "--spef", spef_path, "--mode",
+                 "no-filtering"},
+                nullptr, &err),
+            1);
+  EXPECT_NE(err.find("nv line " + std::to_string(lineno) +
+                     ": Design::add_input_port: negative or non-finite drive"),
+            std::string::npos)
+      << err;
   fs::remove_all(dir);
 }
 
@@ -350,13 +372,18 @@ TEST(Cli, ServeProgressAnswersIdleCancel) {
   // No analysis in flight: the cancel reaches the dispatcher and reports
   // there was nothing to cancel. (Mid-analyze cancellation is exercised at
   // the session layer in test_progress.cpp and end-to-end by nwclient.py.)
-  std::istringstream in("{\"id\":2,\"cmd\":\"cancel\"}\n");
-  std::ostringstream out, err;
-  const int rc = cli::run_cli(
-      std::vector<std::string>{"serve", "--demo", "bus", "--progress"}, in, out, err);
-  EXPECT_EQ(rc, 0) << err.str();
-  EXPECT_NE(out.str().find("\"cancelled\":false"), std::string::npos) << out.str();
-  EXPECT_NE(out.str().find("\"id\":2"), std::string::npos);
+  // Cancel interception does not depend on --progress, which only adds
+  // event lines.
+  for (const bool progress : {true, false}) {
+    std::vector<std::string> args{"serve", "--demo", "bus"};
+    if (progress) args.emplace_back("--progress");
+    std::istringstream in("{\"id\":2,\"cmd\":\"cancel\"}\n");
+    std::ostringstream out, err;
+    const int rc = cli::run_cli(args, in, out, err);
+    EXPECT_EQ(rc, 0) << err.str();
+    EXPECT_NE(out.str().find("\"cancelled\":false"), std::string::npos) << out.str();
+    EXPECT_NE(out.str().find("\"id\":2"), std::string::npos);
+  }
 }
 
 TEST(Cli, ServeSubcommandSpeaksJsonl) {
@@ -405,6 +432,8 @@ TEST(Cli, ShellSubcommandRunsCommands) {
   std::istringstream in(
       "arrival in0 nan 1e-10\n"  // refused: used to hang the next analysis
       "set period nan\n"
+      "violations nan\n"  // refused: NaN is not a count
+      "slack 1e300\n"     // saturates: every endpoint, not none
       "violations 3\n"
       "noise w1\n"
       "scale w1 2.0 1.0\n"
@@ -424,6 +453,17 @@ TEST(Cli, ShellSubcommandRunsCommands) {
   EXPECT_NE(out.str().find("error: set_arrival_window: non-finite window for 'in0'"),
             std::string::npos);
   EXPECT_NE(out.str().find("error: set_option period: 'nan'"), std::string::npos);
+  EXPECT_NE(out.str().find("error: count must be a non-negative number"),
+            std::string::npos);
+  std::size_t slack_lines = 0;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("(net ") != std::string::npos &&
+        line.find("peak") == std::string::npos) {
+      ++slack_lines;
+    }
+  }
+  EXPECT_GT(slack_lines, 0u) << out.str();
 }
 
 TEST(Cli, UnknownSubcommandFails) {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "net/socket.hpp"
 #include "session/json.hpp"
 #include "session/protocol.hpp"
+#include "session/server.hpp"
 #include "session/session.hpp"
 
 namespace nw::net {
@@ -332,17 +334,24 @@ TEST(Daemon, EightConcurrentClientsBitIdenticalToStdioServe) {
   }
   d.stop();
 
-  // Reference: the same scenarios through a bare Protocol on a private
-  // value-owned Session — the stdio `serve` data path.
+  // Reference: the same scenarios through stdio `serve` on a private
+  // value-owned Session — the other transport's real entry point.
   for (int k = 0; k < kClients; ++k) {
     gen::Generated g = gen::make_bus(library(), bus_config());
     session::Session ref(std::move(g.design), std::move(g.para), session_config(g));
-    session::Protocol proto(ref);
     const std::vector<std::string> lines = scenario(k);
+    std::string input;
+    for (const std::string& line : lines) input += line + '\n';
+    std::istringstream in(input);
+    std::ostringstream out;
+    EXPECT_EQ(session::serve(ref, in, out), lines.size()) << "client " << k;
+    std::vector<std::string> want;
+    std::istringstream split(out.str());
+    for (std::string line; std::getline(split, line);) want.push_back(line);
     ASSERT_EQ(got[k].size(), lines.size()) << "client " << k;
+    ASSERT_EQ(want.size(), lines.size()) << "client " << k;
     for (std::size_t i = 0; i < lines.size(); ++i) {
-      EXPECT_EQ(got[k][i], proto.handle_line(lines[i]))
-          << "client " << k << " line " << i;
+      EXPECT_EQ(got[k][i], want[i]) << "client " << k << " line " << i;
     }
   }
   EXPECT_EQ(d.connections_accepted(), static_cast<std::uint64_t>(kClients));
@@ -626,6 +635,16 @@ TEST(Daemon, StatsCommandServesDaemonTimeseriesAndLatencySections) {
         c.request("{\"id\":4,\"cmd\":\"stats\",\"args\":{\"samples\":-1}}"));
     EXPECT_FALSE(is_ok(bad));
     EXPECT_EQ(error_code(bad), "bad_args");
+
+    // A count past size_t's range clamps to the ring bound: every retained
+    // sample, not none.
+    const session::Json huge = parse(
+        c.request("{\"id\":5,\"cmd\":\"stats\",\"args\":{\"samples\":1e300}}"));
+    ASSERT_TRUE(is_ok(huge));
+    const std::size_t kept =
+        huge.find("data")->find("timeseries")->find("samples")->items().size();
+    EXPECT_GT(kept, 0u);
+    EXPECT_LE(kept, cfg.sample_capacity);
   }
   d.stop();
 }

@@ -186,9 +186,8 @@ TEST(Progress, ServeWithProgressInterleavesEventsBeforeTheResponse) {
 
   std::istringstream in("{\"id\":1,\"cmd\":\"violations\"}\n");
   std::ostringstream out;
-  session::ServeOptions opt;
-  opt.progress = true;
-  const std::size_t handled = session::serve(s, in, out, nullptr, opt);
+  const std::size_t handled =
+      session::serve(s, in, out, nullptr, /*progress_events=*/true);
   EXPECT_EQ(handled, 1u);
 
   std::vector<std::string> lines;

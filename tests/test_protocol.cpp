@@ -202,6 +202,13 @@ TEST(Protocol, EndToEndEditQueryUndoConversation) {
   Protocol p(s);
   const Json v0 = parse_response(p.handle_line("{\"id\":1,\"cmd\":\"violations\"}"));
   ASSERT_TRUE(v0.find("ok")->as_bool());
+  // A limit past size_t's range saturates: the whole list, not an empty one.
+  const Json all = parse_response(p.handle_line(
+      "{\"id\":1,\"cmd\":\"slack\",\"args\":{\"limit\":1e300}}"));
+  ASSERT_TRUE(all.find("ok")->as_bool());
+  ASSERT_GT(all.find("data")->find("count")->as_number(), 0.0);
+  EXPECT_EQ(static_cast<double>(all.find("data")->find("endpoints")->items().size()),
+            all.find("data")->find("count")->as_number());
 
   const Json edit = parse_response(p.handle_line(
       "{\"id\":2,\"cmd\":\"set_coupling_cap\","

@@ -93,6 +93,15 @@ TEST_F(VerilogTest, Errors) {
   expect_fail("module t\ninput i n0 bogus 5\nendmodule\n");  // bad attribute
   expect_fail("module t\ninput p a\noutput p b\nendmodule\n");  // duplicate port
   expect_fail("module t\ninput i n0 drive 1e\nendmodule\n");  // bad number
+  // Non-finite or negative port values: they used to hang the analyzer or
+  // pass as clean.
+  expect_fail("module t\ninput i n0 drive nan\nendmodule\n");
+  expect_fail("module t\ninput i n0 drive -5\nendmodule\n");
+  expect_fail("module t\ninput i n0 drive inf\nendmodule\n");
+  expect_fail("module t\ninput i n0 slew nan\nendmodule\n");
+  expect_fail("module t\ninput i n0 slew -1e-12\nendmodule\n");
+  expect_fail("module t\noutput o n0 cap nan\nendmodule\n");
+  expect_fail("module t\noutput o n0 cap -1e-15\nendmodule\n");
 }
 
 TEST_F(VerilogTest, DoubleDriverFailsWithLineNumber) {

@@ -126,9 +126,9 @@ const char kUsage[] =
     "  --verbose           more diagnostics on stderr (repeat for debug)\n"
     "  --report <file>     write the full report to a file (default: stdout)\n"
     "  --html-report <file> write the self-contained HTML noise dashboard\n"
-    "  --progress          analyze: live phase meter on stderr; serve: stream\n"
-    "                      {\"event\":\"progress\"} lines and accept mid-analyze\n"
-    "                      `cancel` requests\n"
+    "  --progress          analyze: live phase meter on stderr; serve/daemon:\n"
+    "                      stream {\"event\":\"progress\"} lines (a mid-analyze\n"
+    "                      `cancel` is accepted either way)\n"
     "  --delay-impact      append the crosstalk delay-impact section\n";
 
 std::optional<noise::AnalysisMode> parse_mode(std::string_view s) {
@@ -560,9 +560,7 @@ int run_session(const Args& a, std::istream& in, std::ostream& out) {
 
   session::RequestContext reqobs(session.registry(), a.slow_ms);
   if (a.command == "serve") {
-    session::ServeOptions sopt;
-    sopt.progress = a.progress;
-    session::serve(session, in, out, &reqobs, sopt);
+    session::serve(session, in, out, &reqobs, a.progress);
   } else {
     session::shell(session, in, out);
   }
