@@ -24,6 +24,7 @@
 
 #include "bench/suite.hpp"
 #include "noise/analyzer.hpp"
+#include "noise/context.hpp"
 #include "noise/glitch_models.hpp"
 #include "noise/kernels.hpp"
 #include "util/interval.hpp"
@@ -108,8 +109,9 @@ void BM_PeaksScalar(benchmark::State& state) {
 void BM_PeaksVector(benchmark::State& state) {
   const auto fanin = static_cast<std::size_t>(state.range(0));
   const Row row = make_row(fanin, 42);
-  // Same tracked slabs KernelBuffers uses in production, so this record
-  // carries a nonzero kernel_buffers peak for bench_history's memory gate.
+  // Same tracked slabs the context's operands use in production, so this
+  // record carries a nonzero kernel_buffers peak for bench_history's memory
+  // gate.
   noise::KbVec<double> p(fanin), w(fanin), d(fanin);
   for (auto _ : state) {
     noise::peaks_two_pi(row.r_hold, row.c_ground, row.c_couple, row.slew, kVdd, p, w,

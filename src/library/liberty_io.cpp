@@ -1,5 +1,6 @@
 #include "library/liberty_io.hpp"
 
+#include <cmath>
 #include <iomanip>
 #include <limits>
 #include <ostream>
@@ -50,7 +51,7 @@ ArcSense parse_sense(std::string_view s) {
   if (s == "pos") return ArcSense::kPositiveUnate;
   if (s == "neg") return ArcSense::kNegativeUnate;
   if (s == "non") return ArcSense::kNonUnate;
-  throw std::runtime_error("nlib: bad arc sense '" + std::string(s) + "'");
+  throw std::invalid_argument("bad arc sense '" + std::string(s) + "'");
 }
 
 const char* kind_str(CellKind k) {
@@ -66,7 +67,7 @@ CellKind parse_kind(std::string_view s) {
   if (s == "comb") return CellKind::kCombinational;
   if (s == "dff") return CellKind::kDff;
   if (s == "latch") return CellKind::kLatch;
-  throw std::runtime_error("nlib: bad cell kind '" + std::string(s) + "'");
+  throw std::invalid_argument("bad cell kind '" + std::string(s) + "'");
 }
 
 const char* role_str(PinRole r) {
@@ -84,7 +85,7 @@ PinRole parse_role(std::string_view s) {
   if (s == "clock") return PinRole::kClock;
   if (s == "data") return PinRole::kData;
   if (s == "enable") return PinRole::kEnable;
-  throw std::runtime_error("nlib: bad pin role '" + std::string(s) + "'");
+  throw std::invalid_argument("bad pin role '" + std::string(s) + "'");
 }
 
 /// Tokenized line reader with 1-based line numbers for error messages.
@@ -111,6 +112,34 @@ class LineReader {
     throw std::runtime_error("nlib line " + std::to_string(lineno_) + ": " + msg);
   }
 
+  /// A finite number; `what` names the field in the error.
+  double number(std::string_view tok, std::string_view what) const {
+    double v = 0.0;
+    try {
+      v = nw::parse_double(tok);
+    } catch (const std::invalid_argument&) {
+      fail("bad number '" + std::string(tok) + "' for " + std::string(what));
+    }
+    if (!std::isfinite(v)) fail(std::string(what) + " must be finite, got " + std::string(tok));
+    return v;
+  }
+
+  /// A library, cell or pin scalar: finite and non-negative.
+  double scalar(std::string_view tok, std::string_view what) const {
+    const double v = number(tok, what);
+    if (v < 0.0) fail(std::string(what) + " must be >= 0, got " + std::string(tok));
+    return v;
+  }
+
+  /// A non-negative integer; `what` names the field in the error.
+  std::size_t count(std::string_view tok, std::string_view what) const {
+    try {
+      return nw::parse_uint(tok);
+    } catch (const std::invalid_argument&) {
+      fail("bad integer '" + std::string(tok) + "' for " + std::string(what));
+    }
+  }
+
  private:
   std::istream& is_;
   std::string line_;
@@ -118,46 +147,55 @@ class LineReader {
   int lineno_ = 0;
 };
 
+/// The size field toks[at] of a `kind` table. A size larger than the
+/// number of tokens left on the line fails here, before it can size an
+/// allocation.
+std::size_t table_size(const LineReader& lr, std::span<const std::string_view> toks,
+                       std::size_t at, const std::string& kind) {
+  if (at >= toks.size()) lr.fail(kind + ": missing size");
+  const std::size_t n = lr.count(toks[at], kind + " size");
+  const std::size_t left = toks.size() - at - 1;
+  if (n > left) {
+    lr.fail(kind + ": size " + std::to_string(n) + " exceeds the " + std::to_string(left) +
+            " tokens left on the line");
+  }
+  return n;
+}
+
+/// The group `; v1 ... v<count>` of finite numbers at toks[i]; advances i
+/// past it.
+std::vector<double> take_group(const LineReader& lr, std::span<const std::string_view> toks,
+                               std::size_t& i, std::size_t count, const std::string& kind) {
+  if (i >= toks.size() || toks[i] != ";") lr.fail("expected ';' in " + kind);
+  ++i;
+  if (count > toks.size() - i) lr.fail(kind + ": not enough numbers");
+  const std::string what = kind + " value";
+  std::vector<double> out;
+  out.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) out.push_back(lr.number(toks[i++], what));
+  return out;
+}
+
 /// Parse `t1 <n> ; axis ; values` starting at toks[start].
-Table1D parse_t1(LineReader& lr, std::span<const std::string_view> toks, std::size_t start) {
+Table1D parse_t1(const LineReader& lr, std::span<const std::string_view> toks,
+                 std::size_t start) {
   if (start >= toks.size() || toks[start] != "t1") lr.fail("expected t1 table");
-  const std::size_t n = nw::parse_uint(toks[start + 1]);
+  const std::size_t n = table_size(lr, toks, start + 1, "t1");
   std::size_t i = start + 2;
-  auto take_group = [&](std::size_t count) {
-    if (i >= toks.size() || toks[i] != ";") lr.fail("expected ';' in t1");
-    ++i;
-    std::vector<double> out;
-    out.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      if (i >= toks.size()) lr.fail("t1: not enough numbers");
-      out.push_back(nw::parse_double(toks[i++]));
-    }
-    return out;
-  };
-  auto axis = take_group(n);
-  auto vals = take_group(n);
+  auto axis = take_group(lr, toks, i, n, "t1");
+  auto vals = take_group(lr, toks, i, n, "t1");
   return Table1D(std::move(axis), std::move(vals));
 }
 
-Table2D parse_t2(LineReader& lr, std::span<const std::string_view> toks, std::size_t start) {
+Table2D parse_t2(const LineReader& lr, std::span<const std::string_view> toks,
+                 std::size_t start) {
   if (start >= toks.size() || toks[start] != "t2") lr.fail("expected t2 table");
-  const std::size_t nx = nw::parse_uint(toks[start + 1]);
-  const std::size_t ny = nw::parse_uint(toks[start + 2]);
+  const std::size_t nx = table_size(lr, toks, start + 1, "t2");
+  const std::size_t ny = table_size(lr, toks, start + 2, "t2");
   std::size_t i = start + 3;
-  auto take_group = [&](std::size_t count) {
-    if (i >= toks.size() || toks[i] != ";") lr.fail("expected ';' in t2");
-    ++i;
-    std::vector<double> out;
-    out.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      if (i >= toks.size()) lr.fail("t2: not enough numbers");
-      out.push_back(nw::parse_double(toks[i++]));
-    }
-    return out;
-  };
-  auto xs = take_group(nx);
-  auto ys = take_group(ny);
-  auto vals = take_group(nx * ny);
+  auto xs = take_group(lr, toks, i, nx, "t2");
+  auto ys = take_group(lr, toks, i, ny, "t2");
+  auto vals = take_group(lr, toks, i, nx * ny, "t2");
   return Table2D(std::move(xs), std::move(ys), std::move(vals));
 }
 
@@ -201,66 +239,83 @@ Library read_library(std::istream& is) {
   if (toks.size() < 4 || toks[0] != "library" || toks[2] != "vdd") {
     lr.fail("expected 'library <name> vdd <v>'");
   }
-  Library lib(std::string(toks[1]), nw::parse_double(toks[3]));
+  Library lib(std::string(toks[1]), lr.scalar(toks[3], "vdd"));
 
   Cell cur;
   bool in_cell = false;
+  const auto next_table = [&](const char* key) {
+    const auto t = lr.next();
+    if (t.empty() || t[0] != key) lr.fail(std::string("expected ") + key);
+    return parse_t2(lr, t, 1);
+  };
   for (toks = lr.next(); !toks.empty(); toks = lr.next()) {
     const auto key = toks[0];
     if (key == "end_library") return lib;
-    if (key == "cell") {
-      if (in_cell) lr.fail("nested cell");
-      if (toks.size() < 12) lr.fail("short cell header");
-      cur = Cell{};
-      cur.name = std::string(toks[1]);
-      cur.kind = parse_kind(toks[3]);
-      cur.drive_resistance = nw::parse_double(toks[5]);
-      cur.holding_resistance = nw::parse_double(toks[7]);
-      cur.setup = nw::parse_double(toks[9]);
-      cur.hold = nw::parse_double(toks[11]);
-      in_cell = true;
-    } else if (key == "pin") {
-      if (!in_cell || toks.size() < 7) lr.fail("bad pin line");
-      Pin p;
-      p.name = std::string(toks[1]);
-      p.dir = (toks[2] == "input") ? PinDir::kInput : PinDir::kOutput;
-      p.role = parse_role(toks[4]);
-      p.cap = nw::parse_double(toks[6]);
-      cur.pins.push_back(std::move(p));
-    } else if (key == "arc") {
-      if (!in_cell || toks.size() < 4) lr.fail("bad arc line");
-      TimingArc arc;
-      arc.from_pin = nw::parse_uint(toks[1]);
-      arc.to_pin = nw::parse_uint(toks[2]);
-      arc.sense = parse_sense(toks[3]);
-      auto t = lr.next();
-      if (t.empty() || t[0] != "delay_rise") lr.fail("expected delay_rise");
-      arc.delay_rise = parse_t2(lr, t, 1);
-      t = lr.next();
-      if (t.empty() || t[0] != "delay_fall") lr.fail("expected delay_fall");
-      arc.delay_fall = parse_t2(lr, t, 1);
-      t = lr.next();
-      if (t.empty() || t[0] != "slew_rise") lr.fail("expected slew_rise");
-      arc.slew_rise = parse_t2(lr, t, 1);
-      t = lr.next();
-      if (t.empty() || t[0] != "slew_fall") lr.fail("expected slew_fall");
-      arc.slew_fall = parse_t2(lr, t, 1);
-      cur.arcs.push_back(std::move(arc));
-    } else if (key == "immunity") {
-      if (!in_cell) lr.fail("immunity outside cell");
-      cur.immunity.threshold_vs_width = parse_t1(lr, toks, 1);
-    } else if (key == "prop_peak") {
-      if (!in_cell) lr.fail("prop_peak outside cell");
-      cur.propagation.out_peak = parse_t2(lr, toks, 1);
-    } else if (key == "prop_width") {
-      if (!in_cell) lr.fail("prop_width outside cell");
-      cur.propagation.out_width = parse_t2(lr, toks, 1);
-    } else if (key == "end_cell") {
-      if (!in_cell) lr.fail("end_cell outside cell");
-      lib.add_cell(std::move(cur));
-      in_cell = false;
-    } else {
-      lr.fail("unknown keyword '" + std::string(key) + "'");
+    // Table shapes and duplicate cells are checked by the Table and
+    // Library constructors; their errors get this line's number.
+    try {
+      if (key == "cell") {
+        if (in_cell) lr.fail("nested cell");
+        if (toks.size() < 12) lr.fail("short cell header");
+        cur = Cell{};
+        cur.name = std::string(toks[1]);
+        cur.kind = parse_kind(toks[3]);
+        cur.drive_resistance = lr.scalar(toks[5], "drive");
+        cur.holding_resistance = lr.scalar(toks[7], "holdres");
+        cur.setup = lr.scalar(toks[9], "setup");
+        cur.hold = lr.scalar(toks[11], "holdt");
+        in_cell = true;
+      } else if (key == "pin") {
+        if (!in_cell || toks.size() < 7) lr.fail("bad pin line");
+        Pin p;
+        p.name = std::string(toks[1]);
+        if (toks[2] != "input" && toks[2] != "output") {
+          lr.fail("bad pin direction '" + std::string(toks[2]) + "'");
+        }
+        p.dir = toks[2] == "input" ? PinDir::kInput : PinDir::kOutput;
+        p.role = parse_role(toks[4]);
+        p.cap = lr.scalar(toks[6], "pin cap");
+        cur.pins.push_back(std::move(p));
+      } else if (key == "arc") {
+        if (!in_cell || toks.size() < 4) lr.fail("bad arc line");
+        TimingArc arc;
+        arc.from_pin = lr.count(toks[1], "arc from-pin");
+        arc.to_pin = lr.count(toks[2], "arc to-pin");
+        const std::size_t pins = cur.pins.size();
+        if (arc.from_pin >= pins || arc.to_pin >= pins) {
+          lr.fail("arc pin out of range (cell " + cur.name + " has " +
+                  std::to_string(pins) + " pins so far)");
+        }
+        if (cur.pins[arc.from_pin].dir != PinDir::kInput) {
+          lr.fail("arc from-pin " + std::to_string(arc.from_pin) + " is not an input");
+        }
+        if (cur.pins[arc.to_pin].dir != PinDir::kOutput) {
+          lr.fail("arc to-pin " + std::to_string(arc.to_pin) + " is not an output");
+        }
+        arc.sense = parse_sense(toks[3]);
+        arc.delay_rise = next_table("delay_rise");
+        arc.delay_fall = next_table("delay_fall");
+        arc.slew_rise = next_table("slew_rise");
+        arc.slew_fall = next_table("slew_fall");
+        cur.arcs.push_back(std::move(arc));
+      } else if (key == "immunity") {
+        if (!in_cell) lr.fail("immunity outside cell");
+        cur.immunity.threshold_vs_width = parse_t1(lr, toks, 1);
+      } else if (key == "prop_peak") {
+        if (!in_cell) lr.fail("prop_peak outside cell");
+        cur.propagation.out_peak = parse_t2(lr, toks, 1);
+      } else if (key == "prop_width") {
+        if (!in_cell) lr.fail("prop_width outside cell");
+        cur.propagation.out_width = parse_t2(lr, toks, 1);
+      } else if (key == "end_cell") {
+        if (!in_cell) lr.fail("end_cell outside cell");
+        lib.add_cell(std::move(cur));
+        in_cell = false;
+      } else {
+        lr.fail("unknown keyword '" + std::string(key) + "'");
+      }
+    } catch (const std::invalid_argument& e) {
+      lr.fail(e.what());
     }
   }
   lr.fail("missing end_library");

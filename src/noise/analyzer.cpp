@@ -13,7 +13,6 @@
 #include "noise/context.hpp"
 #include "noise/kernels.hpp"
 #include "obs/log.hpp"
-#include "obs/memtrack.hpp"
 #include "obs/resource.hpp"
 #include "obs/tracer.hpp"
 #include "util/executor.hpp"
@@ -128,23 +127,13 @@ class Pipeline {
     {
       obs::Span span("build-context", obs::SpanKind::kPhase);
       PhaseTimer timer(times_.context);
+      // Per-pair scenario operands pack lazily in estimate_injected.
       ctx_ = AnalysisContext::build(design, para, sta_result, opt);
-      switch_win_ = ctx_.switch_window;
-      // Structural slabs only (CSR adjacency, level/instance slabs):
-      // O(nets + pairs + instances) copies, no FP transforms. Per-pair
-      // scenario operands pack lazily in estimate_injected.
-      kb_ = KernelBuffers::build(design, ctx_);
-      // The arena self-charges the adjacency rows and the kernel slabs
-      // charge through their allocator; the hook covers the rest of the
-      // context plus this pipeline's window copy.
-      ctx_charge_ = obs::ScopedMemCharge(
-          obs::MemAccountId::kAnalysisContext,
-          ctx_.hook_bytes() + switch_win_.capacity() * sizeof(Interval));
     }
     reg_.counter(kMetricPairsFilteredCap, "").add(ctx_.pairs_filtered_cap);
     auto& level_width = reg_.histogram(kMetricLevelWidth, "", {});
-    for (const auto& level : ctx_.levels) {
-      level_width.observe(static_cast<double>(level.size()));
+    for (std::size_t li = 0; li < ctx_.level_count(); ++li) {
+      level_width.observe(static_cast<double>(ctx_.level_width(li)));
     }
     // Per-chunk instrumentation: both sinks are thread-safe; the chunk
     // count per region is ceil(n/chunk) regardless of thread count, so
@@ -158,7 +147,7 @@ class Pipeline {
     // no chunk-path cost; never touches scheduling, so results stay
     // bit-identical (tested across profile rates in test_profile.cpp).
     exec_.enable_utilization(true);
-    level_walls_.assign(ctx_.levels.size(), 0.0);
+    level_walls_.assign(ctx_.level_count(), 0.0);
     checkpoint("build-context", 1, 1);
   }
 
@@ -306,7 +295,7 @@ class Pipeline {
     reg_.gauge(kMetricTotalSeconds, "", "s", false)
         .set(std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
                  .count());
-    reg_.gauge(kMetricLevels, "").set(static_cast<double>(ctx_.levels.size()));
+    reg_.gauge(kMetricLevels, "").set(static_cast<double>(ctx_.level_count()));
     reg_.gauge(kMetricEndpoints, "").set(static_cast<double>(res.endpoints_checked));
     reg_.gauge(kMetricViolations, "").set(static_cast<double>(res.violations.size()));
     reg_.gauge(kMetricNoisyNets, "").set(static_cast<double>(res.noisy_nets));
@@ -355,7 +344,7 @@ class Pipeline {
       const std::size_t li = order[i];
       if (level_walls_[li] <= 0.0) break;
       attr.top_levels.push_back(
-          {li, ctx_.levels[li].size(), level_walls_[li] * 1e3});
+          {li, ctx_.level_width(li), level_walls_[li] * 1e3});
     }
     std::vector<std::size_t> nets(res.nets.size());
     for (std::size_t i = 0; i < nets.size(); ++i) nets[i] = i;
@@ -400,15 +389,13 @@ class Pipeline {
     const std::size_t batch =
         progress_ != nullptr ? kEstimateBatch : std::max<std::size_t>(n, 1);
     begin_phase("estimate-injected", n);
-    // Refresh the flat switching windows for this pass, and pack the
-    // per-pair estimation operands once per Pipeline (dirty rows only on
-    // incremental runs — clean victims reuse previous contributions and
-    // never read their slots). Refinement passes 2+ hit the packed_ guard
-    // and reuse the slabs: the operands depend only on immutable
+    // Pack the per-pair estimation operands once per Pipeline (dirty rows
+    // only on incremental runs — clean victims reuse previous contributions
+    // and never read their slots). Refinement passes 2+ hit the packed
+    // guard and reuse the slabs: the operands depend only on immutable
     // design/parasitics/STA state, never on the inflated windows.
-    kb_.set_switch_windows(switch_win_);
-    if (!kb_.scenarios_packed()) {
-      kb_.pack_scenarios(design_, para_, sta_, opt_, dirty, exec_);
+    if (!ctx_.scenarios_packed()) {
+      ctx_.pack_scenarios(design_, para_, sta_, opt_, dirty, exec_);
     }
     for (std::size_t base = 0; base < n; base += batch) {
       const std::size_t limit = std::min(n, base + batch);
@@ -477,8 +464,8 @@ class Pipeline {
   /// switching window, before extension, so extension cannot revive a
   /// never-switching aggressor.
   void estimate_for_victim(NetNoise& nn, std::size_t vi) const {
-    const std::uint32_t row = kb_.agg_offsets[vi];
-    const std::size_t m = kb_.agg_offsets[vi + 1] - row;
+    const std::uint32_t row = ctx_.agg_offsets[vi];
+    const std::size_t m = ctx_.agg_offsets[vi + 1] - row;
     nn.aggressor_count += m;
     if (m == 0) return;
     EstimateScratch& es = estimate_scratch();
@@ -490,17 +477,17 @@ class Pipeline {
     };
     switch (opt_.model) {
       case GlitchModel::kChargeSharing:
-        peaks_charge_sharing(sub(kb_.sc_r_hold), sub(kb_.sc_c_ground),
-                             sub(kb_.sc_c_couple), sub(kb_.sc_slew), ctx_.vdd,
+        peaks_charge_sharing(sub(ctx_.sc_r_hold), sub(ctx_.sc_c_ground),
+                             sub(ctx_.sc_c_couple), sub(ctx_.sc_slew), ctx_.vdd,
                              es.peak, es.width, es.delay);
         break;
       case GlitchModel::kDevgan:
-        peaks_devgan(sub(kb_.sc_r_hold), sub(kb_.sc_c_ground), sub(kb_.sc_c_couple),
-                     sub(kb_.sc_slew), ctx_.vdd, es.peak, es.width, es.delay);
+        peaks_devgan(sub(ctx_.sc_r_hold), sub(ctx_.sc_c_ground), sub(ctx_.sc_c_couple),
+                     sub(ctx_.sc_slew), ctx_.vdd, es.peak, es.width, es.delay);
         break;
       case GlitchModel::kTwoPi:
-        peaks_two_pi(sub(kb_.sc_r_hold), sub(kb_.sc_c_ground), sub(kb_.sc_c_couple),
-                     sub(kb_.sc_slew), ctx_.vdd, es.peak, es.width, es.delay);
+        peaks_two_pi(sub(ctx_.sc_r_hold), sub(ctx_.sc_c_ground), sub(ctx_.sc_c_couple),
+                     sub(ctx_.sc_slew), ctx_.vdd, es.peak, es.width, es.delay);
         break;
       default:
         // The MNA models build per-pair circuits from the design; only the
@@ -508,10 +495,10 @@ class Pipeline {
         for (std::size_t k = 0; k < m; ++k) {
           const GlitchEstimate g =
               opt_.model == GlitchModel::kMnaExact
-                  ? estimate_mna(design_, para_, NetId{vi}, kb_.agg_net[row + k],
-                                 kb_.pair_slew[row + k], ctx_.vdd, opt_.mna_tran)
-                  : estimate_reduced(design_, para_, NetId{vi}, kb_.agg_net[row + k],
-                                     kb_.pair_slew[row + k], ctx_.vdd);
+                  ? estimate_mna(design_, para_, NetId{vi}, ctx_.agg_net[row + k],
+                                 ctx_.pair_slew[row + k], ctx_.vdd, opt_.mna_tran)
+                  : estimate_reduced(design_, para_, NetId{vi}, ctx_.agg_net[row + k],
+                                     ctx_.pair_slew[row + k], ctx_.vdd);
           es.peak[k] = g.peak;
           es.width[k] = g.width;
           es.delay[k] = g.peak_delay;
@@ -522,7 +509,7 @@ class Pipeline {
       for (std::size_t k = 0; k < m; ++k) {
         if (es.peak[k] < opt_.min_peak) continue;
         Contribution c;
-        c.aggressor = kb_.agg_net[row + k];
+        c.aggressor = ctx_.agg_net[row + k];
         c.peak = es.peak[k];
         c.width = es.width[k];
         c.window = IntervalSet::everything();
@@ -534,9 +521,9 @@ class Pipeline {
     es.win_hi.resize(m);
     es.ext_hi.resize(m);
     for (std::size_t k = 0; k < m; ++k) {
-      const std::size_t ai = kb_.agg_net[row + k].index();
-      es.win_lo[k] = kb_.switch_lo[ai];
-      es.win_hi[k] = kb_.switch_hi[ai];
+      const std::size_t ai = ctx_.agg_net[row + k].index();
+      es.win_lo[k] = ctx_.switch_lo[ai];
+      es.win_hi[k] = ctx_.switch_hi[ai];
     }
     kernels::extend_right(es.win_hi, es.delay, es.width, es.ext_hi);
     for (std::size_t k = 0; k < m; ++k) {
@@ -547,7 +534,7 @@ class Pipeline {
         continue;
       }
       Contribution c;
-      c.aggressor = kb_.agg_net[row + k];
+      c.aggressor = ctx_.agg_net[row + k];
       c.peak = es.peak[k];
       c.width = es.width[k];
       c.window = IntervalSet(Interval{es.win_lo[k], es.ext_hi[k]});
@@ -603,32 +590,32 @@ class Pipeline {
   /// is batched (uniform shift + right extension over the fanin members,
   /// then an already-sorted sweep merge).
   void propagate_instance(Result& res, std::size_t pos) const {
-    const std::uint32_t out_b = kb_.out_offsets[pos];
-    const std::uint32_t out_e = kb_.out_offsets[pos + 1];
-    if (kb_.slab_seq[pos]) {
+    const std::uint32_t out_b = ctx_.out_offsets[pos];
+    const std::uint32_t out_e = ctx_.out_offsets[pos + 1];
+    if (ctx_.slab_seq[pos]) {
       // Sequential cells do not propagate glitches from D to Q (a latched
       // upset is a functional failure, handled at the endpoint check).
-      for (std::uint32_t k = out_b; k < out_e; ++k) finalize_net(res, kb_.out_net[k]);
+      for (std::uint32_t k = out_b; k < out_e; ++k) finalize_net(res, ctx_.out_net[k]);
       return;
     }
-    const lib::Cell& cell = *kb_.slab_cell[pos];
+    const lib::Cell& cell = *ctx_.slab_cell[pos];
     // Worst input glitch over the cell's input pins (slab pin order —
     // strict > keeps the first maximum).
     double in_peak = 0.0;
     double in_width = 0.0;
     const IntervalSet* in_window = nullptr;
     NetId in_net;
-    for (std::uint32_t k = kb_.in_offsets[pos]; k < kb_.in_offsets[pos + 1]; ++k) {
-      const NetNoise& fan = res.nets[kb_.in_net[k].index()];
+    for (std::uint32_t k = ctx_.in_offsets[pos]; k < ctx_.in_offsets[pos + 1]; ++k) {
+      const NetNoise& fan = res.nets[ctx_.in_net[k].index()];
       if (fan.total_peak > in_peak) {
         in_peak = fan.total_peak;
         in_width = fan.width;
         in_window = &fan.window;
-        in_net = kb_.in_net[k];
+        in_net = ctx_.in_net[k];
       }
     }
     for (std::uint32_t k = out_b; k < out_e; ++k) {
-      const NetId out = kb_.out_net[k];
+      const NetId out = ctx_.out_net[k];
       if (in_peak >= opt_.min_peak && !cell.arcs.empty()) {
         const double out_peak = cell.propagation.out_peak.lookup(in_peak, in_width);
         if (out_peak >= opt_.min_peak) {
@@ -673,8 +660,7 @@ class Pipeline {
   void propagate(Result& res) {
     obs::Span span("propagate", obs::SpanKind::kPhase);
     PhaseTimer timer(times_.propagate);
-    std::size_t total = ctx_.port_nets.size();
-    for (const auto& level : ctx_.levels) total += level.size();
+    const std::size_t total = ctx_.port_nets.size() + ctx_.slab_cell.size();
     begin_phase("propagate", total);
     // Port-driven nets first: every gate may read them.
     exec_.parallel_for("propagate-ports", ctx_.port_nets.size(), kPropagateChunk,
@@ -688,15 +674,15 @@ class Pipeline {
     // Level 0 (sequential outputs), then each combinational level: a level
     // only reads nets finalized by earlier levels. Each level boundary is
     // a progress checkpoint — the granularity at which `cancel` lands.
-    for (std::size_t li = 0; li < ctx_.levels.size(); ++li) {
-      const auto& level = ctx_.levels[li];
+    for (std::size_t li = 0; li < ctx_.level_count(); ++li) {
+      const std::size_t width = ctx_.level_width(li);
       std::optional<obs::Span> level_span;
       if (obs::spans_active()) {
         level_span.emplace("level " + std::to_string(li), obs::SpanKind::kLevel);
       }
-      const std::size_t level_base = kb_.level_offsets[li];
+      const std::size_t level_base = ctx_.level_offsets[li];
       const auto level_t0 = std::chrono::steady_clock::now();
-      exec_.parallel_for("propagate-level", level.size(), kPropagateChunk,
+      exec_.parallel_for("propagate-level", width, kPropagateChunk,
                          [&](std::size_t begin, std::size_t end) {
                            for (std::size_t i = begin; i < end; ++i) {
                              propagate_instance(res, level_base + i);
@@ -707,7 +693,7 @@ class Pipeline {
       level_walls_[li] += std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - level_t0)
                               .count();
-      done += level.size();
+      done += width;
       checkpoint("propagate", done, total, li);
     }
   }
@@ -885,8 +871,9 @@ class Pipeline {
       s.from_net = c.from_net;
       s.peak = c.peak;
       if (c.aggressor.valid()) {
-        for (const AggressorEdge& edge : ctx_.aggressors[net.index()]) {
-          if (edge.net == c.aggressor) s.coupling_cap += edge.coupling;
+        for (std::uint32_t k = ctx_.agg_offsets[net.index()];
+             k < ctx_.agg_offsets[net.index() + 1]; ++k) {
+          if (ctx_.agg_net[k] == c.aggressor) s.coupling_cap += ctx_.agg_cap[k];
         }
       }
       const IntervalSet& win = opt_.mode == AnalysisMode::kNoFiltering
@@ -927,17 +914,19 @@ class Pipeline {
   // ---- refinement: noise-on-delay window inflation --------------------------
   // Each pass re-derives the inflated window from the *original* STA window
   // plus the current glitch width (a glitch delays an edge by at most its
-  // width — bounded, not cumulative), so the iteration has a fixpoint.
+  // width — bounded, not cumulative), so the iteration has a fixpoint. The
+  // context's window slabs are rewritten in place.
   bool inflate_windows(const Result& res) {
     bool changed = false;
     for (std::size_t i = 0; i < design_.net_count(); ++i) {
       const NetNoise& nn = res.nets[i];
-      if (ctx_.switch_window[i].is_empty()) continue;
-      const Interval inflated = (nn.total_peak < opt_.min_peak)
-                                    ? ctx_.switch_window[i]
-                                    : ctx_.switch_window[i].dilated(0.0, nn.width);
-      if (!(inflated == switch_win_[i])) {
-        switch_win_[i] = inflated;
+      const Interval& base = sta_.nets[i].window;
+      if (base.is_empty()) continue;
+      const Interval inflated =
+          (nn.total_peak < opt_.min_peak) ? base : base.dilated(0.0, nn.width);
+      if (!(inflated == Interval{ctx_.switch_lo[i], ctx_.switch_hi[i]})) {
+        ctx_.switch_lo[i] = inflated.lo;
+        ctx_.switch_hi[i] = inflated.hi;
         changed = true;
       }
     }
@@ -966,12 +955,8 @@ class Pipeline {
     double propagate = 0.0;
     double endpoints = 0.0;
   } times_;
+  /// Slabs the stages stream; its window slabs are the refinement state.
   AnalysisContext ctx_;
-  /// Flat CSR/level slabs + packed per-pair operands the stages stream.
-  KernelBuffers kb_;
-  std::vector<Interval> switch_win_;  ///< per-pass inflated windows
-  /// Hook charge for the context members the arena does not back.
-  obs::ScopedMemCharge ctx_charge_;
   /// Per-level propagate wall time [s], summed over refinement passes —
   /// the input of the top-levels work attribution.
   std::vector<double> level_walls_;

@@ -27,7 +27,7 @@
 // glitch widths inflate switching windows and the analysis repeats until
 // the violation count stabilizes (experiment R-T5).
 //
-// Execution model: the analysis is a staged pipeline over an immutable
+// Execution model: the analysis is a staged pipeline over one flat
 // AnalysisContext (noise/context.hpp) — estimate_injected (parallel over
 // victims), propagate (levelized, parallel within a level), and
 // check_endpoints (parallel over endpoints) — run on a util::Executor of

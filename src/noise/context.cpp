@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "noise/analyzer.hpp"
+#include "util/executor.hpp"
 
 namespace nw::noise {
+
+namespace {
+// Pack work granularity: scenario_for is the dominant per-pair cost, the
+// same weight class as analytic estimation (kEstimateChunk = 8).
+constexpr std::size_t kPackChunk = 8;
+}  // namespace
 
 AnalysisContext AnalysisContext::build(const net::Design& design,
                                        const para::Parasitics& para,
@@ -19,39 +25,40 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
   ctx.vdd = design.library().vdd();
   const std::size_t n = design.net_count();
 
-  // Coupling-graph adjacency: per victim, coupling caps grouped by
-  // aggressor and pre-filtered against the threshold. Rows live in the
-  // context arena; each row reserves its exact surviving-edge count first,
-  // so the bump allocator never strands a reallocation ghost.
-  ctx.arena = std::make_shared<obs::Arena>(obs::MemAccountId::kAnalysisContext);
-  ctx.aggressors.reserve(n);
+  // Coupling-graph adjacency, written straight into the CSR. Per victim the
+  // caps to each aggressor accumulate in couplings_of() order into a dense
+  // scratch row; the touched aggressors are then visited in id order,
+  // filtered against the threshold, and their scratch slots cleared.
+  std::vector<double> cap_sum(n, 0.0);
+  std::vector<char> seen(n, 0);
+  std::vector<NetId::value_type> touched;
+  ctx.agg_offsets.reserve(n + 1);
+  ctx.agg_offsets.push_back(0);
   for (std::size_t vi = 0; vi < n; ++vi) {
     const NetId victim{vi};
-    std::unordered_map<NetId::value_type, double> agg_cap;
+    touched.clear();
     for (const auto ci : para.couplings_of(victim)) {
       const auto& cc = para.coupling(ci);
-      agg_cap[cc.other_net(victim).value()] += cc.c;
-    }
-    std::size_t kept = 0;
-    for (const auto& [agg_value, c_total] : agg_cap) {
-      if (c_total >= opt.min_coupling_cap) ++kept;
-    }
-    ctx.aggressors.emplace_back(
-        obs::ArenaAllocator<AggressorEdge, obs::MemAccountId::kAnalysisContext>(
-            ctx.arena.get()));
-    AggRow& edges = ctx.aggressors.back();
-    edges.reserve(kept);
-    for (const auto& [agg_value, c_total] : agg_cap) {
-      if (c_total < opt.min_coupling_cap) {
-        ++ctx.pairs_filtered_cap;
-        continue;
+      const NetId other = cc.other_net(victim);
+      if (!seen[other.index()]) {
+        seen[other.index()] = 1;
+        touched.push_back(other.value());
       }
-      edges.push_back(AggressorEdge{NetId{agg_value}, c_total});
+      cap_sum[other.index()] += cc.c;
     }
-    std::sort(edges.begin(), edges.end(),
-              [](const AggressorEdge& a, const AggressorEdge& b) {
-                return a.net.value() < b.net.value();
-              });
+    std::sort(touched.begin(), touched.end());
+    for (const auto agg : touched) {
+      const NetId a{agg};
+      if (cap_sum[a.index()] < opt.min_coupling_cap) {
+        ++ctx.pairs_filtered_cap;
+      } else {
+        ctx.agg_net.push_back(a);
+        ctx.agg_cap.push_back(cap_sum[a.index()]);
+      }
+      cap_sum[a.index()] = 0.0;
+      seen[a.index()] = 0;
+    }
+    ctx.agg_offsets.push_back(static_cast<std::uint32_t>(ctx.agg_net.size()));
   }
 
   // Per-net driver load (for gate-delay lookups during propagation).
@@ -63,8 +70,12 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
     ctx.load_cap[i] = cap;
   }
 
-  ctx.switch_window.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ctx.switch_window[i] = sta_result.nets[i].window;
+  ctx.switch_lo.resize(n);
+  ctx.switch_hi.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ctx.switch_lo[i] = sta_result.nets[i].window.lo;
+    ctx.switch_hi[i] = sta_result.nets[i].window.hi;
+  }
 
   for (std::size_t i = 0; i < n; ++i) {
     const net::Net& nn = design.net(NetId{i});
@@ -99,9 +110,40 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
       if (op.net.valid()) net_level[op.net.index()] = lvl;
     }
   }
-  ctx.levels.assign(max_level + 1, {});
-  for (const InstId inst_id : topo) {
-    ctx.levels[inst_level[inst_id.index()]].push_back(inst_id);
+  // Counting sort by level: topological order within each level.
+  ctx.level_offsets.assign(max_level + 2, 0);
+  for (const InstId inst_id : topo) ++ctx.level_offsets[inst_level[inst_id.index()] + 1];
+  for (std::size_t li = 0; li <= max_level; ++li) {
+    ctx.level_offsets[li + 1] += ctx.level_offsets[li];
+  }
+  std::vector<InstId> order(topo.size());
+  std::vector<std::uint32_t> cursor(ctx.level_offsets.begin(),
+                                    ctx.level_offsets.end() - 1);
+  for (const InstId inst_id : topo) order[cursor[inst_level[inst_id.index()]]++] = inst_id;
+
+  ctx.slab_cell.reserve(order.size());
+  ctx.slab_seq.reserve(order.size());
+  ctx.in_offsets.reserve(order.size() + 1);
+  ctx.out_offsets.reserve(order.size() + 1);
+  ctx.in_offsets.push_back(0);
+  ctx.out_offsets.push_back(0);
+  for (const InstId inst_id : order) {
+    const net::Instance& inst = design.instance(inst_id);
+    const lib::Cell& cell = design.cell_of(inst_id);
+    ctx.slab_cell.push_back(&cell);
+    ctx.slab_seq.push_back(cell.is_sequential() ? 1 : 0);
+    // Valid nets in pin order (max-selection tie-breaking depends on it).
+    for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
+      const net::Pin& p = design.pin(inst.pins[pi]);
+      if (!p.net.valid()) continue;
+      if (cell.pins[pi].dir == lib::PinDir::kInput) {
+        ctx.in_net.push_back(p.net);
+      } else if (cell.pins[pi].dir == lib::PinDir::kOutput) {
+        ctx.out_net.push_back(p.net);
+      }
+    }
+    ctx.in_offsets.push_back(static_cast<std::uint32_t>(ctx.in_net.size()));
+    ctx.out_offsets.push_back(static_cast<std::uint32_t>(ctx.out_net.size()));
   }
 
   // Sequential endpoints with precomputed sensitivity windows.
@@ -136,26 +178,53 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
   return ctx;
 }
 
-std::size_t AnalysisContext::aggressor_pair_count() const noexcept {
-  std::size_t pairs = 0;
-  for (const auto& row : aggressors) pairs += row.size();
-  return pairs;
-}
-
-std::size_t AnalysisContext::hook_bytes() const noexcept {
-  std::size_t bytes = aggressors.capacity() * sizeof(AggRow);
-  bytes += load_cap.capacity() * sizeof(double);
-  bytes += switch_window.capacity() * sizeof(Interval);
-  bytes += port_nets.capacity() * sizeof(NetId);
-  bytes += levels.capacity() * sizeof(std::vector<InstId>);
-  for (const auto& level : levels) bytes += level.capacity() * sizeof(InstId);
-  bytes += endpoints.capacity() * sizeof(EndpointRef);
-  return bytes;
+void AnalysisContext::pack_scenarios(const net::Design& design,
+                                     const para::Parasitics& para,
+                                     const sta::Result& sta, const Options& opt,
+                                     const std::vector<char>* dirty,
+                                     util::Executor& exec) {
+  const std::size_t pairs = agg_net.size();
+  const bool analytic =
+      opt.model != GlitchModel::kReducedMna && opt.model != GlitchModel::kMnaExact;
+  pair_slew.assign(pairs, 0.0);
+  if (analytic) {
+    sc_r_hold.assign(pairs, 0.0);
+    sc_c_ground.assign(pairs, 0.0);
+    sc_c_couple.assign(pairs, 0.0);
+    sc_slew.assign(pairs, 0.0);
+  }
+  exec.parallel_for("pack-scenarios", net_count(), kPackChunk,
+                    [&](std::size_t begin, std::size_t end) {
+    for (std::size_t vi = begin; vi < end; ++vi) {
+      if (dirty != nullptr && !(*dirty)[vi]) continue;
+      for (std::uint32_t k = agg_offsets[vi]; k < agg_offsets[vi + 1]; ++k) {
+        const NetId agg = agg_net[k];
+        // The aggressor slew: STA's fastest transition, else the default,
+        // floored at 1 ps (comparison + select + max: no arithmetic).
+        const sta::NetTiming& at = sta.nets[agg.index()];
+        double slew = at.slew_min > 0.0 ? at.slew_min : opt.default_slew;
+        slew = std::max(slew, 1e-12);
+        pair_slew[k] = slew;
+        if (analytic) {
+          // scenario_for() itself, per pair — its mixed-order
+          // c_other_coupling accumulation is not decomposable, so it is
+          // called rather than re-derived.
+          const CouplingScenario s =
+              scenario_for(design, para, NetId{vi}, agg, slew, vdd);
+          sc_r_hold[k] = s.r_hold;
+          sc_c_ground[k] = s.c_ground;
+          sc_c_couple[k] = s.c_couple;
+          sc_slew[k] = s.slew;
+        }
+      }
+    }
+  });
+  packed_ = true;
 }
 
 std::vector<NetId> AnalysisContext::dirty_closure(const para::Parasitics& para,
                                                   std::span<const NetId> changed) const {
-  const std::size_t n = aggressors.size();
+  const std::size_t n = net_count();
   std::vector<char> dirty(n, 0);
   for (const NetId net : changed) {
     if (net.index() >= n) {

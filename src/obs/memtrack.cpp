@@ -167,51 +167,4 @@ void write_memory_table(std::ostream& os) {
   os << line;
 }
 
-// ---- Arena ----------------------------------------------------------------
-
-Arena::Arena(MemAccountId account, std::size_t block_bytes)
-    : account_(account),
-      block_bytes_(block_bytes > 0 ? block_bytes : kDefaultBlockBytes) {}
-
-Arena::~Arena() { reset(); }
-
-void* Arena::allocate(std::size_t bytes, std::size_t align) {
-  if (bytes == 0) bytes = 1;
-  Block* b = blocks_.empty() ? nullptr : &blocks_.back();
-  std::size_t offset = 0;
-  if (b != nullptr) {
-    offset = (b->used + align - 1) & ~(align - 1);
-    if (offset + bytes > b->cap) b = nullptr;
-  }
-  if (b == nullptr) {
-    // Over-aligned requests still land correctly: new[] storage is aligned
-    // for max_align_t, and `align` beyond that is rejected by the kernels'
-    // POD element types long before it could matter here.
-    b = &grow(bytes + align);
-    offset = (b->used + align - 1) & ~(align - 1);
-  }
-  used_ += (offset - b->used) + bytes;
-  b->used = offset + bytes;
-  return b->data.get() + offset;
-}
-
-Arena::Block& Arena::grow(std::size_t min_bytes) {
-  Block b;
-  b.cap = min_bytes > block_bytes_ ? min_bytes : block_bytes_;
-  b.data = std::make_unique<std::byte[]>(b.cap);
-  MemTracker::account(account_).charge(b.cap);
-  capacity_ += b.cap;
-  blocks_.push_back(std::move(b));
-  return blocks_.back();
-}
-
-void Arena::reset() noexcept {
-  for (const Block& b : blocks_) {
-    MemTracker::account(account_).release(b.cap);
-  }
-  blocks_.clear();
-  capacity_ = 0;
-  used_ = 0;
-}
-
 }  // namespace nw::obs

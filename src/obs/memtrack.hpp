@@ -1,13 +1,13 @@
-// Per-subsystem memory accounting: named byte accounts, a tracking STL
-// allocator, and an instrumented bump arena.
+// Per-subsystem memory accounting: named byte accounts and a tracking STL
+// allocator.
 //
 // The observability stack answers "where does time go" down to span level;
 // this header makes it answer "where does memory go" with the same rigor.
 // Every subsystem that owns a scale-proportional structure charges a named
-// account — either for real (its containers allocate through TrackedAlloc /
-// ArenaAllocator, so current/peak/allocs/frees are exact) or through a
-// size-accounting hook (the owner charges an estimate via ScopedMemCharge /
-// delta charges where swapping the allocator would be invasive). The
+// account — either for real (its containers allocate through TrackedAlloc,
+// so current/peak/allocs/frees are exact) or through a size-accounting hook
+// (the owner charges an estimate via ScopedMemCharge / delta charges where
+// swapping the allocator would be invasive). The
 // account table is the "memory" section of the schema-v5 stats JSON, the
 // #memory dashboard panel, the CLI --mem-report table, and the per-account
 // peak-bytes metrics the perf baseline gates on.
@@ -23,8 +23,7 @@
 // tracking on or off either way (property-tested in test_memtrack.cpp).
 //
 // Thread-safety: accounts are lock-free atomics, safe to charge from any
-// thread (executor workers charge KernelBuffers slabs concurrently). The
-// Arena itself is single-threaded like the build phases that use it.
+// thread.
 #pragma once
 
 #include <atomic>
@@ -44,8 +43,8 @@ enum class MemAccountId : unsigned {
   kDesign = 0,       ///< netlist: nets/instances/pins + name indexes
   kParasitics,       ///< RC networks + coupling caps + incidence lists
   kSta,              ///< sta::Result: pin/net timing, endpoints
-  kAnalysisContext,  ///< adjacency rows (arena), levels, windows, endpoints
-  kKernelBuffers,    ///< flat CSR + scenario slabs (tracked allocator)
+  kAnalysisContext,  ///< context slabs: adjacency, levels, loads, endpoints
+  kKernelBuffers,    ///< context slabs: per-pair operands, switching windows
   kResult,           ///< noise::Result + provenance held by the caller
   kSessionCache,     ///< session LRU: retained Results + STA per slot
   kUndoJournal,      ///< session undo journal entries + captured state
@@ -267,106 +266,6 @@ struct TrackedAlloc {
   friend bool operator==(const TrackedAlloc&, const TrackedAlloc&) noexcept {
     return true;
   }
-};
-
-/// Instrumented bump arena: grabs account-charged blocks from the heap and
-/// hands out aligned slices with a pointer bump. Deallocation is a no-op —
-/// memory comes back wholesale at reset()/destruction — which fits
-/// build-once-free-together structures (the AnalysisContext adjacency
-/// rows; ROADMAP item 2's sharded per-region state). NOT thread-safe: one
-/// arena per building thread, like the serial build phases that use it.
-class Arena {
- public:
-  static constexpr std::size_t kDefaultBlockBytes = 64 * 1024;
-
-  explicit Arena(MemAccountId account, std::size_t block_bytes = kDefaultBlockBytes);
-  ~Arena();
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
-
-  /// Aligned slice of `bytes`; a request larger than the block size gets a
-  /// dedicated block. Alignment must be a power of two.
-  [[nodiscard]] void* allocate(std::size_t bytes,
-                               std::size_t align = alignof(std::max_align_t));
-
-  /// Typed convenience: uninitialized storage for `n` objects of T.
-  template <class T>
-  [[nodiscard]] T* allocate_array(std::size_t n) {
-    return static_cast<T*>(allocate(n * sizeof(T), alignof(T)));
-  }
-
-  /// Drop every block and release the account charge.
-  void reset() noexcept;
-
-  [[nodiscard]] std::size_t block_count() const noexcept { return blocks_.size(); }
-  [[nodiscard]] std::size_t capacity_bytes() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t used_bytes() const noexcept { return used_; }
-  [[nodiscard]] MemAccountId account() const noexcept { return account_; }
-
- private:
-  struct Block {
-    std::unique_ptr<std::byte[]> data;
-    std::size_t cap = 0;
-    std::size_t used = 0;
-  };
-
-  Block& grow(std::size_t min_bytes);
-
-  MemAccountId account_;
-  std::size_t block_bytes_;
-  std::size_t capacity_ = 0;  ///< summed block capacity (the charged bytes)
-  std::size_t used_ = 0;      ///< summed bump offsets
-  std::vector<Block> blocks_;
-};
-
-/// STL adapter over Arena for containers whose elements live exactly as
-/// long as the arena (the AnalysisContext's per-victim adjacency rows).
-/// With a null arena (default-constructed containers, tests building
-/// contexts by hand) it falls back to the heap, still charging `Id` — so
-/// accounting stays exact either way. deallocate() through an arena is a
-/// no-op: reallocation garbage is reclaimed at arena reset, which is why
-/// rows reserve their exact final size before filling.
-template <class T, MemAccountId Id>
-class ArenaAllocator {
- public:
-  using value_type = T;
-  using propagate_on_container_copy_assignment = std::true_type;
-  using propagate_on_container_move_assignment = std::true_type;
-  using propagate_on_container_swap = std::true_type;
-
-  ArenaAllocator() = default;
-  explicit ArenaAllocator(Arena* arena) noexcept : arena_(arena) {}
-  template <class U>
-  ArenaAllocator(const ArenaAllocator<U, Id>& other) noexcept  // NOLINT
-      : arena_(other.arena()) {}
-
-  template <class U>
-  struct rebind {
-    using other = ArenaAllocator<U, Id>;
-  };
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    if (arena_ != nullptr) {
-      return arena_->allocate_array<T>(n);  // blocks charge on growth
-    }
-    T* p = std::allocator<T>{}.allocate(n);
-    MemTracker::account(Id).charge(n * sizeof(T));
-    return p;
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (arena_ != nullptr) return;  // bump arena: reclaimed wholesale
-    MemTracker::account(Id).release(n * sizeof(T));
-    std::allocator<T>{}.deallocate(p, n);
-  }
-
-  [[nodiscard]] Arena* arena() const noexcept { return arena_; }
-
-  friend bool operator==(const ArenaAllocator& a, const ArenaAllocator& b) noexcept {
-    return a.arena_ == b.arena_;
-  }
-
- private:
-  Arena* arena_ = nullptr;
 };
 
 }  // namespace nw::obs

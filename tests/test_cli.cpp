@@ -151,6 +151,49 @@ TEST(Cli, FileFlowEndToEnd) {
   fs::remove_all(dir);
 }
 
+TEST(Cli, BadLibraryValueFailsWithItsLine) {
+  // A negative pin cap used to read as a clean design; it must fail the run
+  // with the library line that carries it.
+  const lib::Library library = lib::default_library();
+  gen::BusConfig cfg;
+  cfg.bits = 4;
+  cfg.segments = 2;
+  const gen::Generated g = gen::make_bus(library, cfg);
+
+  const fs::path dir = fs::temp_directory_path() / "noisewin_cli_badlib_test";
+  fs::create_directories(dir);
+  const auto lib_path = (dir / "lib.nlib").string();
+  const auto nv_path = (dir / "top.nv").string();
+  const auto spef_path = (dir / "top.nwspef").string();
+  std::string text = lib::write_library_string(library);
+  const std::size_t pin = text.find("pin A input role none cap ", text.find("cell INV_X1 "));
+  ASSERT_NE(pin, std::string::npos);
+  text.replace(pin, text.find('\n', pin) - pin, "pin A input role none cap -1e-12");
+  const std::size_t lineno =
+      1 + static_cast<std::size_t>(std::count(text.begin(), text.begin() + pin, '\n'));
+  {
+    std::ofstream f(lib_path);
+    f << text;
+  }
+  {
+    std::ofstream f(nv_path);
+    net::write_netlist(f, g.design);
+  }
+  {
+    std::ofstream f(spef_path);
+    para::write_spef(f, g.design, g.para);
+  }
+  std::string out;
+  std::string err;
+  EXPECT_EQ(run({"--lib", lib_path, "--netlist", nv_path, "--spef", spef_path}, &out, &err),
+            1);
+  EXPECT_NE(err.find("nlib line " + std::to_string(lineno) + ": pin cap must be >= 0"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(out.find("violations:"), std::string::npos) << out;
+  fs::remove_all(dir);
+}
+
 TEST(Cli, MissingFileFails) {
   std::string err;
   EXPECT_EQ(run({"--lib", "/nonexistent.nlib", "--netlist", "/x.nv", "--spef", "/x.sp"},

@@ -1,6 +1,7 @@
 // The flat kernel path (noise/kernels.hpp), checked against independent
-// definitions rather than against a second implementation: KernelBuffers
-// must mirror the AnalysisContext, each flat kernel must equal its
+// definitions rather than against a second implementation: the
+// AnalysisContext's slabs must equal the raw couplings and the levelized
+// schedule they are defined by, each flat kernel must equal its
 // definition (a brute-force oracle for combine_flat, repeated
 // IntervalSet::add for union_flat), and on random designs every net's
 // combined noise, window and injected contributions must equal what the
@@ -50,53 +51,172 @@ gen::Generated logic_case(const lib::Library& library, std::size_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// KernelBuffers structure
+// AnalysisContext against its definition
 // ---------------------------------------------------------------------------
 
-TEST(KernelBuffers, CsrMirrorsContextAdjacency) {
-  const lib::Library library = lib::default_library();
-  const gen::Generated g = logic_case(library, 11);
-  const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
-  Options o;
-  const AnalysisContext ctx = AnalysisContext::build(g.design, g.para, timing, o);
-  const KernelBuffers kb = KernelBuffers::build(g.design, ctx);
-
-  EXPECT_EQ(kb.vdd, ctx.vdd);
-  ASSERT_EQ(kb.agg_offsets.size(), ctx.aggressors.size() + 1);
-  EXPECT_EQ(kb.agg_offsets.front(), 0u);
-  EXPECT_EQ(kb.agg_offsets.back(), ctx.aggressor_pair_count());
-  ASSERT_EQ(kb.agg_net.size(), ctx.aggressor_pair_count());
-  for (std::size_t vi = 0; vi < ctx.aggressors.size(); ++vi) {
-    const auto& row = ctx.aggressors[vi];
-    ASSERT_EQ(kb.agg_offsets[vi + 1] - kb.agg_offsets[vi], row.size());
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      EXPECT_EQ(kb.agg_net[kb.agg_offsets[vi] + j], row[j].net);
-    }
+/// Both seeded design families the structure tests run on.
+std::vector<gen::Generated> context_cases(const lib::Library& library) {
+  std::vector<gen::Generated> out;
+  for (const std::size_t seed : {5u, 11u}) {
+    out.push_back(bus_case(library, seed));
+    out.push_back(logic_case(library, seed));
   }
-
-  // Level slabs cover every scheduled instance, level-major.
-  std::size_t scheduled = 0;
-  ASSERT_EQ(kb.level_offsets.size(), ctx.levels.size() + 1);
-  for (std::size_t li = 0; li < ctx.levels.size(); ++li) {
-    EXPECT_EQ(kb.level_offsets[li + 1] - kb.level_offsets[li],
-              ctx.levels[li].size());
-    scheduled += ctx.levels[li].size();
-  }
-  EXPECT_EQ(kb.slab_cell.size(), scheduled);
-  EXPECT_EQ(kb.slab_seq.size(), scheduled);
-  EXPECT_EQ(kb.in_offsets.size(), scheduled + 1);
-  EXPECT_EQ(kb.out_offsets.size(), scheduled + 1);
+  return out;
 }
 
-TEST(KernelBuffers, DirtyRowPackMatchesFullPack) {
+/// A victim's raw aggressor sums straight from Parasitics::couplings_of():
+/// caps summed per aggressor in incidence order, keyed (and so ordered) by
+/// aggressor id.
+std::map<NetId::value_type, double> raw_pair_sums(const para::Parasitics& para,
+                                                  NetId victim) {
+  std::map<NetId::value_type, double> sums;
+  for (const auto ci : para.couplings_of(victim)) {
+    const auto& cc = para.coupling(ci);
+    sums[cc.other_net(victim).value()] += cc.c;
+  }
+  return sums;
+}
+
+/// Each CSR row is the victim's raw pair sums at or above the threshold,
+/// sorted by aggressor id, and pairs_filtered_cap counts the rest — at the
+/// default threshold and at one that drops about half of the pairs.
+TEST(AnalysisContext, AdjacencyMatchesCouplingDefinition) {
+  const lib::Library library = lib::default_library();
+  for (const gen::Generated& g : context_cases(library)) {
+    const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
+    const std::size_t n = g.design.net_count();
+    std::vector<double> all_sums;
+    for (std::size_t vi = 0; vi < n; ++vi) {
+      for (const auto& [agg, c] : raw_pair_sums(g.para, NetId{vi})) all_sums.push_back(c);
+    }
+    ASSERT_FALSE(all_sums.empty());
+    std::sort(all_sums.begin(), all_sums.end());
+    Options o;
+    for (const double threshold : {o.min_coupling_cap, all_sums[all_sums.size() / 2]}) {
+      SCOPED_TRACE(g.design.name() + " threshold=" + std::to_string(threshold));
+      o.min_coupling_cap = threshold;
+      const AnalysisContext ctx = AnalysisContext::build(g.design, g.para, timing, o);
+      ASSERT_EQ(ctx.agg_offsets.size(), n + 1);
+      EXPECT_EQ(ctx.agg_offsets.front(), 0u);
+      EXPECT_EQ(ctx.agg_offsets.back(), ctx.agg_net.size());
+      ASSERT_EQ(ctx.agg_cap.size(), ctx.agg_net.size());
+      std::size_t kept = 0;
+      std::size_t filtered = 0;
+      for (std::size_t vi = 0; vi < n; ++vi) {
+        std::vector<std::pair<NetId, double>> expected;
+        for (const auto& [agg, c] : raw_pair_sums(g.para, NetId{vi})) {
+          if (c >= threshold) {
+            expected.emplace_back(NetId{agg}, c);
+          } else {
+            ++filtered;
+          }
+        }
+        const std::uint32_t row = ctx.agg_offsets[vi];
+        ASSERT_EQ(ctx.agg_offsets[vi + 1] - row, expected.size()) << "net " << vi;
+        for (std::size_t j = 0; j < expected.size(); ++j) {
+          EXPECT_EQ(ctx.agg_net[row + j], expected[j].first) << "net " << vi;
+          EXPECT_EQ(ctx.agg_cap[row + j], expected[j].second) << "net " << vi;
+        }
+        kept += expected.size();
+      }
+      EXPECT_EQ(ctx.pairs_filtered_cap, filtered);
+      EXPECT_EQ(ctx.agg_net.size(), kept);
+      EXPECT_GT(kept, 0u);
+      if (threshold > o.min_coupling_cap) {
+        EXPECT_GT(filtered, 0u);
+      }
+    }
+  }
+}
+
+/// Every instance appears exactly once in the level slabs, with its own
+/// cell and its valid input/output nets in pin order. Sequential instances
+/// sit at level 0; every other instance one level above its deepest
+/// combinational fanin (port-driven, sequential-driven and undriven inputs
+/// count as level 0).
+TEST(AnalysisContext, LevelSlabsMatchDefinition) {
+  const lib::Library library = lib::default_library();
+  for (const gen::Generated& g : context_cases(library)) {
+    SCOPED_TRACE(g.design.name());
+    const net::Design& d = g.design;
+    const sta::Result timing = sta::run(d, g.para, g.sta_options);
+    const AnalysisContext ctx = AnalysisContext::build(d, g.para, timing, Options{});
+    const std::size_t slots = ctx.slab_cell.size();
+    ASSERT_GE(ctx.level_offsets.size(), 2u);
+    EXPECT_EQ(ctx.level_offsets.front(), 0u);
+    ASSERT_EQ(ctx.level_offsets.back(), slots);
+    ASSERT_EQ(ctx.slab_seq.size(), slots);
+    ASSERT_EQ(ctx.in_offsets.size(), slots + 1);
+    ASSERT_EQ(ctx.out_offsets.size(), slots + 1);
+    EXPECT_EQ(ctx.in_offsets.back(), ctx.in_net.size());
+    EXPECT_EQ(ctx.out_offsets.back(), ctx.out_net.size());
+
+    // Identify each slab position by the driver of its first output net
+    // (every net has one driver), then check the position against it.
+    constexpr std::size_t kUnplaced = ~std::size_t{0};
+    std::vector<std::size_t> level_of(d.instance_count(), kUnplaced);
+    for (std::size_t li = 0; li < ctx.level_count(); ++li) {
+      for (std::size_t pos = ctx.level_offsets[li]; pos < ctx.level_offsets[li + 1];
+           ++pos) {
+        ASSERT_LT(ctx.out_offsets[pos], ctx.out_offsets[pos + 1]) << "slab " << pos;
+        const NetId first_out = ctx.out_net[ctx.out_offsets[pos]];
+        const InstId inst = d.pin(d.net(first_out).driver).inst;
+        ASSERT_EQ(level_of[inst.index()], kUnplaced) << d.instance(inst).name;
+        level_of[inst.index()] = li;
+        const lib::Cell& cell = d.cell_of(inst);
+        EXPECT_EQ(ctx.slab_cell[pos], &cell);
+        EXPECT_EQ(ctx.slab_seq[pos], cell.is_sequential() ? 1 : 0);
+        std::vector<NetId> ins;
+        std::vector<NetId> outs;
+        for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
+          const NetId net = d.pin(d.instance(inst).pins[pi]).net;
+          if (!net.valid()) continue;
+          (cell.pins[pi].dir == lib::PinDir::kInput ? ins : outs).push_back(net);
+        }
+        EXPECT_TRUE(std::equal(ins.begin(), ins.end(),
+                               ctx.in_net.begin() + ctx.in_offsets[pos],
+                               ctx.in_net.begin() + ctx.in_offsets[pos + 1]));
+        EXPECT_TRUE(std::equal(outs.begin(), outs.end(),
+                               ctx.out_net.begin() + ctx.out_offsets[pos],
+                               ctx.out_net.begin() + ctx.out_offsets[pos + 1]));
+      }
+    }
+    ASSERT_EQ(slots, d.instance_count());
+    std::size_t top = 0;
+    for (std::size_t i = 0; i < d.instance_count(); ++i) {
+      const InstId inst{i};
+      const lib::Cell& cell = d.cell_of(inst);
+      ASSERT_NE(level_of[i], kUnplaced) << d.instance(inst).name;
+      top = std::max(top, level_of[i]);
+      if (cell.is_sequential()) {
+        EXPECT_EQ(level_of[i], 0u) << d.instance(inst).name;
+        continue;
+      }
+      std::size_t deepest = 0;
+      for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
+        if (cell.pins[pi].dir != lib::PinDir::kInput) continue;
+        const NetId net = d.pin(d.instance(inst).pins[pi]).net;
+        if (!net.valid() || !d.net(net).driver.valid()) continue;
+        const net::Pin& drv = d.pin(d.net(net).driver);
+        if (drv.kind != net::PinKind::kInstance || d.cell_of(drv.inst).is_sequential()) {
+          continue;
+        }
+        deepest = std::max(deepest, level_of[drv.inst.index()]);
+      }
+      EXPECT_EQ(level_of[i], deepest + 1) << d.instance(inst).name;
+    }
+    EXPECT_EQ(ctx.level_count(), top + 1);
+  }
+}
+
+TEST(AnalysisContext, DirtyRowPackMatchesFullPack) {
   const lib::Library library = lib::default_library();
   const gen::Generated g = bus_case(library, 5);
   const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
   Options o;
-  const AnalysisContext ctx = AnalysisContext::build(g.design, g.para, timing, o);
   util::Executor exec(1);
 
-  KernelBuffers full = KernelBuffers::build(g.design, ctx);
+  AnalysisContext full = AnalysisContext::build(g.design, g.para, timing, o);
   full.pack_scenarios(g.design, g.para, timing, o, nullptr, exec);
   ASSERT_TRUE(full.scenarios_packed());
 
@@ -104,7 +224,7 @@ TEST(KernelBuffers, DirtyRowPackMatchesFullPack) {
   // slot-for-slot (clean rows are never read, so their contents are free).
   std::vector<char> dirty(g.design.net_count(), 0);
   for (std::size_t vi = 0; vi < dirty.size(); vi += 3) dirty[vi] = 1;
-  KernelBuffers partial = KernelBuffers::build(g.design, ctx);
+  AnalysisContext partial = AnalysisContext::build(g.design, g.para, timing, o);
   partial.pack_scenarios(g.design, g.para, timing, o, &dirty, exec);
 
   for (std::size_t vi = 0; vi < dirty.size(); ++vi) {
@@ -428,22 +548,24 @@ TEST(FlatPathOracle, RandomDesignsMatchDefinitions) {
                                         ? IntervalSet::everything()
                                         : window));
           if (refine > 0) continue;
-          EXPECT_EQ(nn.aggressor_count, ctx.aggressors[vi].size());
+          EXPECT_EQ(nn.aggressor_count, ctx.agg_offsets[vi + 1] - ctx.agg_offsets[vi]);
           std::size_t k = 0;
           std::size_t filtered = 0;
-          for (const AggressorEdge& edge : ctx.aggressors[vi]) {
-            const double fastest = timing.nets[edge.net.index()].slew_min;
+          for (std::uint32_t slot = ctx.agg_offsets[vi]; slot < ctx.agg_offsets[vi + 1];
+               ++slot) {
+            const NetId agg = ctx.agg_net[slot];
+            const double fastest = timing.nets[agg.index()].slew_min;
             const double slew = std::max(fastest > 0.0 ? fastest : o.default_slew, 1e-12);
             const GlitchEstimate e = estimate(
-                o.model, scenario_for(g.design, g.para, NetId{vi}, edge.net, slew, ctx.vdd));
+                o.model, scenario_for(g.design, g.para, NetId{vi}, agg, slew, ctx.vdd));
             if (e.peak < o.min_peak) continue;
             const bool filtering = o.mode != AnalysisMode::kNoFiltering;
-            const Interval sw = ctx.switch_window[edge.net.index()];
+            const Interval sw{ctx.switch_lo[agg.index()], ctx.switch_hi[agg.index()]};
             filtered += filtering && sw.is_empty();
             if (filtering && sw.is_empty()) continue;
             ASSERT_LT(k, cs.size());
             const Contribution& c = cs[k++];
-            EXPECT_EQ(c.aggressor, edge.net);
+            EXPECT_EQ(c.aggressor, agg);
             EXPECT_EQ(c.peak, e.peak);
             EXPECT_EQ(c.width, e.width);
             const Interval expected =

@@ -1,5 +1,5 @@
 // The memory accounting subsystem (obs/memtrack.hpp): named per-subsystem
-// accounts, the tracking allocator and arena, and — the contract the whole
+// accounts, the tracking allocator, and — the contract the whole
 // feature rests on — tracking only counts bytes, it never changes results.
 // Analysis output must be byte-identical with tracking on or off, accounts
 // must balance back to their baseline after teardown, peaks must be
@@ -137,27 +137,6 @@ TEST(TrackedAlloc, VectorChargesAndReleases) {
   EXPECT_EQ(acct.current(), base);
 }
 
-TEST(Arena, BlocksChargedAndReleasedOnReset) {
-  const EnabledGuard guard;
-  MemTracker::set_enabled(true);
-  obs::MemAccount& acct = MemTracker::account(MemAccountId::kAnalysisContext);
-  const std::int64_t base = acct.current();
-  {
-    obs::Arena arena(MemAccountId::kAnalysisContext);
-    (void)arena.allocate(100, alignof(double));
-    EXPECT_GT(acct.current(), base);
-    EXPECT_GE(arena.capacity_bytes(), arena.used_bytes());
-    // Force a second block.
-    (void)arena.allocate(obs::Arena::kDefaultBlockBytes, alignof(double));
-    EXPECT_GE(arena.block_count(), 2u);
-    const std::int64_t charged = acct.current() - base;
-    EXPECT_GE(charged, static_cast<std::int64_t>(arena.capacity_bytes()));
-    arena.reset();
-    EXPECT_EQ(acct.current(), base);
-  }
-  EXPECT_EQ(acct.current(), base);
-}
-
 // ---------------------------------------------------------------------------
 // The determinism property: tracking on vs off is byte-identical.
 
@@ -220,8 +199,8 @@ TEST(MemtrackDeterminism, ResultsByteIdenticalTrackingOnOrOff) {
 }
 
 // ---------------------------------------------------------------------------
-// Teardown balance: a full analysis leaves every owner account where it
-// started (the arena, kernel slabs, and scoped charges all unwind).
+// Teardown balance: a full and an incremental analysis leave every owner
+// account where it started (the context slabs and scoped charges unwind).
 
 TEST(MemtrackTeardown, AnalysisAccountsReturnToBaseline) {
   const EnabledGuard guard;
@@ -247,6 +226,11 @@ TEST(MemtrackTeardown, AnalysisAccountsReturnToBaseline) {
     const noise::Result result = noise::analyze(g.design, g.para, timing, opt);
     EXPECT_GT(MemTracker::account(MemAccountId::kKernelBuffers).peak(), 0);
     EXPECT_GT(MemTracker::account(MemAccountId::kAnalysisContext).peak(), 0);
+    // An incremental run builds (and must tear down) its own context too.
+    const NetId changed[] = {*g.design.find_net("w1")};
+    const noise::Result again =
+        noise::analyze_incremental(g.design, g.para, timing, opt, result, changed);
+    EXPECT_EQ(again.violations.size(), result.violations.size());
   }
   for (std::size_t i = 0; i < std::size(owned); ++i) {
     SCOPED_TRACE(std::string("account ") + obs::to_string(owned[i]));

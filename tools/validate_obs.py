@@ -16,7 +16,9 @@ summaries consistent, "resources", "executor" and "memory" sections
 present and internally consistent, "timeseries" ring invariants when
 sampling ran). The v5 "memory" section must satisfy the per-account
 invariants (peak >= current >= 0) everywhere; --stats and --daemon-stats
-additionally require at least 6 accounts with nonzero peaks.
+additionally require at least 6 accounts with nonzero peaks, and --stats
+requires the analysis_context and kernel_buffers accounts to be charged,
+back at zero, and balanced (allocs == frees).
 --daemon-trace additionally requires the sampler's counter tracks
 (queue depth, active connections, in-flight analyses, tracked bytes).
 Server-mode artifacts additionally need the request track: request spans
@@ -165,6 +167,27 @@ def check_memory(doc, context, min_nonzero=0):
     return mem
 
 
+def check_analysis_accounts(mem, context):
+    """After a CLI analysis the per-analysis structure is gone: every
+    AnalysisContext slab allocates through the tracking allocator, so the
+    analysis_context and kernel_buffers accounts were charged (peak > 0)
+    and are back to zero with one free per alloc."""
+    if not mem["enabled"]:
+        return
+    for name in ("analysis_context", "kernel_buffers"):
+        a = mem["accounts"].get(name)
+        if a is None:
+            fail(f"{context}: memory account '{name}' missing")
+        if a["peak_bytes"] <= 0:
+            fail(f"{context}: memory account '{name}' was never charged")
+        if a["current_bytes"] != 0:
+            fail(f"{context}: memory account '{name}' still holds "
+                 f"{a['current_bytes']} bytes after the analysis")
+        if a["allocs"] != a["frees"]:
+            fail(f"{context}: memory account '{name}': allocs {a['allocs']} "
+                 f"!= frees {a['frees']}")
+
+
 def iter_histograms(doc):
     """Every histogram object in any section (timing mixes kinds)."""
     for section in ("histograms", "timing", "resources"):
@@ -308,8 +331,10 @@ def validate_stats(path, server=False):
     # A full CLI analysis charges design, parasitics, sta, analysis_context,
     # kernel_buffers and result; a server session may not have analyzed yet,
     # so only the structural invariants apply there.
-    check_memory(doc, "server stats" if server else "stats",
-                 min_nonzero=0 if server else 6)
+    mem = check_memory(doc, "server stats" if server else "stats",
+                       min_nonzero=0 if server else 6)
+    if not server:
+        check_analysis_accounts(mem, "stats")
 
     resources = doc["resources"]
     if not any(isinstance(v, (int, float)) and v > 0 for v in resources.values()):
