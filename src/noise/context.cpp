@@ -18,7 +18,8 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
                                        const para::Parasitics& para,
                                        const sta::Result& sta_result,
                                        const Options& opt) {
-  if (sta_result.nets.size() != design.net_count()) {
+  if (sta_result.nets.size() != design.net_count() ||
+      sta_result.order.size() != design.instance_count()) {
     throw std::invalid_argument("noise::analyze: STA result does not match design");
   }
   AnalysisContext ctx;
@@ -84,10 +85,11 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
     }
   }
 
-  // Levelized schedule from the topological order. net_level is 0 for
-  // port-driven, sequential-driven, and undriven nets; a combinational
-  // instance sits one level above its deepest input net.
-  const std::vector<InstId> topo = design.topological_order();
+  // Levelized schedule from STA's topological order (one Kahn walk per
+  // analysis). net_level is 0 for port-driven, sequential-driven, and
+  // undriven nets; a combinational instance sits one level above its
+  // deepest input net.
+  const std::vector<InstId>& topo = sta_result.order;
   std::vector<std::size_t> net_level(n, 0);
   std::vector<std::size_t> inst_level(design.instance_count(), 0);
   std::size_t max_level = 0;

@@ -82,8 +82,8 @@ struct AnalysisContext {
   // Level 0 holds every sequential instance (their outputs depend on no
   // combinational fanin — Q noise is injected-only); level L >= 1 holds
   // combinational instances whose deepest combinational fanin sits at
-  // level L-1, in topological order. Instances within a level touch
-  // disjoint nets and may run in parallel.
+  // level L-1, in STA's topological order (sta::Result::order). Instances
+  // within a level touch disjoint nets and may run in parallel.
   CtxVec<std::uint32_t> level_offsets;  ///< levels+1 starts into the slabs
   CtxVec<const lib::Cell*> slab_cell;
   CtxVec<std::uint8_t> slab_seq;        ///< 1 = sequential cell

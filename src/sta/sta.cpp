@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "parasitics/reduce.hpp"
 
@@ -10,48 +12,62 @@ namespace nw::sta {
 
 namespace {
 
-/// Cached per-net interconnect view: Elmore delay per node and the lumped
-/// load presented to the driving cell.
-struct NetWireInfo {
-  std::vector<double> elmore;  ///< per RC node, from the root
-  double load_cap = 0.0;       ///< ground + pin + miller * coupling [F]
+/// Flat interconnect view: the Elmore delay at each load pin's RC node and
+/// the lumped load each net presents to its driver.
+struct WireSlabs {
+  std::vector<double> wire_delay;  ///< per PinId; 0 when the pin is unattached
+  std::vector<double> load_cap;    ///< per NetId: ground + pin + miller * coupling [F]
 };
 
-NetWireInfo wire_info(const net::Design& d, const para::Parasitics& para, NetId id,
-                      const Options& opt) {
+WireSlabs wire_slabs(const net::Design& d, const para::Parasitics& para, const Options& opt) {
   const double miller = opt.miller_factor;
-  NetWireInfo w;
-  const para::RcNet& rc = para.net(id);
-  // Per-node extra caps: attached pin loads plus Miller-lumped couplings.
-  std::vector<double> extra(rc.node_count(), 0.0);
-  for (const PinId load : d.net(id).loads) {
-    const auto node = rc.node_of_pin(load);
-    const double cap = d.pin_cap(load);
-    if (node < rc.node_count()) {
-      extra[node] += cap;
-    } else {
-      extra[0] += cap;  // unattached load: lump at the driver
+  WireSlabs w;
+  w.wire_delay.assign(d.pin_count(), 0.0);
+  w.load_cap.assign(d.net_count(), 0.0);
+  // Buffers reused across nets.
+  std::vector<double> extra;             // per RC node of the current net
+  std::vector<std::uint32_t> load_node;  // RC node of each load of the current net
+  for (std::size_t i = 0; i < d.net_count(); ++i) {
+    const NetId id{i};
+    const net::Net& net = d.net(id);
+    const para::RcNet& rc = para.net(id);
+    // Per-node extra caps: attached pin loads plus Miller-lumped couplings.
+    extra.assign(rc.node_count(), 0.0);
+    load_node.clear();
+    for (const PinId load : net.loads) {
+      const auto node = rc.node_of_pin(load);
+      load_node.push_back(node);
+      const double cap = d.pin_cap(load);
+      if (node < rc.node_count()) {
+        extra[node] += cap;
+      } else {
+        extra[0] += cap;  // unattached load: lump at the driver
+      }
     }
-  }
-  for (const auto ci : para.couplings_of(id)) {
-    const auto& cc = para.coupling(ci);
-    extra[cc.node_on(id)] += miller * cc.c;
-  }
-  if (rc.res_count() == 0) {
-    w.elmore.assign(rc.node_count(), 0.0);
-  } else {
-    w.elmore = para::elmore_delays(rc, extra);
-  }
-  w.load_cap = rc.total_ground_cap();
-  for (const double e : extra) w.load_cap += e;
+    for (const auto ci : para.couplings_of(id)) {
+      const auto& cc = para.coupling(ci);
+      extra[cc.node_on(id)] += miller * cc.c;
+    }
+    if (rc.res_count() > 0) {
+      const std::vector<double> elmore = para::elmore_delays(rc, extra);
+      for (std::size_t k = 0; k < net.loads.size(); ++k) {
+        if (load_node[k] < rc.node_count()) {
+          w.wire_delay[net.loads[k].index()] = elmore[load_node[k]];
+        }
+      }
+    }
+    double load_cap = rc.total_ground_cap();
+    for (const double e : extra) load_cap += e;
 
-  if (opt.use_ceff && rc.res_count() > 0 && d.net(id).driver.valid()) {
-    const para::PiModel pi = para::pi_model(rc, extra);
-    if (pi.r > 0.0) {
-      const double rd = d.driver_resistance(id, /*holding=*/false);
-      const double k = rd / (rd + pi.r);
-      w.load_cap = pi.c_near + k * pi.c_far;
+    if (opt.use_ceff && rc.res_count() > 0 && net.driver.valid()) {
+      const para::PiModel pi = para::pi_model(rc, extra);
+      if (pi.r > 0.0) {
+        const double rd = d.driver_resistance(id, /*holding=*/false);
+        const double k = rd / (rd + pi.r);
+        load_cap = pi.c_near + k * pi.c_far;
+      }
     }
+    w.load_cap[i] = load_cap;
   }
   return w;
 }
@@ -115,12 +131,7 @@ Result run(const net::Design& design, const para::Parasitics& para, const Option
   res.pins.assign(design.pin_count(), PinTiming{});
   res.nets.assign(design.net_count(), NetTiming{});
 
-  // Cache wire info per net.
-  std::vector<NetWireInfo> wires;
-  wires.reserve(design.net_count());
-  for (std::size_t i = 0; i < design.net_count(); ++i) {
-    wires.push_back(wire_info(design, para, NetId{i}, opt));
-  }
+  const WireSlabs wires = wire_slabs(design, para, opt);
 
   // Seed primary inputs.
   for (const PinId p : design.input_ports()) {
@@ -134,32 +145,44 @@ Result run(const net::Design& design, const para::Parasitics& para, const Option
     res.pins[p.index()] = t;
   }
 
-  const std::vector<InstId> order = design.topological_order();
+  res.order = design.topological_order();
+  const std::vector<InstId>& order = res.order;
+  std::vector<std::uint32_t> rank(order.size());
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    rank[order[r].index()] = static_cast<std::uint32_t>(r);
+  }
 
   // Timing at a load pin: driving net's pin timing shifted by wire delay.
   auto load_pin_timing = [&](PinId load) -> PinTiming {
     const net::Pin& lp = design.pin(load);
     if (!lp.net.valid()) return {};
-    const net::Net& n = design.net(lp.net);
-    if (!n.driver.valid()) return {};
-    PinTiming t = res.pins[n.driver.index()];
-    const para::RcNet& rc = para.net(lp.net);
-    const auto node = rc.node_of_pin(load);
-    const double wd = (node < rc.node_count() && node < wires[lp.net.index()].elmore.size())
-                          ? wires[lp.net.index()].elmore[node]
-                          : 0.0;
+    const PinId driver = design.net(lp.net).driver;
+    if (!driver.valid()) return {};
+    PinTiming t = res.pins[driver.index()];
+    const double wd = wires.wire_delay[load.index()];
     t.rise = t.rise.shifted(wd);
     t.fall = t.fall.shifted(wd);
     return t;
   };
 
-  constexpr int kMaxPasses = 6;
-  bool changed = true;
-  int pass = 0;
-  while (changed && pass < kMaxPasses) {
-    changed = false;
-    ++pass;
-    for (const InstId inst_id : order) {
+  // Dirty marks by rank: `dirty` for the sweep in progress, `dirty_next`
+  // for the one after it. Sweep 1 visits every instance, and runs even on
+  // a design without any, so `passes` is at least 1. A sweep past
+  // kMaxPasses only checks: if it changes nothing the fixpoint stands.
+  std::vector<char> dirty(order.size(), 1);
+  std::vector<char> dirty_next(order.size(), 0);
+  bool any_dirty = true;
+  int sweeps = 0;
+  bool last_sweep_changed = false;
+  std::size_t first_changed = 0;  // rank of the first instance the last sweep changed
+  while (any_dirty && sweeps <= kMaxPasses) {
+    ++sweeps;
+    last_sweep_changed = false;
+    any_dirty = false;
+    for (std::size_t r = 0; r < order.size(); ++r) {
+      if (!dirty[r]) continue;
+      dirty[r] = 0;
+      const InstId inst_id = order[r];
       const net::Instance& inst = design.instance(inst_id);
       const lib::Cell& cell = design.cell_of(inst_id);
 
@@ -168,7 +191,7 @@ Result run(const net::Design& design, const para::Parasitics& para, const Option
         const PinId out_pin = inst.pins[arc.to_pin];
         const net::Pin& op = design.pin(out_pin);
         if (!op.net.valid()) continue;
-        const double load = wires[op.net.index()].load_cap;
+        const double load = wires.load_cap[op.net.index()];
         const PinTiming in_t = load_pin_timing(in_pin);
         if (!in_t.reached()) continue;
 
@@ -199,11 +222,45 @@ Result run(const net::Design& design, const para::Parasitics& para, const Option
             add_edge(false, in_t.window());
             break;
         }
-        if (out_t.reached()) changed |= merge(res.pins[out_pin.index()], out_t);
+        if (!out_t.reached() || !merge(res.pins[out_pin.index()], out_t)) continue;
+        if (!last_sweep_changed) first_changed = r;
+        last_sweep_changed = true;
+        // Every instance with an arc from a pin on the changed net sees new
+        // input timing: later ranks within this sweep, earlier ones (a
+        // CK -> Q launch behind its own clock tree) in the next. A DFF or
+        // latch D pin starts no arc, so its flop is not revisited.
+        for (const PinId load : design.net(op.net).loads) {
+          const net::Pin& lp = design.pin(load);
+          if (lp.kind != net::PinKind::kInstance) continue;
+          const auto& load_arcs = design.cell_of(lp.inst).arcs;
+          if (std::none_of(load_arcs.begin(), load_arcs.end(),
+                           [&](const lib::TimingArc& a) { return a.from_pin == lp.cell_pin; })) {
+            continue;
+          }
+          const std::uint32_t q = rank[lp.inst.index()];
+          if (q > r) {
+            dirty[q] = 1;
+          } else {
+            dirty_next[q] = 1;
+            any_dirty = true;
+          }
+        }
       }
     }
+    dirty.swap(dirty_next);
   }
-  res.passes = pass;
+  if (sweeps > kMaxPasses && last_sweep_changed) {
+    throw std::runtime_error(
+        "sta::run: arrival windows did not converge in " + std::to_string(kMaxPasses) +
+        " passes; instance '" + design.instance(order[first_changed]).name +
+        "' still changes its outputs (a clock chain deeper than " +
+        std::to_string(kMaxPasses) +
+        " sequential stages, or a clock loop through sequential cells)");
+  }
+  // A full-pass fixpoint loop would run one more pass to see that nothing
+  // changes, unless it had already run kMaxPasses; count it so `passes`
+  // keeps that definition.
+  res.passes = std::min(kMaxPasses, sweeps + (last_sweep_changed ? 1 : 0));
 
   // Net summaries.
   for (std::size_t i = 0; i < design.net_count(); ++i) {

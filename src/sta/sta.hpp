@@ -10,10 +10,31 @@
 //
 // The engine is a levelized block-based STA: arrival intervals [earliest,
 // latest] for rise and fall are propagated from primary inputs and
-// sequential outputs through NLDM cell arcs and Elmore wire delays.
-// Sequential launch (CK -> Q) depends on the clock tree, which is itself
-// combinational logic, so propagation iterates to a fixpoint (two passes
-// for ordinary clock trees; bounded at `kMaxPasses`).
+// sequential outputs through NLDM cell arcs and Elmore wire delays (one
+// flat per-pin slab of wire delays and one per-net slab of driver loads,
+// built once per run).
+//
+// Propagation is an event-driven worklist over one levelization, the Kahn
+// order of Design::topological_order(), which the Result keeps as `order`
+// so the noise analysis levelizes from it instead of walking again. Sweep 1
+// evaluates every instance in that order. When an output pin's timing
+// changes, each instance with an arc from a pin on its net is marked dirty
+// (a DFF/latch D pin starts no arc): for the current sweep if it ranks
+// later, else (a CK -> Q launch behind its own clock tree) for the next
+// sweep. Later sweeps visit only dirty instances, in rank order. An
+// instance whose arc inputs did not change would yield the same output,
+// and merging an equal window is a no-op, so the result is the full-pass
+// fixpoint bit for bit.
+//
+// `passes` keeps the full-pass definition: the sweeps run, plus one if the
+// last sweep still changed a pin and fewer than kMaxPasses sweeps ran (the
+// pass a full-pass loop spends confirming the fixpoint). Ordinary clock
+// trees take two or three. If instances are still dirty after kMaxPasses
+// sweeps, one more sweep re-evaluates them without counting as a pass; if
+// it changes a pin, run() throws std::runtime_error naming the first
+// instance it changed: the clock chain is deeper than the bound, or a
+// clock loop runs through sequential cells, and a partial result would
+// under-report.
 #pragma once
 
 #include <map>
@@ -25,6 +46,9 @@
 #include "util/interval.hpp"
 
 namespace nw::sta {
+
+/// Upper bound on propagation sweeps (see the header comment).
+inline constexpr int kMaxPasses = 6;
 
 /// Arrival/slew state of one pin. Empty intervals mean "unreached".
 struct PinTiming {
@@ -76,7 +100,10 @@ struct Result {
   /// Clock arrival window at each sequential instance's CK/EN pin,
   /// indexed by position in design.sequentials().
   std::vector<Interval> clock_arrivals;
-  int passes = 0;                    ///< fixpoint iterations used
+  /// Kahn order of the instances (Design::topological_order()): the one
+  /// levelization of this run, reused by noise::AnalysisContext::build.
+  std::vector<InstId> order;
+  int passes = 0;                    ///< full-pass fixpoint iterations (see above)
 
   [[nodiscard]] const NetTiming& net(NetId id) const { return nets.at(id.index()); }
   [[nodiscard]] const PinTiming& pin(PinId id) const { return pins.at(id.index()); }
@@ -89,10 +116,12 @@ struct Result {
   return r.pins.capacity() * sizeof(PinTiming) +
          r.nets.capacity() * sizeof(NetTiming) +
          r.endpoints.capacity() * sizeof(Endpoint) +
-         r.clock_arrivals.capacity() * sizeof(Interval);
+         r.clock_arrivals.capacity() * sizeof(Interval) +
+         r.order.capacity() * sizeof(InstId);
 }
 
-/// Run STA. Throws std::runtime_error on combinational loops and
+/// Run STA. Throws std::runtime_error on combinational loops and on
+/// propagation that has not converged after kMaxPasses sweeps, and
 /// std::invalid_argument on inconsistent inputs.
 [[nodiscard]] Result run(const net::Design& design, const para::Parasitics& para,
                          const Options& options = {});

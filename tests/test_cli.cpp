@@ -194,6 +194,64 @@ TEST(Cli, BadLibraryValueFailsWithItsLine) {
   fs::remove_all(dir);
 }
 
+TEST(Cli, UnconvergedClockChainFailsNamingAnInstance) {
+  // An 8-stage ripple divider (ffK.Q clocks ffK+1) declared last stage
+  // first: each stage launches one STA sweep later than the one before, so
+  // the chain outruns sta::kMaxPasses. The run must fail, not report the
+  // unclocked tail as clean.
+  const lib::Library library = lib::default_library();
+  net::Design d(library, "ripple8");
+  const NetId clk = d.add_net("clk");
+  const NetId data = d.add_net("d");
+  d.add_input_port("clk_in", clk, {150.0, 15 * PS});
+  d.add_input_port("d", data, {500.0, 20 * PS});
+  constexpr std::size_t kStages = 8;
+  std::vector<InstId> ff(kStages);
+  for (std::size_t i = 0; i < kStages; ++i) {
+    const std::size_t k = kStages - 1 - i;
+    ff[k] = d.add_instance("ff" + std::to_string(k), "DFF_X1");
+  }
+  NetId ck = clk;
+  for (std::size_t k = 0; k < kStages; ++k) {
+    const NetId q = d.add_net("q" + std::to_string(k));
+    d.connect(ff[k], "D", data);
+    d.connect(ff[k], "CK", ck);
+    d.connect(ff[k], "Q", q);
+    ck = q;
+  }
+  d.add_output_port("out", ck);
+  para::Parasitics p(d.net_count());
+  for (std::size_t i = 0; i < d.net_count(); ++i) p.net(NetId{i}).add_cap(0, 2e-15);
+
+  const fs::path dir = fs::temp_directory_path() / "noisewin_cli_ripple_test";
+  fs::create_directories(dir);
+  const auto lib_path = (dir / "lib.nlib").string();
+  const auto nv_path = (dir / "top.nv").string();
+  const auto spef_path = (dir / "top.nwspef").string();
+  {
+    std::ofstream f(lib_path);
+    lib::write_library(f, library);
+  }
+  {
+    std::ofstream f(nv_path);
+    net::write_netlist(f, d);
+  }
+  {
+    std::ofstream f(spef_path);
+    para::write_spef(f, d, p);
+  }
+  std::string out;
+  std::string err;
+  EXPECT_EQ(run({"--lib", lib_path, "--netlist", nv_path, "--spef", spef_path}, &out, &err),
+            1);
+  EXPECT_NE(err.find("noisewin: sta::run: arrival windows did not converge in 6 passes; "
+                     "instance 'ff6'"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(out.find("violations:"), std::string::npos) << out;
+  fs::remove_all(dir);
+}
+
 TEST(Cli, MissingFileFails) {
   std::string err;
   EXPECT_EQ(run({"--lib", "/nonexistent.nlib", "--netlist", "/x.nv", "--spef", "/x.sp"},

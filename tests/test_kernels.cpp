@@ -209,6 +209,20 @@ TEST(AnalysisContext, LevelSlabsMatchDefinition) {
   }
 }
 
+/// The context levelizes from STA's Kahn order, so an STA result whose
+/// order does not cover the design's instances is refused.
+TEST(AnalysisContext, ForeignStaOrderThrows) {
+  const lib::Library library = lib::default_library();
+  const gen::Generated g = bus_case(library, 3);
+  sta::Result timing = sta::run(g.design, g.para, g.sta_options);
+  ASSERT_EQ(timing.order.size(), g.design.instance_count());
+  timing.order.pop_back();
+  EXPECT_THROW((void)AnalysisContext::build(g.design, g.para, timing, Options{}),
+               std::invalid_argument);
+  timing.order.clear();
+  EXPECT_THROW((void)analyze(g.design, g.para, timing, Options{}), std::invalid_argument);
+}
+
 TEST(AnalysisContext, DirtyRowPackMatchesFullPack) {
   const lib::Library library = lib::default_library();
   const gen::Generated g = bus_case(library, 5);

@@ -1,16 +1,453 @@
 // Static timing: arrival windows, slews, clock propagation, endpoints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "bench/suite.hpp"
 #include "gen/bus.hpp"
 #include "gen/pipeline.hpp"
 #include "library/library.hpp"
 #include "netlist/design.hpp"
 #include "parasitics/rcnet.hpp"
+#include "parasitics/reduce.hpp"
 #include "sta/sta.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace nw::sta {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Reference STA: the full-pass fixpoint. Every pass evaluates every arc of
+// every instance in topological order, until a pass changes nothing or
+// kMaxPasses passes have run; wire delays come from one Elmore vector per
+// net, looked up through node_of_pin on every arc. run()'s worklist must
+// equal it field by field, `passes` included.
+
+struct RefWireInfo {
+  std::vector<double> elmore;  ///< per RC node, from the root
+  double load_cap = 0.0;       ///< ground + pin + miller * coupling [F]
+};
+
+RefWireInfo ref_wire_info(const net::Design& d, const para::Parasitics& para, NetId id,
+                          const Options& opt) {
+  const double miller = opt.miller_factor;
+  RefWireInfo w;
+  const para::RcNet& rc = para.net(id);
+  std::vector<double> extra(rc.node_count(), 0.0);
+  for (const PinId load : d.net(id).loads) {
+    const auto node = rc.node_of_pin(load);
+    const double cap = d.pin_cap(load);
+    if (node < rc.node_count()) {
+      extra[node] += cap;
+    } else {
+      extra[0] += cap;
+    }
+  }
+  for (const auto ci : para.couplings_of(id)) {
+    const auto& cc = para.coupling(ci);
+    extra[cc.node_on(id)] += miller * cc.c;
+  }
+  if (rc.res_count() == 0) {
+    w.elmore.assign(rc.node_count(), 0.0);
+  } else {
+    w.elmore = para::elmore_delays(rc, extra);
+  }
+  w.load_cap = rc.total_ground_cap();
+  for (const double e : extra) w.load_cap += e;
+  if (opt.use_ceff && rc.res_count() > 0 && d.net(id).driver.valid()) {
+    const para::PiModel pi = para::pi_model(rc, extra);
+    if (pi.r > 0.0) {
+      const double rd = d.driver_resistance(id, /*holding=*/false);
+      const double k = rd / (rd + pi.r);
+      w.load_cap = pi.c_near + k * pi.c_far;
+    }
+  }
+  return w;
+}
+
+bool ref_merge(PinTiming& acc, const PinTiming& t) {
+  const PinTiming before = acc;
+  acc.rise = acc.rise.hull(t.rise);
+  acc.fall = acc.fall.hull(t.fall);
+  if (!t.reached()) return false;
+  if (!before.reached()) {
+    acc.slew_min = t.slew_min;
+    acc.slew_max = t.slew_max;
+  } else {
+    acc.slew_min = std::min(acc.slew_min, t.slew_min);
+    acc.slew_max = std::max(acc.slew_max, t.slew_max);
+  }
+  return !(before.rise == acc.rise) || !(before.fall == acc.fall) ||
+         before.slew_min != acc.slew_min || before.slew_max != acc.slew_max;
+}
+
+Result reference_run(const net::Design& design, const para::Parasitics& para,
+                     const Options& opt) {
+  Result res;
+  res.pins.assign(design.pin_count(), PinTiming{});
+  res.nets.assign(design.net_count(), NetTiming{});
+  std::vector<RefWireInfo> wires;
+  for (std::size_t i = 0; i < design.net_count(); ++i) {
+    wires.push_back(ref_wire_info(design, para, NetId{i}, opt));
+  }
+  for (const PinId p : design.input_ports()) {
+    PinTiming t;
+    Interval arr = opt.default_input_arrival;
+    const auto it = opt.input_arrivals.find(design.pin(p).port_name);
+    if (it != opt.input_arrivals.end()) arr = it->second;
+    t.rise = arr;
+    t.fall = arr;
+    t.slew_min = t.slew_max = design.port_drive(p).slew;
+    res.pins[p.index()] = t;
+  }
+  res.order = design.topological_order();
+
+  auto load_pin_timing = [&](PinId load) -> PinTiming {
+    const net::Pin& lp = design.pin(load);
+    if (!lp.net.valid()) return {};
+    const net::Net& n = design.net(lp.net);
+    if (!n.driver.valid()) return {};
+    PinTiming t = res.pins[n.driver.index()];
+    const para::RcNet& rc = para.net(lp.net);
+    const auto node = rc.node_of_pin(load);
+    const double wd = (node < rc.node_count() && node < wires[lp.net.index()].elmore.size())
+                          ? wires[lp.net.index()].elmore[node]
+                          : 0.0;
+    t.rise = t.rise.shifted(wd);
+    t.fall = t.fall.shifted(wd);
+    return t;
+  };
+
+  bool changed = true;
+  int pass = 0;
+  while (changed && pass < kMaxPasses) {
+    changed = false;
+    ++pass;
+    for (const InstId inst_id : res.order) {
+      const net::Instance& inst = design.instance(inst_id);
+      const lib::Cell& cell = design.cell_of(inst_id);
+      for (const auto& arc : cell.arcs) {
+        const PinId in_pin = inst.pins[arc.from_pin];
+        const PinId out_pin = inst.pins[arc.to_pin];
+        const net::Pin& op = design.pin(out_pin);
+        if (!op.net.valid()) continue;
+        const double load = wires[op.net.index()].load_cap;
+        const PinTiming in_t = load_pin_timing(in_pin);
+        if (!in_t.reached()) continue;
+        PinTiming out_t;
+        auto add_edge = [&](bool out_rise, const Interval& in_arr) {
+          if (in_arr.is_empty()) return;
+          const auto& dt = out_rise ? arc.delay_rise : arc.delay_fall;
+          const auto& st = out_rise ? arc.slew_rise : arc.slew_fall;
+          const double d_min = dt.lookup(in_t.slew_min, load);
+          const double d_max = dt.lookup(in_t.slew_max, load);
+          const double s0 = st.lookup(in_t.slew_min, load);
+          const double s1 = st.lookup(in_t.slew_max, load);
+          PinTiming tmp;
+          (out_rise ? tmp.rise : tmp.fall) = Interval{in_arr.lo + std::min(d_min, d_max),
+                                                      in_arr.hi + std::max(d_min, d_max)};
+          tmp.slew_min = std::min(s0, s1);
+          tmp.slew_max = std::max(s0, s1);
+          ref_merge(out_t, tmp);
+        };
+        switch (arc.sense) {
+          case lib::ArcSense::kPositiveUnate:
+            add_edge(true, in_t.rise);
+            add_edge(false, in_t.fall);
+            break;
+          case lib::ArcSense::kNegativeUnate:
+            add_edge(true, in_t.fall);
+            add_edge(false, in_t.rise);
+            break;
+          case lib::ArcSense::kNonUnate:
+            add_edge(true, in_t.window());
+            add_edge(false, in_t.window());
+            break;
+        }
+        if (out_t.reached()) changed |= ref_merge(res.pins[out_pin.index()], out_t);
+      }
+    }
+  }
+  res.passes = pass;
+
+  for (std::size_t i = 0; i < design.net_count(); ++i) {
+    const net::Net& n = design.net(NetId{i});
+    if (!n.driver.valid()) continue;
+    const PinTiming& t = res.pins[n.driver.index()];
+    res.nets[i].window = t.window();
+    res.nets[i].slew_min = t.slew_min;
+    res.nets[i].slew_max = t.slew_max;
+  }
+  for (const InstId s : design.sequentials()) {
+    const net::Instance& inst = design.instance(s);
+    const lib::Cell& cell = design.cell_of(s);
+    Interval clk = Interval::empty();
+    for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
+      if (cell.pins[pi].role == lib::PinRole::kClock ||
+          cell.pins[pi].role == lib::PinRole::kEnable) {
+        clk = clk.hull(load_pin_timing(inst.pins[pi]).window());
+      }
+    }
+    res.clock_arrivals.push_back(clk);
+  }
+  for (std::size_t si = 0; si < design.sequentials().size(); ++si) {
+    const InstId s = design.sequentials()[si];
+    const net::Instance& inst = design.instance(s);
+    const lib::Cell& cell = design.cell_of(s);
+    for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
+      if (cell.pins[pi].role != lib::PinRole::kData) continue;
+      const PinTiming t = load_pin_timing(inst.pins[pi]);
+      if (!t.reached()) continue;
+      Endpoint e;
+      e.pin = inst.pins[pi];
+      const double clk_late =
+          res.clock_arrivals[si].is_empty() ? 0.0 : res.clock_arrivals[si].hi;
+      e.required = clk_late + opt.clock_period - cell.setup;
+      e.arrival = t.window().hi;
+      res.endpoints.push_back(e);
+    }
+  }
+  for (const PinId p : design.output_ports()) {
+    const PinTiming t = load_pin_timing(p);
+    if (!t.reached()) continue;
+    Endpoint e;
+    e.pin = p;
+    e.required = opt.clock_period;
+    e.arrival = t.window().hi;
+    res.endpoints.push_back(e);
+  }
+  return res;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+bool same_bits(const Interval& a, const Interval& b) {
+  return same_bits(a.lo, b.lo) && same_bits(a.hi, b.hi);
+}
+
+/// First field where two results differ bitwise, or "" when they agree.
+std::string first_difference(const Result& got, const Result& want) {
+  std::ostringstream os;
+  if (got.passes != want.passes) {
+    os << "passes " << got.passes << " vs " << want.passes;
+    return os.str();
+  }
+  if (got.order != want.order) return "order";
+  if (got.pins.size() != want.pins.size()) return "pin count";
+  for (std::size_t i = 0; i < got.pins.size(); ++i) {
+    const PinTiming& a = got.pins[i];
+    const PinTiming& b = want.pins[i];
+    if (!same_bits(a.rise, b.rise) || !same_bits(a.fall, b.fall) ||
+        !same_bits(a.slew_min, b.slew_min) || !same_bits(a.slew_max, b.slew_max)) {
+      os << "pin " << i;
+      return os.str();
+    }
+  }
+  if (got.nets.size() != want.nets.size()) return "net count";
+  for (std::size_t i = 0; i < got.nets.size(); ++i) {
+    const NetTiming& a = got.nets[i];
+    const NetTiming& b = want.nets[i];
+    if (!same_bits(a.window, b.window) || !same_bits(a.slew_min, b.slew_min) ||
+        !same_bits(a.slew_max, b.slew_max)) {
+      os << "net " << i;
+      return os.str();
+    }
+  }
+  if (got.endpoints.size() != want.endpoints.size()) return "endpoint count";
+  for (std::size_t i = 0; i < got.endpoints.size(); ++i) {
+    const Endpoint& a = got.endpoints[i];
+    const Endpoint& b = want.endpoints[i];
+    if (a.pin != b.pin || !same_bits(a.required, b.required) ||
+        !same_bits(a.arrival, b.arrival)) {
+      os << "endpoint " << i;
+      return os.str();
+    }
+  }
+  if (got.clock_arrivals.size() != want.clock_arrivals.size()) return "clock arrival count";
+  for (std::size_t i = 0; i < got.clock_arrivals.size(); ++i) {
+    if (!same_bits(got.clock_arrivals[i], want.clock_arrivals[i])) {
+      os << "clock arrival " << i;
+      return os.str();
+    }
+  }
+  return "";
+}
+
+/// Ripple divider: port clk_in clocks ff0, ffK.Q clocks ffK+1, and the last
+/// stage's Q (with no stages, the clock net) drives port out.
+struct Ripple {
+  std::size_t stages = 0;
+  /// Declare the flops last stage first, so the Kahn order visits them in
+  /// reverse and each stage's launch waits one more sweep.
+  bool reversed = false;
+  /// Each stage toggles (ffK.D = INV(ffK.Q)) instead of reading port d.
+  bool toggle = false;
+  /// Also a flop declared before all others and clocked by the last Q,
+  /// with its own Q left open: its clock changes on the last sweep.
+  bool open_tap = false;
+};
+
+gen::Generated make_ripple(const lib::Library& library, const Ripple& shape) {
+  const std::size_t stages = shape.stages;
+  gen::Generated g{net::Design(library, "ripple" + std::to_string(stages)),
+                   para::Parasitics(0), Options{}};
+  net::Design& d = g.design;
+  const NetId clk = d.add_net("clk");
+  const NetId data = d.add_net("d");
+  d.add_input_port("clk_in", clk, {150.0, 15 * PS});
+  d.add_input_port("d", data, {500.0, 20 * PS});
+  std::vector<NetId> q(stages);
+  for (std::size_t k = 0; k < stages; ++k) q[k] = d.add_net("q" + std::to_string(k));
+  const NetId last = stages == 0 ? clk : q.back();
+  if (shape.open_tap) d.connect(d.add_instance("tap", "DFF_X1"), "CK", last);
+  std::vector<InstId> ff(stages);
+  for (std::size_t i = 0; i < stages; ++i) {
+    const std::size_t k = shape.reversed ? stages - 1 - i : i;
+    ff[k] = d.add_instance("ff" + std::to_string(k), "DFF_X1");
+  }
+  for (std::size_t k = 0; k < stages; ++k) {
+    NetId dk = data;
+    if (shape.toggle) {
+      dk = d.add_net("t" + std::to_string(k));
+      const InstId inv = d.add_instance("inv" + std::to_string(k), "INV_X1");
+      d.connect(inv, "A", q[k]);
+      d.connect(inv, "Y", dk);
+    }
+    d.connect(ff[k], "D", dk);
+    d.connect(ff[k], "CK", k == 0 ? clk : q[k - 1]);
+    d.connect(ff[k], "Q", q[k]);
+  }
+  d.add_output_port("out", last);
+  g.para = para::Parasitics(d.net_count());
+  for (std::size_t i = 0; i < d.net_count(); ++i) g.para.net(NetId{i}).add_cap(0, 2 * FF);
+  g.sta_options.clock_port = "clk_in";
+  return g;
+}
+
+/// A small random sequential design whose instances are created in shuffled
+/// order: a clock-buffer tree (buffers declared before and after the flops
+/// they clock), DFFs and latches (some clocked by a root-clocked flop's Q),
+/// and logic reading ports and Q outputs. Some nets carry a resistive wire
+/// with only part of their loads attached, some are coupled.
+gen::Generated make_shuffled(const lib::Library& library, std::uint64_t seed) {
+  Rng rng(seed);
+  gen::Generated g{net::Design(library, "shuffled" + std::to_string(seed)),
+                   para::Parasitics(0), Options{}};
+  net::Design& d = g.design;
+  struct Spec {
+    std::string name;
+    std::string cell;
+    std::vector<std::pair<std::string, NetId>> pins;
+  };
+  std::vector<Spec> specs;
+
+  const NetId clk = d.add_net("clk");
+  d.add_input_port("clk_in", clk, {150.0, 15 * PS});
+  std::vector<NetId> signals;  // nets logic may read without forming a loop
+  for (int i = 0; i < 3; ++i) {
+    const NetId n = d.add_net("in" + std::to_string(i));
+    d.add_input_port("in" + std::to_string(i), n, {400.0, 25 * PS});
+    g.sta_options.input_arrivals["in" + std::to_string(i)] =
+        Interval{rng.uniform(0.0, 100 * PS), rng.uniform(100 * PS, 300 * PS)};
+    signals.push_back(n);
+  }
+
+  // Clock tree: each buffer reads the port or an earlier buffer.
+  std::vector<NetId> clocks{clk};
+  const auto n_bufs = static_cast<std::size_t>(rng.range(1, 4));
+  for (std::size_t b = 0; b < n_bufs; ++b) {
+    const NetId y = d.add_net("ck" + std::to_string(b));
+    specs.push_back({"cb" + std::to_string(b), "BUF_X2",
+                     {{"A", clocks[rng.below(clocks.size())]}, {"Y", y}}});
+    clocks.push_back(y);
+  }
+  // Flops: first a root-clocked rank, then a rank clocked by its Q outputs.
+  std::vector<NetId> root_q;
+  const auto n_flops = static_cast<std::size_t>(rng.range(2, 6));
+  std::vector<std::size_t> flop_specs;
+  for (std::size_t f = 0; f < 2 * n_flops; ++f) {
+    const bool divided = f >= n_flops && !root_q.empty() && rng.chance(0.5);
+    const NetId ck = divided ? root_q[rng.below(root_q.size())] : clocks[rng.below(clocks.size())];
+    const NetId q = d.add_net("q" + std::to_string(f));
+    const bool latch = rng.chance(0.25);
+    flop_specs.push_back(specs.size());
+    specs.push_back({"ff" + std::to_string(f), latch ? "LATCH_X1" : "DFF_X1",
+                     {{latch ? "EN" : "CK", ck}, {"Q", q}}});
+    if (f < n_flops) root_q.push_back(q);
+    signals.push_back(q);
+  }
+  // Logic over ports, Q outputs and earlier gates (acyclic by construction).
+  const char* cells[] = {"INV_X1", "BUF_X1", "NAND2_X1", "NOR2_X1", "XOR2_X1", "AOI21_X1"};
+  const int arity[] = {1, 1, 2, 2, 2, 3};
+  const char* inputs[] = {"A", "B", "C"};
+  const auto n_gates = static_cast<std::size_t>(rng.range(4, 16));
+  for (std::size_t gi = 0; gi < n_gates; ++gi) {
+    const std::size_t c = rng.below(6);
+    Spec s{"g" + std::to_string(gi), cells[c], {}};
+    for (int a = 0; a < arity[c]; ++a) {
+      s.pins.emplace_back(inputs[a], signals[rng.below(signals.size())]);
+    }
+    const NetId y = d.add_net("n" + std::to_string(gi));
+    s.pins.emplace_back("Y", y);
+    specs.push_back(std::move(s));
+    signals.push_back(y);
+  }
+  // Data pins read any signal; a few signals leave through output ports.
+  for (const std::size_t f : flop_specs) {
+    specs[f].pins.emplace_back("D", signals[rng.below(signals.size())]);
+  }
+  for (int o = 0; o < 3; ++o) {
+    d.add_output_port("out" + std::to_string(o), signals[rng.below(signals.size())]);
+  }
+
+  // Create the instances in shuffled order, then wire them.
+  for (std::size_t i = specs.size(); i > 1; --i) std::swap(specs[i - 1], specs[rng.below(i)]);
+  for (const Spec& s : specs) {
+    const InstId id = d.add_instance(s.name, s.cell);
+    for (const auto& [pin, net_id] : s.pins) d.connect(id, pin, net_id);
+  }
+
+  g.para = para::Parasitics(d.net_count());
+  for (std::size_t i = 0; i < d.net_count(); ++i) {
+    const NetId id{i};
+    para::RcNet& rc = g.para.net(id);
+    rc.add_cap(0, rng.uniform(1 * FF, 4 * FF));
+    if (rng.chance(0.6)) {
+      const auto far = rc.add_node(rng.uniform(1 * FF, 6 * FF));
+      rc.add_res(0, far, rng.uniform(50.0, 2000.0));
+      for (const PinId load : d.net(id).loads) {
+        if (rng.chance(0.5)) {
+          rc.add_res(far, rc.add_node(rng.uniform(0.0, 1 * FF), load),
+                     rng.uniform(10.0, 500.0));
+        }
+      }
+    }
+  }
+  for (int c = 0; c < 6; ++c) {
+    const NetId a{rng.below(d.net_count())};
+    const NetId b{rng.below(d.net_count())};
+    if (a != b) g.para.add_coupling(a, 0, b, 0, rng.uniform(0.5 * FF, 5 * FF));
+  }
+  g.sta_options.miller_factor = rng.uniform(0.0, 2.0);
+  g.sta_options.use_ceff = rng.chance(0.5);
+  g.sta_options.clock_port = "clk_in";
+  return g;
+}
+
+void expect_matches_reference(const gen::Generated& g) {
+  const Result got = run(g.design, g.para, g.sta_options);
+  const Result want = reference_run(g.design, g.para, g.sta_options);
+  EXPECT_EQ(first_difference(got, want), "") << g.design.name();
+}
 
 class StaTest : public ::testing::Test {
  protected:
@@ -140,6 +577,96 @@ TEST_F(StaTest, SequentialLaunchUsesClockTree) {
   }
   // Fixpoint needed more than one pass (flop launch after clock tree).
   EXPECT_GE(r.passes, 2);
+}
+
+TEST_F(StaTest, WorklistMatchesFullPassReferenceOnSuite) {
+  for (const bench::Case& c : bench::make_suite(library_)) {
+    SCOPED_TRACE(c.name);
+    expect_matches_reference(c.generated);
+  }
+}
+
+TEST_F(StaTest, WorklistMatchesFullPassReferenceOnRippleChains) {
+  for (const bool reversed : {false, true}) {
+    for (const bool toggle : {false, true}) {
+      for (const bool open_tap : {false, true}) {
+        for (std::size_t stages = 0; stages <= 6; ++stages) {  // 0: no flops
+          SCOPED_TRACE(std::to_string(stages) + (reversed ? " reversed" : " forward") +
+                       (toggle ? " toggle" : "") + (open_tap ? " tap" : ""));
+          expect_matches_reference(
+              make_ripple(library_, {stages, reversed, toggle, open_tap}));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(StaTest, WorklistMatchesFullPassReferenceOnShuffledDesigns) {
+  int multi_pass = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const gen::Generated g = make_shuffled(library_, seed);
+    expect_matches_reference(g);
+    multi_pass += run(g.design, g.para, g.sta_options).passes > 2 ? 1 : 0;
+  }
+  // Shuffled creation must reach beyond the ordinary two-pass fixpoint.
+  EXPECT_GT(multi_pass, 0);
+}
+
+TEST_F(StaTest, RippleChainWithinBoundConverges) {
+  // Reversed declaration: stage k launches on sweep k + 1, so six stages
+  // need all kMaxPasses sweeps. Every variant reaches the full fixpoint:
+  //  - D tied to a port: the last sweep leaves nothing to revisit;
+  //  - a toggle divider: each INV changes a D pin, which starts no arc, so
+  //    it must not send its flop into another sweep;
+  //  - an open tap: the last sweep changes the tap's clock, and one more
+  //    evaluation shows its (unconnected) output cannot change.
+  for (const bool toggle : {false, true}) {
+    for (const bool open_tap : {false, true}) {
+      SCOPED_TRACE(std::string(toggle ? "toggle" : "port") + (open_tap ? " tap" : ""));
+      const gen::Generated g = make_ripple(library_, {6, true, toggle, open_tap});
+      Result r;
+      ASSERT_NO_THROW(r = run(g.design, g.para, g.sta_options));
+      EXPECT_EQ(r.passes, kMaxPasses);
+      ASSERT_EQ(r.clock_arrivals.size(), open_tap ? 7u : 6u);
+      for (const Interval& clk : r.clock_arrivals) EXPECT_FALSE(clk.is_empty());
+      const auto out =
+          std::find_if(r.endpoints.begin(), r.endpoints.end(), [&](const Endpoint& e) {
+            return g.design.pin(e.pin).port_name == "out";
+          });
+      EXPECT_NE(out, r.endpoints.end());
+    }
+  }
+  // Declared in stage order, the whole chain settles in one sweep.
+  const gen::Generated fwd = make_ripple(library_, {6, false});
+  EXPECT_EQ(run(fwd.design, fwd.para, fwd.sta_options).passes, 2);
+}
+
+TEST_F(StaTest, RippleChainBeyondBoundThrowsNamingAnInstance) {
+  // Eight reversed stages: ff6's output still changes after kMaxPasses
+  // sweeps. Stopping there would leave ff7 unclocked and `out` unreached,
+  // and the noise analysis would report a clean design.
+  const gen::Generated g = make_ripple(library_, {8, true});
+  try {
+    (void)run(g.design, g.para, g.sta_options);
+    FAIL() << "expected a non-convergence error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("instance 'ff6'"), std::string::npos) << what;
+    EXPECT_NE(what.find("in " + std::to_string(kMaxPasses) + " passes"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("clock chain deeper than"), std::string::npos) << what;
+    EXPECT_NE(what.find("clock loop through sequential cells"), std::string::npos) << what;
+  }
+}
+
+TEST_F(StaTest, ResultKeepsTheKahnOrder) {
+  gen::PipelineConfig cfg;
+  cfg.paths = 4;
+  const gen::Generated g = gen::make_pipeline(library_, cfg);
+  const Result r = run(g.design, g.para, g.sta_options);
+  EXPECT_EQ(r.order, g.design.topological_order());
+  EXPECT_GE(memory_bytes(r), r.order.capacity() * sizeof(InstId));
 }
 
 TEST_F(StaTest, SlewRangeTracked) {
