@@ -14,7 +14,6 @@
 // in a --stats-json record tracked by tools/bench_history.py.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -242,11 +241,12 @@ BENCHMARK(BM_UnionVector)->Arg(16)->Arg(256)->Unit(benchmark::kMicrosecond);
 /// Wall time of `reps` runs of `fn`, in ms.
 template <typename Fn>
 double time_ms(std::size_t reps, Fn&& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < reps; ++i) fn();
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                   t0)
-      .count();
+  double seconds = 0.0;
+  {
+    const obs::Span span("kernel-reps", obs::SpanKind::kPhase, &seconds);
+    for (std::size_t i = 0; i < reps; ++i) fn();
+  }
+  return seconds * 1e3;
 }
 
 }  // namespace
@@ -302,14 +302,7 @@ int main(int argc, char** argv) {
     meta.build = obs::build_version();
     obs::MetricsSnapshot snap;
     const auto gauge = [&](const char* name, const char* help, double ms) {
-      obs::MetricSample s;
-      s.name = name;
-      s.help = help;
-      s.unit = "ms";
-      s.kind = obs::MetricSample::Kind::kGauge;
-      s.deterministic = false;
-      s.value = ms;
-      snap.samples.push_back(std::move(s));
+      snap.samples.push_back(obs::wall_ms_sample(name, help, ms));
     };
     gauge("kernel_peaks_scalar_ms", "per-pair two-pi estimation", peaks_scalar);
     gauge("kernel_peaks_vector_ms", "flat two-pi sweep", peaks_vector);

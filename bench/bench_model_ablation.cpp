@@ -5,7 +5,6 @@
 // are the loosest upper bounds), two-pi fewer, reduced-mna fewest among
 // the static models while staying conservative; runtime rises with model
 // fidelity.
-#include <chrono>
 #include <iostream>
 
 #include "bench/suite.hpp"
@@ -30,13 +29,13 @@ int main() {
       noise::Options o;
       o.model = model;
       o.clock_period = g.sta_options.clock_period;
-      const auto t0 = std::chrono::steady_clock::now();
-      const noise::Result r = noise::analyze(g.design, g.para, timing, o);
-      const auto t1 = std::chrono::steady_clock::now();
+      double seconds = 0.0;
+      const noise::Result r = [&] {
+        const obs::Span span("analysis", obs::SpanKind::kPhase, &seconds);
+        return noise::analyze(g.design, g.para, timing, o);
+      }();
       t.add_row({name, noise::to_string(model), std::to_string(r.violations.size()),
-                 std::to_string(r.noisy_nets),
-                 report::fmt_fixed(
-                     std::chrono::duration<double, std::milli>(t1 - t0).count(), 1)});
+                 std::to_string(r.noisy_nets), report::fmt_fixed(seconds * 1e3, 1)});
     }
   }
   t.print(std::cout);

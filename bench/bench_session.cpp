@@ -15,7 +15,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -159,26 +158,22 @@ int main(int argc, char** argv) {
       net::SocketStream client(net::connect_endpoint(daemon->bound_endpoint()));
       std::string line;
       constexpr int kRounds = 50;
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kRounds; ++i) {
-        client << "{\"id\":" << i + 1 << ",\"cmd\":\"violations\"}\n" << std::flush;
-        if (!std::getline(client, line)) break;
+      double seconds = 0.0;
+      {
+        const obs::Span span("daemon-roundtrips", obs::SpanKind::kPhase, &seconds);
+        for (int i = 0; i < kRounds; ++i) {
+          client << "{\"id\":" << i + 1 << ",\"cmd\":\"violations\"}\n" << std::flush;
+          if (!std::getline(client, line)) break;
+        }
       }
-      roundtrip_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count() /
-                     kRounds;
+      roundtrip_ms = seconds * 1e3 / kRounds;
       daemon->stop();
     }
     obs::MetricsSnapshot snap = s.metrics_snapshot();
-    obs::MetricSample rt;
-    rt.name = "daemon_roundtrip_ms";
-    rt.help = "mean JSONL round-trip through an in-process daemon (cached query)";
-    rt.unit = "ms";
-    rt.kind = obs::MetricSample::Kind::kGauge;
-    rt.deterministic = false;
-    rt.value = roundtrip_ms;
-    snap.samples.push_back(rt);
+    snap.samples.push_back(obs::wall_ms_sample(
+        "daemon_roundtrip_ms",
+        "mean JSONL round-trip through an in-process daemon (cached query)",
+        roundtrip_ms));
 
     std::ofstream f(path);
     // The session's last analysis supplies the executor utilization the

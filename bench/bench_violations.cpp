@@ -4,7 +4,6 @@
 // Expected shape (paper-class): violations(no-filter) >> violations
 // (switching) >= violations(noise windows), with order-of-magnitude
 // reduction on designs whose timing windows are dispersed.
-#include <chrono>
 #include <iostream>
 
 #include "bench/suite.hpp"
@@ -28,17 +27,16 @@ int main() {
       noise::Options o;
       o.mode = mode;
       o.clock_period = c.generated.sta_options.clock_period;
-      const auto t0 = std::chrono::steady_clock::now();
-      const noise::Result r =
-          noise::analyze(c.generated.design, c.generated.para, timing, o);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      double seconds = 0.0;
+      const noise::Result r = [&] {
+        const obs::Span span("analysis", obs::SpanKind::kPhase, &seconds);
+        return noise::analyze(c.generated.design, c.generated.para, timing, o);
+      }();
       t.add_row({c.name, std::to_string(r.endpoints_checked), noise::to_string(mode),
                  std::to_string(r.violations.size()), std::to_string(r.noisy_nets),
                  std::to_string(r.aggressors_considered),
                  std::to_string(r.aggressors_filtered_temporal),
-                 report::fmt_fixed(ms, 1)});
+                 report::fmt_fixed(seconds * 1e3, 1)});
     }
   }
   t.print(std::cout);

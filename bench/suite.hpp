@@ -6,7 +6,6 @@
 // register pipeline (sequential endpoints for the latch check).
 #pragma once
 
-#include <chrono>
 #include <ctime>
 #include <fstream>
 #include <sstream>
@@ -121,46 +120,34 @@ inline void write_run_record(const std::string& path, const lib::Library& librar
   // explain of the worst violation's net and the HTML dashboard. Appended to
   // the snapshot copy as wall-time gauges so bench_history.py can track them
   // once a baseline containing them is written.
-  const auto timed_ms = [](const auto& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
   const NetId explain_net =
       r.violations.empty() ? NetId{0} : r.violations.front().net;
-  const double explain_ms = timed_ms(
-      [&] { (void)noise::explain_string(g.design, o, r, explain_net); });
-  const double html_ms = timed_ms([&] {
+  double explain_s = 0.0;
+  {
+    const obs::Span span("explain", obs::SpanKind::kPhase, &explain_s);
+    (void)noise::explain_string(g.design, o, r, explain_net);
+  }
+  double html_s = 0.0;
+  {
+    const obs::Span span("html-report", obs::SpanKind::kPhase, &html_s);
     std::ostringstream discard;
     noise::write_html_report(discard, g.design, o, r);
-  });
+  }
   obs::MetricsSnapshot snapshot = r.metrics;
-  const auto timing_gauge = [](const char* name, const char* help, double ms) {
-    obs::MetricSample s;
-    s.name = name;
-    s.help = help;
-    s.unit = "ms";
-    s.kind = obs::MetricSample::Kind::kGauge;
-    s.deterministic = false;
-    s.value = ms;
-    return s;
-  };
-  snapshot.samples.push_back(
-      timing_gauge("explain_ms", "explain_string render wall time", explain_ms));
-  snapshot.samples.push_back(timing_gauge(
-      "html_report_ms", "write_html_report render wall time", html_ms));
+  snapshot.samples.push_back(obs::wall_ms_sample(
+      "explain_ms", "explain_string render wall time", explain_s * 1e3));
+  snapshot.samples.push_back(obs::wall_ms_sample(
+      "html_report_ms", "write_html_report render wall time", html_s * 1e3));
   // Per-kernel phase timings, in the same ms unit the render gauges use, so
   // bench_history.py tracks each analysis stage (estimate / propagate /
   // endpoint check) independently instead of only the total.
-  snapshot.samples.push_back(timing_gauge(
+  snapshot.samples.push_back(obs::wall_ms_sample(
       "estimate_ms", "injected-glitch estimation wall time",
       r.telemetry.estimate_seconds * 1e3));
-  snapshot.samples.push_back(timing_gauge(
+  snapshot.samples.push_back(obs::wall_ms_sample(
       "propagate_ms", "combination + gate propagation wall time",
       r.telemetry.propagate_seconds * 1e3));
-  snapshot.samples.push_back(timing_gauge(
+  snapshot.samples.push_back(obs::wall_ms_sample(
       "check_ms", "endpoint-check wall time", r.telemetry.endpoints_seconds * 1e3));
 
   std::ofstream f(path);

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -138,14 +139,13 @@ void Daemon::start() {
   // Prewarm: one full analysis on the shared base, exported as the seed
   // every connection adopts — connect→query is then a cache hit, never a
   // per-connection full analyze.
-  const auto t0 = std::chrono::steady_clock::now();
+  double prewarm_s = 0.0;
   {
+    const obs::Span span("prewarm", obs::SpanKind::kPhase, &prewarm_s);
     session::Session prewarm(design_, para_, cfg_.session);
     seed_ = prewarm.export_seed();
   }
-  prewarm_ms_g_.set(std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
+  prewarm_ms_g_.set(prewarm_s * 1e3);
   started_ = true;
   start_tp_ = std::chrono::steady_clock::now();
   if (sampler_) sampler_->start();
@@ -179,7 +179,11 @@ void Daemon::accept_loop() {
     }
     accepted_.add();
     active_g_.set(static_cast<double>(active_.fetch_add(1) + 1));
-    const int timeout_ms = cfg_.idle_timeout_s > 0 ? cfg_.idle_timeout_s * 1000 : 0;
+    // Clamped so the ms conversion cannot overflow (~24.8 days at most).
+    const int timeout_ms =
+        cfg_.idle_timeout_s > 0
+            ? std::min(cfg_.idle_timeout_s, std::numeric_limits<int>::max() / 1000) * 1000
+            : 0;
     auto conn = std::make_unique<Connection>(
         next_conn_id_++, fd, timeout_ms, cfg_.max_queued, cfg_.progress_events,
         session::ServeMeters{&queue_depth_, &queue_depth_g_, &handled_});

@@ -73,25 +73,6 @@ const std::vector<double> kGlitchPeakBounds = {0.05, 0.1, 0.15, 0.2, 0.3,
                                                0.4,  0.5, 0.7,  1.0};
 const std::vector<double> kAggressorsPerVictimBounds = {0, 1, 2, 4, 8, 16, 32, 64};
 const std::vector<double> kLevelWidthBounds = {1, 2, 4, 8, 16, 32, 64, 128, 256};
-const std::vector<double> kTaskSecondsBounds = {1e-6, 1e-5, 1e-4, 1e-3,
-                                                1e-2, 1e-1, 1.0};
-
-/// Accumulates wall time into a phase accumulator for the enclosing scope.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double& acc)
-      : acc_(acc), start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    acc_ += std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-                .count();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double& acc_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// What one endpoint check produced (slot-addressed so the parallel check
 /// stage folds back into Result in deterministic endpoint order).
@@ -118,15 +99,10 @@ class Pipeline {
         progress_(progress),
         exec_(opt.threads),
         start_(std::chrono::steady_clock::now()),
-        phase_start_(start_),
-        executor_tasks_(reg_.counter(kMetricExecutorTasks, "executor chunks run")),
-        task_seconds_(reg_.histogram(kMetricTaskSeconds, "per-chunk wall time",
-                                     kTaskSecondsBounds, "s",
-                                     /*deterministic=*/false)) {
+        phase_start_(start_) {
     register_metrics();
     {
-      obs::Span span("build-context", obs::SpanKind::kPhase);
-      PhaseTimer timer(times_.context);
+      obs::Span span("build-context", obs::SpanKind::kPhase, &times_.context);
       // Per-pair scenario operands pack lazily in estimate_injected.
       ctx_ = AnalysisContext::build(design, para, sta_result, opt);
     }
@@ -135,17 +111,11 @@ class Pipeline {
     for (std::size_t li = 0; li < ctx_.level_count(); ++li) {
       level_width.observe(static_cast<double>(ctx_.level_width(li)));
     }
-    // Per-chunk instrumentation: both sinks are thread-safe; the chunk
-    // count per region is ceil(n/chunk) regardless of thread count, so
-    // executor_tasks stays deterministic while task wall times are timing.
-    exec_.set_task_observer([tasks = &executor_tasks_,
-                             seconds = &task_seconds_](double s) {
-      tasks->add();
-      seconds->observe(s);
-    });
-    // Utilization accounting shares the observer's clock pair, so it adds
-    // no chunk-path cost; never touches scheduling, so results stay
-    // bit-identical (tested across profile rates in test_profile.cpp).
+    // Utilization accounting never touches scheduling, so results stay
+    // bit-identical (tested across profile rates in test_profile.cpp). Its
+    // per-region chunk counts are ceil(n/chunk) regardless of thread count,
+    // so the executor_tasks counter finish() derives from them is
+    // deterministic.
     exec_.enable_utilization(true);
     level_walls_.assign(ctx_.level_count(), 0.0);
     checkpoint("build-context", 1, 1);
@@ -249,6 +219,7 @@ class Pipeline {
   /// has one fixed order and zero-valued metrics still appear. Later use
   /// sites re-look names up and get these same objects back.
   void register_metrics() {
+    reg_.counter(kMetricExecutorTasks, "executor chunks run");
     reg_.counter(kMetricVictimsEstimated, "nets whose glitches were computed");
     reg_.counter(kMetricVictimsReused, "incremental: estimates carried over");
     reg_.counter(kMetricAggressorPairs, "victim/aggressor pairs evaluated");
@@ -322,6 +293,9 @@ class Pipeline {
     res.run_meta.threads = exec_.thread_count();
     res.run_meta.iterations = res.iterations;
     res.executor = exec_.utilization();
+    std::uint64_t chunks = 0;
+    for (const util::RegionStats& region : res.executor.regions) chunks += region.chunks;
+    reg_.counter(kMetricExecutorTasks, "").add(chunks);
     res.attribution = build_attribution(res);
     res.metrics = reg_.snapshot();
     res.telemetry = telemetry_from_metrics(res.run_meta, res.metrics);
@@ -378,8 +352,7 @@ class Pipeline {
   // per-victim counter array; counters fold serially afterwards.
   void estimate_injected(Result& res, const std::vector<char>* dirty,
                          const Result* previous) {
-    obs::Span span("estimate-injected", obs::SpanKind::kPhase);
-    PhaseTimer timer(times_.estimate);
+    obs::Span span("estimate-injected", obs::SpanKind::kPhase, &times_.estimate);
     const std::size_t n = design_.net_count();
     std::size_t estimated = 0;
     std::size_t reused = 0;
@@ -658,8 +631,7 @@ class Pipeline {
   }
 
   void propagate(Result& res) {
-    obs::Span span("propagate", obs::SpanKind::kPhase);
-    PhaseTimer timer(times_.propagate);
+    obs::Span span("propagate", obs::SpanKind::kPhase, &times_.propagate);
     const std::size_t total = ctx_.port_nets.size() + ctx_.slab_cell.size();
     begin_phase("propagate", total);
     // Port-driven nets first: every gate may read them.
@@ -676,23 +648,21 @@ class Pipeline {
     // a progress checkpoint — the granularity at which `cancel` lands.
     for (std::size_t li = 0; li < ctx_.level_count(); ++li) {
       const std::size_t width = ctx_.level_width(li);
-      std::optional<obs::Span> level_span;
-      if (obs::spans_active()) {
-        level_span.emplace("level " + std::to_string(li), obs::SpanKind::kLevel);
-      }
       const std::size_t level_base = ctx_.level_offsets[li];
-      const auto level_t0 = std::chrono::steady_clock::now();
-      exec_.parallel_for("propagate-level", width, kPropagateChunk,
-                         [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i) {
-                             propagate_instance(res, level_base + i);
-                           }
-                         });
-      // Per-level wall attribution (accumulated over refinement passes;
-      // timing data, so it lives next to the phase gauges, not counters).
-      level_walls_[li] += std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - level_t0)
-                              .count();
+      {
+        // Per-level wall attribution (accumulated over refinement passes;
+        // timing data, so it lives next to the phase gauges, not counters).
+        // The name is only formatted when a span consumer is listening.
+        const obs::Span level_span(
+            obs::spans_active() ? "level " + std::to_string(li) : std::string(),
+            obs::SpanKind::kLevel, &level_walls_[li]);
+        exec_.parallel_for("propagate-level", width, kPropagateChunk,
+                           [&](std::size_t begin, std::size_t end) {
+                             for (std::size_t i = begin; i < end; ++i) {
+                               propagate_instance(res, level_base + i);
+                             }
+                           });
+      }
       done += width;
       checkpoint("propagate", done, total, li);
     }
@@ -700,8 +670,7 @@ class Pipeline {
 
   // ---- stage 3: endpoint checks, parallel over endpoints -------------------
   void check_endpoints(Result& res) {
-    obs::Span span("check-endpoints", obs::SpanKind::kPhase);
-    PhaseTimer timer(times_.endpoints);
+    obs::Span span("check-endpoints", obs::SpanKind::kPhase, &times_.endpoints);
     // Sequential data pins: immunity + (mode 3) sensitivity-window overlap.
     // Batched like the estimate stage (batch % chunk == 0) so progress
     // checkpoints never perturb the chunk decomposition; fold order is
@@ -943,12 +912,8 @@ class Pipeline {
   std::chrono::steady_clock::time_point phase_start_;
   int iteration_ = 1;  ///< current refinement pass (for Progress records)
   obs::Registry reg_;
-  /// Hoisted handles for the executor's task observer (runs on workers;
-  /// both sinks are thread-safe).
-  obs::Counter& executor_tasks_;
-  obs::Histogram& task_seconds_;
-  /// Phase wall-time accumulators (summed over passes; published as timing
-  /// gauges by finish()).
+  /// Phase wall-time sinks of the phase spans (summed over passes;
+  /// published as timing gauges by finish()).
   struct {
     double context = 0.0;
     double estimate = 0.0;

@@ -60,6 +60,11 @@ enum class AnalysisMode { kNoFiltering, kSwitchingWindows, kNoiseWindows };
 
 [[nodiscard]] const char* to_string(AnalysisMode m) noexcept;
 
+/// Upper bounds every front end (CLI flags, session `set` options) applies
+/// to Options::threads and Options::refine_iterations.
+inline constexpr unsigned kMaxThreads = 1024;
+inline constexpr unsigned kMaxRefineIterations = 64;
+
 struct Options {
   AnalysisMode mode = AnalysisMode::kNoiseWindows;
   GlitchModel model = GlitchModel::kTwoPi;

@@ -60,7 +60,6 @@ inline constexpr const char* kMetricEstimateSeconds = "phase_estimate_seconds";
 inline constexpr const char* kMetricPropagateSeconds = "phase_propagate_seconds";
 inline constexpr const char* kMetricEndpointsSeconds = "phase_endpoints_seconds";
 inline constexpr const char* kMetricTotalSeconds = "total_seconds";
-inline constexpr const char* kMetricTaskSeconds = "task_seconds";
 // Resource gauges (the "resources" section of the JSON export): sampled,
 // machine-dependent, never deterministic.
 inline constexpr const char* kMetricRssBytes = "rss_bytes";

@@ -99,6 +99,17 @@ const MetricSample* MetricsSnapshot::find(std::string_view name) const noexcept 
   return nullptr;
 }
 
+MetricSample wall_ms_sample(std::string name, std::string help, double ms) {
+  MetricSample s;
+  s.name = std::move(name);
+  s.help = std::move(help);
+  s.unit = "ms";
+  s.kind = MetricSample::Kind::kGauge;
+  s.deterministic = false;
+  s.value = ms;
+  return s;
+}
+
 struct Registry::Entry {
   std::string name;
   std::string help;

@@ -135,6 +135,12 @@ struct MetricsSnapshot {
   [[nodiscard]] const MetricSample* find(std::string_view name) const noexcept;
 };
 
+/// A nondeterministic gauge sample in milliseconds ("timing" section), for
+/// wall times measured outside a registry — e.g. a span's duration sink —
+/// and appended to a snapshot copy before export.
+[[nodiscard]] MetricSample wall_ms_sample(std::string name, std::string help,
+                                          double ms);
+
 /// Names metrics and hands out stable references. References stay valid
 /// for the registry's lifetime. Re-registering a name returns the existing
 /// metric (kind mismatch throws).

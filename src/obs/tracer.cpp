@@ -253,20 +253,26 @@ void Span::arm(std::string_view name, SpanKind kind) {
     detail::push_frame(name);
     pushed_ = true;
   }
-  if (!trace_enabled()) return;  // profiler-only: no event, no name copy
-  name_ = std::string(name);
-  kind_ = kind;
+  traced_ = trace_enabled();
+  if (!traced_ && seconds_ == nullptr) return;  // profiler-only: no clock
+  if (traced_) {
+    name_ = std::string(name);
+    kind_ = kind;
+  }
   start_ns_ = detail::now_ns();
 }
 
 void Span::finish() {
+  const std::int64_t dur_ns = detail::now_ns() - start_ns_;
+  if (seconds_ != nullptr) *seconds_ += static_cast<double>(dur_ns) * 1e-9;
   // Tracing may have been disabled mid-span; still record for balance —
   // a dangling open span would break per-thread nesting.
+  if (!traced_) return;
   TraceEvent ev;
   ev.name = std::move(name_);
   ev.kind = kind_;
   ev.start_ns = start_ns_;
-  ev.dur_ns = detail::now_ns() - start_ns_;
+  ev.dur_ns = dur_ns;
   detail::record(std::move(ev));
 }
 

@@ -7,12 +7,18 @@
 // run collects every thread's spans into per-thread tracks — which is what
 // makes load imbalance inside parallel regions directly visible.
 //
+// A Span is also the program's one timing primitive: given a duration sink
+// (`double* seconds`), it adds its elapsed wall time to `*seconds`, and a
+// traced span records its event from that same clock pair — so a phase
+// gauge and the trace agree exactly.
+//
 // Overhead contract: tracing is off by default and every span site guards
 // itself with `trace_enabled()` — a single inlined relaxed atomic load — so
-// the disabled cost is a test-and-branch per site (DESIGN.md §4.6 budgets
-// the whole subsystem at <= 2% when disabled). When enabled, a span costs
-// two steady_clock reads plus one buffered append under an uncontended
-// per-thread mutex.
+// the disabled cost of a span without a sink is a test-and-branch per site
+// (DESIGN.md §4.6 budgets the whole subsystem at <= 2% when disabled). A
+// span with a sink always reads the clock at each end, traced or not. When
+// tracing is enabled, a span costs two steady_clock reads plus one
+// buffered append under an uncontended per-thread mutex.
 //
 // Threading contract: spans may be opened/closed on any thread; flushing
 // (`events()` / `write_chrome()` / `clear()`) is safe at any time but is
@@ -127,14 +133,19 @@ class Tracer {
   [[nodiscard]] static std::size_t buffered_bytes();
 };
 
-/// RAII span. Does nothing (beyond the enabled check) when both the tracer
-/// and the profiler are off. When the profiler is on, construction pushes
-/// the span name onto the calling thread's active-frame stack (popped at
-/// destruction) so the sampling ticker can attribute wall time to it.
+/// RAII span. Without a sink it does nothing (beyond the enabled check)
+/// when both the tracer and the profiler are off. With a sink it always
+/// times its scope and adds the elapsed seconds to `*seconds` at
+/// destruction; a traced span's event duration is that same interval. When
+/// the profiler is on, construction pushes the span name onto the calling
+/// thread's active-frame stack (popped at destruction) so the sampling
+/// ticker can attribute wall time to it.
 class Span {
  public:
-  explicit Span(std::string_view name, SpanKind kind = SpanKind::kPhase) {
-    if (spans_active()) arm(name, kind);
+  explicit Span(std::string_view name, SpanKind kind = SpanKind::kPhase,
+                double* seconds = nullptr)
+      : seconds_(seconds) {
+    if (seconds_ != nullptr || spans_active()) arm(name, kind);
   }
   ~Span() {
     if (start_ns_ >= 0) finish();
@@ -148,9 +159,11 @@ class Span {
   void finish();
 
   std::string name_;
+  double* seconds_;             ///< duration sink (nullptr = none)
   SpanKind kind_ = SpanKind::kPhase;
-  std::int64_t start_ns_ = -1;  ///< -1 = not armed (tracing was off)
+  bool traced_ = false;         ///< records an event at destruction
   bool pushed_ = false;         ///< frame pushed for the profiler at arm time
+  std::int64_t start_ns_ = -1;  ///< -1 = not timing (no sink, tracing off)
 };
 
 /// Minimal JSON string escaping (shared by the trace and stats writers).

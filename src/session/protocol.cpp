@@ -559,15 +559,7 @@ std::string Protocol::handle_line(std::string_view line) {
     const double ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
             .count();
-    RequestPhases phases;
     const bool ran_analysis = session_.analyses() != analyses_before;
-    if (ran_analysis) {
-      const Session::AnalysisPhases& p = session_.last_phases();
-      phases.context_ms = p.context_s * 1e3;
-      phases.estimate_ms = p.estimate_s * 1e3;
-      phases.propagate_ms = p.propagate_s * 1e3;
-      phases.endpoints_ms = p.endpoints_s * 1e3;
-    }
     std::vector<std::string> prof_lines;
     if (prof_capture && ms >= reqobs_->slow_ms()) {
       for (const obs::FoldedEntry& e :
@@ -577,7 +569,8 @@ std::string Protocol::handle_line(std::string_view line) {
       }
     }
     reqobs_->observe(req_id, cmd_name, ms, code.empty(),
-                     ran_analysis ? &phases : nullptr, std::move(prof_lines));
+                     ran_analysis ? &session_.last_phases() : nullptr,
+                     std::move(prof_lines));
   }
   return response;
 }

@@ -40,7 +40,7 @@ std::uint64_t RequestContext::next_id() noexcept {
 }
 
 void RequestContext::observe(std::uint64_t id, const std::string& cmd, double ms,
-                             bool ok, const RequestPhases* phases,
+                             bool ok, const Session::AnalysisPhases* phases,
                              std::vector<std::string> profile) {
   registry_
       .histogram(std::string(kLatencyPrefix) + cmd, "request latency",
@@ -87,10 +87,10 @@ Json RequestContext::slowlog_json() const {
     e.set("ok", r.ok);
     if (r.has_phases) {
       Json ph = Json::object();
-      ph.set("context_ms", r.phases.context_ms);
-      ph.set("estimate_ms", r.phases.estimate_ms);
-      ph.set("propagate_ms", r.phases.propagate_ms);
-      ph.set("endpoints_ms", r.phases.endpoints_ms);
+      ph.set("context_ms", r.phases.context_s * 1e3);
+      ph.set("estimate_ms", r.phases.estimate_s * 1e3);
+      ph.set("propagate_ms", r.phases.propagate_s * 1e3);
+      ph.set("endpoints_ms", r.phases.endpoints_s * 1e3);
       e.set("phases", std::move(ph));
     }
     if (!r.profile.empty()) {

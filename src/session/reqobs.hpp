@@ -29,17 +29,9 @@
 
 #include "obs/metrics.hpp"
 #include "session/json.hpp"
+#include "session/session.hpp"
 
 namespace nw::session {
-
-/// Phase wall-time breakdown of a request that triggered an analysis —
-/// *where* a slow request was slow, not just how long it took.
-struct RequestPhases {
-  double context_ms = 0.0;
-  double estimate_ms = 0.0;
-  double propagate_ms = 0.0;
-  double endpoints_ms = 0.0;
-};
 
 /// One remembered over-threshold request.
 struct SlowRequest {
@@ -49,7 +41,10 @@ struct SlowRequest {
   double ms = 0.0;        ///< wall time of handle_line
   bool ok = true;         ///< false when the response was an error
   bool has_phases = false;  ///< the request ran an analysis
-  RequestPhases phases;     ///< meaningful only when has_phases
+  /// Phase wall times of that analysis — *where* a slow request was slow,
+  /// not just how long it took. Meaningful only when has_phases; rendered
+  /// in ms by slowlog_json().
+  Session::AnalysisPhases phases;
   /// One-shot folded-profile capture ("stack count" lines, heaviest first):
   /// where this request spent its sampled time. Only populated while the
   /// sampling profiler runs, and bounded (kMaxProfileLines) so the slow
@@ -107,7 +102,7 @@ class RequestContext {
   /// request's folded-profile delta (already bounded by the caller); it is
   /// only attached to slow entries.
   void observe(std::uint64_t id, const std::string& cmd, double ms, bool ok,
-               const RequestPhases* phases = nullptr,
+               const Session::AnalysisPhases* phases = nullptr,
                std::vector<std::string> profile = {});
 
   [[nodiscard]] const SlowLog& slow_log() const noexcept { return slow_log_; }

@@ -341,16 +341,18 @@ void Session::set_option(const std::string& name, const std::string& value) {
     cfg_.noise.model = *m;
   } else if (name == "threads") {
     const auto v = parse_uint(value);
-    if (!v || *v > 1024) {
+    if (!v || *v > noise::kMaxThreads) {
       throw std::invalid_argument("set_option threads: '" + value +
-                                  "' (expected an integer in [0, 1024])");
+                                  "' (expected an integer in [0, " +
+                                  std::to_string(noise::kMaxThreads) + "])");
     }
     cfg_.noise.threads = static_cast<int>(*v);
   } else if (name == "refine") {
     const auto v = parse_uint(value);
-    if (!v || *v > 64) {
+    if (!v || *v > noise::kMaxRefineIterations) {
       throw std::invalid_argument("set_option refine: '" + value +
-                                  "' (expected an integer in [0, 64])");
+                                  "' (expected an integer in [0, " +
+                                  std::to_string(noise::kMaxRefineIterations) + "])");
     }
     cfg_.noise.refine_iterations = static_cast<int>(*v);
   } else if (name == "period") {

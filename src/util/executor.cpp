@@ -119,33 +119,29 @@ Executor::~Executor() {
 
 void Executor::run_chunk(const char* label, std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn) {
-  // Fast path: no tracing/profiling, no observer, no utilization — just
-  // the body.
+  // Fast path: no tracing/profiling, no utilization — just the body.
   const bool traced = label != nullptr && obs::spans_active();
   WorkerSlot* const slot = tl_slot_;
-  if (!traced && !observer_ && slot == nullptr) {
+  if (!traced && slot == nullptr) {
     fn(begin, end);
     return;
   }
   std::optional<obs::Span> span;
   if (traced) span.emplace(label, obs::SpanKind::kTask);
-  if (!observer_ && slot == nullptr) {
+  if (slot == nullptr) {
     fn(begin, end);
     return;
   }
-  // One clock pair feeds both the task observer and utilization accounting.
+  // Utilization needs the chunk's start relative to the region, not only
+  // its duration, so it keeps its own clock pair.
   const auto t0 = std::chrono::steady_clock::now();
   fn(begin, end);
-  const double seconds =
+  slot->busy_s +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  if (observer_) observer_(seconds);
-  if (slot != nullptr) {
-    if (slot->first_s < 0.0) {
-      slot->first_s = std::chrono::duration<double>(t0 - region_t0_).count();
-    }
-    slot->busy_s += seconds;
-    ++slot->chunks;
+  if (slot->first_s < 0.0) {
+    slot->first_s = std::chrono::duration<double>(t0 - region_t0_).count();
   }
+  ++slot->chunks;
 }
 
 void Executor::run_serial(const char* label, std::size_t n, std::size_t chunk,

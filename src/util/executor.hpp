@@ -17,10 +17,11 @@
 // Observability: the labeled overloads emit one obs::Span per executed
 // chunk (category "task") when tracing is enabled, so load imbalance
 // inside a region shows up as per-thread tracks in the trace; pool workers
-// name their tracks "worker <i>". An optional task observer receives every
-// chunk's wall time (for the per-task wall-time histogram). Both are
-// guarded by compile-time-cheap enabled checks; the unlabeled overloads
-// with no observer installed add nothing to the chunk path.
+// name their tracks "worker <i>". Utilization accounting (off by default)
+// times every chunk for the per-worker and per-region aggregates. There is
+// no per-chunk observer callback: the chunk counts live in the utilization
+// snapshot. With tracing and utilization off, the chunk path is the body
+// plus one relaxed load.
 //
 // Error contract: the first exception thrown by any chunk is captured and
 // rethrown on the calling thread after all workers have quiesced; the
@@ -83,10 +84,6 @@ struct UtilizationSnapshot {
 
 class Executor {
  public:
-  /// Called once per executed chunk with its wall time [s].
-  /// Must be thread-safe: chunks run concurrently.
-  using TaskObserver = std::function<void(double seconds)>;
-
   /// `threads` <= 0 resolves to std::thread::hardware_concurrency();
   /// 1 is the serial fallback (no pool threads are created at all).
   explicit Executor(int threads = 0);
@@ -98,15 +95,9 @@ class Executor {
   /// Resolved parallelism (pooled workers + the calling thread).
   [[nodiscard]] int thread_count() const noexcept { return thread_count_; }
 
-  /// Install (or clear, with nullptr) the per-chunk wall-time observer.
-  /// Not thread-safe against a running parallel_for — set it between
-  /// regions.
-  void set_task_observer(TaskObserver observer) { observer_ = std::move(observer); }
-
   /// Turn on utilization accounting: per-worker busy time and chunk
   /// counts, per-region wall/busy/max-busy/first-chunk-wait aggregates.
-  /// Costs two steady_clock reads per chunk (the same pair the task
-  /// observer uses — they share one measurement). Set between regions.
+  /// Costs two clock reads per chunk. Set between regions.
   void enable_utilization(bool on);
 
   /// Copy of everything measured so far. Call between regions (the same
@@ -164,7 +155,7 @@ class Executor {
 
   void run_serial(const char* label, std::size_t n, std::size_t chunk,
                   const std::function<void(std::size_t, std::size_t)>& fn);
-  /// One chunk, wrapped in span/observer/utilization instrumentation.
+  /// One chunk, wrapped in span/utilization instrumentation.
   void run_chunk(const char* label, std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t, std::size_t)>& fn);
   void dispatch(const char* label, std::size_t n, std::size_t chunk,
@@ -174,7 +165,6 @@ class Executor {
 
   int thread_count_ = 1;
   Pool* pool_ = nullptr;  // null when thread_count_ == 1
-  TaskObserver observer_;
 
   // Utilization accounting (coordinator-owned; worker slots are written by
   // their owning thread during a region and read after the join barrier).

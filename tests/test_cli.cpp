@@ -6,6 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/bus.hpp"
 #include "library/liberty_io.hpp"
@@ -41,6 +44,37 @@ TEST(Cli, UsageErrors) {
   for (const std::string period : {"nan", "inf", "0", "-1e-9"}) {
     EXPECT_EQ(run({"--demo", "pipeline", "--period", period}, nullptr, &err), 1);
     EXPECT_NE(err.find("--period '" + period + "'"), std::string::npos) << err;
+  }
+  // Integer flags are bounded before they narrow to int: `--threads
+  // 4294967297` used to wrap to 1 thread. Every probe names input files
+  // that do not exist, so a build without the bounds also exits 1 (at load
+  // time) and no run ever builds an executor with a huge thread count.
+  const std::vector<std::string> missing_inputs = {
+      "--lib", "no-such-dir/x.nlib", "--netlist", "no-such-dir/x.nv",
+      "--spef", "no-such-dir/x.nwspef"};
+  const std::pair<std::string, std::string> rejected[] = {
+      {"--threads", "4294967297"},       {"--threads", "1025"},
+      {"--refine", "4294967296"},        {"--refine", "65"},
+      {"--max-connections", "2147483648"}, {"--max-queued", "2147483648"},
+      {"--analysis-slots", "2147483648"},  {"--max-waiters", "2147483648"},
+      {"--idle-timeout", "2147483648"},    {"--sample-ms", "2147483648"},
+      {"--sample-cap", "4294967297"},      {"--slow-ms", "nan"},
+      {"--slow-ms", "inf"},                {"--slow-ms", "-1"}};
+  for (const auto& [flag, value] : rejected) {
+    std::vector<std::string> args = missing_inputs;
+    args.insert(args.end(), {flag, value});
+    EXPECT_EQ(run(args, nullptr, &err), 1) << flag << ' ' << value;
+    EXPECT_NE(err.find(flag + " '" + value + "'"), std::string::npos) << err;
+  }
+  // The bounds themselves parse; these runs stop at the missing inputs.
+  for (const auto& [flag, value] :
+       {std::pair<std::string, std::string>{"--threads", "1024"},
+        {"--refine", "64"},
+        {"--max-queued", "2147483647"}}) {
+    std::vector<std::string> args = missing_inputs;
+    args.insert(args.end(), {flag, value});
+    EXPECT_EQ(run(args, nullptr, &err), 1) << flag << ' ' << value;
+    EXPECT_EQ(err.find("out of range"), std::string::npos) << err;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/suite.hpp"
 #include "gen/bus.hpp"
 #include "gen/randlogic.hpp"
 #include "noise/analyzer.hpp"
@@ -22,6 +24,7 @@
 #include "obs/resource.hpp"
 #include "obs/tracer.hpp"
 #include "sta/sta.hpp"
+#include "util/executor.hpp"
 #include "util/units.hpp"
 
 namespace nw {
@@ -530,6 +533,132 @@ TEST(TraceEvents, DisabledTracerRecordsNothing) {
   ASSERT_FALSE(obs::trace_enabled());
   { const obs::Span s("should-not-appear"); }
   EXPECT_TRUE(obs::Tracer::events().empty());
+}
+
+/// Busy-waits until the steady clock has advanced by at least `ns`, so a
+/// span around it measures a strictly positive duration.
+void spin_ns(std::int64_t ns) {
+  const auto t0 = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - t0 < std::chrono::nanoseconds(ns)) {
+  }
+}
+
+TEST(SinkSpan, AccumulatesWithEveryConsumerOff) {
+  obs::Tracer::clear();
+  ASSERT_FALSE(obs::trace_enabled());
+  ASSERT_FALSE(obs::profile_enabled());
+  double seconds = 0.0;
+  {
+    const obs::Span s("sink-probe", obs::SpanKind::kPhase, &seconds);
+    spin_ns(20000);
+  }
+  const double first = seconds;
+  EXPECT_GE(first, 20e-6);
+  {
+    const obs::Span s("sink-probe", obs::SpanKind::kPhase, &seconds);
+    spin_ns(20000);
+  }
+  EXPECT_GE(seconds, first + 20e-6);  // added to, never overwritten
+  // Timing is not tracing: neither span left an event behind.
+  EXPECT_TRUE(obs::Tracer::events().empty());
+}
+
+TEST(SinkSpan, TracedEventAndSinkShareOneClockPair) {
+  obs::Tracer::clear();
+  obs::Tracer::enable();
+  double seconds = 0.0;
+  {
+    const obs::Span s("sink-traced", obs::SpanKind::kPhase, &seconds);
+    spin_ns(20000);
+  }
+  obs::Tracer::disable();
+  const std::vector<obs::TraceEvent> events = obs::Tracer::events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "sink-traced");
+  EXPECT_GE(events[0].dur_ns, 20000);
+  EXPECT_EQ(static_cast<double>(events[0].dur_ns) * 1e-9, seconds);
+  obs::Tracer::clear();
+}
+
+TEST(SinkSpan, UntracedSpanWithoutSinkRecordsNothing) {
+  obs::Tracer::clear();
+  ASSERT_FALSE(obs::trace_enabled());
+  {
+    const obs::Span s("no-sink-untraced", obs::SpanKind::kLevel);
+    spin_ns(1000);
+  }
+  EXPECT_TRUE(obs::Tracer::events().empty());
+}
+
+/// The analyzer's timing surface on D5-logic10k: phase gauges come from
+/// the phase spans' sinks, executor_tasks from the utilization snapshot.
+struct Logic10k {
+  lib::Library library = lib::default_library();
+  gen::Generated g = gen::make_rand_logic(library, bench::logic_config(10000));
+  sta::Result timing = sta::run(g.design, g.para, g.sta_options);
+};
+
+noise::Result analyze_logic10k(int threads) {
+  static const Logic10k d;
+  noise::Options o;
+  o.clock_period = d.g.sta_options.clock_period;
+  o.threads = threads;
+  return noise::analyze(d.g.design, d.g.para, d.timing, o);
+}
+
+double gauge(const noise::Result& r, const char* name) {
+  const obs::MetricSample* s = r.metrics.find(name);
+  EXPECT_NE(s, nullptr) << name;
+  return s != nullptr ? s->value : 0.0;
+}
+
+void expect_tasks_match_regions(const noise::Result& r) {
+  std::uint64_t chunks = 0;
+  for (const util::RegionStats& region : r.executor.regions) chunks += region.chunks;
+  EXPECT_GT(chunks, 0u);
+  EXPECT_EQ(r.metrics.find(noise::kMetricExecutorTasks)->count, chunks);
+}
+
+/// Each analyzer phase span and the timing gauge its sink feeds.
+constexpr std::pair<const char*, const char*> kPhaseSpans[] = {
+    {"build-context", noise::kMetricContextSeconds},
+    {"estimate-injected", noise::kMetricEstimateSeconds},
+    {"propagate", noise::kMetricPropagateSeconds},
+    {"check-endpoints", noise::kMetricEndpointsSeconds}};
+
+TEST(AnalyzerTiming, PhaseGaugesArePositiveAndWithinTotal) {
+  const noise::Result r = analyze_logic10k(1);
+  double sum = 0.0;
+  for (const auto& [span_name, metric] : kPhaseSpans) {
+    EXPECT_GT(gauge(r, metric), 0.0) << metric;
+    sum += gauge(r, metric);
+  }
+  EXPECT_LE(sum, gauge(r, noise::kMetricTotalSeconds));
+  EXPECT_FALSE(r.attribution.top_levels.empty());
+  expect_tasks_match_regions(r);
+}
+
+TEST(AnalyzerTiming, TracedPhaseGaugesEqualTheirSpans) {
+  obs::Tracer::clear();
+  obs::Tracer::enable();
+  const noise::Result r = analyze_logic10k(4);
+  obs::Tracer::disable();
+  const std::vector<obs::TraceEvent> events = obs::Tracer::events();
+  obs::Tracer::clear();
+  for (const auto& [span_name, metric] : kPhaseSpans) {
+    double spans_s = 0.0;
+    std::size_t n = 0;
+    for (const obs::TraceEvent& e : events) {
+      if (e.kind != obs::SpanKind::kPhase || e.name != span_name) continue;
+      spans_s += static_cast<double>(e.dur_ns) * 1e-9;
+      ++n;
+    }
+    EXPECT_GE(n, 1u) << span_name;
+    const double g = gauge(r, metric);
+    EXPECT_NEAR(g, spans_s, 1e-9 * g) << metric;
+  }
+  EXPECT_FALSE(r.attribution.top_levels.empty());
+  expect_tasks_match_regions(r);
 }
 
 TEST(TraceEvents, BufferedBytesAccountForRecordedSpans) {

@@ -1,9 +1,9 @@
 #include "tools/cli.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -147,6 +147,9 @@ std::optional<noise::GlitchModel> parse_model(std::string_view s) {
   return std::nullopt;
 }
 
+/// Bound of the daemon/sampling integer flags (stored as int).
+constexpr unsigned long kIntMax = std::numeric_limits<int>::max();
+
 std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& err) {
   Args a;
   std::size_t start = 0;
@@ -176,6 +179,19 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
         return std::nullopt;
       }
       return argv[++i];
+    };
+    // An unsigned flag value bounded to [0, max]: checked before narrowing,
+    // so an oversized value fails naming its flag instead of wrapping.
+    auto need_uint = [&](unsigned long max) -> std::optional<int> {
+      const auto v = need_value();
+      if (!v) return std::nullopt;
+      const unsigned long n = nw::parse_uint(*v);
+      if (n > max) {
+        err << "noisewin: " << arg << " '" << *v << "' is out of range (max " << max
+            << ")\n";
+        return std::nullopt;
+      }
+      return static_cast<int>(n);
     };
     if (arg == "--lib") {
       const auto v = need_value();
@@ -230,13 +246,13 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
         return std::nullopt;
       }
     } else if (arg == "--refine") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      a.noise_opt.refine_iterations = static_cast<int>(nw::parse_uint(*v));
+      const auto n = need_uint(noise::kMaxRefineIterations);
+      if (!n) return std::nullopt;
+      a.noise_opt.refine_iterations = *n;
     } else if (arg == "--threads") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      a.noise_opt.threads = static_cast<int>(nw::parse_uint(*v));
+      const auto n = need_uint(noise::kMaxThreads);
+      if (!n) return std::nullopt;
+      a.noise_opt.threads = *n;
     } else if (arg == "--stats") {
       a.stats = true;
     } else if (arg == "--mem-report") {
@@ -262,48 +278,54 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
     } else if (arg == "--profile-hz") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.profile_hz = static_cast<int>(nw::parse_uint(*v));
-      if (a.profile_hz > obs::Profiler::kMaxHz) {
-        err << "noisewin: --profile-hz " << a.profile_hz << " too high (max "
+      const unsigned long hz = nw::parse_uint(*v);
+      if (hz > static_cast<unsigned long>(obs::Profiler::kMaxHz)) {
+        err << "noisewin: --profile-hz " << *v << " too high (max "
             << obs::Profiler::kMaxHz << ")\n";
         return std::nullopt;
       }
+      a.profile_hz = static_cast<int>(hz);
     } else if (arg == "--slow-ms") {
       const auto v = need_value();
       if (!v) return std::nullopt;
       a.slow_ms = nw::parse_double(*v);
+      if (!std::isfinite(a.slow_ms) || a.slow_ms < 0.0) {
+        err << "noisewin: --slow-ms '" << *v
+            << "' is not a non-negative finite number of milliseconds\n";
+        return std::nullopt;
+      }
     } else if (arg == "--listen") {
       const auto v = need_value();
       if (!v) return std::nullopt;
       a.listen = *v;
     } else if (arg == "--max-connections") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      a.max_connections = static_cast<int>(nw::parse_uint(*v));
+      const auto n = need_uint(kIntMax);
+      if (!n) return std::nullopt;
+      a.max_connections = *n;
     } else if (arg == "--max-queued") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      a.max_queued = static_cast<int>(nw::parse_uint(*v));
+      const auto n = need_uint(kIntMax);
+      if (!n) return std::nullopt;
+      a.max_queued = *n;
     } else if (arg == "--analysis-slots") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      a.analysis_slots = static_cast<int>(nw::parse_uint(*v));
+      const auto n = need_uint(kIntMax);
+      if (!n) return std::nullopt;
+      a.analysis_slots = *n;
     } else if (arg == "--max-waiters") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      a.max_waiters = static_cast<int>(nw::parse_uint(*v));
+      const auto n = need_uint(kIntMax);
+      if (!n) return std::nullopt;
+      a.max_waiters = *n;
     } else if (arg == "--idle-timeout") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      a.idle_timeout_s = static_cast<int>(nw::parse_uint(*v));
+      const auto n = need_uint(kIntMax);
+      if (!n) return std::nullopt;
+      a.idle_timeout_s = *n;
     } else if (arg == "--sample-ms") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      a.sample_ms = static_cast<int>(nw::parse_uint(*v));
+      const auto n = need_uint(kIntMax);
+      if (!n) return std::nullopt;
+      a.sample_ms = *n;
     } else if (arg == "--sample-cap") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      a.sample_cap = static_cast<int>(nw::parse_uint(*v));
+      const auto n = need_uint(kIntMax);
+      if (!n) return std::nullopt;
+      a.sample_cap = *n;
       if (a.sample_cap < 1) {
         err << "noisewin: --sample-cap must be at least 1\n";
         return std::nullopt;
@@ -418,17 +440,6 @@ void write_profile(const Args& a) {
 
 /// A wall-time gauge appended to an exported snapshot copy (render times
 /// measured outside the analyzer's own registry, e.g. html_report_ms).
-obs::MetricSample timing_sample(const char* name, const char* help, double ms) {
-  obs::MetricSample s;
-  s.name = name;
-  s.help = help;
-  s.unit = "ms";
-  s.kind = obs::MetricSample::Kind::kGauge;
-  s.deterministic = false;
-  s.value = ms;
-  return s;
-}
-
 /// The --progress stderr meter: one line, rewritten in place per
 /// checkpoint; finish() terminates it so later diagnostics start clean.
 class StderrProgress final : public noise::ProgressSink {
@@ -778,32 +789,26 @@ int run_cli(std::span<const std::string> args, std::istream& in, std::ostream& o
     // The explain command renders the net's provenance instead of the full
     // report; timed so the stats snapshot can carry explain_ms.
     std::string explain_text;
-    double explain_ms = 0.0;
+    double explain_s = 0.0;
     if (a.command == "explain") {
       const std::optional<NetId> net = design->find_net(a.explain_net);
       if (!net) throw std::runtime_error("unknown net '" + a.explain_net + "'");
-      const auto t0 = std::chrono::steady_clock::now();
+      const obs::Span span("explain", obs::SpanKind::kPhase, &explain_s);
       explain_text = noise::explain_string(*design, a.noise_opt, result, *net);
-      explain_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
     }
 
     // The dashboard renders before the stats-json write so its wall time
     // (html_report_ms) lands in the exported snapshot.
     std::string html;
-    double html_ms = 0.0;
+    double html_s = 0.0;
     if (!a.html_path.empty()) {
-      const auto t0 = std::chrono::steady_clock::now();
+      const obs::Span span("html-report", obs::SpanKind::kPhase, &html_s);
       std::ostringstream hs;
       noise::HtmlReportOptions hopt;
       if (!a.profile_path.empty()) hopt.profile = obs::Profiler::snapshot();
       if (a.sample_ms > 0) hopt.timeseries = live_ring.snapshot();
       noise::write_html_report(hs, *design, a.noise_opt, result, hopt);
       html = hs.str();
-      html_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
     }
 
     if (!a.trace_path.empty()) {
@@ -818,12 +823,12 @@ int run_cli(std::span<const std::string> args, std::istream& in, std::ostream& o
       std::ofstream sf = open_output(a.stats_json_path, "--stats-json");
       obs::MetricsSnapshot snap = result.metrics;
       if (!a.html_path.empty()) {
-        snap.samples.push_back(
-            timing_sample("html_report_ms", "HTML dashboard render time", html_ms));
+        snap.samples.push_back(obs::wall_ms_sample(
+            "html_report_ms", "HTML dashboard render time", html_s * 1e3));
       }
       if (a.command == "explain") {
-        snap.samples.push_back(
-            timing_sample("explain_ms", "provenance rendering time", explain_ms));
+        snap.samples.push_back(obs::wall_ms_sample(
+            "explain_ms", "provenance rendering time", explain_s * 1e3));
       }
       std::vector<std::pair<std::string, std::string>> extra = {
           {"executor", noise::executor_stats_json(result)}};

@@ -24,7 +24,10 @@ back at zero, and balanced (allocs == frees).
 Server-mode artifacts additionally need the request track: request spans
 on the "server" thread enclosing analyzer phase spans, per-command latency
 histograms, and the slow log. Bench run records need the "bench" section
-(git SHA, timestamp, build type, peak RSS). --profile validates a
+(git SHA, timestamp, build type, peak RSS). --stats also checks the
+analyzer's timing bookkeeping: phase times non-negative and summing to at
+most total_seconds, and executor_tasks equal to the executor regions'
+summed chunks. --profile validates a
 collapsed-stack ("folded") sampling profile: well-formed `stack count`
 lines, sorted, with samples in every analyzer phase. Exits non-zero with a
 message on the first failure — schema violations gate CI; perf comparison
@@ -45,6 +48,8 @@ REQUIRED_META = ["schema_version", "design", "mode", "model", "options_digest",
 REQUIRED_BENCH = ["record_version", "git_sha", "git_describe", "build_type",
                   "timestamp_utc", "unix_time", "peak_rss_bytes"]
 PHASES = ["estimate-injected", "propagate", "check-endpoints"]
+PHASE_SECONDS = ["phase_context_seconds", "phase_estimate_seconds",
+                 "phase_propagate_seconds", "phase_endpoints_seconds"]
 
 
 def fail(msg):
@@ -120,6 +125,27 @@ def check_executor(doc, context):
         for key in ("net", "aggressors", "peak"):
             if key not in n:
                 fail(f"{context}: attribution net entry missing '{key}'")
+
+
+def check_analysis_timing(doc, context):
+    """An analyzer stats record's own bookkeeping: the phase gauges are
+    non-negative and fit inside total_seconds (every phase span runs inside
+    the analysis), and executor_tasks is the sum of the executor section's
+    region chunk counts (finish() derives it from them)."""
+    timing = doc["timing"]
+    for name in PHASE_SECONDS + ["total_seconds"]:
+        if not isinstance(timing.get(name), (int, float)):
+            fail(f"{context}: timing missing '{name}'")
+    phases = [timing[name] for name in PHASE_SECONDS]
+    if min(phases) < 0:
+        fail(f"{context}: negative phase time: {dict(zip(PHASE_SECONDS, phases))}")
+    if sum(phases) > timing["total_seconds"] + 1e-6:
+        fail(f"{context}: phase times sum to {sum(phases)} s, more than "
+             f"total_seconds {timing['total_seconds']}")
+    chunks = sum(r["chunks"] for r in doc["executor"]["regions"].values())
+    if doc["counters"]["executor_tasks"] != chunks:
+        fail(f"{context}: executor_tasks {doc['counters']['executor_tasks']} "
+             f"!= summed executor region chunks {chunks}")
 
 
 def check_memory(doc, context, min_nonzero=0):
@@ -335,6 +361,7 @@ def validate_stats(path, server=False):
                        min_nonzero=0 if server else 6)
     if not server:
         check_analysis_accounts(mem, "stats")
+        check_analysis_timing(doc, "stats")
 
     resources = doc["resources"]
     if not any(isinstance(v, (int, float)) and v > 0 for v in resources.values()):
