@@ -133,8 +133,8 @@ PinId Design::add_output_port(std::string_view port_name, NetId net, double load
   return pid;
 }
 
-std::string Design::set_instance_cell(InstId inst, const std::string& cell_name) {
-  Instance& instance = insts_.at(inst.index());
+std::size_t Design::swappable_cell(InstId inst, const std::string& cell_name) const {
+  const Instance& instance = insts_.at(inst.index());
   const lib::Cell& old_cell = lib_->cell(instance.cell);
   const auto new_idx = lib_->find(cell_name);
   if (!new_idx) {
@@ -155,8 +155,15 @@ std::string Design::set_instance_cell(InstId inst, const std::string& cell_name)
     if (new_cell.pins[i].dir != old_cell.pins[i].dir) mismatch("pin directions differ");
     if (new_cell.pins[i].role != old_cell.pins[i].role) mismatch("pin roles differ");
   }
-  instance.cell = *new_idx;
-  return old_cell.name;
+  return *new_idx;
+}
+
+std::string Design::set_instance_cell(InstId inst, const std::string& cell_name) {
+  const std::size_t new_idx = swappable_cell(inst, cell_name);
+  Instance& instance = insts_[inst.index()];
+  std::string old_name = lib_->cell(instance.cell).name;
+  instance.cell = new_idx;
+  return old_name;
 }
 
 std::optional<NetId> Design::find_net(std::string_view net_name) const {

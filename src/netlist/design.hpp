@@ -91,6 +91,12 @@ class Design {
   /// footprint mismatch.
   std::string set_instance_cell(InstId inst, const std::string& cell_name);
 
+  /// The library index of `cell_name` when set_instance_cell(inst,
+  /// cell_name) would accept it; throws the same std::invalid_argument
+  /// otherwise. Mutates nothing, so a caller can validate a swap before
+  /// paying for a copy of the design.
+  [[nodiscard]] std::size_t swappable_cell(InstId inst, const std::string& cell_name) const;
+
   // ---- access -------------------------------------------------------------
 
   [[nodiscard]] std::size_t net_count() const noexcept { return nets_.size(); }

@@ -82,12 +82,24 @@ struct EndpointOutcome {
   std::optional<Provenance> provenance;  ///< engaged iff `violation` is
 };
 
+/// What an incremental run recomputes (see analyze_incremental); the rest
+/// it copies from the previous result.
+struct Reach {
+  std::vector<char> estimate;  ///< per net: victim re-estimated
+  std::vector<char> net;       ///< per net: re-estimated or in their fanout cone
+  /// Slab positions whose output nets are re-finalized, ascending (so
+  /// level-major): a driver of a re-estimated net, or a combinational
+  /// instance reading a cone net.
+  std::vector<std::uint32_t> positions;
+  std::vector<char> changed;   ///< per net: in the changed set
+};
+
 /// The staged pipeline: one analysis over a fixed design/parasitics/timing.
 /// Full and incremental runs share every stage — estimate_injected,
-/// propagate, check_endpoints — and differ only in which victims the
-/// estimation stage recomputes. All stages run on the shared executor and
-/// write to pre-sized per-index slots, so output is bit-identical across
-/// thread counts.
+/// propagate, check_endpoints; an incremental run limits each to its Reach
+/// and copies everything else from the previous result. All stages run on
+/// the shared executor and write to pre-sized per-index slots, so output is
+/// bit-identical across thread counts.
 class Pipeline {
  public:
   Pipeline(const net::Design& design, const para::Parasitics& para,
@@ -132,7 +144,7 @@ class Pipeline {
       }
       iteration_ = iter + 1;
       reset(res);
-      estimate_injected(res, /*dirty=*/nullptr, /*previous=*/nullptr);
+      estimate_injected(res);
       propagate(res);
       check_endpoints(res);
       res.iteration_violations.push_back(res.violations.size());
@@ -157,23 +169,49 @@ class Pipeline {
           std::to_string(previous.nets.size()) + " nets but the design has " +
           std::to_string(design_.net_count()));
     }
+    if (previous.noisy.size() != design_.net_count() ||
+        previous.endpoint_slacks.size() != ctx_.endpoints.size() + output_endpoints()) {
+      throw std::invalid_argument(
+          "analyze_incremental: previous result does not cover this design's endpoints");
+    }
     // Victims to re-estimate: the changed nets and everything coupled to
     // them (their injected noise depends on the changed net's parasitics,
     // timing, or drive). dirty_closure validates every changed id.
-    std::vector<char> dirty(design_.net_count(), 0);
+    Reach reach;
+    reach.estimate.assign(design_.net_count(), 0);
     try {
       for (const NetId n : ctx_.dirty_closure(para_, changed_nets)) {
-        dirty[n.index()] = 1;
+        reach.estimate[n.index()] = 1;
       }
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument(std::string("analyze_incremental: ") + e.what());
     }
+    reach.changed.assign(design_.net_count(), 0);
+    for (const NetId n : changed_nets) reach.changed[n.index()] = 1;
+    // The fanout cone, in one pass: a level reads only nets that earlier
+    // levels (or ports) finalize. A sequential cell does not propagate D.
+    reach.net = reach.estimate;
+    for (std::uint32_t pos = 0; pos < ctx_.slab_cell.size(); ++pos) {
+      const auto outs = std::span(ctx_.out_net).subspan(
+          ctx_.out_offsets[pos], ctx_.out_offsets[pos + 1] - ctx_.out_offsets[pos]);
+      const auto ins = std::span(ctx_.in_net).subspan(
+          ctx_.in_offsets[pos], ctx_.in_offsets[pos + 1] - ctx_.in_offsets[pos]);
+      const auto in_reach = [&](NetId n) { return reach.net[n.index()] != 0; };
+      const bool hit = std::any_of(outs.begin(), outs.end(),
+                                   [&](NetId n) { return reach.estimate[n.index()] != 0; }) ||
+                       (!ctx_.slab_seq[pos] && std::any_of(ins.begin(), ins.end(), in_reach));
+      if (!hit) continue;
+      reach.positions.push_back(pos);
+      for (const NetId n : outs) reach.net[n.index()] = 1;
+    }
+    previous_ = &previous;
+    reach_ = &reach;
 
     Result res;
     std::optional<obs::Span> span;
     if (obs::spans_active()) span.emplace("iteration 1", obs::SpanKind::kIteration);
     reset(res);
-    estimate_injected(res, &dirty, &previous);
+    estimate_injected(res);
     propagate(res);
     check_endpoints(res);
     res.iteration_violations.push_back(res.violations.size());
@@ -308,9 +346,13 @@ class Pipeline {
   [[nodiscard]] WorkAttribution build_attribution(const Result& res) const {
     constexpr std::size_t kTopK = 5;
     WorkAttribution attr;
+    // Both rankings are total orders (ties fall to the index), so sorting
+    // only the top K yields exactly the head of a full sort.
     std::vector<std::size_t> order(level_walls_.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const auto top_levels = order.begin() + std::min(kTopK, order.size());
+    std::partial_sort(order.begin(), top_levels, order.end(),
+                      [&](std::size_t a, std::size_t b) {
       return level_walls_[a] != level_walls_[b] ? level_walls_[a] > level_walls_[b]
                                                 : a < b;
     });
@@ -322,7 +364,8 @@ class Pipeline {
     }
     std::vector<std::size_t> nets(res.nets.size());
     for (std::size_t i = 0; i < nets.size(); ++i) nets[i] = i;
-    std::sort(nets.begin(), nets.end(), [&](std::size_t a, std::size_t b) {
+    const auto top_nets = nets.begin() + std::min(kTopK, nets.size());
+    std::partial_sort(nets.begin(), top_nets, nets.end(), [&](std::size_t a, std::size_t b) {
       const std::size_t ca = res.nets[a].aggressor_count;
       const std::size_t cb = res.nets[b].aggressor_count;
       return ca != cb ? ca > cb : a < b;
@@ -342,6 +385,7 @@ class Pipeline {
     res.provenance.clear();
     res.endpoint_slacks.clear();
     res.endpoints_checked = 0;
+    res.noisy.assign(design_.net_count(), 0);
     res.noisy_nets = 0;
     res.aggressors_considered = 0;
     res.aggressors_filtered_temporal = 0;
@@ -349,9 +393,12 @@ class Pipeline {
 
   // ---- stage 1: injected glitch estimation, parallel over victims ----------
   // Shared-nothing: victim vi touches only res.nets[vi] and its slot in the
-  // per-victim counter array; counters fold serially afterwards.
-  void estimate_injected(Result& res, const std::vector<char>* dirty,
-                         const Result* previous) {
+  // per-victim counter array; counters fold serially afterwards. An
+  // incremental run estimates only its re-estimated victims; the rest of
+  // its cone keeps the previous injected contributions (propagated ones are
+  // rebuilt by propagate), and a net outside the cone is copied whole.
+  void estimate_injected(Result& res) {
+    const std::vector<char>* dirty = reach_ != nullptr ? &reach_->estimate : nullptr;
     obs::Span span("estimate-injected", obs::SpanKind::kPhase, &times_.estimate);
     const std::size_t n = design_.net_count();
     std::size_t estimated = 0;
@@ -377,17 +424,19 @@ class Pipeline {
         for (std::size_t vi = base + begin; vi < base + end; ++vi) {
           if (dirty == nullptr || (*dirty)[vi]) {
             estimate_for_victim(res.nets[vi], vi);
+          } else if (!reach_->net[vi]) {
+            res.nets[vi] = previous_->nets[vi];
           } else {
-            // Reuse the previous injected contributions (propagated ones are
-            // rebuilt below); aggressor bookkeeping is restored with them.
-            for (const auto& c : previous->nets[vi].contributions) {
+            // Reuse the previous injected contributions; aggressor
+            // bookkeeping is restored with them.
+            for (const auto& c : previous_->nets[vi].contributions) {
               if (c.is_propagated()) continue;
               Contribution copy = c;
               copy.in_worst = false;
               res.nets[vi].contributions.push_back(std::move(copy));
             }
-            res.nets[vi].aggressor_count = previous->nets[vi].aggressor_count;
-            res.nets[vi].filtered_temporal = previous->nets[vi].filtered_temporal;
+            res.nets[vi].aggressor_count = previous_->nets[vi].aggressor_count;
+            res.nets[vi].filtered_temporal = previous_->nets[vi].filtered_temporal;
           }
         }
       });
@@ -632,22 +681,40 @@ class Pipeline {
 
   void propagate(Result& res) {
     obs::Span span("propagate", obs::SpanKind::kPhase, &times_.propagate);
-    const std::size_t total = ctx_.port_nets.size() + ctx_.slab_cell.size();
+    // Port-driven nets first: every gate may read them. An incremental run
+    // re-finalizes only re-estimated ones (nothing else reaches a port net).
+    std::vector<NetId> port_nets(ctx_.port_nets.begin(), ctx_.port_nets.end());
+    if (reach_ != nullptr) {
+      std::erase_if(port_nets, [&](NetId n) { return !reach_->estimate[n.index()]; });
+    }
+    const std::size_t total = port_nets.size() + (reach_ != nullptr
+                                                      ? reach_->positions.size()
+                                                      : ctx_.slab_cell.size());
     begin_phase("propagate", total);
-    // Port-driven nets first: every gate may read them.
-    exec_.parallel_for("propagate-ports", ctx_.port_nets.size(), kPropagateChunk,
+    exec_.parallel_for("propagate-ports", port_nets.size(), kPropagateChunk,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t i = begin; i < end; ++i) {
-                           finalize_net(res, ctx_.port_nets[i]);
+                           finalize_net(res, port_nets[i]);
                          }
                        });
-    std::size_t done = ctx_.port_nets.size();
+    std::size_t done = port_nets.size();
     checkpoint("propagate", done, total);
     // Level 0 (sequential outputs), then each combinational level: a level
     // only reads nets finalized by earlier levels. Each level boundary is
     // a progress checkpoint — the granularity at which `cancel` lands.
+    std::size_t cursor = 0;  // into reach_->positions
     for (std::size_t li = 0; li < ctx_.level_count(); ++li) {
-      const std::size_t width = ctx_.level_width(li);
+      std::size_t width = ctx_.level_width(li);
+      const std::uint32_t* positions = nullptr;  // this level's, when limited
+      if (reach_ != nullptr) {
+        const std::size_t first = cursor;
+        while (cursor < reach_->positions.size() &&
+               reach_->positions[cursor] < ctx_.level_offsets[li + 1]) {
+          ++cursor;
+        }
+        width = cursor - first;
+        positions = reach_->positions.data() + first;
+      }
       const std::size_t level_base = ctx_.level_offsets[li];
       {
         // Per-level wall attribution (accumulated over refinement passes;
@@ -659,7 +726,9 @@ class Pipeline {
         exec_.parallel_for("propagate-level", width, kPropagateChunk,
                            [&](std::size_t begin, std::size_t end) {
                              for (std::size_t i = begin; i < end; ++i) {
-                               propagate_instance(res, level_base + i);
+                               propagate_instance(res, positions != nullptr
+                                                           ? positions[i]
+                                                           : level_base + i);
                              }
                            });
       }
@@ -669,40 +738,76 @@ class Pipeline {
   }
 
   // ---- stage 3: endpoint checks, parallel over endpoints -------------------
+  // An incremental run re-checks an endpoint whose net is in its cone or
+  // whose cell touches a changed net (a moved clock arrival moves the
+  // sensitivity window; a swapped cell changes its immunity), and copies
+  // every other outcome, and every noisy flag outside the cone, from the
+  // previous result.
   void check_endpoints(Result& res) {
     obs::Span span("check-endpoints", obs::SpanKind::kPhase, &times_.endpoints);
     // Sequential data pins: immunity + (mode 3) sensitivity-window overlap.
+    std::vector<std::uint32_t> todo;  // endpoints to check, ascending
+    for (std::uint32_t ei = 0; ei < ctx_.endpoints.size(); ++ei) {
+      if (reach_ == nullptr || rechecks(ctx_.endpoints[ei])) todo.push_back(ei);
+    }
     // Batched like the estimate stage (batch % chunk == 0) so progress
-    // checkpoints never perturb the chunk decomposition; fold order is
-    // batch-major index order, i.e. plain endpoint order.
-    const std::size_t n_ep = ctx_.endpoints.size();
+    // checkpoints never perturb the chunk decomposition; outcomes land in
+    // endpoint-indexed slots and fold in plain endpoint order.
+    const std::size_t n_todo = todo.size();
     const std::size_t ep_batch =
-        progress_ != nullptr ? kEndpointBatch : std::max<std::size_t>(n_ep, 1);
-    begin_phase("check-endpoints", n_ep);
-    for (std::size_t base = 0; base < n_ep; base += ep_batch) {
-      const std::size_t limit = std::min(n_ep, base + ep_batch);
-      exec_.map_reduce_ordered<EndpointOutcome>(
-          "check-endpoints", limit - base, kEndpointChunk,
-          [&](std::size_t ei) { return check_sequential(res, base + ei); },
-          [&](std::size_t, EndpointOutcome outcome) {
-            ++res.endpoints_checked;
-            res.endpoint_slacks.push_back(outcome.slack);
-            if (outcome.violation) {
-              res.violations.push_back(*outcome.violation);
-              res.provenance.push_back(std::move(*outcome.provenance));
-            }
-          });
-      checkpoint("check-endpoints", limit, n_ep);
+        progress_ != nullptr ? kEndpointBatch : std::max<std::size_t>(n_todo, 1);
+    std::vector<EndpointOutcome> outcomes(ctx_.endpoints.size());
+    begin_phase("check-endpoints", n_todo);
+    for (std::size_t base = 0; base < n_todo; base += ep_batch) {
+      const std::size_t limit = std::min(n_todo, base + ep_batch);
+      exec_.parallel_for("check-endpoints", limit - base, kEndpointChunk,
+                         [&](std::size_t begin, std::size_t end) {
+                           for (std::size_t i = base + begin; i < base + end; ++i) {
+                             outcomes[todo[i]] = check_sequential(res, todo[i]);
+                           }
+                         });
+      checkpoint("check-endpoints", limit, n_todo);
+    }
+    std::size_t prev_violation = 0;  // cursor into previous_->violations
+    const auto keep = [&](PinId endpoint, std::size_t slot, bool checked,
+                          EndpointOutcome outcome) {
+      const bool had = previous_ != nullptr &&
+                       prev_violation < previous_->violations.size() &&
+                       previous_->violations[prev_violation].endpoint == endpoint;
+      if (!checked) {
+        outcome.slack = previous_->endpoint_slacks[slot];
+        if (had) {
+          outcome.violation = previous_->violations[prev_violation];
+          outcome.provenance = previous_->provenance[prev_violation];
+        }
+      }
+      if (had) ++prev_violation;
+      ++res.endpoints_checked;
+      res.endpoint_slacks.push_back(outcome.slack);
+      if (outcome.violation) {
+        res.violations.push_back(*outcome.violation);
+        res.provenance.push_back(std::move(*outcome.provenance));
+      }
+    };
+    for (std::size_t ei = 0, next = 0; ei < ctx_.endpoints.size(); ++ei) {
+      const bool checked = next < n_todo && todo[next] == ei;
+      if (checked) ++next;
+      keep(ctx_.endpoints[ei].pin, ei, checked, std::move(outcomes[ei]));
     }
 
     // Primary outputs: always-sensitive receivers with a flat immunity.
     for (const PinId p : design_.output_ports()) {
       const net::Pin& pp = design_.pin(p);
       if (!pp.net.valid()) continue;
+      const std::size_t slot = res.endpoint_slacks.size();
+      if (reach_ != nullptr && !reach_->net[pp.net.index()]) {
+        keep(p, slot, false, {});
+        continue;
+      }
       const NetNoise& nn = res.nets[pp.net.index()];
-      ++res.endpoints_checked;
       const double threshold = opt_.po_immunity_frac * ctx_.vdd;
-      res.endpoint_slacks.push_back(threshold - nn.total_peak);
+      EndpointOutcome outcome;
+      outcome.slack = threshold - nn.total_peak;
       if (nn.total_peak >= threshold) {
         Violation v;
         v.endpoint = p;
@@ -712,31 +817,53 @@ class Pipeline {
         v.threshold = threshold;
         v.sensitivity = Interval::everything();
         v.temporal = true;
-        res.violations.push_back(v);
-        res.provenance.push_back(build_provenance(res, p, pp.net,
-                                                  Interval::everything(),
-                                                  /*cell=*/nullptr, threshold));
+        outcome.violation = v;
+        outcome.provenance = build_provenance(res, p, pp.net, Interval::everything(),
+                                              /*cell=*/nullptr, threshold);
       }
+      keep(p, slot, true, std::move(outcome));
     }
     // Noisy nets: glitch exceeds the weakest receiver immunity.
     const std::size_t n = design_.net_count();
-    std::vector<char> noisy(n, 0);
+    if (reach_ != nullptr) res.noisy = previous_->noisy;
     exec_.parallel_for("noisy-scan", n, kEndpointChunk,
                        [&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
-        const NetNoise& nn = res.nets[i];
-        if (nn.total_peak < opt_.min_peak) continue;
-        double min_threshold = 1e30;
-        for (const PinId load : design_.net(NetId{i}).loads) {
-          const net::Pin& lp = design_.pin(load);
-          if (lp.kind != net::PinKind::kInstance) continue;
-          min_threshold = std::min(
-              min_threshold, design_.cell_of(lp.inst).immunity.threshold(nn.width));
-        }
-        if (min_threshold < 1e30 && nn.total_peak >= min_threshold) noisy[i] = 1;
+        if (reach_ != nullptr && !reach_->net[i]) continue;
+        res.noisy[i] = is_noisy(res.nets[i], NetId{i}) ? 1 : 0;
       }
     });
-    for (std::size_t i = 0; i < n; ++i) res.noisy_nets += noisy[i];
+    for (std::size_t i = 0; i < n; ++i) res.noisy_nets += res.noisy[i];
+  }
+
+  /// Whether a net's glitch reaches the weakest immunity of its receivers.
+  [[nodiscard]] bool is_noisy(const NetNoise& nn, NetId id) const {
+    if (nn.total_peak < opt_.min_peak) return false;
+    double min_threshold = 1e30;
+    for (const PinId load : design_.net(id).loads) {
+      const net::Pin& lp = design_.pin(load);
+      if (lp.kind != net::PinKind::kInstance) continue;
+      min_threshold =
+          std::min(min_threshold, design_.cell_of(lp.inst).immunity.threshold(nn.width));
+    }
+    return min_threshold < 1e30 && nn.total_peak >= min_threshold;
+  }
+
+  /// Incremental runs: whether a sequential endpoint needs a fresh check.
+  [[nodiscard]] bool rechecks(const EndpointRef& ep) const {
+    if (reach_->net[ep.net.index()]) return true;
+    const net::Instance& inst = design_.instance(ep.inst);
+    return std::any_of(inst.pins.begin(), inst.pins.end(), [&](PinId p) {
+      const NetId n = design_.pin(p).net;
+      return n.valid() && reach_->changed[n.index()];
+    });
+  }
+
+  /// Primary outputs on a net: the endpoints after the sequential ones.
+  [[nodiscard]] std::size_t output_endpoints() const {
+    return static_cast<std::size_t>(
+        std::count_if(design_.output_ports().begin(), design_.output_ports().end(),
+                      [&](PinId p) { return design_.pin(p).net.valid(); }));
   }
 
   [[nodiscard]] EndpointOutcome check_sequential(const Result& res,
@@ -922,6 +1049,9 @@ class Pipeline {
   } times_;
   /// Slabs the stages stream; its window slabs are the refinement state.
   AnalysisContext ctx_;
+  /// Incremental runs only: the result being updated and what to recompute.
+  const Result* previous_ = nullptr;
+  const Reach* reach_ = nullptr;
   /// Per-level propagate wall time [s], summed over refinement passes —
   /// the input of the top-levels work attribution.
   std::vector<double> level_walls_;
@@ -1001,6 +1131,7 @@ std::size_t memory_bytes(const Result& r) noexcept {
     bytes += p.path.capacity() * sizeof(ProvenanceStep);
   }
   bytes += r.endpoint_slacks.capacity() * sizeof(double);
+  bytes += r.noisy.capacity();
   bytes += r.iteration_violations.capacity() * sizeof(std::size_t);
   bytes += r.metrics.samples.capacity() * sizeof(obs::MetricSample);
   return bytes;

@@ -224,7 +224,9 @@ struct Result {
   /// Parallel to `violations`: provenance[i] explains violations[i].
   std::vector<Provenance> provenance;
   std::size_t endpoints_checked = 0;
-  std::size_t noisy_nets = 0;        ///< nets whose glitch exceeds receiver immunity
+  /// Per net: 1 when its glitch exceeds the weakest receiver immunity.
+  std::vector<std::uint8_t> noisy;
+  std::size_t noisy_nets = 0;        ///< nets flagged in `noisy`
   std::size_t aggressors_considered = 0;
   std::size_t aggressors_filtered_temporal = 0;  ///< dropped: empty/never-overlapping window
   int iterations = 1;
@@ -287,14 +289,18 @@ struct Result {
 /// `changed_nets` (coupling edits, resized drivers, re-timed inputs):
 /// injected glitches are re-estimated only for victims coupled to a
 /// changed net (plus the changed nets themselves); unaffected victims
-/// reuse `previous`'s estimates. Propagation and endpoint checks always
-/// re-run — they are cheap next to glitch estimation (dominant under
-/// kReducedMna/kMnaExact). The result is identical to a full analyze()
-/// provided `changed_nets` covers every net whose parasitics or timing
-/// changed. `options.refine_iterations` is ignored (single pass).
+/// reuse `previous`'s estimates. Propagation is limited to the fanout cone
+/// of the re-estimated nets, and the endpoint check to endpoints on a cone
+/// net or on a cell touching a changed net (whose clock arrival, and so
+/// sensitivity window, may have moved); every other net, endpoint outcome
+/// and noisy flag is copied from `previous`. The result is identical to a
+/// full analyze() provided `changed_nets` covers every net whose
+/// parasitics, cells or timing changed and `previous` was computed under
+/// the same options. `options.refine_iterations` is ignored (single pass).
 /// Throws std::invalid_argument (naming the offending id and the valid
 /// range) when a changed net lies outside the design, or when `previous`
-/// does not cover this design's nets — never indexes out of bounds.
+/// does not cover this design's nets and endpoints — never indexes out of
+/// bounds.
 [[nodiscard]] Result analyze_incremental(const net::Design& design,
                                          const para::Parasitics& para,
                                          const sta::Result& sta_result,

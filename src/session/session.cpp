@@ -37,6 +37,8 @@ std::optional<noise::AnalysisMode> parse_mode(const std::string& s) {
   return std::nullopt;
 }
 
+bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
+
 std::optional<noise::GlitchModel> parse_model(const std::string& s) {
   if (s == "charge-sharing") return noise::GlitchModel::kChargeSharing;
   if (s == "devgan") return noise::GlitchModel::kDevgan;
@@ -211,7 +213,9 @@ void Session::set_driver_cell(const std::string& inst, const std::string& cell) 
     const net::Pin& p = design().pin(pid);
     if (p.net.valid()) touched.push_back(p.net);
   }
-  const std::string old_cell = mut_design().set_instance_cell(id, cell);  // validates
+  // Validate before mut_design(): a rejected swap must not copy a shared base.
+  (void)design().swappable_cell(id, cell);
+  const std::string old_cell = mut_design().set_instance_cell(id, cell);
   UndoEntry e;
   e.what = "set_driver_cell " + inst + " " + cell;
   e.restore = [this, id, old_cell] { mut_design().set_instance_cell(id, old_cell); };
@@ -222,8 +226,9 @@ void Session::set_driver_cell(const std::string& inst, const std::string& cell) 
 void Session::scale_net_parasitics(const std::string& net, double cap_factor,
                                    double res_factor) {
   const NetId id = require_net(net);
-  if (cap_factor <= 0.0 || res_factor <= 0.0) {
-    throw std::invalid_argument("scale_net_parasitics: factors must be positive");
+  if (!positive_finite(cap_factor) || !positive_finite(res_factor)) {
+    throw std::invalid_argument("scale_net_parasitics: factors for '" + net +
+                                "' must be positive and finite");
   }
   para::RcNet saved = parasitics().net(id);  // capture before mutating (bit-exact undo)
   mut_para().net(id).scale(cap_factor, res_factor);
@@ -242,14 +247,24 @@ void Session::set_coupling_cap(const std::string& net_a, const std::string& net_
     throw std::invalid_argument("set_coupling_cap: '" + net_a +
                                 "' cannot couple to itself");
   }
-  if (cap <= 0.0) {
-    throw std::invalid_argument("set_coupling_cap: capacitance must be positive");
-  }
+  const auto reject = [&] {
+    throw std::invalid_argument("set_coupling_cap: capacitance between '" + net_a +
+                                "' and '" + net_b + "' must be positive and finite");
+  };
+  if (!positive_finite(cap)) reject();
   std::vector<std::pair<std::size_t, double>> existing;  // (index, old value)
   for (const std::size_t ci : parasitics().couplings_of(a)) {
     if (parasitics().coupling(ci).other_net(a) == b) {
       existing.emplace_back(ci, parasitics().coupling(ci).c);
     }
+  }
+  // Every new value is checked before mut_para(): a rejected edit neither
+  // copies a shared base nor leaves some caps of the pair rescaled.
+  double sum = 0.0;
+  for (const auto& [ci, v] : existing) sum += v;
+  const double factor = existing.empty() ? 1.0 : cap / sum;
+  for (const auto& [ci, v] : existing) {
+    if (!positive_finite(v * factor)) reject();
   }
   UndoEntry e;
   e.what = "set_coupling_cap " + net_a + " " + net_b;
@@ -257,9 +272,6 @@ void Session::set_coupling_cap(const std::string& net_a, const std::string& net_
     mut_para().add_coupling(a, 0, b, 0, cap);  // between driver roots
     e.restore = [this] { mut_para().pop_coupling(); };  // LIFO undo: still the last cap
   } else {
-    double sum = 0.0;
-    for (const auto& [ci, v] : existing) sum += v;
-    const double factor = cap / sum;
     for (const auto& [ci, v] : existing) mut_para().set_coupling_value(ci, v * factor);
     e.restore = [this, existing] {
       for (const auto& [ci, v] : existing) mut_para().set_coupling_value(ci, v);
@@ -296,8 +308,8 @@ void Session::set_arrival_window(const std::string& port, Interval window) {
       cfg_.sta.input_arrivals.erase(port);
     }
   };
-  // No nets are marked dirty directly: the next query's STA diff finds
-  // every net whose timing the re-timed input actually moved.
+  // No nets are marked dirty: the next query's incremental STA re-seeds
+  // every input port and returns each net the re-timed one moved.
   commit_edit(std::move(e), /*bump_epoch=*/true);
 }
 
@@ -389,20 +401,6 @@ bool Session::undo() {
 
 // ---- analysis -------------------------------------------------------------
 
-std::vector<NetId> Session::sta_diff(const sta::Result& a, const sta::Result& b) const {
-  std::vector<NetId> changed;
-  const std::size_t n = std::min(a.nets.size(), b.nets.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const sta::NetTiming& ta = a.nets[i];
-    const sta::NetTiming& tb = b.nets[i];
-    if (ta.window.lo != tb.window.lo || ta.window.hi != tb.window.hi ||
-        ta.slew_min != tb.slew_min || ta.slew_max != tb.slew_max) {
-      changed.push_back(NetId{i});
-    }
-  }
-  return changed;
-}
-
 const Session::CacheEntry* Session::cache_find(const std::string& key) const {
   for (const CacheEntry& e : cache_) {
     if (e.key == key) return &e;
@@ -411,12 +409,8 @@ const Session::CacheEntry* Session::cache_find(const std::string& key) const {
 }
 
 void Session::cache_insert(CacheEntry entry) {
-  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-    if (it->key == entry.key) {
-      cache_.erase(it);
-      break;
-    }
-  }
+  // Cached results are immutable, so an entry's bytes are summed once here.
+  entry.bytes = entry_bytes(entry);
   cache_.push_back(std::move(entry));
   while (cache_.size() > cfg_.cache_capacity) cache_.erase(cache_.begin());
   update_memory_accounts();
@@ -471,32 +465,40 @@ void Session::ensure_current() {
   const std::string& key = sk.key;
   if (base_result_ && base_key_ == key) return;
 
-  if (const CacheEntry* hit = cache_find(key)) {
+  const auto hit = std::find_if(cache_.begin(), cache_.end(),
+                                [&](const CacheEntry& e) { return e.key == key; });
+  if (hit != cache_.end()) {
     cache_hits_.add();
     base_result_ = hit->result;
     base_sta_ = hit->sta;
     base_key_ = key;
     base_digest_ = digest;
     pending_dirty_.clear();
-    // Refresh LRU order.
-    cache_insert(CacheEntry{key, base_result_, base_sta_});
+    // Refresh LRU order; the entry keeps its byte figure.
+    std::rotate(hit, hit + 1, cache_.end());
     return;
   }
   cache_misses_.add();
 
+  // STA: incremental from the last analyzed state's timing, which the
+  // pending edits lead from; it returns the nets whose timing moved.
   cfg_.sta.clock_period = cfg_.noise.clock_period;
-  auto sta_now =
-      std::make_shared<const sta::Result>(sta::run(design(), parasitics(), cfg_.sta));
+  std::shared_ptr<const sta::Result> sta_now;
+  std::vector<NetId> changed = pending_dirty_;
+  if (base_sta_) {
+    sta::Update up =
+        sta::run_incremental(design(), parasitics(), cfg_.sta, *base_sta_, pending_dirty_);
+    sta_now = std::make_shared<const sta::Result>(std::move(up.result));
+    changed.insert(changed.end(), up.changed_nets.begin(), up.changed_nets.end());
+  } else {
+    sta_now = std::make_shared<const sta::Result>(sta::run(design(), parasitics(), cfg_.sta));
+  }
 
   noise::Result r;
   const bool can_incremental = base_result_ != nullptr && base_digest_ == digest &&
                                cfg_.noise.refine_iterations == 0;
   if (can_incremental) {
-    std::vector<NetId> changed = pending_dirty_;
-    const std::vector<NetId> timing_changed = sta_diff(*base_sta_, *sta_now);
-    changed.insert(changed.end(), timing_changed.begin(), timing_changed.end());
-    std::sort(changed.begin(), changed.end(),
-              [](NetId a, NetId b) { return a.value() < b.value(); });
+    std::sort(changed.begin(), changed.end());
     changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
     // A cancelled analysis throws noise::Cancelled here; everything below
     // — counters, base state, cache, dirty set — is only reached when the
@@ -530,12 +532,19 @@ std::size_t Session::cache_bytes() const noexcept {
   // (or with base_result_) are counted once per holder — an upper-bound
   // estimate, cheap and stable.
   std::size_t cache = cache_.capacity() * sizeof(CacheEntry);
-  for (const CacheEntry& e : cache_) {
-    cache += e.key.capacity();
-    if (e.result) cache += noise::memory_bytes(*e.result);
-    if (e.sta) cache += sizeof(sta::Result) + sta::memory_bytes(*e.sta);
-  }
+  for (const CacheEntry& e : cache_) cache += e.bytes;
   return cache;
+}
+
+std::size_t Session::cache_bytes_recount() const noexcept {
+  std::size_t cache = cache_.capacity() * sizeof(CacheEntry);
+  for (const CacheEntry& e : cache_) cache += entry_bytes(e);
+  return cache;
+}
+
+std::size_t Session::entry_bytes(const CacheEntry& e) noexcept {
+  return e.key.capacity() + noise::memory_bytes(*e.result) + sizeof(sta::Result) +
+         sta::memory_bytes(*e.sta);
 }
 
 std::size_t Session::journal_bytes() const noexcept {

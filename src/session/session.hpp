@@ -7,17 +7,23 @@
 // served from memory.
 //
 // Edits accumulate a dirty net set; the next query that needs noise
-// results re-runs STA, diffs per-net timing against the last analyzed
-// state, and feeds the union to analyze_incremental — a full analyze()
-// happens only for the first result or when analysis *options* change
-// (mode/model/constraints/...). Results are bit-identical to a fresh full
-// run of the edited design (tested property).
+// results re-times the design with sta::run_incremental from the last
+// analyzed state's timing — it replays only what the edits reach and
+// returns the nets whose timing moved, so nothing is diffed — and feeds the
+// union of both sets to analyze_incremental, which re-estimates, propagates
+// and checks only their cone. An arrival-window edit marks no net: the
+// incremental STA re-seeds every input port and finds the re-timed one
+// itself. A full analyze() happens only for the first result or when
+// analysis *options* change (mode/model/constraints/...). Results are
+// bit-identical to a fresh full run of the edited design (tested property).
 //
 // State identity: every state-changing edit bumps a monotonically
 // allocated epoch; undo restores the pre-edit epoch along with the exact
 // pre-edit bytes (the journal stores captured state, not recomputed
 // inverses). A bounded LRU cache keyed by options-digest + epoch makes
-// repeated identical queries — including query→edit→undo→query — O(1).
+// repeated identical queries — including query→edit→undo→query — O(1):
+// each entry's bytes are summed once on insert, so neither a hit nor an
+// edit walks the cached results to refresh the memory accounts.
 #pragma once
 
 #include <cstdint>
@@ -154,20 +160,22 @@ class Session {
 
   // ---- ECO edits ----------------------------------------------------------
   // Each edit validates its inputs (throwing std::invalid_argument /
-  // NotFound before any mutation), applies, records a bit-exact restore in
-  // the undo journal, and marks the affected nets dirty. No analysis runs
-  // until the next query.
+  // NotFound before any mutation, and before a session sharing a base
+  // copies it), applies, records a bit-exact restore in the undo journal,
+  // and marks the affected nets dirty. No analysis runs until the next
+  // query.
 
   /// Swap a driver (or any instance) onto a footprint-compatible cell.
   void set_driver_cell(const std::string& inst, const std::string& cell);
 
   /// Scale a net's grounded caps and wire resistances (respacing what-if).
+  /// Both factors must be positive and finite.
   void scale_net_parasitics(const std::string& net, double cap_factor,
                             double res_factor);
 
-  /// Set the total coupling capacitance between two nets [F]. Existing
-  /// caps between the pair are scaled to the new total; if none exist a
-  /// single cap is added between the driver roots.
+  /// Set the total coupling capacitance between two nets [F], positive and
+  /// finite. Existing caps between the pair are scaled to the new total; if
+  /// none exist a single cap is added between the driver roots.
   void set_coupling_cap(const std::string& net_a, const std::string& net_b, double cap);
 
   /// Override an input port's arrival window (re-timed input). Throws
@@ -227,6 +235,10 @@ class Session {
   /// Identity block for the session stats JSON export.
   [[nodiscard]] obs::RunMeta meta() const;
 
+  /// The result-cache footprint recomputed by walking every cached result:
+  /// what the memoized session_cache_bytes gauge must equal.
+  [[nodiscard]] std::size_t cache_bytes_recount() const noexcept;
+
   [[nodiscard]] std::uint64_t full_analyses() const noexcept;
   [[nodiscard]] std::uint64_t incremental_analyses() const noexcept;
   [[nodiscard]] std::uint64_t cache_hits() const noexcept;
@@ -264,6 +276,7 @@ class Session {
     std::string key;
     std::shared_ptr<const noise::Result> result;
     std::shared_ptr<const sta::Result> sta;
+    std::size_t bytes = 0;  ///< retained bytes, set by cache_insert
   };
 
   /// Delegation target of both public ctors: exactly one of (base, own)
@@ -288,10 +301,6 @@ class Session {
   /// Allocate a fresh epoch, record the journal entry, count the edit.
   void commit_edit(UndoEntry entry, bool bump_epoch);
 
-  /// Nets whose STA timing differs between two runs (exact compare).
-  [[nodiscard]] std::vector<NetId> sta_diff(const sta::Result& a,
-                                            const sta::Result& b) const;
-
   /// Re-analyze if the (digest, epoch) key moved; cache-aware.
   void ensure_current();
 
@@ -305,6 +314,8 @@ class Session {
   /// Estimated retained bytes of the result cache / undo journal (the
   /// gauge values and the memory-account charges share these).
   [[nodiscard]] std::size_t cache_bytes() const noexcept;
+  /// Bytes one cache entry retains besides its slot.
+  [[nodiscard]] static std::size_t entry_bytes(const CacheEntry& e) noexcept;
   [[nodiscard]] std::size_t journal_bytes() const noexcept;
 
   /// Delta-charge the global session_cache/undo_journal memory accounts to

@@ -35,9 +35,33 @@
 // instance it changed: the clock chain is deeper than the bound, or a
 // clock loop runs through sequential cells, and a partial result would
 // under-report.
+//
+// Incremental runs (ECO). run_incremental() re-times an edited design from
+// the Result of its pre-edit state, equal field by field to a fresh run().
+// A pin's final value is the hull of every evaluation of its arcs, and an
+// arc's delay is not monotone in its input slews, so re-evaluating the
+// edit's fanout cone from the final inputs would not be exact: a pin that
+// held a partial value in sweep 1 (a flop whose clock buffer ranks later)
+// contributed that partial evaluation to the hull. The incremental run
+// therefore replays sweep 1 itself. It restores the sweep-1 state (the
+// Result keeps, sparsely, the sweep-1 value of every pin that changed in a
+// later sweep), re-seeds the input ports, and re-evaluates in rank order
+// only the instances whose sweep-1 inputs changed: those on an edited net,
+// those reading a re-seeded port, and the fanout of every pin whose sweep-1
+// value moved. Like sweep 1 of run(), a replayed instance reads a driver
+// of higher rank as its initial, unreached value. The sweep-2 seed set,
+// kept by the Result, is patched for the instances whose seeds could
+// change, and sweeps 2 and later run on the same worklist loop as run().
+// Wire-slab entries are computed per net on first read, so a run pays for
+// the nets it touches and a Result keeps no slabs. An arrival-window edit
+// needs no net: re-seeding compares every input port's seed with the
+// base's. The run returns the nets whose NetTiming moved, the set a caller
+// would otherwise diff for.
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,6 +117,12 @@ struct Options {
   bool use_ceff = false;
 };
 
+/// A pin's timing as sweep 1 left it.
+struct SweepOneValue {
+  PinId pin;
+  PinTiming timing;
+};
+
 struct Result {
   std::vector<PinTiming> pins;       ///< indexed by PinId
   std::vector<NetTiming> nets;       ///< indexed by NetId
@@ -105,6 +135,14 @@ struct Result {
   std::vector<InstId> order;
   int passes = 0;                    ///< full-pass fixpoint iterations (see above)
 
+  // What run_incremental() reads of this run (see the header comment).
+  /// Sweep-1 value of every pin that changed in a later sweep.
+  std::vector<SweepOneValue> sweep1;
+  /// Ranks (positions in `order`) of the instances sweep 2 starts from,
+  /// ascending.
+  std::vector<std::uint32_t> sweep2_seeds;
+  std::size_t sweep1_reached = 0;    ///< instance output pins sweep 1 reached
+
   [[nodiscard]] const NetTiming& net(NetId id) const { return nets.at(id.index()); }
   [[nodiscard]] const PinTiming& pin(PinId id) const { return pins.at(id.index()); }
   [[nodiscard]] double worst_slack() const noexcept;
@@ -112,18 +150,32 @@ struct Result {
 
 /// Capacity-based heap bytes a Result owns. Feeds the "sta" memory account
 /// (size-accounting hook) and the session cache's per-slot byte gauge.
-[[nodiscard]] inline std::size_t memory_bytes(const Result& r) noexcept {
-  return r.pins.capacity() * sizeof(PinTiming) +
-         r.nets.capacity() * sizeof(NetTiming) +
-         r.endpoints.capacity() * sizeof(Endpoint) +
-         r.clock_arrivals.capacity() * sizeof(Interval) +
-         r.order.capacity() * sizeof(InstId);
-}
+[[nodiscard]] std::size_t memory_bytes(const Result& r) noexcept;
 
 /// Run STA. Throws std::runtime_error on combinational loops and on
 /// propagation that has not converged after kMaxPasses sweeps, and
 /// std::invalid_argument on inconsistent inputs.
 [[nodiscard]] Result run(const net::Design& design, const para::Parasitics& para,
                          const Options& options = {});
+
+/// An incremental run and the nets whose timing it moved.
+struct Update {
+  Result result;
+  /// Nets whose NetTiming differs bitwise from the base's, ascending.
+  std::vector<NetId> changed_nets;
+};
+
+/// Re-time `design` from `base`, the Result of an earlier state of it (see
+/// the header comment); equal field by field to run(design, para, options).
+/// `edited_nets` must hold every net whose parasitics, driver cell or load
+/// cells changed since `base`; the state must keep base's connectivity and
+/// cell kinds (footprint-compatible swaps), its miller_factor and use_ceff.
+/// Input arrivals and the clock period may differ. Throws like run(), and
+/// std::invalid_argument when `base` does not match the design or an edited
+/// net lies outside it.
+[[nodiscard]] Update run_incremental(const net::Design& design,
+                                     const para::Parasitics& para, const Options& options,
+                                     const Result& base,
+                                     std::span<const NetId> edited_nets);
 
 }  // namespace nw::sta

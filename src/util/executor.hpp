@@ -10,9 +10,8 @@
 // Determinism contract: parallel_for itself guarantees nothing about
 // execution order — callers make parallel results reproducible by writing
 // into pre-sized, index-addressed slots and folding them in index order
-// afterwards (`map_reduce_ordered` packages that pattern). Every stage of
-// noise::analyze follows it, which is what makes analysis output
-// bit-identical across thread counts.
+// afterwards. Every stage of noise::analyze follows it, which is what
+// makes analysis output bit-identical across thread counts.
 //
 // Observability: the labeled overloads emit one obs::Span per executed
 // chunk (category "task") when tracing is enabled, so load imbalance
@@ -119,26 +118,6 @@ class Executor {
   /// `label` when tracing is enabled. `label` must outlive the call.
   void parallel_for(const char* label, std::size_t n, std::size_t chunk,
                     const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// Ordered reduction: `map(i)` runs in parallel into index-addressed
-  /// slots, then `fold(i, slot)` runs serially in index order on the
-  /// calling thread — deterministic regardless of thread count.
-  template <typename T, typename MapFn, typename FoldFn>
-  void map_reduce_ordered(std::size_t n, std::size_t chunk, MapFn&& map,
-                          FoldFn&& fold) {
-    map_reduce_ordered<T>(nullptr, n, chunk, std::forward<MapFn>(map),
-                          std::forward<FoldFn>(fold));
-  }
-
-  template <typename T, typename MapFn, typename FoldFn>
-  void map_reduce_ordered(const char* label, std::size_t n, std::size_t chunk,
-                          MapFn&& map, FoldFn&& fold) {
-    std::vector<T> slots(n);
-    parallel_for(label, n, chunk, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) slots[i] = map(i);
-    });
-    for (std::size_t i = 0; i < n; ++i) fold(i, std::move(slots[i]));
-  }
 
  private:
   struct Pool;  // hides <thread>/<condition_variable> from this header

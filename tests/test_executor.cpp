@@ -114,22 +114,6 @@ TEST(Executor, DistinctExecutorsMayNest) {
   EXPECT_EQ(covered.load(), 12u);
 }
 
-TEST(Executor, MapReduceOrderedIsDeterministic) {
-  std::vector<int> serial;
-  std::vector<int> parallel;
-  const auto run = [](Executor& ex, std::vector<int>& out) {
-    ex.map_reduce_ordered<int>(
-        200, 7, [](std::size_t i) { return static_cast<int>(i * i % 97); },
-        [&](std::size_t, int v) { out.push_back(v); });
-  };
-  Executor ex1(1);
-  Executor ex8(8);
-  run(ex1, serial);
-  run(ex8, parallel);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial.size(), 200u);
-}
-
 // ---------------------------------------------------------------------------
 // Utilization accounting (the stats-JSON v3 "executor" section)
 // ---------------------------------------------------------------------------

@@ -140,6 +140,20 @@ TEST(Incremental, ValidationErrorsNameIdAndRange) {
         << msg;
   }
 
+  // A previous result without this design's endpoints and noisy flags
+  // (hand-built, or from another design) is refused, not indexed.
+  Result partial = full;
+  partial.noisy.clear();
+  EXPECT_THROW((void)analyze_incremental(g.design, g.para, timing, o, partial,
+                                         std::vector<NetId>{}),
+               std::invalid_argument);
+  partial = full;
+  ASSERT_FALSE(partial.endpoint_slacks.empty());
+  partial.endpoint_slacks.pop_back();
+  EXPECT_THROW((void)analyze_incremental(g.design, g.para, timing, o, partial,
+                                         std::vector<NetId>{}),
+               std::invalid_argument);
+
   // Previous-result coverage mismatch names both sizes.
   Result stale = full;
   stale.nets.resize(2);

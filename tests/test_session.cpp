@@ -12,9 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "bench/suite.hpp"
 #include "gen/bus.hpp"
+#include "gen/randlogic.hpp"
 #include "session/session.hpp"
 #include "sta/sta.hpp"
+#include "sta_designs.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace nw::session {
@@ -55,17 +59,40 @@ void expect_bit_identical(const noise::Result& a, const noise::Result& b) {
     }
     ASSERT_EQ(x.contributions.size(), y.contributions.size()) << "net " << i;
     for (std::size_t c = 0; c < x.contributions.size(); ++c) {
-      EXPECT_EQ(x.contributions[c].peak, y.contributions[c].peak);
-      EXPECT_EQ(x.contributions[c].width, y.contributions[c].width);
-      EXPECT_EQ(x.contributions[c].aggressor, y.contributions[c].aggressor);
+      const noise::Contribution& cx = x.contributions[c];
+      const noise::Contribution& cy = y.contributions[c];
+      EXPECT_EQ(cx.peak, cy.peak);
+      EXPECT_EQ(cx.width, cy.width);
+      EXPECT_EQ(cx.aggressor, cy.aggressor);
+      EXPECT_EQ(cx.from_net, cy.from_net);
+      EXPECT_EQ(cx.in_worst, cy.in_worst);
+      EXPECT_EQ(cx.window, cy.window) << "net " << i;
     }
   }
   ASSERT_EQ(a.violations.size(), b.violations.size());
+  ASSERT_EQ(a.provenance.size(), b.provenance.size());
   for (std::size_t i = 0; i < a.violations.size(); ++i) {
     EXPECT_EQ(a.violations[i].endpoint, b.violations[i].endpoint);
     EXPECT_EQ(a.violations[i].peak, b.violations[i].peak);
     EXPECT_EQ(a.violations[i].threshold, b.violations[i].threshold);
+    EXPECT_EQ(a.violations[i].sensitivity, b.violations[i].sensitivity);
+    const noise::Provenance& px = a.provenance[i];
+    const noise::Provenance& py = b.provenance[i];
+    EXPECT_EQ(px.peak_in_sensitivity, py.peak_in_sensitivity);
+    EXPECT_EQ(px.culled_by, py.culled_by);
+    ASSERT_EQ(px.shares.size(), py.shares.size()) << "violation " << i;
+    for (std::size_t k = 0; k < px.shares.size(); ++k) {
+      EXPECT_EQ(px.shares[k].aggressor, py.shares[k].aggressor);
+      EXPECT_EQ(px.shares[k].coupling_cap, py.shares[k].coupling_cap);
+      EXPECT_EQ(px.shares[k].verdict, py.shares[k].verdict);
+    }
+    ASSERT_EQ(px.path.size(), py.path.size()) << "violation " << i;
+    for (std::size_t k = 0; k < px.path.size(); ++k) {
+      EXPECT_EQ(px.path[k].net, py.path[k].net);
+      EXPECT_EQ(px.path[k].peak, py.path[k].peak);
+    }
   }
+  EXPECT_EQ(a.noisy, b.noisy);
   EXPECT_EQ(a.noisy_nets, b.noisy_nets);
   EXPECT_EQ(a.endpoints_checked, b.endpoints_checked);
   EXPECT_EQ(a.aggressors_considered, b.aggressors_considered);
@@ -253,6 +280,49 @@ TEST(Session, FailedEditsLeaveStateUntouched) {
   EXPECT_EQ(s.epoch(), epoch0);
   EXPECT_EQ(s.undo_depth(), 0u);
   expect_bit_identical(s.result(), snapshot);
+
+  // Shared base: a rejected edit must not materialize the copy-on-write
+  // overlay, or in the daemon every failed request would copy the design
+  // or the parasitics. NaN passes `<= 0` checks, so it is tried on every
+  // value.
+  gen::Generated g = make_demo();
+  SessionConfig cfg;
+  cfg.sta = g.sta_options;
+  cfg.noise.clock_period = g.sta_options.clock_period;
+  Session shared(std::make_shared<const net::Design>(std::move(g.design)),
+                 std::make_shared<const para::Parasitics>(std::move(g.para)), cfg);
+  const noise::Result shared_snapshot = shared.result();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  for (const double bad : {nan, inf, -1.0, 0.0}) {
+    SCOPED_TRACE(bad);
+    try {
+      shared.scale_net_parasitics("w1", bad, 1.0);
+      ADD_FAILURE() << "accepted cap factor";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'w1'"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(shared.scale_net_parasitics("w1", 1.0, bad), std::invalid_argument);
+    for (const char* other : {"w2", "w9"}) {  // coupled, and not yet coupled
+      try {
+        shared.set_coupling_cap("w1", other, bad);
+        ADD_FAILURE() << "accepted cap";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(other), std::string::npos) << e.what();
+      }
+    }
+  }
+  EXPECT_THROW(shared.set_driver_cell("rx1_0", "NAND2_X1"), std::invalid_argument);
+  EXPECT_THROW(shared.set_driver_cell("rx1_0", "NO_SUCH_CELL"), std::invalid_argument);
+  EXPECT_TRUE(shared.shares_base());
+  EXPECT_EQ(shared.undo_depth(), 0u);
+  EXPECT_EQ(shared.registry().counter(Session::kMetricCowCopies, "").value(), 0u);
+  expect_bit_identical(shared.result(), shared_snapshot);
+
+  shared.set_driver_cell("rx1_0", "INV_X2");  // an accepted edit copies, once
+  EXPECT_FALSE(shared.shares_base());
+  expect_bit_identical(shared.result(), full_reference(shared));
 }
 
 TEST(Session, NonFiniteArrivalAndPeriodRejected) {
@@ -296,6 +366,133 @@ TEST(Session, EndpointSlacksAreSortedAndComplete) {
     EXPECT_FALSE(e.endpoint.empty());
     EXPECT_FALSE(e.net.empty());
   }
+}
+
+/// Seeded edits of all four kinds plus undo, by name, on one session; each
+/// step's query must equal a fresh full analysis of the edited state.
+void check_random_edits(Session& s, std::uint64_t seed, int steps) {
+  Rng rng(seed);
+  const net::Design& d = s.design();
+  const auto net_name = [&] { return d.net(NetId{rng.below(d.net_count())}).name; };
+  (void)s.result();
+  for (int step = 0; step < steps; ++step) {
+    std::string what;
+    if (s.undo_depth() > 0 && rng.chance(0.25)) {
+      ASSERT_TRUE(s.undo());
+      what = "undo";
+    } else {
+      switch (rng.below(4)) {
+        case 0: {
+          const std::string n = net_name();
+          what = "scale " + n;
+          s.scale_net_parasitics(n, rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0));
+          break;
+        }
+        case 1: {
+          const std::string a = net_name();
+          const std::string b = net_name();
+          if (a == b) continue;
+          what = "couple " + a + " " + b;
+          s.set_coupling_cap(a, b, rng.uniform(0.5 * FF, 30 * FF));
+          break;
+        }
+        case 2: {
+          const PinId p = d.input_ports()[rng.below(d.input_ports().size())];
+          const double lo = rng.uniform(0.0, 400 * PS);
+          what = "arrival " + d.pin(p).port_name;
+          s.set_arrival_window(d.pin(p).port_name,
+                               Interval{lo, lo + rng.uniform(0.0, 200 * PS)});
+          break;
+        }
+        default: {
+          const InstId inst{rng.below(d.instance_count())};
+          for (const auto& group : sta::fixtures::kSwapGroups) {
+            if (std::find(group.begin(), group.end(), d.cell_of(inst).name) == group.end()) {
+              continue;
+            }
+            const std::string cell = group[rng.below(group.size())];
+            what = "swap " + d.instance(inst).name + " " + cell;
+            s.set_driver_cell(d.instance(inst).name, cell);
+            break;
+          }
+          if (what.empty()) continue;
+        }
+      }
+    }
+    SCOPED_TRACE("step " + std::to_string(step) + ": " + what);
+    expect_bit_identical(s.result(), full_reference(s));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(s.full_analyses(), 1u);
+  EXPECT_GT(s.incremental_analyses(), 0u);
+}
+
+Session make_session_from(gen::Generated g, SessionConfig cfg = {}) {
+  cfg.sta = g.sta_options;
+  cfg.noise.clock_period = g.sta_options.clock_period;
+  return Session(std::move(g.design), std::move(g.para), std::move(cfg));
+}
+
+TEST(Session, RandomEditUndoSequencesMatchFullReference) {
+  static const lib::Library library = lib::default_library();
+  for (const noise::AnalysisMode mode :
+       {noise::AnalysisMode::kNoiseWindows, noise::AnalysisMode::kNoFiltering}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string("bus demo, ") + noise::to_string(mode) + ", threads " +
+                   std::to_string(threads));
+      SessionConfig cfg;
+      cfg.noise.mode = mode;
+      cfg.noise.threads = threads;
+      Session s = make_session(cfg);
+      check_random_edits(s, 1, 24);
+    }
+  }
+  {
+    SCOPED_TRACE("logic");
+    Session s = make_session_from(gen::make_rand_logic(library, bench::logic_config(300)));
+    check_random_edits(s, 2, 24);
+  }
+  // Ripple dividers in both declaration orders: reversed, every stage's
+  // launch waits one more STA sweep, so the incremental STA replays sweep 1.
+  for (const bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "ripple reversed" : "ripple forward");
+    gen::Generated g = sta::fixtures::make_ripple(library, {5, reversed, /*toggle=*/true});
+    for (std::size_t i = 0; i < g.design.net_count(); ++i) {
+      for (std::size_t j = i + 1; j < g.design.net_count(); j += 2) {
+        g.para.add_coupling(NetId{i}, 0, NetId{j}, 0, 3 * FF);
+      }
+    }
+    Session s = make_session_from(std::move(g));
+    check_random_edits(s, reversed ? 4 : 3, 24);
+  }
+}
+
+TEST(Session, CacheBytesGaugeEqualsAFullWalk) {
+  // The gauge sums byte figures memoized per cache entry; after every kind
+  // of cache change it must equal a walk over every cached result.
+  SessionConfig cfg;
+  cfg.cache_capacity = 2;
+  Session s = make_session(cfg);
+  const auto gauge = [&] {
+    return s.metrics_snapshot().find(Session::kMetricCacheBytes)->value;
+  };
+  const auto expect_walk = [&](const char* when) {
+    EXPECT_EQ(gauge(), static_cast<double>(s.cache_bytes_recount())) << when;
+  };
+  (void)s.result();
+  expect_walk("insert");
+  s.scale_net_parasitics("w1", 1.5, 1.0);
+  (void)s.result();
+  expect_walk("second insert");
+  s.set_coupling_cap("w2", "w3", 30 * FF);
+  (void)s.result();
+  expect_walk("eviction");
+  ASSERT_TRUE(s.undo());
+  expect_walk("undo");
+  const std::uint64_t hits = s.cache_hits();
+  (void)s.result();
+  EXPECT_EQ(s.cache_hits(), hits + 1);
+  expect_walk("cache hit");
 }
 
 TEST(Session, ResultCacheIsBounded) {
