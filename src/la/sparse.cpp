@@ -37,14 +37,8 @@ SparseMatrix::SparseMatrix(const TripletBuilder& b) : n_(b.dim()) {
 
 std::vector<double> SparseMatrix::multiply(std::span<const double> x) const {
   if (x.size() != n_) throw std::invalid_argument("SparseMatrix::multiply: size");
-  std::vector<double> y(n_, 0.0);
-  for (std::size_t r = 0; r < n_; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      acc += vals_[k] * x[col_[k]];
-    }
-    y[r] = acc;
-  }
+  std::vector<double> y(n_);
+  for (std::size_t r = 0; r < n_; ++r) y[r] = row_dot(r, x);
   return y;
 }
 
@@ -64,14 +58,16 @@ SparseLu::SparseLu(const TripletBuilder& a, double pivot_threshold) : n_(a.dim()
   // Working rows as sorted maps; rows are eliminated in place. Elimination
   // multipliers are attached to the *physical* row (indexed by original row
   // id) so that later pivot swaps reorder them correctly; they are gathered
-  // into position order at the end.
+  // into position order at the end. U rows are final as soon as their
+  // pivot step is done, so they go straight into the flat arrays.
   std::vector<std::map<std::size_t, double>> work = a.rows_;
   std::vector<std::size_t> rowidx(n_);  // rowidx[i] = original row used at step i
   for (std::size_t i = 0; i < n_; ++i) rowidx[i] = i;
   std::vector<std::vector<std::pair<std::size_t, double>>> mult(n_);
 
-  lower_.assign(n_, {});
-  upper_.assign(n_, {});
+  u_ptr_.reserve(n_ + 1);
+  u_ptr_.push_back(0);
+  u_diag_.reserve(n_);
 
   for (std::size_t k = 0; k < n_; ++k) {
     // Pick pivot row among remaining rows having column k.
@@ -103,10 +99,14 @@ SparseLu::SparseLu(const TripletBuilder& a, double pivot_threshold) : n_(a.dim()
     auto& prow = work[rowidx[k]];
     const double pivot = prow.at(k);
 
-    // Record U row k (entries with col >= k).
+    // Record U row k: the diagonal apart, then the entries right of it.
+    u_diag_.push_back(pivot);
     for (const auto& [c, v] : prow) {
-      if (c >= k) upper_[k].emplace_back(c, v);
+      if (c <= k) continue;
+      u_col_.push_back(c);
+      u_val_.push_back(v);
     }
+    u_ptr_.push_back(u_col_.size());
 
     // Eliminate column k from all remaining rows.
     for (std::size_t i = k + 1; i < n_; ++i) {
@@ -124,41 +124,29 @@ SparseLu::SparseLu(const TripletBuilder& a, double pivot_threshold) : n_(a.dim()
       }
     }
   }
-  for (std::size_t i = 0; i < n_; ++i) lower_[i] = std::move(mult[rowidx[i]]);
-  perm_ = rowidx;
+  l_ptr_.reserve(n_ + 1);
+  l_ptr_.push_back(0);
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (const auto& [k, f] : mult[rowidx[i]]) {
+      l_col_.push_back(k);
+      l_val_.push_back(f);
+    }
+    l_ptr_.push_back(l_col_.size());
+  }
+  perm_ = std::move(rowidx);
 }
 
 std::vector<double> SparseLu::solve(std::span<const double> b) const {
-  if (b.size() != n_) throw std::invalid_argument("SparseLu::solve: size");
   std::vector<double> y(n_);
-  // Forward: L y = P b  (lower_[i] holds multipliers indexed by pivot step).
-  for (std::size_t i = 0; i < n_; ++i) {
-    double acc = b[perm_[i]];
-    for (const auto& [k, f] : lower_[i]) acc -= f * y[k];
-    y[i] = acc;
-  }
-  // Back: U x = y.
   std::vector<double> x(n_);
-  for (std::size_t ii = n_; ii-- > 0;) {
-    double acc = y[ii];
-    double diag = 0.0;
-    for (const auto& [c, v] : upper_[ii]) {
-      if (c == ii) {
-        diag = v;
-      } else {
-        acc -= v * x[c];
-      }
-    }
-    x[ii] = acc / diag;
-  }
+  solve_into(b, y, x);
   return x;
 }
 
-std::size_t SparseLu::factor_nonzeros() const noexcept {
-  std::size_t nnz = 0;
-  for (const auto& r : lower_) nnz += r.size();
-  for (const auto& r : upper_) nnz += r.size();
-  return nnz;
+void SparseLu::solve_into(std::span<const double> b, std::span<double> y,
+                          std::span<double> x) const {
+  if (b.size() != n_) throw std::invalid_argument("SparseLu::solve: size");
+  solve_fused([b](std::size_t r) { return b[r]; }, y, x);
 }
 
 std::vector<double> conjugate_gradient(const SparseMatrix& a, std::span<const double> b,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "parasitics/reduce.hpp"
 #include "spice/cluster.hpp"
@@ -162,9 +163,9 @@ std::vector<double> extra_caps(const net::Design& design, const para::Parasitics
 
 }  // namespace
 
-GlitchEstimate estimate_reduced(const net::Design& design, const para::Parasitics& para,
-                                NetId victim, NetId aggressor, double slew,
-                                double vdd) {
+std::optional<ReducedCircuit> reduced_circuit(const net::Design& design,
+                                              const para::Parasitics& para, NetId victim,
+                                              NetId aggressor, double slew, double vdd) {
   const para::PiModel pi_v =
       para::pi_model(para.net(victim), extra_caps(design, para, victim, aggressor));
   const para::PiModel pi_a =
@@ -175,26 +176,34 @@ GlitchEstimate estimate_reduced(const net::Design& design, const para::Parasitic
     const auto& c = para.coupling(ci);
     if (c.other_net(victim) == aggressor) cc += c.c;
   }
-  if (cc <= 0.0) return {};
+  if (cc <= 0.0) return std::nullopt;
 
   const double r_hold = spice::driver_resistance(design, victim, /*holding=*/true);
   const double r_drv = spice::driver_resistance(design, aggressor, /*holding=*/false);
 
   spice::Circuit ckt;
-  const std::size_t src = ckt.add_node("src");
+  const std::size_t src = r_drv > 0.0 ? ckt.add_node("src") : 0;
   const std::size_t a1 = ckt.add_node("a1");
   const std::size_t a2 = (pi_a.r > 0.0) ? ckt.add_node("a2") : a1;
   const std::size_t v1 = ckt.add_node("v1");
   const std::size_t v2 = (pi_v.r > 0.0) ? ckt.add_node("v2") : v1;
 
-  ckt.add_vsrc(src, 0, spice::Pwl::ramp(0.0, slew, 0.0, vdd));
-  ckt.add_res(src, a1, r_drv);
+  if (r_drv > 0.0) {
+    ckt.add_vsrc(src, 0, spice::Pwl::ramp(0.0, slew, 0.0, vdd));
+    ckt.add_res(src, a1, r_drv);
+  } else {
+    ckt.add_vsrc(a1, 0, spice::Pwl::ramp(0.0, slew, 0.0, vdd));
+  }
   if (pi_a.c_near > 0.0) ckt.add_cap(a1, 0, pi_a.c_near);
   if (a2 != a1) {
     ckt.add_res(a1, a2, pi_a.r);
     if (pi_a.c_far > 0.0) ckt.add_cap(a2, 0, pi_a.c_far);
   }
-  ckt.add_res(v1, 0, r_hold);
+  if (r_hold > 0.0) {
+    ckt.add_res(v1, 0, r_hold);
+  } else {
+    ckt.add_vsrc(v1, 0, spice::Pwl::dc(0.0));
+  }
   if (pi_v.c_near > 0.0) ckt.add_cap(v1, 0, pi_v.c_near);
   if (v2 != v1) {
     ckt.add_res(v1, v2, pi_v.r);
@@ -213,13 +222,48 @@ GlitchEstimate estimate_reduced(const net::Design& design, const para::Parasitic
   const double tau = r_hold * (cc + pi_v.total_cap());
   const double t_stop = slew + 12.0 * std::max(tau, 5e-12);
   const double dt = std::max(std::min(slew, tau) / 50.0, 5e-14);
-  const spice::TransientResult sim = spice::simulate(ckt, {t_stop, dt});
-  const spice::GlitchMeasure m = spice::measure_glitch(sim.waveform(v2), 0.0);
+  return ReducedCircuit{std::move(ckt), v2, {t_stop, dt}};
+}
+
+namespace {
+
+/// Runs one pair's simulation, rethrowing a failure with the pair named.
+template <typename Run>
+spice::Waveform simulate_pair(const char* model, const net::Design& design,
+                              NetId victim, NetId aggressor, Run&& run) {
+  const auto named = [&](const std::exception& e) {
+    return std::string(model) + ": victim net '" + design.net(victim).name +
+           "', aggressor net '" + design.net(aggressor).name + "': " + e.what();
+  };
+  try {
+    return run();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(named(e));
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(named(e));
+  }
+}
+
+GlitchEstimate to_estimate(const spice::GlitchMeasure& m) {
   GlitchEstimate g;
   g.peak = m.peak;
   g.width = m.width;
   g.peak_delay = m.t_peak;
   return g;
+}
+
+}  // namespace
+
+GlitchEstimate estimate_reduced(const net::Design& design, const para::Parasitics& para,
+                                NetId victim, NetId aggressor, double slew,
+                                double vdd) {
+  const std::optional<ReducedCircuit> rc =
+      reduced_circuit(design, para, victim, aggressor, slew, vdd);
+  if (!rc) return {};
+  const spice::Waveform w = simulate_pair("reduced-mna", design, victim, aggressor, [&] {
+    return spice::simulate_node(rc->circuit, rc->tran, rc->probe);
+  });
+  return to_estimate(spice::measure_glitch(w, 0.0));
 }
 
 GlitchEstimate estimate_mna(const net::Design& design, const para::Parasitics& para,
@@ -230,14 +274,10 @@ GlitchEstimate estimate_mna(const net::Design& design, const para::Parasitics& p
   spec.vdd = vdd;
   spec.aggressors.push_back({aggressor, /*start=*/0.0, slew, /*rising=*/true});
   const spice::Cluster cl = spice::build_cluster(design, para, spec);
-  const spice::TransientResult sim = spice::simulate(cl.circuit, tran);
-  const spice::Waveform w = sim.waveform(cl.victim_probe);
-  const spice::GlitchMeasure m = spice::measure_glitch(w, cl.baseline);
-  GlitchEstimate g;
-  g.peak = m.peak;
-  g.width = m.width;
-  g.peak_delay = m.t_peak;
-  return g;
+  const spice::Waveform w = simulate_pair("mna-exact", design, victim, aggressor, [&] {
+    return spice::simulate_node(cl.circuit, tran, cl.victim_probe);
+  });
+  return to_estimate(spice::measure_glitch(w, cl.baseline));
 }
 
 spice::Waveform synthesize_glitch(const GlitchEstimate& estimate, double t_start,

@@ -20,6 +20,8 @@
 //                   experiments and high-effort signoff mode.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <span>
 
 #include "netlist/design.hpp"
@@ -81,13 +83,33 @@ void peaks_two_pi(std::span<const double> r_hold, std::span<const double> c_grou
 /// which need the design context).
 [[nodiscard]] GlitchEstimate estimate(GlitchModel model, const CouplingScenario& s);
 
-/// Exact: build the victim/aggressor cluster and simulate.
+/// Exact: build the victim/aggressor cluster and simulate, recording only
+/// the victim probe. Errors (a step count above spice::kMaxSteps, a
+/// singular circuit) are rethrown with the victim and aggressor net names.
 [[nodiscard]] GlitchEstimate estimate_mna(const net::Design& design,
                                           const para::Parasitics& para, NetId victim,
                                           NetId aggressor, double slew, double vdd,
                                           const spice::TranOptions& tran);
 
-/// Reduced-order: pi models + lumped coupling on a 5-node circuit.
+/// The circuit estimate_reduced simulates for one pair: the victim and
+/// aggressor pi models joined by the lumped coupling, the far victim node
+/// to probe and the transient settings sized to the pair's time constants.
+/// A 0-ohm driver is an ideal source: the holder pins the victim root at
+/// 0 V, the aggressor ramp drives its root directly.
+struct ReducedCircuit {
+  spice::Circuit circuit;
+  std::size_t probe = 0;
+  spice::TranOptions tran;
+};
+
+/// Builds the reduced circuit; nullopt when the pair shares no coupling
+/// capacitance.
+[[nodiscard]] std::optional<ReducedCircuit> reduced_circuit(
+    const net::Design& design, const para::Parasitics& para, NetId victim,
+    NetId aggressor, double slew, double vdd);
+
+/// Reduced-order: simulates reduced_circuit(), recording only its probe.
+/// Errors are rethrown with the net names, as estimate_mna does.
 [[nodiscard]] GlitchEstimate estimate_reduced(const net::Design& design,
                                               const para::Parasitics& para,
                                               NetId victim, NetId aggressor,

@@ -54,12 +54,15 @@ Cluster build_cluster(const net::Design& design, const para::Parasitics& para,
     }
   }
 
-  // Victim tree + holding driver.
+  // Victim tree + holding driver. A 0-ohm driver is an ideal source on the
+  // root node: a DC source at the quiet level, or the aggressor's ramp.
   cl.victim_nodes = emit_net(ckt, design, para, spec.victim,
                              "v_" + design.net(spec.victim).name);
   const double r_hold = driver_resistance(design, spec.victim, /*holding=*/true);
   cl.baseline = spec.victim_high ? spec.vdd : 0.0;
-  if (spec.victim_high) {
+  if (r_hold <= 0.0) {
+    ckt.add_vsrc(cl.victim_nodes[0], 0, Pwl::dc(cl.baseline));
+  } else if (spec.victim_high) {
     const std::size_t rail = ckt.add_node("vdd_hold");
     ckt.add_vsrc(rail, 0, Pwl::dc(spec.vdd));
     ckt.add_res(cl.victim_nodes[0], rail, r_hold);
@@ -72,11 +75,15 @@ Cluster build_cluster(const net::Design& design, const para::Parasitics& para,
   for (const auto& a : spec.aggressors) {
     auto nodes = emit_net(ckt, design, para, a.net, "a_" + design.net(a.net).name);
     const double r_drv = driver_resistance(design, a.net, /*holding=*/false);
-    const std::size_t src = ckt.add_node("src_" + design.net(a.net).name);
     const double v0 = a.rising ? 0.0 : spec.vdd;
     const double v1 = a.rising ? spec.vdd : 0.0;
-    ckt.add_vsrc(src, 0, Pwl::ramp(a.start, a.slew, v0, v1));
-    ckt.add_res(nodes[0], src, r_drv);
+    if (r_drv > 0.0) {
+      const std::size_t src = ckt.add_node("src_" + design.net(a.net).name);
+      ckt.add_vsrc(src, 0, Pwl::ramp(a.start, a.slew, v0, v1));
+      ckt.add_res(nodes[0], src, r_drv);
+    } else {
+      ckt.add_vsrc(nodes[0], 0, Pwl::ramp(a.start, a.slew, v0, v1));
+    }
     agg_nodes.emplace(a.net.value(), std::move(nodes));
   }
 

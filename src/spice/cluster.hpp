@@ -40,8 +40,10 @@ struct Cluster {
   double baseline = 0.0;                  ///< victim quiet level [V]
 };
 
-/// Build the cluster circuit. Throws std::invalid_argument if an aggressor
-/// equals the victim or appears twice.
+/// Build the cluster circuit. A 0-ohm driver becomes an ideal source on
+/// its net's root node: a DC source at the quiet level for the victim's
+/// holder, the ramp itself for an aggressor. Throws std::invalid_argument
+/// if an aggressor equals the victim or appears twice.
 [[nodiscard]] Cluster build_cluster(const net::Design& design,
                                     const para::Parasitics& para,
                                     const ClusterSpec& spec);

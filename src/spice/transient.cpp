@@ -1,7 +1,9 @@
 #include "spice/transient.hpp"
 
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "la/sparse.hpp"
 
@@ -13,15 +15,36 @@ Waveform TransientResult::waveform(std::size_t node) const {
   return Waveform(0.0, dt_, std::move(samples));
 }
 
-TransientResult simulate(const Circuit& ckt, const TranOptions& opt) {
-  if (opt.dt <= 0.0 || opt.t_stop <= 0.0) {
-    throw std::invalid_argument("simulate: dt and t_stop must be positive");
+namespace {
+
+/// Validates the options and returns the run's step count, bounded by
+/// kMaxSteps. The bound is checked in floating point, before the count is
+/// narrowed to an integer or anything is allocated.
+std::size_t step_count(const TranOptions& opt) {
+  if (!(opt.dt > 0.0) || !(opt.t_stop > 0.0) || !std::isfinite(opt.dt) ||
+      !std::isfinite(opt.t_stop)) {
+    throw std::invalid_argument("simulate: dt and t_stop must be positive and finite");
   }
+  const double steps = std::ceil(opt.t_stop / opt.dt) + 1.0;
+  if (!(steps <= static_cast<double>(kMaxSteps))) {
+    std::ostringstream msg;
+    msg.precision(6);
+    msg << "simulate: " << steps << " timesteps (t_stop " << opt.t_stop << " s, dt "
+        << opt.dt << " s) exceed the limit of " << kMaxSteps;
+    throw std::invalid_argument(msg.str());
+  }
+  return static_cast<std::size_t>(steps);
+}
+
+/// The stepping loop. Calls `record(k, x)` with the unknowns after step k
+/// (k = 0 is the DC operating point); node n >= 1 is x[n - 1].
+template <typename Record>
+void integrate(const Circuit& ckt, const TranOptions& opt, std::size_t steps,
+               Record&& record) {
   const std::size_t n_nodes = ckt.node_count();       // incl. ground
   const std::size_t nv = n_nodes - 1;                 // voltage unknowns
   const std::size_t ns = ckt.vsources().size();       // source currents
   const std::size_t dim = nv + ns;
-  const auto steps = static_cast<std::size_t>(std::ceil(opt.t_stop / opt.dt)) + 1;
 
   // Index helpers: node k (k>=1) -> unknown k-1; vsource j -> nv + j.
   auto vi = [](std::size_t node) { return node - 1; };
@@ -88,17 +111,14 @@ TransientResult simulate(const Circuit& ckt, const TranOptions& opt) {
   const la::SparseLu lu(lhs);
   const la::SparseMatrix rhs_m(rhs_mat);
 
-  auto source_vec = [&](double t) {
-    std::vector<double> b(dim, 0.0);
-    for (const auto& src : ckt.isources()) {
-      if (src.from != 0) b[vi(src.from)] -= src.i;
-      if (src.to != 0) b[vi(src.to)] += src.i;
-    }
-    for (std::size_t j = 0; j < ns; ++j) {
-      b[nv + j] = ckt.vsources()[j].wave.at(t);
-    }
-    return b;
-  };
+  // Source vector b(0): DC current injections on the KCL rows, source
+  // voltages on the constraint rows.
+  std::vector<double> b(dim, 0.0);
+  for (const auto& src : ckt.isources()) {
+    if (src.from != 0) b[vi(src.from)] -= src.i;
+    if (src.to != 0) b[vi(src.to)] += src.i;
+  }
+  for (std::size_t j = 0; j < ns; ++j) b[nv + j] = ckt.vsources()[j].wave.at(0.0);
 
   // DC operating point at t = 0: solve G x = b(0). Floating pure-C nodes
   // make G singular; regularize with a tiny leak to ground.
@@ -108,26 +128,63 @@ TransientResult simulate(const Circuit& ckt, const TranOptions& opt) {
   }
   for (std::size_t r = 0; r < nv; ++r) g_dc.add(r, r, 1e-12);
   const la::SparseLu lu_dc(g_dc);
-  std::vector<double> x = lu_dc.solve(source_vec(0.0));
+  std::vector<double> x(dim);
+  std::vector<double> y(dim);
+  lu_dc.solve_into(b, y, x);
+  record(0, std::as_const(x));
 
-  TransientResult res(opt.dt, n_nodes, steps);
-  for (std::size_t node = 1; node < n_nodes; ++node) res.set(node, 0, x[vi(node)]);
-
-  std::vector<double> b_prev = source_vec(0.0);
+  // The KCL part of b is the same at every step (current sources are DC),
+  // so theta b_{k+1} + (1-theta) b_k is one fixed vector. Without current
+  // sources it is all +0.0, and adding it cannot change a sample: a row
+  // product sum that starts at +0.0 never ends at -0.0.
+  std::vector<double> injection;
+  if (!ckt.isources().empty()) {
+    injection.resize(nv);
+    for (std::size_t i = 0; i < nv; ++i) {
+      injection[i] = theta * b[i] + (1.0 - theta) * b[i];
+    }
+  }
+  std::vector<double> v_now(ns);
   for (std::size_t k = 1; k < steps; ++k) {
     const double t = opt.dt * static_cast<double>(k);
-    std::vector<double> b_now = source_vec(t);
-    std::vector<double> rhs = rhs_m.multiply(x);
-    for (std::size_t i = 0; i < nv; ++i) {
-      rhs[i] += theta * b_now[i] + (1.0 - theta) * b_prev[i];
-    }
-    // Constraint rows: v_p - v_n = V(t_{k+1}) exactly.
-    for (std::size_t j = 0; j < ns; ++j) rhs[nv + j] = b_now[nv + j];
-    x = lu.solve(rhs);
-    for (std::size_t node = 1; node < n_nodes; ++node) res.set(node, k, x[vi(node)]);
-    b_prev = std::move(b_now);
+    for (std::size_t j = 0; j < ns; ++j) v_now[j] = ckt.vsources()[j].wave.at(t);
+    // Row r of the right-hand side, read from x_k before the back
+    // substitution overwrites x with x_{k+1}. Constraint rows: v_p - v_n =
+    // V(t_{k+1}) exactly.
+    lu.solve_fused(
+        [&](std::size_t r) {
+          if (r >= nv) return v_now[r - nv];
+          double acc = rhs_m.row_dot(r, x);
+          if (!injection.empty()) acc += injection[r];
+          return acc;
+        },
+        y, x);
+    record(k, std::as_const(x));
   }
+}
+
+}  // namespace
+
+TransientResult simulate(const Circuit& ckt, const TranOptions& opt) {
+  const std::size_t steps = step_count(opt);
+  const std::size_t n_nodes = ckt.node_count();
+  TransientResult res(opt.dt, n_nodes, steps);
+  integrate(ckt, opt, steps, [&](std::size_t k, const std::vector<double>& x) {
+    for (std::size_t node = 1; node < n_nodes; ++node) res.set(node, k, x[node - 1]);
+  });
   return res;
+}
+
+Waveform simulate_node(const Circuit& ckt, const TranOptions& opt, std::size_t node) {
+  if (node >= ckt.node_count()) {
+    throw std::out_of_range("simulate_node: node index out of range");
+  }
+  const std::size_t steps = step_count(opt);
+  std::vector<double> samples(steps, 0.0);
+  integrate(ckt, opt, steps, [&](std::size_t k, const std::vector<double>& x) {
+    if (node != 0) samples[k] = x[node - 1];
+  });
+  return Waveform(0.0, opt.dt, std::move(samples));
 }
 
 }  // namespace nw::spice

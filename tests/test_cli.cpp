@@ -185,6 +185,52 @@ TEST(Cli, FileFlowEndToEnd) {
   fs::remove_all(dir);
 }
 
+TEST(Cli, MnaStepBoundFailsNamingTheNets) {
+  // A millisecond port slew asks the reduced-mna transient for billions of
+  // picosecond steps. The run must fail fast naming the victim/aggressor
+  // pair, not exhaust memory or run for minutes.
+  const lib::Library library = lib::default_library();
+  gen::BusConfig cfg;
+  cfg.bits = 4;
+  cfg.segments = 2;
+  const gen::Generated g = gen::make_bus(library, cfg);
+
+  const fs::path dir = fs::temp_directory_path() / "noisewin_cli_slew_test";
+  fs::create_directories(dir);
+  const auto lib_path = (dir / "lib.nlib").string();
+  const auto nv_path = (dir / "top.nv").string();
+  const auto spef_path = (dir / "top.nwspef").string();
+  std::string netlist = net::write_netlist_string(g.design);
+  const std::string input = "input in1 w1 drive ";
+  const std::size_t slew = netlist.find(" slew ", netlist.find(input));
+  ASSERT_NE(slew, std::string::npos) << netlist;
+  const std::size_t value = slew + std::string(" slew ").size();
+  netlist.replace(value, netlist.find('\n', value) - value, "1e-3");
+  {
+    std::ofstream f(lib_path);
+    lib::write_library(f, library);
+  }
+  {
+    std::ofstream f(nv_path);
+    f << netlist;
+  }
+  {
+    std::ofstream f(spef_path);
+    para::write_spef(f, g.design, g.para);
+  }
+  std::string out;
+  std::string err;
+  EXPECT_EQ(run({"--lib", lib_path, "--netlist", nv_path, "--spef", spef_path, "--model",
+                 "reduced-mna", "--mode", "no-filtering"},
+                &out, &err),
+            1);
+  EXPECT_NE(err.find("reduced-mna: victim net '"), std::string::npos) << err;
+  EXPECT_NE(err.find("aggressor net 'w1': simulate: "), std::string::npos) << err;
+  EXPECT_NE(err.find("exceed the limit of"), std::string::npos) << err;
+  EXPECT_EQ(out.find("violations:"), std::string::npos) << out;
+  fs::remove_all(dir);
+}
+
 TEST(Cli, BadLibraryValueFailsWithItsLine) {
   // A negative pin cap used to read as a clean design; it must fail the run
   // with the library line that carries it.

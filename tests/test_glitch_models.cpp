@@ -2,11 +2,17 @@
 // against the MNA golden reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "gen/bus.hpp"
 #include "library/library.hpp"
+#include "noise/analyzer.hpp"
 #include "noise/glitch_models.hpp"
+#include "spice/cluster.hpp"
+#include "sta/sta.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -192,6 +198,103 @@ TEST(ReducedMna, NoCouplingGivesNoGlitch) {
   const GlitchEstimate e = estimate_reduced(
       g.design, g.para, *g.design.find_net("w0"), *g.design.find_net("w3"), 30 * PS, 1.2);
   EXPECT_DOUBLE_EQ(e.peak, 0.0);
+}
+
+TEST(ReducedMna, StepBoundNamesThePair) {
+  // A millisecond aggressor slew on the reduced model's picosecond grid is
+  // billions of steps: refused before allocating, with the nets named.
+  const lib::Library library = lib::default_library();
+  gen::BusConfig cfg;
+  cfg.bits = 4;
+  const gen::Generated g = gen::make_bus(library, cfg);
+  const NetId victim = *g.design.find_net("w1");
+  const NetId aggressor = *g.design.find_net("w2");
+  for (const bool exact : {false, true}) {
+    try {
+      (void)(exact ? estimate_mna(g.design, g.para, victim, aggressor, 30 * PS, 1.2,
+                                  {1e-3, 0.5 * PS})
+                   : estimate_reduced(g.design, g.para, victim, aggressor, 1e-3, 1.2));
+      FAIL() << "no throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(exact ? "mna-exact" : "reduced-mna") +
+                          ": victim net 'w1', aggressor net 'w2': simulate: "),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("exceed the limit of " + std::to_string(spice::kMaxSteps)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+/// A bus whose input ports drive through `port_res` (0 = ideal source).
+gen::Generated ideal_driver_bus(const lib::Library& library, double port_res) {
+  gen::BusConfig cfg;
+  cfg.bits = 8;
+  cfg.segments = 4;
+  cfg.coupling_adj = 5 * FF;
+  cfg.port_res = port_res;
+  return gen::make_bus(library, cfg);
+}
+
+TEST(IdealDriver, ZeroOhmDriverIsAnIdealSourceInBothMnaModels) {
+  // A 0-ohm port used to abort both MNA models (add_res: non-positive
+  // resistance). It is an ideal source now, and the limit of a tiny
+  // resistance.
+  const lib::Library library = lib::default_library();
+  const gen::Generated ideal = ideal_driver_bus(library, 0.0);
+  const gen::Generated tiny = ideal_driver_bus(library, 1e-6);
+  const double vdd = library.vdd();
+  const spice::TranOptions tran{1 * NS, 0.5 * PS};
+  for (const auto& [v, a] : {std::pair{"w3", "w4"}, std::pair{"w4", "w2"}}) {
+    SCOPED_TRACE(std::string(v) + " <- " + a);
+    const NetId victim = *ideal.design.find_net(v);
+    const NetId aggressor = *ideal.design.find_net(a);
+    const GlitchEstimate r0 =
+        estimate_reduced(ideal.design, ideal.para, victim, aggressor, 30 * PS, vdd);
+    const GlitchEstimate r1 =
+        estimate_reduced(tiny.design, tiny.para, victim, aggressor, 30 * PS, vdd);
+    const GlitchEstimate m0 =
+        estimate_mna(ideal.design, ideal.para, victim, aggressor, 30 * PS, vdd, tran);
+    const GlitchEstimate m1 =
+        estimate_mna(tiny.design, tiny.para, victim, aggressor, 30 * PS, vdd, tran);
+    for (const auto& [e0, e1] : {std::pair{r0, r1}, std::pair{m0, m1}}) {
+      ASSERT_TRUE(std::isfinite(e0.peak) && std::isfinite(e0.width));
+      EXPECT_GT(e0.peak, 0.0);
+      EXPECT_LT(e0.peak, vdd);
+      EXPECT_NEAR(e0.peak, e1.peak, 1e-6 * vdd);
+      EXPECT_NEAR(e0.width, e1.width, 1e-3 * e1.width);
+    }
+  }
+
+  // A victim held high by an ideal holder sits at the rail and dips.
+  spice::ClusterSpec spec;
+  spec.victim = *ideal.design.find_net("w3");
+  spec.vdd = vdd;
+  spec.victim_high = true;
+  spec.aggressors.push_back({*ideal.design.find_net("w4"), 0.0, 30 * PS, false});
+  const spice::Cluster cl = spice::build_cluster(ideal.design, ideal.para, spec);
+  const spice::Waveform w = spice::simulate_node(cl.circuit, tran, cl.victim_probe);
+  EXPECT_NEAR(w.sample(0), vdd, 1e-9);
+  const spice::GlitchMeasure m = spice::measure_glitch(w, cl.baseline);
+  EXPECT_FALSE(m.positive);
+  EXPECT_GT(m.peak, 0.0);
+
+  // The analyzer runs both models on the ideal-driver design.
+  const sta::Result timing = sta::run(ideal.design, ideal.para, ideal.sta_options);
+  for (const auto model : {GlitchModel::kReducedMna, GlitchModel::kMnaExact}) {
+    Options o;
+    o.model = model;
+    o.clock_period = ideal.sta_options.clock_period;
+    const Result res = analyze(ideal.design, ideal.para, timing, o);
+    double worst = 0.0;
+    for (const auto& nn : res.nets) {
+      ASSERT_TRUE(std::isfinite(nn.total_peak));
+      worst = std::max(worst, nn.injected_peak);
+    }
+    EXPECT_GT(worst, 0.0) << to_string(model);
+  }
 }
 
 TEST(SynthesizeGlitch, ShapeMatchesEstimate) {

@@ -4,6 +4,8 @@
 // driven in parallel.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gen/bus.hpp"
 #include "gen/randlogic.hpp"
 #include "noise/analyzer.hpp"
@@ -132,6 +134,46 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ParallelDeterminism,
                            }
                            return "Unknown";
                          });
+
+/// The MNA models run one transient per pair into the per-thread estimate
+/// scratch; a pair's answer must not depend on which thread ran it or on
+/// what that thread ran before.
+void expect_model_identical_across_threads(const gen::Generated& g, GlitchModel model) {
+  const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
+  for (const AnalysisMode mode :
+       {AnalysisMode::kNoFiltering, AnalysisMode::kNoiseWindows}) {
+    Options o;
+    o.model = model;
+    o.mode = mode;
+    o.clock_period = g.sta_options.clock_period;
+    o.threads = 1;
+    const Result serial = analyze(g.design, g.para, timing, o);
+    EXPECT_GT(serial.aggressors_considered, 0u);
+    for (const int threads : {2, 8}) {
+      o.threads = threads;
+      SCOPED_TRACE(std::string(to_string(model)) + " mode=" +
+                   std::to_string(static_cast<int>(mode)) +
+                   " threads=" + std::to_string(threads));
+      expect_identical(serial, analyze(g.design, g.para, timing, o));
+    }
+  }
+}
+
+TEST(ParallelDeterminism, ReducedMnaBusIdenticalAcrossThreadCounts) {
+  const lib::Library library = lib::default_library();
+  expect_model_identical_across_threads(bus_case(library), GlitchModel::kReducedMna);
+}
+
+TEST(ParallelDeterminism, MnaExactSmallBusIdenticalAcrossThreadCounts) {
+  const lib::Library library = lib::default_library();
+  gen::BusConfig cfg;
+  cfg.bits = 8;
+  cfg.segments = 2;
+  cfg.coupling_adj = 5 * FF;
+  cfg.stagger_groups = 2;
+  cfg.seed = 5;
+  expect_model_identical_across_threads(gen::make_bus(library, cfg), GlitchModel::kMnaExact);
+}
 
 TEST(ParallelDeterminism, RefinementIsDeterministicToo) {
   const lib::Library library = lib::default_library();
