@@ -1,14 +1,10 @@
 // Validate the analytic glitch models against the built-in MNA transient
-// engine on one victim/aggressor pair, and emit a SPICE deck for external
-// cross-checking with ngspice/HSPICE.
-#include <fstream>
+// engine on one victim/aggressor pair.
 #include <iostream>
 
 #include "gen/bus.hpp"
 #include "noise/glitch_models.hpp"
 #include "report/table.hpp"
-#include "spice/cluster.hpp"
-#include "spice/deck.hpp"
 #include "util/units.hpp"
 
 int main() {
@@ -47,20 +43,5 @@ int main() {
   row("devgan-bound", noise::estimate_devgan(sc));
   row("two-pi", noise::estimate_two_pi(sc));
   table.print(std::cout);
-
-  // Emit the cluster as a SPICE deck for external simulators.
-  spice::ClusterSpec spec;
-  spec.victim = victim;
-  spec.vdd = vdd;
-  spec.aggressors.push_back({aggressor, 0.0, slew, true});
-  const spice::Cluster cl = spice::build_cluster(g.design, g.para, spec);
-  spice::DeckOptions dopt;
-  dopt.title = "noisewin validation cluster w3/w4";
-  dopt.tran = tran;
-  dopt.probes = {cl.victim_probe};
-  std::ofstream deck("cluster_w3_w4.sp");
-  spice::write_deck(deck, cl.circuit, dopt);
-  std::cout << "\nwrote cluster_w3_w4.sp (" << cl.circuit.element_count()
-            << " elements) - runnable with: ngspice -b cluster_w3_w4.sp\n";
   return 0;
 }

@@ -149,36 +149,4 @@ void SparseLu::solve_into(std::span<const double> b, std::span<double> y,
   solve_fused([b](std::size_t r) { return b[r]; }, y, x);
 }
 
-std::vector<double> conjugate_gradient(const SparseMatrix& a, std::span<const double> b,
-                                       double tol, std::size_t max_iter) {
-  const std::size_t n = a.dim();
-  if (b.size() != n) throw std::invalid_argument("conjugate_gradient: size");
-  std::vector<double> x(n, 0.0);
-  std::vector<double> r(b.begin(), b.end());
-  std::vector<double> p = r;
-  double rr = 0.0;
-  for (const auto v : r) rr += v * v;
-  const double b_norm = std::sqrt(rr);
-  if (b_norm == 0.0) return x;
-
-  for (std::size_t it = 0; it < max_iter; ++it) {
-    const std::vector<double> ap = a.multiply(p);
-    double pap = 0.0;
-    for (std::size_t i = 0; i < n; ++i) pap += p[i] * ap[i];
-    if (pap <= 0.0) break;  // not SPD (or converged to machine precision)
-    const double alpha = rr / pap;
-    double rr_new = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * p[i];
-      r[i] -= alpha * ap[i];
-      rr_new += r[i] * r[i];
-    }
-    if (std::sqrt(rr_new) < tol * b_norm) break;
-    const double beta = rr_new / rr;
-    for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * p[i];
-    rr = rr_new;
-  }
-  return x;
-}
-
 }  // namespace nw::la

@@ -146,13 +146,4 @@ class SparseLu {
   std::vector<double> u_diag_;
 };
 
-/// Conjugate gradient for SPD systems (used for grounded-conductance
-/// solves, e.g. DC noise propagation over resistive victim trees).
-/// Returns the iterate after convergence (relative residual < tol) or
-/// max_iter sweeps, whichever first.
-[[nodiscard]] std::vector<double> conjugate_gradient(const SparseMatrix& a,
-                                                     std::span<const double> b,
-                                                     double tol = 1e-10,
-                                                     std::size_t max_iter = 10000);
-
 }  // namespace nw::la

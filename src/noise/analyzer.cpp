@@ -28,6 +28,14 @@ const char* to_string(AnalysisMode m) noexcept {
   return "?";
 }
 
+std::optional<AnalysisMode> parse_mode(std::string_view s) noexcept {
+  for (const AnalysisMode m : {AnalysisMode::kNoFiltering, AnalysisMode::kSwitchingWindows,
+                               AnalysisMode::kNoiseWindows}) {
+    if (s == to_string(m)) return m;
+  }
+  return std::nullopt;
+}
+
 const char* to_string(FilterStage s) noexcept {
   switch (s) {
     case FilterStage::kNone: return "none";
@@ -1084,6 +1092,23 @@ std::vector<ProvenanceStep> origin_path(const Result& result, NetId net) {
   return path;
 }
 
+NoiseTrace trace_origin(const Result& result, NetId net) {
+  if (net.index() >= result.nets.size()) {
+    throw std::invalid_argument("trace_origin: bad net id");
+  }
+  NoiseTrace trace;
+  trace.path = origin_path(result, net);
+  // The injection net is wherever the walk stopped: the chain's natural
+  // end, the queried net itself, or a net the visited guard cut at.
+  if (!trace.path.empty()) {
+    const NetNoise& origin = result.nets[trace.path.back().net.index()];
+    for (const auto& c : origin.contributions) {
+      if (c.in_worst && !c.is_propagated()) trace.aggressors.push_back(c.aggressor);
+    }
+  }
+  return trace;
+}
+
 std::string options_digest(const Options& o) {
   // Canonical rendering: exact doubles (hexfloat), every field in a fixed
   // order, constraints enumerated deterministically. `threads` is
@@ -1100,7 +1125,7 @@ std::string options_digest(const Options& o) {
      << ";po_immunity_frac=" << o.po_immunity_frac
      << ";refine_iterations=" << o.refine_iterations
      << ";mna_t_stop=" << o.mna_tran.t_stop << ";mna_dt=" << o.mna_tran.dt
-     << ";mna_method=" << static_cast<int>(o.mna_tran.method) << ";constraints=";
+     << ";constraints=";
   for (const auto& [net, group] : o.constraints.entries()) {
     os << net << ":" << group << ",";
   }

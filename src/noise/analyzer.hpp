@@ -38,8 +38,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netlist/design.hpp"
@@ -59,6 +61,8 @@ namespace nw::noise {
 enum class AnalysisMode { kNoFiltering, kSwitchingWindows, kNoiseWindows };
 
 [[nodiscard]] const char* to_string(AnalysisMode m) noexcept;
+/// The mode whose to_string is `s`; nullopt for any other string.
+[[nodiscard]] std::optional<AnalysisMode> parse_mode(std::string_view s) noexcept;
 
 /// Upper bounds every front end (CLI flags, session `set` options) applies
 /// to Options::threads and Options::refine_iterations.
@@ -265,6 +269,21 @@ struct Result {
 /// injection net). Stops at a net without noise and never revisits a net.
 /// Empty when `net` carries no noise. `net` must lie inside `result.nets`.
 [[nodiscard]] std::vector<ProvenanceStep> origin_path(const Result& result, NetId net);
+
+/// Where the worst glitch on a net came from.
+struct NoiseTrace {
+  /// From the queried net (front) back to the injection net (back): the
+  /// net's origin_path.
+  std::vector<ProvenanceStep> path;
+  /// Aggressors in the worst combination at the injection net — the nets a
+  /// designer would respace, shield or retime to fix the glitch.
+  std::vector<NetId> aggressors;
+};
+
+/// origin_path(result, net) plus the in-worst injected aggressors at its
+/// last net. Empty when `net` carries no noise. Throws
+/// std::invalid_argument for a net outside `result.nets`.
+[[nodiscard]] NoiseTrace trace_origin(const Result& result, NetId net);
 
 /// Stable hex digest of every analysis option (FNV-1a over a canonical
 /// rendering) — two runs with equal digests analyzed under the same

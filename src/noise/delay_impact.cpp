@@ -2,52 +2,30 @@
 
 #include <algorithm>
 
+#include "noise/kernels.hpp"
 #include "util/executor.hpp"
-#include "util/scanline.hpp"
 
 namespace nw::noise {
 
 namespace {
 
-/// Per-net impact (shared-nothing over nets; same scan-line math as the
-/// serial path, so the parallel run is bit-identical). `affected` reports
+/// Per-net impact: the worst combination of the net's contributions
+/// inside the victim's transition window (anywhere, under no-filtering,
+/// where every contribution aligns with the edge). `affected` reports
 /// whether the net counts toward the summary.
 DelayImpact impact_for_net(const sta::NetTiming& t, const NetNoise& nn,
-                           const Options& opt, double vdd, char& affected) {
+                           const Options& opt, double vdd, CombineScratch& scratch,
+                           char& affected) {
   DelayImpact di;
   if (!t.switches()) return di;  // a quiet net has no edge to shift
   if (nn.contributions.empty()) return di;
 
-  double peak = 0.0;
-  if (opt.mode == AnalysisMode::kNoFiltering) {
-    // Everything is assumed to align with the victim edge.
-    if (opt.constraints.empty()) {
-      for (const auto& c : nn.contributions) peak += c.peak;
-    } else {
-      // Per mutex group only the heaviest member can align.
-      std::vector<WeightedWindow> items;
-      std::vector<int> groups;
-      for (const auto& c : nn.contributions) {
-        items.push_back({c.peak, IntervalSet::everything()});
-        groups.push_back(c.aggressor.valid() ? opt.constraints.group_of(c.aggressor)
-                                             : -1);
-      }
-      peak = scan_max_overlap_grouped(items, groups).best_sum;
-    }
-  } else {
-    // Restrict every contribution to the victim's transition window.
-    const Interval edge = t.window.dilated(t.slew_max, t.slew_max);
-    std::vector<WeightedWindow> items;
-    std::vector<int> groups;
-    items.reserve(nn.contributions.size());
-    for (const auto& c : nn.contributions) {
-      items.push_back({c.peak, c.window.intersect(edge)});
-      groups.push_back(c.aggressor.valid() ? opt.constraints.group_of(c.aggressor)
-                                           : -1);
-    }
-    peak = opt.constraints.empty() ? scan_max_overlap(items).best_sum
-                                   : scan_max_overlap_grouped(items, groups).best_sum;
-  }
+  const Interval edge = opt.mode == AnalysisMode::kNoFiltering
+                            ? Interval::everything()
+                            : t.window.dilated(t.slew_max, t.slew_max);
+  const double peak = combine_flat(nn.contributions, opt.mode, edge, opt.constraints,
+                                   CombineView::kAll, scratch)
+                          .peak;
   if (peak < opt.min_peak) return di;
 
   affected = 1;
@@ -76,9 +54,10 @@ DelayImpactSummary compute_delay_impact(const net::Design& design,
   std::vector<char> affected(design.net_count(), 0);
   util::Executor exec(opt.threads);
   exec.parallel_for(design.net_count(), 32, [&](std::size_t begin, std::size_t end) {
+    CombineScratch scratch;
     for (std::size_t i = begin; i < end; ++i) {
       out.nets[i] = impact_for_net(sta_result.nets[i], noise_result.nets[i], opt, vdd,
-                                   affected[i]);
+                                   scratch, affected[i]);
     }
   });
   for (std::size_t i = 0; i < design.net_count(); ++i) {

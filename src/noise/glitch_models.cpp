@@ -21,6 +21,15 @@ const char* to_string(GlitchModel m) noexcept {
   return "?";
 }
 
+std::optional<GlitchModel> parse_model(std::string_view s) noexcept {
+  for (const GlitchModel m : {GlitchModel::kChargeSharing, GlitchModel::kDevgan,
+                              GlitchModel::kTwoPi, GlitchModel::kReducedMna,
+                              GlitchModel::kMnaExact}) {
+    if (s == to_string(m)) return m;
+  }
+  return std::nullopt;
+}
+
 // The three analytic models as elementwise span kernels — the canonical
 // implementations. Slot i reads only index i of every span, so the loops
 // auto-vectorize (charge-sharing/devgan fully; two-pi up to the libm

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <string_view>
 
 #include "netlist/design.hpp"
 #include "parasitics/rcnet.hpp"
@@ -34,6 +35,8 @@ namespace nw::noise {
 enum class GlitchModel { kChargeSharing, kDevgan, kTwoPi, kReducedMna, kMnaExact };
 
 [[nodiscard]] const char* to_string(GlitchModel m) noexcept;
+/// The model whose to_string is `s`; nullopt for any other string.
+[[nodiscard]] std::optional<GlitchModel> parse_model(std::string_view s) noexcept;
 
 /// Electrical abstract of one victim/aggressor pair.
 struct CouplingScenario {

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "noise/trace.hpp"
 #include "report/table.hpp"
 
 namespace nw::noise {
@@ -193,6 +192,21 @@ std::string explain_string(const net::Design& design, const Options& options,
                            const Result& result, NetId net) {
   std::ostringstream os;
   write_explain(os, design, options, result, net);
+  return os.str();
+}
+
+std::string trace_string(const net::Design& design, const NoiseTrace& trace) {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < trace.path.size(); ++i) {
+    if (i > 0) os << " <- ";
+    const ProvenanceStep& s = trace.path[i];
+    os << design.net(s.net).name << " (" << report::fmt_mv(s.peak) << ")";
+  }
+  if (!trace.aggressors.empty()) {
+    os << " [aggressors:";
+    for (const NetId a : trace.aggressors) os << ' ' << design.net(a).name;
+    os << "]";
+  }
   return os.str();
 }
 

@@ -43,4 +43,9 @@ bool write_explain(std::ostream& os, const net::Design& design, const Options& o
                                          const Options& options, const Result& result,
                                          NetId net);
 
+/// One-line rendering of a trace_origin result: "y2 (412.0 mV) <- w2
+/// (500.1 mV) [aggressors: w1 w3]".
+[[nodiscard]] std::string trace_string(const net::Design& design,
+                                       const NoiseTrace& trace);
+
 }  // namespace nw::noise

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "noise/progress.hpp"
-#include "noise/trace.hpp"
 #include "obs/profile.hpp"
 #include "obs/tracer.hpp"
 
@@ -329,7 +328,7 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
   if (cmd == "trace_origin") {
     const NetId id = session_.require_net(arg_string(args, "net"));
     const GateGuard gate(gate_, session_, cmd);
-    const noise::NoiseTrace tr = session_.trace(id);
+    const noise::NoiseTrace tr = noise::trace_origin(session_.result(), id);
     Json path = Json::array();
     for (const noise::ProvenanceStep& step : tr.path) {
       Json s = Json::object();

@@ -12,7 +12,6 @@
 
 #include "noise/progress.hpp"
 #include "noise/report_writer.hpp"
-#include "noise/trace.hpp"
 #include "obs/memtrack.hpp"
 #include "session/protocol.hpp"
 
@@ -288,7 +287,7 @@ void run_command(Session& s, const std::vector<std::string>& toks, std::ostream&
         << nn.aggressor_count << " aggressor(s)\n";
   } else if (cmd == "trace") {
     const NetId id = s.require_net(str_arg(toks, 1, "net name"));
-    out << noise::trace_string(s.design(), s.trace(id)) << "\n";
+    out << noise::trace_string(s.design(), noise::trace_origin(s.result(), id)) << "\n";
   } else if (cmd == "explain") {
     const NetId id = s.require_net(str_arg(toks, 1, "net name"));
     out << noise::explain_string(s.design(), s.noise_options(), s.result(), id);

@@ -1,7 +1,6 @@
 #include "session/session.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <optional>
 #include <utility>
@@ -9,6 +8,7 @@
 #include "obs/memtrack.hpp"
 #include "obs/resource.hpp"
 #include "obs/tracer.hpp"
+#include "util/strings.hpp"
 
 namespace nw::session {
 
@@ -16,36 +16,28 @@ namespace {
 
 constexpr const char* kUnit = "";
 
-std::optional<std::uint64_t> parse_uint(const std::string& s) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
-}
-
-std::optional<double> parse_double(const std::string& s) {
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
-}
-
-std::optional<noise::AnalysisMode> parse_mode(const std::string& s) {
-  if (s == "no-filtering") return noise::AnalysisMode::kNoFiltering;
-  if (s == "switching-windows") return noise::AnalysisMode::kSwitchingWindows;
-  if (s == "noise-windows") return noise::AnalysisMode::kNoiseWindows;
-  return std::nullopt;
-}
-
 bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
 
-std::optional<noise::GlitchModel> parse_model(const std::string& s) {
-  if (s == "charge-sharing") return noise::GlitchModel::kChargeSharing;
-  if (s == "devgan") return noise::GlitchModel::kDevgan;
-  if (s == "two-pi") return noise::GlitchModel::kTwoPi;
-  if (s == "reduced-mna") return noise::GlitchModel::kReducedMna;
-  if (s == "mna-exact") return noise::GlitchModel::kMnaExact;
-  return std::nullopt;
+/// The value of integer option `name`, in [0, max].
+int uint_option(const std::string& name, const std::string& value, unsigned max) {
+  try {
+    const unsigned long v = nw::parse_uint(value);
+    if (v <= max) return static_cast<int>(v);
+  } catch (const std::invalid_argument&) {
+  }
+  throw std::invalid_argument("set_option " + name + ": '" + value +
+                              "' (expected an integer in [0, " + std::to_string(max) + "])");
+}
+
+/// The value of option `period`, positive and finite [s].
+double period_option(const std::string& value) {
+  try {
+    const double v = nw::parse_double(value);
+    if (positive_finite(v)) return v;
+  } catch (const std::invalid_argument&) {
+  }
+  throw std::invalid_argument("set_option period: '" + value +
+                              "' (expected a positive number of seconds)");
 }
 
 }  // namespace
@@ -150,13 +142,6 @@ para::Parasitics& Session::mut_para() {
 const noise::Result& Session::result() {
   ensure_current();
   return *base_result_;
-}
-
-noise::NoiseTrace Session::trace(NetId net) {
-  if (net.index() >= design().net_count()) {
-    throw NotFound("net id " + std::to_string(net.value()) + " outside the design");
-  }
-  return noise::trace_origin(result(), net);
 }
 
 std::vector<EndpointSlack> Session::endpoint_slacks() {
@@ -336,7 +321,7 @@ int Session::set_constraint_group(std::span<const std::string> nets) {
 void Session::set_option(const std::string& name, const std::string& value) {
   noise::Options old = cfg_.noise;
   if (name == "mode") {
-    const auto m = parse_mode(value);
+    const auto m = noise::parse_mode(value);
     if (!m) {
       throw std::invalid_argument(
           "set_option mode: '" + value +
@@ -344,7 +329,7 @@ void Session::set_option(const std::string& name, const std::string& value) {
     }
     cfg_.noise.mode = *m;
   } else if (name == "model") {
-    const auto m = parse_model(value);
+    const auto m = noise::parse_model(value);
     if (!m) {
       throw std::invalid_argument(
           "set_option model: '" + value +
@@ -352,28 +337,11 @@ void Session::set_option(const std::string& name, const std::string& value) {
     }
     cfg_.noise.model = *m;
   } else if (name == "threads") {
-    const auto v = parse_uint(value);
-    if (!v || *v > noise::kMaxThreads) {
-      throw std::invalid_argument("set_option threads: '" + value +
-                                  "' (expected an integer in [0, " +
-                                  std::to_string(noise::kMaxThreads) + "])");
-    }
-    cfg_.noise.threads = static_cast<int>(*v);
+    cfg_.noise.threads = uint_option(name, value, noise::kMaxThreads);
   } else if (name == "refine") {
-    const auto v = parse_uint(value);
-    if (!v || *v > noise::kMaxRefineIterations) {
-      throw std::invalid_argument("set_option refine: '" + value +
-                                  "' (expected an integer in [0, " +
-                                  std::to_string(noise::kMaxRefineIterations) + "])");
-    }
-    cfg_.noise.refine_iterations = static_cast<int>(*v);
+    cfg_.noise.refine_iterations = uint_option(name, value, noise::kMaxRefineIterations);
   } else if (name == "period") {
-    const auto v = parse_double(value);
-    if (!v || !std::isfinite(*v) || *v <= 0.0) {
-      throw std::invalid_argument("set_option period: '" + value +
-                                  "' (expected a positive number of seconds)");
-    }
-    cfg_.noise.clock_period = *v;
+    cfg_.noise.clock_period = period_option(value);
   } else {
     throw std::invalid_argument(
         "set_option: unknown option '" + name +

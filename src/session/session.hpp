@@ -36,7 +36,6 @@
 
 #include "netlist/design.hpp"
 #include "noise/analyzer.hpp"
-#include "noise/trace.hpp"
 #include "obs/metrics.hpp"
 #include "parasitics/rcnet.hpp"
 #include "sta/sta.hpp"
@@ -111,9 +110,6 @@ class Session {
   [[nodiscard]] const noise::Result* last_result() const noexcept {
     return base_result_.get();
   }
-
-  /// Trace the worst glitch on a net back to its origin.
-  [[nodiscard]] noise::NoiseTrace trace(NetId net);
 
   /// All endpoint noise slacks, ascending (worst first).
   [[nodiscard]] std::vector<EndpointSlack> endpoint_slacks();

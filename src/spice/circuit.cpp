@@ -73,10 +73,4 @@ std::size_t Circuit::add_vsrc(std::size_t pos, std::size_t neg, Pwl wave) {
   return vs_.size() - 1;
 }
 
-void Circuit::add_isrc(std::size_t from, std::size_t to, double i) {
-  check_node(from, "add_isrc");
-  check_node(to, "add_isrc");
-  is_.push_back({from, to, i});
-}
-
 }  // namespace nw::spice

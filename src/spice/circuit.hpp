@@ -1,9 +1,8 @@
-// Flat linear circuit for noise validation: R, C, piecewise-linear voltage
-// sources, and DC current sources. Node 0 is ground.
+// Flat linear circuit for noise validation: R, C and piecewise-linear
+// voltage sources. Node 0 is ground.
 //
-// This is the substrate behind both the SPICE deck writer (decks runnable
-// by any external simulator) and the built-in MNA transient engine used as
-// the golden reference for glitch accuracy experiments.
+// This is the substrate of the built-in MNA transient engine used as the
+// golden reference for glitch accuracy experiments.
 #pragma once
 
 #include <cstddef>
@@ -57,12 +56,6 @@ struct VoltageSource {
   Pwl wave;
 };
 
-struct CurrentSource {
-  std::size_t from = 0;  ///< current flows from -> to through the source
-  std::size_t to = 0;
-  double i = 0.0;
-};
-
 class Circuit {
  public:
   Circuit() { node_names_.emplace_back("0"); }  // ground
@@ -78,16 +71,14 @@ class Circuit {
   void add_res(std::size_t a, std::size_t b, double r);
   void add_cap(std::size_t a, std::size_t b, double c);
   std::size_t add_vsrc(std::size_t pos, std::size_t neg, Pwl wave);
-  void add_isrc(std::size_t from, std::size_t to, double i);
 
   [[nodiscard]] const std::vector<Resistor>& resistors() const noexcept { return rs_; }
   [[nodiscard]] const std::vector<Capacitor>& capacitors() const noexcept { return cs_; }
   [[nodiscard]] const std::vector<VoltageSource>& vsources() const noexcept { return vs_; }
-  [[nodiscard]] const std::vector<CurrentSource>& isources() const noexcept { return is_; }
 
   /// Count of circuit elements (model-size metric in benches).
   [[nodiscard]] std::size_t element_count() const noexcept {
-    return rs_.size() + cs_.size() + vs_.size() + is_.size();
+    return rs_.size() + cs_.size() + vs_.size();
   }
 
  private:
@@ -97,7 +88,6 @@ class Circuit {
   std::vector<Resistor> rs_;
   std::vector<Capacitor> cs_;
   std::vector<VoltageSource> vs_;
-  std::vector<CurrentSource> is_;
 };
 
 }  // namespace nw::spice

@@ -83,13 +83,11 @@ void integrate(const Circuit& ckt, const TranOptions& opt, std::size_t steps,
     }
   }
 
-  // Theta scheme on the KCL rows:
+  // Trapezoidal rule on the KCL rows (theta = 1/2):
   //   (C/h + theta G) x_{k+1} = (C/h - (1-theta) G) x_k
-  //                             + theta b_{k+1} + (1-theta) b_k
-  // with theta = 1/2 (trapezoidal) or 1 (Backward Euler). Voltage-source
-  // rows are algebraic constraints (v_p - v_n = V(t)) and are kept
-  // unscaled so they hold exactly at t_{k+1}.
-  const double theta = opt.method == Integrator::kBackwardEuler ? 1.0 : 0.5;
+  // Voltage-source rows are algebraic constraints (v_p - v_n = V(t)) and
+  // are kept unscaled so they hold exactly at t_{k+1}.
+  constexpr double theta = 0.5;
   const double inv_h = 1.0 / opt.dt;
   la::TripletBuilder lhs(dim);
   la::TripletBuilder rhs_mat(dim);
@@ -100,7 +98,7 @@ void integrate(const Circuit& ckt, const TranOptions& opt, std::size_t steps,
         lhs.add(r, col, val);
       } else {
         lhs.add(r, col, theta * val);
-        if (theta < 1.0) rhs_mat.add(r, col, -(1.0 - theta) * val);
+        rhs_mat.add(r, col, -(1.0 - theta) * val);
       }
     }
     for (const auto& [col, val] : c.row(r)) {
@@ -111,13 +109,9 @@ void integrate(const Circuit& ckt, const TranOptions& opt, std::size_t steps,
   const la::SparseLu lu(lhs);
   const la::SparseMatrix rhs_m(rhs_mat);
 
-  // Source vector b(0): DC current injections on the KCL rows, source
-  // voltages on the constraint rows.
+  // Source vector b(0): zero on the KCL rows, source voltages on the
+  // constraint rows.
   std::vector<double> b(dim, 0.0);
-  for (const auto& src : ckt.isources()) {
-    if (src.from != 0) b[vi(src.from)] -= src.i;
-    if (src.to != 0) b[vi(src.to)] += src.i;
-  }
   for (std::size_t j = 0; j < ns; ++j) b[nv + j] = ckt.vsources()[j].wave.at(0.0);
 
   // DC operating point at t = 0: solve G x = b(0). Floating pure-C nodes
@@ -133,17 +127,6 @@ void integrate(const Circuit& ckt, const TranOptions& opt, std::size_t steps,
   lu_dc.solve_into(b, y, x);
   record(0, std::as_const(x));
 
-  // The KCL part of b is the same at every step (current sources are DC),
-  // so theta b_{k+1} + (1-theta) b_k is one fixed vector. Without current
-  // sources it is all +0.0, and adding it cannot change a sample: a row
-  // product sum that starts at +0.0 never ends at -0.0.
-  std::vector<double> injection;
-  if (!ckt.isources().empty()) {
-    injection.resize(nv);
-    for (std::size_t i = 0; i < nv; ++i) {
-      injection[i] = theta * b[i] + (1.0 - theta) * b[i];
-    }
-  }
   std::vector<double> v_now(ns);
   for (std::size_t k = 1; k < steps; ++k) {
     const double t = opt.dt * static_cast<double>(k);
@@ -152,12 +135,7 @@ void integrate(const Circuit& ckt, const TranOptions& opt, std::size_t steps,
     // substitution overwrites x with x_{k+1}. Constraint rows: v_p - v_n =
     // V(t_{k+1}) exactly.
     lu.solve_fused(
-        [&](std::size_t r) {
-          if (r >= nv) return v_now[r - nv];
-          double acc = rhs_m.row_dot(r, x);
-          if (!injection.empty()) acc += injection[r];
-          return acc;
-        },
+        [&](std::size_t r) { return r >= nv ? v_now[r - nv] : rhs_m.row_dot(r, x); },
         y, x);
     record(k, std::as_const(x));
   }

@@ -11,16 +11,14 @@
 // sources into a buffer and runs one fused solve over the flat LU factors
 // (la::SparseLu::solve_fused): the right-hand side (C/h - (1-theta) G) x_k
 // plus the source terms is assembled row by row inside the forward
-// substitution, and back substitution overwrites x in place. The DC
-// current-source injection is constant, so it is folded once before the
-// loop, and only when the circuit has current sources. Every floating-point
-// operation keeps the order of a plain multiply-then-solve step, so the
-// samples are bit-identical to it (tests/spice/reference.hpp keeps that
-// plain loop as the oracle).
+// substitution, and back substitution overwrites x in place. Every
+// floating-point operation keeps the order of a plain multiply-then-solve
+// step, so the samples are bit-identical to it (tests/spice/reference.hpp
+// keeps that plain loop as the oracle).
 //
 // One stepping loop serves two recorders: simulate() keeps every node
-// (tests, VCD export), simulate_node() keeps a single probe node straight
-// into a Waveform (the MNA glitch models).
+// (waveform benches, tests), simulate_node() keeps a single probe node
+// straight into a Waveform (the MNA glitch models).
 #pragma once
 
 #include <cstddef>
@@ -31,15 +29,9 @@
 
 namespace nw::spice {
 
-/// Integration scheme. Trapezoidal is 2nd-order accurate (the SPICE
-/// default); Backward Euler is 1st-order but L-stable — it damps the
-/// numerical ringing trapezoidal can show on very stiff networks.
-enum class Integrator { kTrapezoidal, kBackwardEuler };
-
 struct TranOptions {
   double t_stop = 1e-9;   ///< simulation end time [s]
   double dt = 0.25e-12;   ///< fixed timestep [s]
-  Integrator method = Integrator::kTrapezoidal;
 };
 
 class TransientResult {

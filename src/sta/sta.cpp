@@ -15,19 +15,45 @@ namespace nw::sta {
 
 namespace {
 
-/// Per-net interconnect figures, one net at a time, reusing its buffers
-/// across nets: prepare(net), then delays() and/or load_cap().
-class WireBuilder {
+/// The interconnect view of a run: the Elmore delay of every load of a net
+/// (per PinId) and the load the net presents to its driver (per NetId).
+/// Both are computed together on a net's first use, so an incremental run
+/// pays only for the nets it reads.
+class Wires {
  public:
-  WireBuilder(const net::Design& d, const para::Parasitics& para, const Options& opt)
-      : d_(d), para_(para), opt_(opt) {}
+  Wires(const net::Design& d, const para::Parasitics& para, const Options& opt)
+      : d_(d),
+        para_(para),
+        opt_(opt),
+        wire_delay_(d.pin_count(), 0.0),
+        load_cap_(d.net_count(), 0.0),
+        done_(d.net_count(), 0) {}
 
-  /// Per-node extra caps of `id`: attached pin loads plus Miller-lumped
-  /// couplings.
+  /// Wire delay to `load` on `net`; 0 for a load off the RC tree.
+  [[nodiscard]] double delay(PinId load, NetId net) {
+    if (!done_[net.index()]) prepare(net);
+    return wire_delay_[load.index()];
+  }
+  /// Ground + pin + Miller-lumped coupling load of `net` [F].
+  [[nodiscard]] double load(NetId net) {
+    if (!done_[net.index()]) prepare(net);
+    return load_cap_[net.index()];
+  }
+  /// Computes every net's entries now. A full run reads nearly all of
+  /// them, and net order walks the parasitics sequentially (first-use
+  /// order, following the levelization, measured slower on logic100k).
+  void prepare_all() {
+    for (std::size_t i = 0; i < done_.size(); ++i) {
+      if (!done_[i]) prepare(NetId{i});
+    }
+  }
+
+ private:
   void prepare(NetId id) {
-    id_ = id;
+    done_[id.index()] = 1;
     const net::Net& net = d_.net(id);
     const para::RcNet& rc = para_.net(id);
+    // Per-node extra caps: attached pin loads plus Miller-lumped couplings.
     extra_.assign(rc.node_count(), 0.0);
     load_node_.clear();
     for (const PinId load : net.loads) {
@@ -44,100 +70,35 @@ class WireBuilder {
       const auto& cc = para_.coupling(ci);
       extra_[cc.node_on(id)] += opt_.miller_factor * cc.c;
     }
-  }
 
-  /// Writes the Elmore delay of every load of the prepared net into
-  /// `wire_delay` (indexed by PinId); 0 for a load off the RC tree.
-  void delays(std::vector<double>& wire_delay) const {
-    const net::Net& net = d_.net(id_);
-    const para::RcNet& rc = para_.net(id_);
     std::vector<double> elmore;
     if (rc.res_count() > 0) elmore = para::elmore_delays(rc, extra_);
     for (std::size_t k = 0; k < net.loads.size(); ++k) {
       const bool attached = !elmore.empty() && load_node_[k] < rc.node_count();
-      wire_delay[net.loads[k].index()] = attached ? elmore[load_node_[k]] : 0.0;
+      wire_delay_[net.loads[k].index()] = attached ? elmore[load_node_[k]] : 0.0;
     }
-  }
 
-  /// The load the prepared net presents to its driver.
-  [[nodiscard]] double load_cap() const {
-    const para::RcNet& rc = para_.net(id_);
     double load_cap = rc.total_ground_cap();
     for (const double e : extra_) load_cap += e;
-    if (opt_.use_ceff && rc.res_count() > 0 && d_.net(id_).driver.valid()) {
+    if (opt_.use_ceff && rc.res_count() > 0 && net.driver.valid()) {
       const para::PiModel pi = para::pi_model(rc, extra_);
       if (pi.r > 0.0) {
-        const double rd = d_.driver_resistance(id_, /*holding=*/false);
+        const double rd = d_.driver_resistance(id, /*holding=*/false);
         const double k = rd / (rd + pi.r);
         load_cap = pi.c_near + k * pi.c_far;
       }
     }
-    return load_cap;
+    load_cap_[id.index()] = load_cap;
   }
 
- private:
   const net::Design& d_;
   const para::Parasitics& para_;
   const Options& opt_;
-  NetId id_;
-  std::vector<double> extra_;             // per RC node of the prepared net
-  std::vector<std::uint32_t> load_node_;  // RC node of each load of the prepared net
-};
-
-/// run()'s interconnect view: every net's entries, built up front as one
-/// flat per-pin slab of wire delays and one per-net slab of driver loads.
-class FlatWires {
- public:
-  FlatWires(const net::Design& d, const para::Parasitics& para, const Options& opt)
-      : wire_delay_(d.pin_count(), 0.0), load_cap_(d.net_count(), 0.0) {
-    WireBuilder builder(d, para, opt);
-    for (std::size_t i = 0; i < d.net_count(); ++i) {
-      builder.prepare(NetId{i});
-      builder.delays(wire_delay_);
-      load_cap_[i] = builder.load_cap();
-    }
-  }
-  [[nodiscard]] double delay(PinId load, NetId) const { return wire_delay_[load.index()]; }
-  [[nodiscard]] double load(NetId net) const { return load_cap_[net.index()]; }
-
- private:
-  std::vector<double> wire_delay_;  // per PinId; 0 when the pin is unattached
-  std::vector<double> load_cap_;    // per NetId: ground + pin + miller * coupling [F]
-};
-
-/// run_incremental()'s interconnect view: a net's entries are computed on
-/// first use, so a run pays only for the nets it reads.
-class LazyWires {
- public:
-  LazyWires(const net::Design& d, const para::Parasitics& para, const Options& opt)
-      : builder_(d, para, opt),
-        wire_delay_(d.pin_count()),
-        load_cap_(d.net_count()),
-        done_(d.net_count(), 0) {}
-  [[nodiscard]] double delay(PinId load, NetId net) {
-    if (!(done_[net.index()] & kDelays)) {
-      builder_.prepare(net);
-      builder_.delays(wire_delay_);
-      done_[net.index()] |= kDelays;
-    }
-    return wire_delay_[load.index()];
-  }
-  [[nodiscard]] double load(NetId net) {
-    if (!(done_[net.index()] & kLoad)) {
-      builder_.prepare(net);
-      load_cap_[net.index()] = builder_.load_cap();
-      done_[net.index()] |= kLoad;
-    }
-    return load_cap_[net.index()];
-  }
-
- private:
-  static constexpr std::uint8_t kDelays = 1;
-  static constexpr std::uint8_t kLoad = 2;
-  WireBuilder builder_;
-  std::vector<double> wire_delay_;
-  std::vector<double> load_cap_;
-  std::vector<std::uint8_t> done_;  // per net: kDelays | kLoad computed
+  std::vector<double> wire_delay_;        // per PinId
+  std::vector<double> load_cap_;          // per NetId
+  std::vector<char> done_;                // per NetId: entries computed
+  std::vector<double> extra_;             // per RC node of the net being prepared
+  std::vector<std::uint32_t> load_node_;  // RC node of each of its loads
 };
 
 bool same_bits(double a, double b) {
@@ -219,7 +180,7 @@ std::vector<std::uint32_t> ranks_of(const std::vector<InstId>& order) {
 
 /// Timing at a load pin: `driver(pin)`'s timing of the net's driving pin,
 /// shifted by the load's wire delay.
-template <class Wires, class Driver>
+template <class Driver>
 PinTiming at_load(const net::Design& design, Wires& w, PinId load, Driver&& driver) {
   const net::Pin& lp = design.pin(load);
   if (!lp.net.valid()) return {};
@@ -235,7 +196,7 @@ PinTiming at_load(const net::Design& design, Wires& w, PinId load, Driver&& driv
 /// Evaluates the arcs of one instance in cell order. `input(pin)` is the
 /// timing at an arc's input pin; every reached result goes to
 /// `emit(out_pin, out_net, timing)` before the next arc reads its input.
-template <class Wires, class Input, class Emit>
+template <class Input, class Emit>
 void evaluate_arcs(const net::Design& design, Wires& w, InstId inst_id, Input&& input,
                    Emit&& emit) {
   const net::Instance& inst = design.instance(inst_id);
@@ -308,7 +269,6 @@ struct SweepState {
 /// res.sweep1_reached; later sweeps record into res.sweep1 the value each
 /// pin held before its first change after sweep 1. Sets res.passes, or
 /// throws when the clock chain does not settle within kMaxPasses.
-template <class Wires>
 void sweep(const net::Design& design, Wires& w, const std::vector<std::uint32_t>& rank,
            std::vector<char> dirty, bool any_dirty, SweepState st, Result& res) {
   const std::vector<InstId>& order = res.order;
@@ -390,7 +350,6 @@ void summarize_net(const net::Design& design, Result& res, std::size_t i) {
 /// data pins (setup against the next clock edge) and primary output ports
 /// (against the period). With a `base` (incremental runs), a pin whose net
 /// is not `touched` keeps base's clock window or arrival and reads no wire.
-template <class Wires>
 void derive_endpoints(const net::Design& design, Wires& w, const Options& opt,
                       Result& res, const Result* base = nullptr,
                       const std::vector<char>* touched = nullptr) {
@@ -492,7 +451,8 @@ Result run(const net::Design& design, const para::Parasitics& para, const Option
   res.pins.assign(design.pin_count(), PinTiming{});
   res.nets.assign(design.net_count(), NetTiming{});
 
-  FlatWires wires(design, para, opt);
+  Wires wires(design, para, opt);
+  wires.prepare_all();
 
   for (const PinId p : design.input_ports()) res.pins[p.index()] = port_seed(design, opt, p);
 
@@ -534,7 +494,7 @@ Update run_incremental(const net::Design& design, const para::Parasitics& para,
   res.sweep1_reached = base.sweep1_reached;
   const std::vector<std::uint32_t> rank = ranks_of(res.order);
 
-  LazyWires w(design, para, opt);
+  Wires w(design, para, opt);
 
   // Back to the state sweep 1 left; `moved` collects every pin whose final
   // value may differ from the base's.

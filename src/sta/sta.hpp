@@ -12,7 +12,9 @@
 // latest] for rise and fall are propagated from primary inputs and
 // sequential outputs through NLDM cell arcs and Elmore wire delays (one
 // flat per-pin slab of wire delays and one per-net slab of driver loads,
-// built once per run).
+// filled in net order by a full run and per net on first read by an
+// incremental one, which pays only for the nets it touches; a Result keeps
+// no slabs).
 //
 // Propagation is an event-driven worklist over one levelization, the Kahn
 // order of Design::topological_order(), which the Result keeps as `order`
@@ -52,11 +54,9 @@
 // of higher rank as its initial, unreached value. The sweep-2 seed set,
 // kept by the Result, is patched for the instances whose seeds could
 // change, and sweeps 2 and later run on the same worklist loop as run().
-// Wire-slab entries are computed per net on first read, so a run pays for
-// the nets it touches and a Result keeps no slabs. An arrival-window edit
-// needs no net: re-seeding compares every input port's seed with the
-// base's. The run returns the nets whose NetTiming moved, the set a caller
-// would otherwise diff for.
+// An arrival-window edit needs no net: re-seeding compares every input
+// port's seed with the base's. The run returns the nets whose NetTiming
+// moved, the set a caller would otherwise diff for.
 #pragma once
 
 #include <cstdint>

@@ -134,7 +134,7 @@ spice::TransientResult simulate(const spice::Circuit& ckt, const spice::TranOpti
     }
   }
 
-  const double theta = opt.method == spice::Integrator::kBackwardEuler ? 1.0 : 0.5;
+  const double theta = 0.5;
   const double inv_h = 1.0 / opt.dt;
   la::TripletBuilder lhs(dim);
   la::TripletBuilder rhs_mat(dim);
@@ -145,7 +145,7 @@ spice::TransientResult simulate(const spice::Circuit& ckt, const spice::TranOpti
         lhs.add(r, col, val);
       } else {
         lhs.add(r, col, theta * val);
-        if (theta < 1.0) rhs_mat.add(r, col, -(1.0 - theta) * val);
+        rhs_mat.add(r, col, -(1.0 - theta) * val);
       }
     }
     for (const auto& [col, val] : c.row(r)) {
@@ -158,10 +158,6 @@ spice::TransientResult simulate(const spice::Circuit& ckt, const spice::TranOpti
 
   auto source_vec = [&](double t) {
     std::vector<double> b(dim, 0.0);
-    for (const auto& src : ckt.isources()) {
-      if (src.from != 0) b[vi(src.from)] -= src.i;
-      if (src.to != 0) b[vi(src.to)] += src.i;
-    }
     for (std::size_t j = 0; j < ns; ++j) b[nv + j] = ckt.vsources()[j].wave.at(t);
     return b;
   };
@@ -177,18 +173,13 @@ spice::TransientResult simulate(const spice::Circuit& ckt, const spice::TranOpti
   spice::TransientResult res(opt.dt, n_nodes, steps);
   for (std::size_t node = 1; node < n_nodes; ++node) res.set(node, 0, x[vi(node)]);
 
-  std::vector<double> b_prev = source_vec(0.0);
   for (std::size_t k = 1; k < steps; ++k) {
     const double t = opt.dt * static_cast<double>(k);
-    std::vector<double> b_now = source_vec(t);
+    const std::vector<double> b_now = source_vec(t);
     std::vector<double> rhs = rhs_m.multiply(x);
-    for (std::size_t i = 0; i < nv; ++i) {
-      rhs[i] += theta * b_now[i] + (1.0 - theta) * b_prev[i];
-    }
     for (std::size_t j = 0; j < ns; ++j) rhs[nv + j] = b_now[nv + j];
     x = lu.solve(rhs);
     for (std::size_t node = 1; node < n_nodes; ++node) res.set(node, k, x[vi(node)]);
-    b_prev = std::move(b_now);
   }
   return res;
 }

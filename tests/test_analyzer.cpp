@@ -331,5 +331,21 @@ TEST(Analyzer, ModeNames) {
   EXPECT_STREQ(to_string(AnalysisMode::kNoiseWindows), "noise-windows");
 }
 
+TEST(Analyzer, OptionNamesRoundTrip) {
+  for (const AnalysisMode m : {AnalysisMode::kNoFiltering, AnalysisMode::kSwitchingWindows,
+                               AnalysisMode::kNoiseWindows}) {
+    EXPECT_EQ(parse_mode(to_string(m)), m) << to_string(m);
+  }
+  for (const GlitchModel m : {GlitchModel::kChargeSharing, GlitchModel::kDevgan,
+                              GlitchModel::kTwoPi, GlitchModel::kReducedMna,
+                              GlitchModel::kMnaExact}) {
+    EXPECT_EQ(parse_model(to_string(m)), m) << to_string(m);
+  }
+  for (const char* bad : {"", "?", "noise-window", "Noise-Windows", "two-pi "}) {
+    EXPECT_FALSE(parse_mode(bad).has_value()) << bad;
+    EXPECT_FALSE(parse_model(bad).has_value()) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace nw::noise

@@ -1,10 +1,16 @@
 // Crosstalk delay-impact computation (noise-on-delay).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "gen/bus.hpp"
+#include "gen/randlogic.hpp"
 #include "noise/analyzer.hpp"
 #include "noise/delay_impact.hpp"
 #include "sta/sta.hpp"
+#include "util/scanline.hpp"
 #include "util/units.hpp"
 
 namespace nw::noise {
@@ -115,6 +121,101 @@ TEST(DelayImpact, ConstraintsReduceImpact) {
   const double after =
       compute_delay_impact(f.g.design, timing, rc, oc).net(victim).delta_delay;
   EXPECT_LT(after, before);
+}
+
+/// The worst aligned noise on a switching net by the IntervalSet scan:
+/// every contribution as a WeightedWindow, restricted to the victim's
+/// transition window (aligned everywhere under no-filtering).
+double scan_oracle_peak(const sta::NetTiming& t, const NetNoise& nn, const Options& opt) {
+  const bool no_filtering = opt.mode == AnalysisMode::kNoFiltering;
+  const Interval edge = t.window.dilated(t.slew_max, t.slew_max);
+  std::vector<WeightedWindow> items;
+  std::vector<int> groups;
+  double sum = 0.0;
+  for (const auto& c : nn.contributions) {
+    sum += c.peak;
+    items.push_back({c.peak, no_filtering ? IntervalSet::everything() : c.window.intersect(edge)});
+    groups.push_back(c.aggressor.valid() ? opt.constraints.group_of(c.aggressor) : -1);
+  }
+  if (!opt.constraints.empty()) return scan_max_overlap_grouped(items, groups).best_sum;
+  return no_filtering ? sum : scan_max_overlap(items).best_sum;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Mutex pairs of two aggressors of one victim, each net in one pair at
+/// most, so the grouped scan decides the victim's combination.
+Constraints aggressor_pairs(const gen::Generated& g) {
+  Constraints c;
+  std::vector<char> grouped(g.design.net_count(), 0);
+  for (std::size_t v = 0; v < g.design.net_count(); ++v) {
+    std::vector<NetId> pair;
+    for (const std::size_t ci : g.para.couplings_of(NetId{v})) {
+      const auto& cc = g.para.coupling(ci);
+      const NetId a = cc.net_a == NetId{v} ? cc.net_b : cc.net_a;
+      if (grouped[a.index()] || (!pair.empty() && pair.front() == a)) continue;
+      pair.push_back(a);
+      if (pair.size() == 2) break;
+    }
+    if (pair.size() < 2) continue;
+    for (const NetId a : pair) grouped[a.index()] = 1;
+    c.add_mutex_group(pair);
+  }
+  return c;
+}
+
+TEST(DelayImpact, MatchesIntervalSetScanBitForBit) {
+  const lib::Library library = lib::default_library();
+  std::vector<std::pair<std::string, gen::Generated>> designs;
+  for (const std::uint64_t seed : {1, 2}) {
+    gen::BusConfig cfg = bus_cfg(seed);  // 1 or 2 arrival groups
+    cfg.seed = seed;
+    cfg.jitter = 30 * PS;
+    cfg.coupling_jitter = 0.3;
+    designs.emplace_back("bus seed " + std::to_string(seed), gen::make_bus(library, cfg));
+  }
+  for (const std::uint64_t seed : {3, 4}) {
+    gen::RandLogicConfig cfg;
+    cfg.gates = 300;
+    cfg.seed = seed;
+    designs.emplace_back("logic seed " + std::to_string(seed),
+                         gen::make_rand_logic(library, cfg));
+  }
+  for (const auto& [name, g] : designs) {
+    const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
+    for (const AnalysisMode mode : {AnalysisMode::kNoFiltering,
+                                    AnalysisMode::kSwitchingWindows,
+                                    AnalysisMode::kNoiseWindows}) {
+      for (const bool grouped : {false, true}) {
+        SCOPED_TRACE(name + " " + to_string(mode) + (grouped ? " grouped" : ""));
+        Options o;
+        o.mode = mode;
+        o.clock_period = g.sta_options.clock_period;
+        if (grouped) o.constraints = aggressor_pairs(g);
+        const Result r = analyze(g.design, g.para, timing, o);
+        const DelayImpactSummary impact = compute_delay_impact(g.design, timing, r, o);
+        std::size_t affected = 0;
+        for (std::size_t i = 0; i < g.design.net_count(); ++i) {
+          const sta::NetTiming& t = timing.nets[i];
+          const NetNoise& nn = r.nets[i];
+          double peak = 0.0;
+          double delta = 0.0;
+          if (t.switches() && !nn.contributions.empty()) {
+            const double p = scan_oracle_peak(t, nn, o);
+            if (p >= o.min_peak) {
+              ++affected;
+              peak = p;
+              delta = (p / library.vdd()) * t.slew_max;
+            }
+          }
+          EXPECT_TRUE(same_bits(impact.nets[i].peak_during_transition, peak)) << "net " << i;
+          EXPECT_TRUE(same_bits(impact.nets[i].delta_delay, delta)) << "net " << i;
+        }
+        EXPECT_GT(affected, 0u);
+        EXPECT_EQ(impact.affected_nets, affected);
+      }
+    }
+  }
 }
 
 }  // namespace

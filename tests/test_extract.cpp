@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "extract/extractor.hpp"
-#include "gen/routed_bus.hpp"
+#include "extract/routed_bus.hpp"
 #include "noise/analyzer.hpp"
 #include "sta/sta.hpp"
 #include "util/units.hpp"

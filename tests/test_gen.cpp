@@ -1,10 +1,10 @@
 // Testcase generators: structural sanity, determinism, configurability.
 #include <gtest/gtest.h>
 
+#include "extract/routed_bus.hpp"
 #include "gen/bus.hpp"
 #include "gen/pipeline.hpp"
 #include "gen/randlogic.hpp"
-#include "gen/routed_bus.hpp"
 #include "parasitics/spef.hpp"
 #include "util/units.hpp"
 

@@ -1,4 +1,4 @@
-// Sparse assembly, CSR, sparse LU (vs dense reference), conjugate gradient.
+// Sparse assembly, CSR, sparse LU (vs dense reference).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -154,32 +154,6 @@ TEST(SparseLu, RepeatedSolves) {
     const auto x = lu.solve(std::vector<double>{4 * s + s, 5 * s + s, 6 * s});
     EXPECT_NEAR(x[2], s, 1e-12);
   }
-}
-
-TEST(ConjugateGradient, SolvesSpdSystem) {
-  // Grounded resistor ladder conductance matrix (SPD).
-  const std::size_t n = 10;
-  TripletBuilder b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    b.add(i, i, 2.0);
-    if (i + 1 < n) {
-      b.add(i, i + 1, -1.0);
-      b.add(i + 1, i, -1.0);
-    }
-  }
-  const SparseMatrix a(b);
-  std::vector<double> x_true(n, 1.0);
-  const auto rhs = a.multiply(x_true);
-  const auto x = conjugate_gradient(a, rhs, 1e-12, 1000);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], 1.0, 1e-8);
-}
-
-TEST(ConjugateGradient, ZeroRhsGivesZero) {
-  TripletBuilder b(3);
-  for (std::size_t i = 0; i < 3; ++i) b.add(i, i, 1.0);
-  const SparseMatrix a(b);
-  const auto x = conjugate_gradient(a, std::vector<double>{0, 0, 0});
-  for (const double v : x) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 }  // namespace

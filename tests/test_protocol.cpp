@@ -232,6 +232,37 @@ TEST(Protocol, EndToEndEditQueryUndoConversation) {
   EXPECT_EQ(counters->find(Session::kMetricFullAnalyses)->as_number(), 1.0);
 }
 
+TEST(Protocol, TraceOriginRepliesWithTheAnalyzerTrace) {
+  Session s = make_session();
+  Protocol p(s);
+  std::size_t with_aggressors = 0;
+  for (std::size_t i = 0; i < s.design().net_count(); ++i) {
+    const std::string& name = s.design().net(NetId{i}).name;
+    SCOPED_TRACE(name);
+    const Json resp = parse_response(p.handle_line(
+        "{\"id\":1,\"cmd\":\"trace_origin\",\"args\":{\"net\":\"" + name + "\"}}"));
+    ASSERT_TRUE(resp.find("ok")->as_bool());
+    const noise::NoiseTrace want = noise::trace_origin(s.result(), NetId{i});
+    const auto& path = resp.find("data")->find("path")->items();
+    ASSERT_EQ(path.size(), want.path.size());
+    for (std::size_t k = 0; k < path.size(); ++k) {
+      EXPECT_EQ(path[k].find("net")->as_string(), s.design().net(want.path[k].net).name);
+      EXPECT_DOUBLE_EQ(path[k].find("peak")->as_number(), want.path[k].peak);
+      EXPECT_DOUBLE_EQ(path[k].find("width")->as_number(), want.path[k].width);
+    }
+    const auto& aggs = resp.find("data")->find("aggressors")->items();
+    ASSERT_EQ(aggs.size(), want.aggressors.size());
+    for (std::size_t k = 0; k < aggs.size(); ++k) {
+      EXPECT_EQ(aggs[k].as_string(), s.design().net(want.aggressors[k]).name);
+    }
+    with_aggressors += want.aggressors.empty() ? 0 : 1;
+  }
+  EXPECT_GT(with_aggressors, 0u);
+  const Json unknown = parse_response(p.handle_line(
+      "{\"id\":2,\"cmd\":\"trace_origin\",\"args\":{\"net\":\"nope\"}}"));
+  EXPECT_FALSE(unknown.find("ok")->as_bool());
+}
+
 // ---- Json unit coverage ----------------------------------------------------
 
 TEST(Json, RoundTripsValues) {

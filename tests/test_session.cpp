@@ -343,6 +343,41 @@ TEST(Session, NonFiniteArrivalAndPeriodRejected) {
   expect_bit_identical(s.result(), snapshot);
 }
 
+TEST(Session, SetOptionRejectsMalformedValuesNamingThem) {
+  Session s = make_session();
+  const auto message = [&](const char* name, const char* value) {
+    try {
+      s.set_option(name, value);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message("mode", "bogus"),
+            "set_option mode: 'bogus' (expected no-filtering | switching-windows | "
+            "noise-windows)");
+  EXPECT_EQ(message("model", "spice"),
+            "set_option model: 'spice' (expected charge-sharing | devgan | two-pi | "
+            "reduced-mna | mna-exact)");
+  for (const char* v : {"x", "-1", "1025", "2.5", "99999999999999999999999"}) {
+    EXPECT_EQ(message("threads", v),
+              "set_option threads: '" + std::string(v) + "' (expected an integer in [0, 1024])");
+  }
+  EXPECT_EQ(message("refine", "65"),
+            "set_option refine: '65' (expected an integer in [0, 64])");
+  for (const char* v : {"abc", "0", "-1e-9", "1e999", "1ns"}) {
+    EXPECT_EQ(message("period", v), "set_option period: '" + std::string(v) +
+                                         "' (expected a positive number of seconds)");
+  }
+  EXPECT_EQ(s.undo_depth(), 0u);
+  s.set_option("threads", "2");
+  s.set_option("refine", "0");
+  s.set_option("period", "2e-9");
+  EXPECT_EQ(s.noise_options().threads, 2);
+  EXPECT_EQ(s.noise_options().refine_iterations, 0);
+  EXPECT_EQ(s.noise_options().clock_period, 2e-9);
+}
+
 TEST(Session, ConstraintGroupIsAtomicOnFailure) {
   Session s = make_session();
   EXPECT_EQ(s.set_constraint_group(std::vector<std::string>{"w1", "w2"}), 0);
@@ -535,9 +570,10 @@ TEST(Session, TraceAndRequireValidation) {
   Session s = make_session();
   EXPECT_THROW((void)s.require_net("nope"), NotFound);
   EXPECT_THROW((void)s.require_instance("nope"), NotFound);
-  EXPECT_THROW((void)s.trace(NetId{999999}), NotFound);
+  EXPECT_THROW((void)noise::trace_origin(s.result(), NetId{999999}),
+               std::invalid_argument);
   const NetId w1 = s.require_net("w1");
-  const noise::NoiseTrace tr = s.trace(w1);  // well-formed for any net
+  const noise::NoiseTrace tr = noise::trace_origin(s.result(), w1);  // any net
   if (!tr.path.empty()) EXPECT_EQ(tr.path.front().net, w1);
 }
 

@@ -4,7 +4,7 @@
 #include "library/library.hpp"
 #include "netlist/design.hpp"
 #include "noise/analyzer.hpp"
-#include "noise/trace.hpp"
+#include "noise/report_writer.hpp"
 #include "sta/sta.hpp"
 #include "util/units.hpp"
 

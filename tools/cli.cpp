@@ -131,22 +131,6 @@ const char kUsage[] =
     "                      `cancel` is accepted either way)\n"
     "  --delay-impact      append the crosstalk delay-impact section\n";
 
-std::optional<noise::AnalysisMode> parse_mode(std::string_view s) {
-  if (s == "no-filtering") return noise::AnalysisMode::kNoFiltering;
-  if (s == "switching-windows") return noise::AnalysisMode::kSwitchingWindows;
-  if (s == "noise-windows") return noise::AnalysisMode::kNoiseWindows;
-  return std::nullopt;
-}
-
-std::optional<noise::GlitchModel> parse_model(std::string_view s) {
-  if (s == "charge-sharing") return noise::GlitchModel::kChargeSharing;
-  if (s == "devgan") return noise::GlitchModel::kDevgan;
-  if (s == "two-pi") return noise::GlitchModel::kTwoPi;
-  if (s == "reduced-mna") return noise::GlitchModel::kReducedMna;
-  if (s == "mna-exact") return noise::GlitchModel::kMnaExact;
-  return std::nullopt;
-}
-
 /// Bound of the daemon/sampling integer flags (stored as int).
 constexpr unsigned long kIntMax = std::numeric_limits<int>::max();
 
@@ -220,7 +204,7 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
     } else if (arg == "--mode") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      const auto m = parse_mode(*v);
+      const auto m = noise::parse_mode(*v);
       if (!m) {
         err << "noisewin: unknown mode '" << *v << "'\n";
         return std::nullopt;
@@ -230,7 +214,7 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
     } else if (arg == "--model") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      const auto m = parse_model(*v);
+      const auto m = noise::parse_model(*v);
       if (!m) {
         err << "noisewin: unknown model '" << *v << "'\n";
         return std::nullopt;
