@@ -26,6 +26,7 @@
 #include "noise/context.hpp"
 #include "noise/glitch_models.hpp"
 #include "noise/kernels.hpp"
+#include "session/stats_json.hpp"
 #include "util/interval.hpp"
 #include "util/scanline.hpp"
 
@@ -313,10 +314,10 @@ int main(int argc, char** argv) {
     std::ofstream f(path);
     // Kernel micro-benches never run the parallel analyzer; an
     // enabled:false executor section keeps the record schema-complete.
-    const std::pair<std::string, std::string> extra[] = {
-        {"bench", nw::bench::bench_record_json()},
-        {"executor", noise::executor_stats_json(noise::Result{})}};
-    obs::write_stats_json(f, meta, snap, extra);
+    session::Json extra = session::Json::object();
+    extra.set("bench", session::bench_record_json());
+    extra.set("executor", session::executor_json(noise::Result{}));
+    session::write_stats_json(f, meta, snap, std::move(extra));
   }
   return 0;
 }

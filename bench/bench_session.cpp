@@ -19,12 +19,14 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "bench/suite.hpp"
 #include "net/daemon.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "session/session.hpp"
+#include "session/stats_json.hpp"
 
 namespace {
 
@@ -106,6 +108,10 @@ std::unique_ptr<net::Daemon> make_daemon(std::size_t bits) {
   return d;
 }
 
+/// The cached query every round-trip sends (the client reads one reply per
+/// line, so one id serves them all).
+constexpr const char* kQueryLine = "{\"id\":1,\"cmd\":\"violations\"}\n";
+
 /// One JSONL round-trip through the daemon: a cached query answered from
 /// the shared seed. The delta over BM_CachedQuery is the serving stack —
 /// unix-socket hop, reader→worker queue handoff, JSON encode/decode.
@@ -114,9 +120,8 @@ void BM_DaemonRoundTrip(benchmark::State& state) {
       make_daemon(static_cast<std::size_t>(state.range(0)));
   net::SocketStream client(net::connect_endpoint(daemon->bound_endpoint()));
   std::string line;
-  long id = 0;
   for (auto _ : state) {
-    client << "{\"id\":" << ++id << ",\"cmd\":\"violations\"}\n" << std::flush;
+    client << kQueryLine << std::flush;
     if (!std::getline(client, line) || line.empty()) {
       state.SkipWithError("daemon closed the connection");
       break;
@@ -162,7 +167,7 @@ int main(int argc, char** argv) {
       {
         const obs::Span span("daemon-roundtrips", obs::SpanKind::kPhase, &seconds);
         for (int i = 0; i < kRounds; ++i) {
-          client << "{\"id\":" << i + 1 << ",\"cmd\":\"violations\"}\n" << std::flush;
+          client << kQueryLine << std::flush;
           if (!std::getline(client, line)) break;
         }
       }
@@ -178,15 +183,15 @@ int main(int argc, char** argv) {
     std::ofstream f(path);
     // The session's last analysis supplies the executor utilization the
     // schema-v3 record requires.
-    const std::pair<std::string, std::string> extra[] = {
-        {"bench", nw::bench::bench_record_json()},
-        {"executor", noise::executor_stats_json(s.result())}};
+    session::Json extra = session::Json::object();
+    extra.set("bench", session::bench_record_json());
+    extra.set("executor", session::executor_json(s.result()));
     // Suite-case label, not the raw netlist name: bench_history.py
     // qualifies baseline metrics by design, and the session record must
     // not collide with bench_runtime's plain "bus64" record.
     obs::RunMeta meta = s.meta();
     meta.design = "bus64-session";
-    obs::write_stats_json(f, meta, snap, extra);
+    session::write_stats_json(f, meta, snap, std::move(extra));
   }
   return 0;
 }

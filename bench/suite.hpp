@@ -6,7 +6,6 @@
 // register pipeline (sequential endpoints for the latch check).
 #pragma once
 
-#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,10 +18,9 @@
 #include "noise/analyzer.hpp"
 #include "noise/html_report.hpp"
 #include "noise/report_writer.hpp"
-#include "noise/telemetry.hpp"
 #include "obs/metrics.hpp"
-#include "obs/resource.hpp"
 #include "obs/tracer.hpp"
+#include "session/stats_json.hpp"
 #include "sta/sta.hpp"
 #include "util/units.hpp"
 
@@ -78,27 +76,7 @@ inline gen::PipelineConfig pipeline_config(std::size_t paths) {
   return cfg;
 }
 
-/// The "bench" section appended to every bench run record: run identity
-/// (full git SHA + describe + build type), wall-clock timestamp, and the
-/// process peak RSS — the fields tools/bench_history.py keys history
-/// entries by and compares against BENCH_baseline.json.
-inline std::string bench_record_json() {
-  const obs::ResourceSample rs = obs::sample_resources();
-  const std::time_t now = std::time(nullptr);
-  char utc[32] = "unknown";
-  if (std::tm tm{}; gmtime_r(&now, &tm) != nullptr) {
-    std::strftime(utc, sizeof utc, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  }
-  std::ostringstream os;
-  os << "{\"record_version\":1,\"git_sha\":\"" << obs::json_escape(obs::git_sha())
-     << "\",\"git_describe\":\"" << obs::json_escape(obs::build_version())
-     << "\",\"build_type\":\"" << obs::build_type() << "\",\"timestamp_utc\":\"" << utc
-     << "\",\"unix_time\":" << static_cast<long long>(now)
-     << ",\"peak_rss_bytes\":" << rs.peak_rss_bytes << "}";
-  return os.str();
-}
-
-/// One analysis run record in the --stats-json schema (obs::write_stats_json)
+/// One analysis run record in the --stats-json schema (session::write_stats_json)
 /// for a suite case — the bench harness emits this when NW_STATS_JSON is
 /// set, so a benchmark run leaves the same machine-readable artifact as
 /// a CLI run and lands in the same trajectory comparisons. The extra
@@ -151,15 +129,15 @@ inline void write_run_record(const std::string& path, const lib::Library& librar
       "check_ms", "endpoint-check wall time", r.telemetry.endpoints_seconds * 1e3));
 
   std::ofstream f(path);
-  const std::pair<std::string, std::string> extra[] = {
-      {"bench", bench_record_json()},
-      {"executor", noise::executor_stats_json(r)}};
+  session::Json extra = session::Json::object();
+  extra.set("bench", session::bench_record_json());
+  extra.set("executor", session::executor_json(r));
   // Label the record with the suite-case name ("bus64"/"logic10k"), not the
   // generator's netlist name ("rand10000") — bench_history.py qualifies
   // baseline metric keys by this design string.
   obs::RunMeta meta = r.run_meta;
   meta.design = design;
-  obs::write_stats_json(f, meta, snapshot, extra);
+  session::write_stats_json(f, meta, snapshot, std::move(extra));
 }
 
 /// The full D1..D6 suite. The library must outlive the returned cases.

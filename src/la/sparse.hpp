@@ -127,11 +127,6 @@ class SparseLu {
     }
   }
 
-  /// Fill statistics: nonzeros in L+U (diagnostic for benches).
-  [[nodiscard]] std::size_t factor_nonzeros() const noexcept {
-    return l_val_.size() + u_val_.size() + u_diag_.size();
-  }
-
  private:
   std::size_t n_;
   std::vector<std::size_t> perm_;  // row permutation: use row perm_[i] as pivot i

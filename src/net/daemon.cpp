@@ -8,9 +8,8 @@
 #include <iterator>
 #include <limits>
 #include <mutex>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "obs/log.hpp"
@@ -22,6 +21,7 @@
 #include "session/protocol.hpp"
 #include "session/reqobs.hpp"
 #include "session/server.hpp"
+#include "session/stats_json.hpp"
 
 namespace nw::net {
 
@@ -40,6 +40,15 @@ std::vector<std::string> series_names() {
   return {std::begin(kSeriesNames), std::end(kSeriesNames)};
 }
 
+/// Position of a series in ring order (std::size(kSeriesNames) if absent).
+constexpr std::size_t series_index(std::string_view name) {
+  std::size_t i = 0;
+  while (i < std::size(kSeriesNames) && kSeriesNames[i] != name) ++i;
+  return i;
+}
+
+constexpr double kMiB = 1024.0 * 1024.0;
+
 /// Sub-windows of the rotating analyze-latency quantile. One rotation per
 /// sampler tick, so the horizon is kLatencyWindows x sample_interval
 /// (~10 s at the 250 ms default) — "p95 lately", not "p95 since boot".
@@ -47,15 +56,13 @@ constexpr std::size_t kLatencyWindows = 40;
 
 std::string overloaded_response(const session::Json& id, const std::string& message,
                                 int retry_after_ms) {
-  session::Json err = session::Json::object();
-  err.set("code", "overloaded");
-  err.set("message", message);
-  err.set("retry_after_ms", retry_after_ms);
-  session::Json resp = session::Json::object();
-  resp.set("id", id);
-  resp.set("ok", false);
-  resp.set("error", std::move(err));
-  return resp.dump();
+  using session::Json;
+  return Json::object({{"id", id},
+                       {"ok", false},
+                       {"error", Json::object({{"code", "overloaded"},
+                                               {"message", message},
+                                               {"retry_after_ms", retry_after_ms}})}})
+      .dump();
 }
 
 }  // namespace
@@ -255,9 +262,7 @@ void Daemon::serve_connection(Connection& conn) {
     proto.set_gate(&governor_);
     proto.set_shutdown_handler([this] {
       request_drain();
-      session::Json o = session::Json::object();
-      o.set("draining", true);
-      return o;
+      return session::Json::object({{"draining", true}});
     });
     proto.set_stats_augmenter(
         [this](const session::Json& args) { return stats_sections(args); });
@@ -305,98 +310,71 @@ void Daemon::reject_connection(int fd) {
 }
 
 session::Json Daemon::daemon_section() const {
-  session::Json o = session::Json::object();
-  o.set("accepted", static_cast<double>(accepted_.value()));
-  o.set("active", active_.load());
-  o.set("rejected", static_cast<double>(rejected_.value()));
-  o.set("idle_closed", static_cast<double>(idle_closed_.value()));
-  o.set("handled", static_cast<double>(handled_.value()));
-  o.set("shed", static_cast<double>(shed_.value()));
-  o.set("queue_rejected", static_cast<double>(queue_rejected_.value()));
-  o.set("queue_depth", static_cast<double>(queue_depth_.load()));
-  o.set("analyze_ewma_ms", governor_.ewma_ms());
-  o.set("max_connections", cfg_.max_connections);
-  o.set("analysis_slots", cfg_.analysis_slots);
-  o.set("max_queued", cfg_.max_queued);
-  return o;
+  return session::Json::object({{"accepted", accepted_.value()},
+                                {"active", active_.load()},
+                                {"rejected", rejected_.value()},
+                                {"idle_closed", idle_closed_.value()},
+                                {"handled", handled_.value()},
+                                {"shed", shed_.value()},
+                                {"queue_rejected", queue_rejected_.value()},
+                                {"queue_depth", static_cast<double>(queue_depth_.load())},
+                                {"analyze_ewma_ms", governor_.ewma_ms()},
+                                {"max_connections", cfg_.max_connections},
+                                {"analysis_slots", cfg_.analysis_slots},
+                                {"max_queued", cfg_.max_queued}});
 }
 
 std::string Daemon::stats_section_json() const { return daemon_section().dump(); }
-
-std::string Daemon::timeseries_section_json(std::size_t last_n) const {
-  return ring_.snapshot(last_n).json();
-}
 
 obs::TimeSeriesSnapshot Daemon::timeseries_snapshot(std::size_t last_n) const {
   return ring_.snapshot(last_n);
 }
 
-std::vector<double> Daemon::sample_now() {
+std::vector<double> Daemon::read_series() const {
   // Read-only against serving state: the determinism property (analysis
-  // results identical with sampling on/off) depends on it.
+  // results identical with sampling on/off) depends on it. Tracked-heap
+  // series: the session accounts aggregate every live connection's
+  // cache/journal footprint; tracked_mb sums all accounts.
   const obs::ResourceSample rss = obs::sample_resources();
-  const double queue_depth = static_cast<double>(queue_depth_.load());
-  const double active = active_.load();
-  const double inflight = governor_.inflight();
-  std::vector<double> v;
-  v.reserve(std::size(kSeriesNames));
-  v.push_back(queue_depth);
-  v.push_back(active);
-  v.push_back(static_cast<double>(accepted_.value()));
-  v.push_back(static_cast<double>(handled_.value()));
-  v.push_back(static_cast<double>(shed_.value()));
-  v.push_back(inflight);
-  v.push_back(governor_.waiting());
-  v.push_back(governor_.ewma_ms());
-  v.push_back(analyze_window_.quantile(0.5));
-  v.push_back(analyze_window_.quantile(0.95));
-  v.push_back(static_cast<double>(rss.rss_bytes) / (1024.0 * 1024.0));
-  // Tracked-heap series: the session accounts aggregate every live
-  // connection's cache/journal footprint; tracked_mb sums all accounts.
-  const double cache_bytes = static_cast<double>(
-      obs::MemTracker::account(obs::MemAccountId::kSessionCache).current());
-  const double journal_bytes = static_cast<double>(
-      obs::MemTracker::account(obs::MemAccountId::kUndoJournal).current());
-  const double tracked_bytes = static_cast<double>(obs::MemTracker::total_current());
-  v.push_back(cache_bytes);
-  v.push_back(journal_bytes);
-  v.push_back(tracked_bytes / (1024.0 * 1024.0));
+  return {static_cast<double>(queue_depth_.load()),
+          static_cast<double>(active_.load()),
+          static_cast<double>(accepted_.value()),
+          static_cast<double>(handled_.value()),
+          static_cast<double>(shed_.value()),
+          static_cast<double>(governor_.inflight()),
+          static_cast<double>(governor_.waiting()),
+          governor_.ewma_ms(),
+          analyze_window_.quantile(0.5),
+          analyze_window_.quantile(0.95),
+          static_cast<double>(rss.rss_bytes) / kMiB,
+          static_cast<double>(
+              obs::MemTracker::account(obs::MemAccountId::kSessionCache).current()),
+          static_cast<double>(
+              obs::MemTracker::account(obs::MemAccountId::kUndoJournal).current()),
+          static_cast<double>(obs::MemTracker::total_current()) / kMiB};
+}
+
+std::vector<double> Daemon::sample_now() {
+  std::vector<double> v = read_series();
   analyze_window_.rotate();
   if (obs::trace_enabled()) {
-    obs::Tracer::counter("queue_depth", queue_depth);
-    obs::Tracer::counter("active_connections", active);
-    obs::Tracer::counter("analyses_inflight", inflight);
-    obs::Tracer::counter("tracked_bytes", tracked_bytes);
-    obs::Tracer::counter("session_cache_bytes", cache_bytes);
-    obs::Tracer::counter("journal_bytes", journal_bytes);
+    const auto at = [&v](std::string_view name) { return v.at(series_index(name)); };
+    obs::Tracer::counter("queue_depth", at("queue_depth"));
+    obs::Tracer::counter("active_connections", at("active"));
+    obs::Tracer::counter("analyses_inflight", at("inflight"));
+    obs::Tracer::counter("tracked_bytes", at("tracked_mb") * kMiB);
+    obs::Tracer::counter("session_cache_bytes", at("session_cache_bytes"));
+    obs::Tracer::counter("journal_bytes", at("journal_bytes"));
   }
   return v;
 }
 
-session::Json Daemon::live_json() {
-  // One fresh sample keyed by series name (not recorded into the ring —
-  // the sampler owns the ring's cadence; watch events are per-client).
-  const obs::ResourceSample rss = obs::sample_resources();
+session::Json Daemon::live_json() const {
+  // One fresh read keyed by series name (not recorded into the ring — the
+  // sampler owns the ring's cadence; watch events are per-client).
+  const std::vector<double> v = read_series();
   session::Json o = session::Json::object();
-  o.set("queue_depth", static_cast<double>(queue_depth_.load()));
-  o.set("active", active_.load());
-  o.set("accepted", static_cast<double>(accepted_.value()));
-  o.set("handled", static_cast<double>(handled_.value()));
-  o.set("shed", static_cast<double>(shed_.value()));
-  o.set("inflight", governor_.inflight());
-  o.set("waiting", governor_.waiting());
-  o.set("analyze_ewma_ms", governor_.ewma_ms());
-  o.set("analyze_p50_ms", analyze_window_.quantile(0.5));
-  o.set("analyze_p95_ms", analyze_window_.quantile(0.95));
-  o.set("rss_mb", static_cast<double>(rss.rss_bytes) / (1024.0 * 1024.0));
-  o.set("session_cache_bytes",
-        static_cast<double>(
-            obs::MemTracker::account(obs::MemAccountId::kSessionCache).current()));
-  o.set("journal_bytes",
-        static_cast<double>(
-            obs::MemTracker::account(obs::MemAccountId::kUndoJournal).current()));
-  o.set("tracked_mb",
-        static_cast<double>(obs::MemTracker::total_current()) / (1024.0 * 1024.0));
+  for (std::size_t i = 0; i < v.size(); ++i) o.set(kSeriesNames[i], v[i]);
   return o;
 }
 
@@ -415,21 +393,11 @@ session::Json Daemon::stats_sections(const session::Json& args) {
   samples = std::min(samples, ring_.capacity());
   session::Json o = session::Json::object();
   o.set("daemon", daemon_section());
-  std::string err;
-  std::optional<session::Json> ts = session::json_parse(
-      samples == 0 ? ring_.snapshot(1).json() : ring_.snapshot(samples).json(),
-      &err);
-  if (samples == 0 && ts) {
-    // Metadata only: strip the samples array down to empty.
-    session::Json meta = session::Json::object();
-    for (const auto& [k, v] : ts->members()) {
-      if (k == "samples") continue;
-      meta.set(k, v);
-    }
-    meta.set("samples", session::Json::array());
-    ts = std::move(meta);
-  }
-  o.set("timeseries", ts ? std::move(*ts) : session::Json::object());
+  // snapshot(0) means "everything retained", so the metadata-only reply
+  // takes one sample and drops it.
+  obs::TimeSeriesSnapshot ts = ring_.snapshot(std::max<std::size_t>(samples, 1));
+  if (samples == 0) ts.samples.clear();
+  o.set("timeseries", session::timeseries_json(ts));
   // Fleet-wide per-command latency (aggregated request_ms_* histograms
   // mirrored by every connection's RequestContext).
   session::Json latency = session::Json::object();
@@ -437,21 +405,17 @@ session::Json Daemon::stats_sections(const session::Json& args) {
   for (const obs::MetricSample& s : reg_.snapshot().samples) {
     if (s.kind != obs::MetricSample::Kind::kHistogram) continue;
     if (s.name.rfind(prefix, 0) != 0) continue;
-    session::Json h = session::Json::object();
-    h.set("count", static_cast<double>(s.hist.count));
-    h.set("p50", obs::histogram_quantile(s.hist, 0.5));
-    h.set("p95", obs::histogram_quantile(s.hist, 0.95));
-    h.set("p99", obs::histogram_quantile(s.hist, 0.99));
-    h.set("max", s.hist.max);
-    latency.set(s.name.substr(prefix.size()), std::move(h));
+    latency.set(s.name.substr(prefix.size()),
+                session::Json::object({{"count", s.hist.count},
+                                       {"p50", obs::histogram_quantile(s.hist, 0.5)},
+                                       {"p95", obs::histogram_quantile(s.hist, 0.95)},
+                                       {"p99", obs::histogram_quantile(s.hist, 0.99)},
+                                       {"max", s.hist.max}}));
   }
   o.set("latency", std::move(latency));
   // Live per-account heap breakdown — the same section shape the stats
   // JSON carries, so nwtop renders identical data online and offline.
-  std::ostringstream mem;
-  obs::write_memory_json(mem);
-  std::optional<session::Json> mj = session::json_parse(mem.str());
-  o.set("memory", mj ? std::move(*mj) : session::Json::object());
+  o.set("memory", session::memory_json());
   return o;
 }
 
@@ -481,11 +445,9 @@ session::Json Daemon::watch_command(Connection& conn, const session::Json& args)
   } else {
     throw std::invalid_argument("'action' must be start|stop");
   }
-  session::Json o = session::Json::object();
-  o.set("watching", conn.watcher.joinable());
-  o.set("period_ms", action == "start" ? period_ms : 0);
-  o.set("min_period_ms", cfg_.min_watch_period_ms);
-  return o;
+  return session::Json::object({{"watching", conn.watcher.joinable()},
+                                {"period_ms", action == "start" ? period_ms : 0},
+                                {"min_period_ms", cfg_.min_watch_period_ms}});
 }
 
 void Daemon::start_watch(Connection& conn, int period_ms) {
@@ -518,14 +480,14 @@ void Daemon::watch_loop(Connection& conn) {
     }
     const std::uint64_t seq = conn.watch_seq++;
     lock.unlock();
-    session::Json ev = session::Json::object();
-    ev.set("event", "stats");
-    ev.set("seq", static_cast<double>(seq));
-    ev.set("t_ms", std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start_tp_)
-                       .count());
-    ev.set("daemon", live_json());
-    conn.engine.write_line(ev.dump());
+    const double t_ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start_tp_)
+                            .count();
+    conn.engine.write_line(session::Json::object({{"event", "stats"},
+                                                  {"seq", seq},
+                                                  {"t_ms", t_ms},
+                                                  {"daemon", live_json()}})
+                               .dump());
     const bool dead = !conn.stream;  // peer gone: stop streaming quietly
     lock.lock();
     if (dead) return;

@@ -101,16 +101,15 @@ class Daemon {
   /// registry; this one aggregates the serving layer.
   [[nodiscard]] obs::Registry& registry() noexcept { return reg_; }
 
-  /// The "daemon" extra section of the stats JSON (valid JSON object):
-  /// connection counts, shed/queue-reject totals, queue depth, governor
-  /// latency EWMA.
+  /// The "daemon" extra section of the stats JSON: connection counts,
+  /// shed/queue-reject totals, queue depth, governor latency EWMA.
+  [[nodiscard]] session::Json daemon_section() const;
+
+  /// daemon_section() rendered (the pipeline benchmark reads its counters).
   [[nodiscard]] std::string stats_section_json() const;
 
-  /// The "timeseries" extra section of the stats JSON (schema v4): the
-  /// sampler's ring, last `last_n` samples (0 = everything retained).
-  [[nodiscard]] std::string timeseries_section_json(std::size_t last_n = 0) const;
-
-  /// Snapshot of the telemetry ring (tests + the live stats/watch paths).
+  /// Snapshot of the telemetry ring (the stats JSON "timeseries" section,
+  /// tests, and the live stats/watch paths).
   [[nodiscard]] obs::TimeSeriesSnapshot timeseries_snapshot(
       std::size_t last_n = 0) const;
 
@@ -142,13 +141,13 @@ class Daemon {
   void reap_finished(bool join_all);
   void reject_connection(int fd);
 
-  /// One telemetry sample (sampler thread): reads every live gauge, feeds
-  /// the ring, rotates the latency window, emits trace counter events.
+  /// Every telemetry series' current value, in series order. Read-only.
+  [[nodiscard]] std::vector<double> read_series() const;
+  /// One telemetry sample (sampler thread): read_series() for the ring,
+  /// then rotates the latency window and emits trace counter events.
   [[nodiscard]] std::vector<double> sample_now();
   /// Current live gauges as an object keyed by series name (watch events).
-  [[nodiscard]] session::Json live_json();
-  /// The "daemon" section as a Json value (stats_section_json dumps it).
-  [[nodiscard]] session::Json daemon_section() const;
+  [[nodiscard]] session::Json live_json() const;
   /// The `stats` command's daemon-side sections ("daemon", "timeseries",
   /// "latency"), merged into the response by the protocol's augmenter.
   [[nodiscard]] session::Json stats_sections(const session::Json& args);

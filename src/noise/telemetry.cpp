@@ -2,10 +2,6 @@
 
 #include <iomanip>
 #include <ostream>
-#include <sstream>
-
-#include "noise/analyzer.hpp"
-#include "obs/tracer.hpp"
 
 namespace nw::noise {
 
@@ -60,60 +56,6 @@ void write_stats(std::ostream& os, const Telemetry& t) {
   os << "  endpoints checked     " << t.endpoints << "\n";
   os.flags(flags);
   os.precision(precision);
-}
-
-namespace {
-
-/// Full-precision double rendering that stays valid JSON (no inf/nan).
-std::string jnum(double v) {
-  if (!(v == v) || v > 1e308 || v < -1e308) return "0";
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
-}
-
-}  // namespace
-
-std::string executor_stats_json(const Result& result) {
-  const util::UtilizationSnapshot& ex = result.executor;
-  std::ostringstream os;
-  os << "{\"enabled\":" << (ex.enabled ? "true" : "false")
-     << ",\"threads\":" << ex.threads << ",\"wall_s\":" << jnum(ex.wall_s)
-     << ",\"workers\":[";
-  for (std::size_t i = 0; i < ex.workers.size(); ++i) {
-    const util::WorkerStats& w = ex.workers[i];
-    if (i) os << ",";
-    os << "{\"worker\":" << w.worker << ",\"busy_s\":" << jnum(w.busy_s)
-       << ",\"idle_s\":" << jnum(w.idle_s) << ",\"chunks\":" << w.chunks << "}";
-  }
-  os << "],\"regions\":{";
-  for (std::size_t i = 0; i < ex.regions.size(); ++i) {
-    const util::RegionStats& r = ex.regions[i];
-    if (i) os << ",";
-    os << "\"" << obs::json_escape(r.label) << "\":{\"invocations\":" << r.invocations
-       << ",\"chunks\":" << r.chunks << ",\"items\":" << r.items
-       << ",\"wall_s\":" << jnum(r.wall_s) << ",\"busy_s\":" << jnum(r.busy_s)
-       << ",\"max_busy_s\":" << jnum(r.max_busy_s)
-       << ",\"wait_s\":" << jnum(r.wait_s)
-       << ",\"imbalance\":" << jnum(r.imbalance(ex.threads)) << "}";
-  }
-  os << "},\"attribution\":{\"top_levels\":[";
-  for (std::size_t i = 0; i < result.attribution.top_levels.size(); ++i) {
-    const WorkAttribution::LevelCost& l = result.attribution.top_levels[i];
-    if (i) os << ",";
-    os << "{\"level\":" << l.level << ",\"instances\":" << l.instances
-       << ",\"wall_ms\":" << jnum(l.wall_ms) << "}";
-  }
-  os << "],\"top_nets\":[";
-  for (std::size_t i = 0; i < result.attribution.top_nets.size(); ++i) {
-    const WorkAttribution::NetCost& n = result.attribution.top_nets[i];
-    if (i) os << ",";
-    os << "{\"net\":\"" << obs::json_escape(n.net)
-       << "\",\"aggressors\":" << n.aggressors << ",\"peak\":" << jnum(n.peak)
-       << "}";
-  }
-  os << "]}}";
-  return os.str();
 }
 
 }  // namespace nw::noise

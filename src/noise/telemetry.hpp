@@ -75,16 +75,4 @@ inline constexpr const char* kMetricResultBytes = "result_bytes";
 /// CLI's --stats section and write_report's telemetry footer.
 void write_stats(std::ostream& os, const Telemetry& t);
 
-struct Result;
-
-/// The "executor" section of stats-JSON schema v3, rendered from
-/// Result::executor + Result::attribution: {"enabled","threads","wall_s",
-/// "workers":[{worker,busy_s,idle_s,chunks}...],
-/// "regions":{label:{invocations,chunks,items,wall_s,busy_s,max_busy_s,
-///                   wait_s,imbalance}...},
-/// "attribution":{"top_levels":[...],"top_nets":[...]}}.
-/// Every stats-JSON writer (CLI, server, bench records) appends this via
-/// write_stats_json's `extra` so the section is present in all exports.
-[[nodiscard]] std::string executor_stats_json(const Result& result);
-
 }  // namespace nw::noise

@@ -92,26 +92,6 @@ void MemTracker::reset() noexcept {
   for (MemAccount& a : accounts()) a.reset();
 }
 
-void write_memory_json(std::ostream& os) {
-  const std::vector<MemAccountSample> snap = MemTracker::snapshot();
-  os << "{\"enabled\":" << (MemTracker::enabled() ? "true" : "false")
-     << ",\"accounts\":{";
-  bool first = true;
-  std::uint64_t total_current = 0;
-  std::uint64_t total_peak = 0;
-  for (const MemAccountSample& a : snap) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << a.name << "\":{\"current_bytes\":" << a.current_bytes
-       << ",\"peak_bytes\":" << a.peak_bytes << ",\"allocs\":" << a.allocs
-       << ",\"frees\":" << a.frees << '}';
-    total_current += a.current_bytes;
-    total_peak += a.peak_bytes;
-  }
-  os << "},\"total_current_bytes\":" << total_current
-     << ",\"total_peak_bytes\":" << total_peak << '}';
-}
-
 namespace {
 
 /// "12.3 MB" style rendering for the human table (JSON stays in raw bytes).

@@ -7,9 +7,9 @@
 // account — either for real (its containers allocate through TrackedAlloc,
 // so current/peak/allocs/frees are exact) or through a size-accounting hook
 // (the owner charges an estimate via ScopedMemCharge / delta charges where
-// swapping the allocator would be invasive). The
-// account table is the "memory" section of the schema-v5 stats JSON, the
-// #memory dashboard panel, the CLI --mem-report table, and the per-account
+// swapping the allocator would be invasive). The account table is the
+// "memory" section of the stats JSON (session::memory_json), the #memory
+// dashboard panel, the CLI --mem-report table, and the per-account
 // peak-bytes metrics the perf baseline gates on.
 //
 // Overhead contract: accounting is on by default and costs a few relaxed
@@ -180,11 +180,6 @@ class MemTracker {
   /// Tests only: zero every account (high-water marks included).
   static void reset() noexcept;
 };
-
-/// The stats-JSON "memory" section (schema v5): {"enabled":...,"accounts":
-/// {name:{current_bytes,peak_bytes,allocs,frees},...},"total_current_bytes"
-/// :...,"total_peak_bytes":...}. Every account appears, charged or not.
-void write_memory_json(std::ostream& os);
 
 /// The --mem-report table: one row per account plus RSS, aligned columns.
 void write_memory_table(std::ostream& os);

@@ -1,13 +1,8 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <iomanip>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
-
-#include "obs/memtrack.hpp"
-#include "obs/tracer.hpp"  // json_escape
+#include <utility>
 
 #ifndef NW_GIT_DESCRIBE
 #define NW_GIT_DESCRIBE "unknown"
@@ -209,95 +204,6 @@ const char* build_type() noexcept {
 #else
   return "Debug";
 #endif
-}
-
-namespace {
-
-/// Full-precision double rendering that stays valid JSON (no inf/nan).
-std::string json_number(double v) {
-  if (!(v == v) || v > 1e308 || v < -1e308) return "0";
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
-}
-
-void write_histogram(std::ostream& os, const MetricSample& s) {
-  os << "{\"unit\":\"" << json_escape(s.unit) << "\",\"bounds\":[";
-  for (std::size_t i = 0; i < s.hist.bounds.size(); ++i) {
-    if (i) os << ",";
-    os << json_number(s.hist.bounds[i]);
-  }
-  os << "],\"counts\":[";
-  for (std::size_t i = 0; i < s.hist.counts.size(); ++i) {
-    if (i) os << ",";
-    os << s.hist.counts[i];
-  }
-  os << "],\"count\":" << s.hist.count << ",\"sum\":" << json_number(s.hist.sum)
-     << ",\"min\":" << json_number(s.hist.min) << ",\"max\":" << json_number(s.hist.max)
-     << ",\"p50\":" << json_number(histogram_quantile(s.hist, 0.50))
-     << ",\"p95\":" << json_number(histogram_quantile(s.hist, 0.95))
-     << ",\"p99\":" << json_number(histogram_quantile(s.hist, 0.99)) << "}";
-}
-
-void write_sample_value(std::ostream& os, const MetricSample& s) {
-  switch (s.kind) {
-    case MetricSample::Kind::kCounter: os << s.count; break;
-    case MetricSample::Kind::kGauge: os << json_number(s.value); break;
-    case MetricSample::Kind::kHistogram: write_histogram(os, s); break;
-  }
-}
-
-}  // namespace
-
-void write_stats_json(std::ostream& os, const RunMeta& meta,
-                      const MetricsSnapshot& snap,
-                      std::span<const std::pair<std::string, std::string>> extra) {
-  os << "{\n\"meta\":{\"schema_version\":" << kStatsSchemaVersion << ",\"design\":\""
-     << json_escape(meta.design) << "\",\"mode\":\"" << json_escape(meta.mode)
-     << "\",\"model\":\"" << json_escape(meta.model) << "\",\"options_digest\":\""
-     << json_escape(meta.options_digest) << "\",\"build\":\""
-     << json_escape(meta.build) << "\",\"threads\":" << meta.threads
-     << ",\"iterations\":" << meta.iterations << "},\n";
-
-  // Section membership is a partition: deterministic metrics split by kind,
-  // resource metrics (always nondeterministic) get their own section, and
-  // whatever nondeterminism remains is timing.
-  const auto section = [&](const char* title, auto include) {
-    os << "\"" << title << "\":{";
-    bool first = true;
-    for (const auto& s : snap.samples) {
-      if (!include(s)) continue;
-      if (!first) os << ",";
-      first = false;
-      os << "\n  \"" << json_escape(s.name) << "\":";
-      write_sample_value(os, s);
-    }
-    os << "}";
-  };
-  section("counters", [](const MetricSample& s) {
-    return s.deterministic && s.kind == MetricSample::Kind::kCounter;
-  });
-  os << ",\n";
-  section("gauges", [](const MetricSample& s) {
-    return s.deterministic && s.kind == MetricSample::Kind::kGauge;
-  });
-  os << ",\n";
-  section("histograms", [](const MetricSample& s) {
-    return s.deterministic && s.kind == MetricSample::Kind::kHistogram;
-  });
-  os << ",\n";
-  section("resources", [](const MetricSample& s) { return s.resource; });
-  os << ",\n";
-  section("timing",
-          [](const MetricSample& s) { return !s.deterministic && !s.resource; });
-  // v5: memory accounting travels with every stats document, so it is
-  // rendered here rather than threaded through `extra` by each caller.
-  os << ",\n\"memory\":";
-  write_memory_json(os);
-  for (const auto& [title, json] : extra) {
-    os << ",\n\"" << json_escape(title) << "\":" << json;
-  }
-  os << "\n}\n";
 }
 
 }  // namespace nw::obs

@@ -1,5 +1,6 @@
-// Metrics registry: named counters, gauges, and fixed-bucket histograms,
-// with a machine-readable JSON export (the CLI's --stats-json artifact).
+// Metrics registry: named counters, gauges, and fixed-bucket histograms.
+// Snapshots are exported as JSON by session/stats_json.hpp (the CLI's
+// --stats-json artifact).
 //
 // The analyzer owns one Registry per run, updates it from the serial fold
 // sections of each pipeline stage (so deterministic metrics are
@@ -17,33 +18,16 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace nw::obs {
 
-/// Version of the --stats-json layout written by write_stats_json. v2 added
-/// the "resources" section, histogram min/max tracking, and the
-/// p50/p95/p99 quantile summaries. v3 adds the "executor" section
-/// (per-worker busy/idle, per-region utilization and imbalance, work
-/// attribution — rendered by noise::executor_stats_json and passed through
-/// `extra`). v4 adds the "timeseries" section (bounded ring of periodic
-/// live-telemetry samples, rendered by obs::TimeSeriesSnapshot::json and
-/// passed through `extra`), a "conn" field on slowlog entries, and the
-/// daemon's aggregated request_ms_* latency histograms. v5 adds the
-/// "memory" section (per-account heap accounting from obs::MemTracker —
-/// current/peak bytes and alloc/free counts per named subsystem account,
-/// rendered directly by write_stats_json so every stats writer carries
-/// it). v6 drops the kernel-path meta field: the analysis has one kernel
-/// path, so there is no choice left to record. Clients feature-detect the
-/// layout through the `stats_schema` field of the server's `hello`
-/// response.
+/// Version of the --stats-json layout. The layout and its history are
+/// documented with the writer, session/stats_json.hpp.
 inline constexpr int kStatsSchemaVersion = 6;
 
 /// Monotone event count.
@@ -192,20 +176,5 @@ struct RunMeta {
 /// "Release" or "Debug" (from NDEBUG), for client feature reports and the
 /// bench run records — a Debug number must never land in a perf baseline.
 [[nodiscard]] const char* build_type() noexcept;
-
-/// Machine-readable run report. Layout (kStatsSchemaVersion = 3):
-///   {"meta":{...},
-///    "counters":{name:value,...},            // deterministic only
-///    "gauges":{name:value,...},              // deterministic only
-///    "histograms":{name:{unit,bounds,counts,count,sum,min,max,
-///                        p50,p95,p99},...},
-///    "resources":{name:value,...},           // resource-flagged (RSS, bytes)
-///    "timing":{name:<gauge value or histogram object>,...},  // nondeterministic
-///    <extra sections, pre-rendered — analysis runs append "executor">}
-/// `extra` appends caller-rendered sections, e.g. the server's slow log:
-/// each pair is (section name, valid JSON value).
-void write_stats_json(
-    std::ostream& os, const RunMeta& meta, const MetricsSnapshot& snap,
-    std::span<const std::pair<std::string, std::string>> extra = {});
 
 }  // namespace nw::obs

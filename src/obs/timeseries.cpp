@@ -2,70 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 namespace nw::obs {
-
-namespace {
-
-// Fixed-format non-scientific rendering for sample values: stable across
-// locales, compact, and precise enough for gauges/counters/latencies
-// (values are operator-facing telemetry, not bit-exact analysis results).
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[64];
-  if (v == static_cast<std::uint64_t>(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-  }
-  out += buf;
-}
-
-void append_t_ms(std::string& out, double t_ms) {
-  if (!std::isfinite(t_ms) || t_ms < 0.0) t_ms = 0.0;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", t_ms);
-  out += buf;
-}
-
-}  // namespace
-
-std::string TimeSeriesSnapshot::json() const {
-  std::string out;
-  out.reserve(128 + samples.size() * (16 + series.size() * 8));
-  out += "{\"interval_ms\":";
-  append_number(out, interval_ms);
-  out += ",\"capacity\":";
-  append_number(out, static_cast<double>(capacity));
-  out += ",\"total\":";
-  append_number(out, static_cast<double>(total));
-  out += ",\"series\":[";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (i != 0) out += ',';
-    out += '"';
-    // Series names are fixed identifiers chosen by the code, never user
-    // input; keep the escape trivial (they contain no quotes/backslashes).
-    out += series[i];
-    out += '"';
-  }
-  out += "],\"samples\":[";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (i != 0) out += ',';
-    out += "{\"t_ms\":";
-    append_t_ms(out, samples[i].t_ms);
-    out += ",\"v\":[";
-    for (std::size_t j = 0; j < samples[i].v.size(); ++j) {
-      if (j != 0) out += ',';
-      append_number(out, samples[i].v[j]);
-    }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
-}
 
 TimeSeriesRing::TimeSeriesRing(std::vector<std::string> series,
                                std::size_t capacity)

@@ -46,7 +46,8 @@ struct TimeSample {
   std::vector<double> v;
 };
 
-/// A copy of the ring for export. `total` counts every sample ever
+/// A copy of the ring for export (the stats JSON "timeseries" section is
+/// session::timeseries_json). `total` counts every sample ever
 /// recorded (so consumers can detect wraparound: total > samples.size()).
 struct TimeSeriesSnapshot {
   int interval_ms = 0;
@@ -56,12 +57,6 @@ struct TimeSeriesSnapshot {
   std::vector<TimeSample> samples;  ///< oldest first, t_ms nondecreasing
 
   [[nodiscard]] bool empty() const noexcept { return samples.empty(); }
-
-  /// The "timeseries" stats-JSON section (schema v4):
-  ///   {"interval_ms":N,"capacity":N,"total":N,
-  ///    "series":["queue_depth",...],
-  ///    "samples":[{"t_ms":12.5,"v":[0,3,...]},...]}
-  [[nodiscard]] std::string json() const;
 };
 
 /// Fixed-capacity ring of TimeSamples over a fixed series list. One

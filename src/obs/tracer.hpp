@@ -166,7 +166,8 @@ class Span {
   std::int64_t start_ns_ = -1;  ///< -1 = not timing (no sink, tracing off)
 };
 
-/// Minimal JSON string escaping (shared by the trace and stats writers).
+/// JSON string escaping: the program's one escaper, shared by the trace
+/// writer and session::Json::dump (every other JSON document).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 }  // namespace nw::obs

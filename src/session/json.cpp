@@ -5,10 +5,18 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <sstream>
 #include <utility>
 
+#include "obs/tracer.hpp"  // json_escape
+
 namespace nw::session {
+
+Json Json::object(std::initializer_list<std::pair<std::string, Json>> members) {
+  Json j;
+  j.kind_ = Kind::kObject;
+  for (const auto& [k, v] : members) j.set(k, v);
+  return j;
+}
 
 void Json::push_back(Json v) {
   kind_ = Kind::kArray;
@@ -33,35 +41,19 @@ const Json* Json::find(std::string_view key) const noexcept {
   return nullptr;
 }
 
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
 namespace {
 
+void quote(std::string& out, std::string_view s) {
+  out.push_back('"');
+  out += obs::json_escape(s);
+  out.push_back('"');
+}
+
+/// The one number rule of every machine-readable document: integral values
+/// below 2^53 print as integers, any other finite value with 17 significant
+/// digits (round-trips), and a non-finite value as null (JSON has no inf/nan).
 void render_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {  // JSON has no inf/nan; null is the honest spelling
+  if (!std::isfinite(v)) {
     out += "null";
     return;
   }
@@ -83,7 +75,7 @@ void render(std::string& out, const Json& j) {
     case Json::Kind::kNull: out += "null"; return;
     case Json::Kind::kBool: out += j.as_bool() ? "true" : "false"; return;
     case Json::Kind::kNumber: render_number(out, j.as_number()); return;
-    case Json::Kind::kString: out += json_quote(j.as_string()); return;
+    case Json::Kind::kString: quote(out, j.as_string()); return;
     case Json::Kind::kArray: {
       out.push_back('[');
       bool first = true;
@@ -99,7 +91,7 @@ void render(std::string& out, const Json& j) {
       bool first = true;
       for (const auto& [k, v] : j.members()) {
         if (!std::exchange(first, false)) out.push_back(',');
-        out += json_quote(k);
+        quote(out, k);
         out.push_back(':');
         render(out, v);
       }

@@ -1,21 +1,26 @@
-// Minimal JSON value + strict parser/serializer for the session protocol.
+// Minimal JSON value + strict parser/serializer: the one JSON writer.
 //
 // The JSONL request/response protocol (session/protocol.hpp) needs to
-// *read* arbitrary client JSON, which the write-only exporters in obs/
-// cannot do. This is a deliberately small, strict RFC 8259 subset
+// *read* arbitrary client JSON; every machine-readable document the
+// program writes — protocol replies, --stats-json files, bench records
+// (session/stats_json.hpp) — is built as a Json value and rendered by
+// dump(), so one number rule and one string escaper (obs::json_escape)
+// hold everywhere. This is a deliberately small, strict RFC 8259 subset
 // implementation: UTF-8 pass-through strings (\uXXXX escapes decoded),
 // doubles for every number, input depth and size limits so hostile lines
 // cannot blow the stack or the heap. Serialization round-trips doubles
-// (max_digits10) — the protocol's bit-identity guarantees survive a trip
-// through a client.
+// (17 significant digits) — the protocol's bit-identity guarantees
+// survive a trip through a client.
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace nw::session {
@@ -39,11 +44,10 @@ class Json {
     j.kind_ = Kind::kArray;
     return j;
   }
-  [[nodiscard]] static Json object() {
-    Json j;
-    j.kind_ = Kind::kObject;
-    return j;
-  }
+  /// An object holding `members` in order (a later duplicate key
+  /// overwrites, as set() does).
+  [[nodiscard]] static Json object(
+      std::initializer_list<std::pair<std::string, Json>> members = {});
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
@@ -68,8 +72,9 @@ class Json {
   /// Object member lookup; nullptr when absent (or not an object).
   [[nodiscard]] const Json* find(std::string_view key) const noexcept;
 
-  /// Compact single-line rendering (strings escaped, doubles round-trip,
-  /// integral doubles rendered without an exponent or trailing ".0").
+  /// Compact single-line rendering. Strings are escaped by obs::json_escape.
+  /// Numbers: an integral value below 2^53 prints as an integer, any other
+  /// finite value with 17 significant digits, a non-finite value as null.
   [[nodiscard]] std::string dump() const;
 
  private:
@@ -88,8 +93,5 @@ class Json {
 [[nodiscard]] std::optional<Json> json_parse(std::string_view text,
                                              std::string* error = nullptr,
                                              std::size_t max_depth = 64);
-
-/// Escape + quote one string as a JSON string literal.
-[[nodiscard]] std::string json_quote(std::string_view s);
 
 }  // namespace nw::session

@@ -34,9 +34,8 @@ class GateGuard {
     if (gate == nullptr || !session.needs_analysis()) return;
     AnalysisGate::Ticket t = gate->admit(cmd);
     if (!t.admitted) {
-      Json detail = Json::object();
-      detail.set("retry_after_ms", t.retry_after_ms);
-      throw ProtoError{"overloaded", std::move(t.reason), std::move(detail)};
+      throw ProtoError{"overloaded", std::move(t.reason),
+                       Json::object({{"retry_after_ms", t.retry_after_ms}})};
     }
     gate_ = gate;
     t0_ = std::chrono::steady_clock::now();
@@ -108,15 +107,19 @@ Json window_json(const IntervalSet& set) {
 }
 
 Json violation_json(const net::Design& design, const noise::Violation& v) {
-  Json o = Json::object();
-  o.set("endpoint", design.pin_name(v.endpoint));
-  o.set("net", design.net(v.net).name);
-  o.set("peak", v.peak);
-  o.set("width", v.width);
-  o.set("threshold", v.threshold);
-  o.set("slack", v.slack());
-  o.set("temporal", v.temporal);
-  return o;
+  return Json::object({{"endpoint", design.pin_name(v.endpoint)},
+                       {"net", design.net(v.net).name},
+                       {"peak", v.peak},
+                       {"width", v.width},
+                       {"threshold", v.threshold},
+                       {"slack", v.slack()},
+                       {"temporal", v.temporal}});
+}
+
+/// One propagation-path step: {net, peak, width}.
+Json step_json(const net::Design& design, const noise::ProvenanceStep& step) {
+  return Json::object(
+      {{"net", design.net(step.net).name}, {"peak", step.peak}, {"width", step.width}});
 }
 
 Json share_json(const net::Design& design, const noise::AggressorShare& s) {
@@ -139,12 +142,10 @@ Json provenance_json(const net::Design& design, const noise::Violation& v,
   Json o = violation_json(design, v);
   o.set("sensitivity", interval_json(v.sensitivity));
   o.set("alignment", interval_json(p.alignment));
-  Json stages = Json::object();
-  stages.set("unfiltered", p.peak_unfiltered);
-  stages.set("switching_windows", p.peak_switching);
-  stages.set("noise_windows", p.peak_noise_window);
-  stages.set("in_sensitivity", p.peak_in_sensitivity);
-  o.set("stages", std::move(stages));
+  o.set("stages", Json::object({{"unfiltered", p.peak_unfiltered},
+                                {"switching_windows", p.peak_switching},
+                                {"noise_windows", p.peak_noise_window},
+                                {"in_sensitivity", p.peak_in_sensitivity}}));
   o.set("culled_by", noise::to_string(p.culled_by));
   Json shares = Json::array();
   for (const noise::AggressorShare& s : p.shares) {
@@ -152,13 +153,7 @@ Json provenance_json(const net::Design& design, const noise::Violation& v,
   }
   o.set("aggressors", std::move(shares));
   Json path = Json::array();
-  for (const noise::ProvenanceStep& step : p.path) {
-    Json sj = Json::object();
-    sj.set("net", design.net(step.net).name);
-    sj.set("peak", step.peak);
-    sj.set("width", step.width);
-    path.push_back(std::move(sj));
-  }
+  for (const noise::ProvenanceStep& step : p.path) path.push_back(step_json(design, step));
   o.set("path", std::move(path));
   return o;
 }
@@ -190,36 +185,31 @@ Protocol::Protocol(Session& session, RequestContext* reqobs)
 Json Protocol::dispatch(const std::string& cmd, const Json& args) {
   // ---- introspection (never triggers analysis) ----------------------------
   if (cmd == "hello") {
-    Json o = Json::object();
-    o.set("protocol", kProtocolVersion);
-    o.set("design", session_.design().name());
-    o.set("nets", session_.design().net_count());
-    o.set("instances", session_.design().instance_count());
-    o.set("epoch", static_cast<double>(session_.epoch()));
-    o.set("version", obs::build_version());
-    o.set("build", obs::build_type());
-    o.set("stats_schema", obs::kStatsSchemaVersion);
-    o.set("transport", caps_.transport);
-    o.set("daemon", caps_.daemon);
+    Json o = Json::object({{"protocol", kProtocolVersion},
+                           {"design", session_.design().name()},
+                           {"nets", session_.design().net_count()},
+                           {"instances", session_.design().instance_count()},
+                           {"epoch", static_cast<double>(session_.epoch())},
+                           {"version", obs::build_version()},
+                           {"build", obs::build_type()},
+                           {"stats_schema", obs::kStatsSchemaVersion},
+                           {"transport", caps_.transport},
+                           {"daemon", caps_.daemon}});
     if (caps_.daemon) {
       o.set("connection", static_cast<double>(caps_.connection_id));
     }
     // Optional-command discovery: clients check membership instead of
     // probing with unknown_cmd round trips.
     Json features = Json::array();
-    features.push_back("stats");
-    features.push_back("slowlog");
-    features.push_back("profile");
+    for (const char* f : {"stats", "slowlog", "profile"}) features.push_back(f);
     if (watch_) features.push_back("watch");
     if (shutdown_) features.push_back("shutdown");
     o.set("features", std::move(features));
-    Json limits = Json::object();
-    limits.set("max_line_bytes", kMaxLineBytes);
-    limits.set("max_queued", caps_.max_queued);
-    limits.set("max_connections", caps_.max_connections);
-    limits.set("analysis_slots", caps_.analysis_slots);
-    limits.set("idle_timeout_s", caps_.idle_timeout_s);
-    o.set("limits", std::move(limits));
+    o.set("limits", Json::object({{"max_line_bytes", kMaxLineBytes},
+                                  {"max_queued", caps_.max_queued},
+                                  {"max_connections", caps_.max_connections},
+                                  {"analysis_slots", caps_.analysis_slots},
+                                  {"idle_timeout_s", caps_.idle_timeout_s}}));
     return o;
   }
   if (cmd == "stats") {
@@ -236,10 +226,7 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
   }
   if (cmd == "slowlog") {
     if (reqobs_ == nullptr) {
-      Json o = Json::object();
-      o.set("enabled", false);
-      o.set("entries", Json::array());
-      return o;
+      return Json::object({{"enabled", false}, {"entries", Json::array()}});
     }
     Json o = reqobs_->slowlog_json();
     o.set("enabled", true);
@@ -253,7 +240,7 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
     Json o = Json::object();
     if (action == "start") {
       int hz = 97;
-      if (const Json* v = require_object(args).find("hz")) {
+      if (require_object(args).find("hz") != nullptr) {
         const double n = arg_number(args, "hz");
         if (n < 1.0 || n > obs::Profiler::kMaxHz || n != std::floor(n)) {
           bad_args("'hz' must be an integer in [1, " +
@@ -275,10 +262,8 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
       const std::vector<obs::FoldedEntry> snap = obs::Profiler::snapshot();
       Json list = Json::array();
       for (std::size_t i = 0; i < snap.size() && i < limit; ++i) {
-        Json e = Json::object();
-        e.set("stack", snap[i].stack);
-        e.set("count", static_cast<double>(snap[i].count));
-        list.push_back(std::move(e));
+        list.push_back(Json::object(
+            {{"stack", snap[i].stack}, {"count", static_cast<double>(snap[i].count)}}));
       }
       o.set("stacks", snap.size());
       o.set("entries", std::move(list));
@@ -303,11 +288,10 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
     for (std::size_t i = 0; i < r.violations.size() && i < limit; ++i) {
       list.push_back(violation_json(session_.design(), r.violations[i]));
     }
-    Json o = Json::object();
-    o.set("count", r.violations.size());
-    o.set("endpoints_checked", r.endpoints_checked);
-    o.set("noisy_nets", r.noisy_nets);
-    o.set("epoch", static_cast<double>(r.epoch));
+    Json o = Json::object({{"count", r.violations.size()},
+                           {"endpoints_checked", r.endpoints_checked},
+                           {"noisy_nets", r.noisy_nets},
+                           {"epoch", static_cast<double>(r.epoch)}});
     o.set("violations", std::move(list));
     return o;
   }
@@ -315,15 +299,13 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
     const NetId id = session_.require_net(arg_string(args, "net"));
     const GateGuard gate(gate_, session_, cmd);
     const noise::NetNoise& nn = session_.result().net(id);
-    Json o = Json::object();
-    o.set("net", session_.design().net(id).name);
-    o.set("injected_peak", nn.injected_peak);
-    o.set("propagated_peak", nn.propagated_peak);
-    o.set("total_peak", nn.total_peak);
-    o.set("width", nn.width);
-    o.set("aggressors", nn.aggressor_count);
-    o.set("window", window_json(nn.window));
-    return o;
+    return Json::object({{"net", session_.design().net(id).name},
+                         {"injected_peak", nn.injected_peak},
+                         {"propagated_peak", nn.propagated_peak},
+                         {"total_peak", nn.total_peak},
+                         {"width", nn.width},
+                         {"aggressors", nn.aggressor_count},
+                         {"window", window_json(nn.window)}});
   }
   if (cmd == "trace_origin") {
     const NetId id = session_.require_net(arg_string(args, "net"));
@@ -331,11 +313,7 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
     const noise::NoiseTrace tr = noise::trace_origin(session_.result(), id);
     Json path = Json::array();
     for (const noise::ProvenanceStep& step : tr.path) {
-      Json s = Json::object();
-      s.set("net", session_.design().net(step.net).name);
-      s.set("peak", step.peak);
-      s.set("width", step.width);
-      path.push_back(std::move(s));
+      path.push_back(step_json(session_.design(), step));
     }
     Json aggs = Json::array();
     for (const NetId a : tr.aggressors) {
@@ -356,10 +334,9 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
       list.push_back(
           provenance_json(session_.design(), r.violations[i], r.provenance[i]));
     }
-    Json o = Json::object();
-    o.set("net", session_.design().net(id).name);
-    o.set("count", list.items().size());
-    o.set("epoch", static_cast<double>(r.epoch));
+    Json o = Json::object({{"net", session_.design().net(id).name},
+                           {"count", list.items().size()},
+                           {"epoch", static_cast<double>(r.epoch)}});
     o.set("violations", std::move(list));
     return o;
   }
@@ -369,24 +346,19 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
     const std::vector<EndpointSlack> slacks = session_.endpoint_slacks();
     Json list = Json::array();
     for (std::size_t i = 0; i < slacks.size() && i < limit; ++i) {
-      Json s = Json::object();
-      s.set("endpoint", slacks[i].endpoint);
-      s.set("net", slacks[i].net);
-      s.set("slack", slacks[i].slack);
-      list.push_back(std::move(s));
+      list.push_back(Json::object({{"endpoint", slacks[i].endpoint},
+                                   {"net", slacks[i].net},
+                                   {"slack", slacks[i].slack}}));
     }
-    Json o = Json::object();
-    o.set("count", slacks.size());
+    Json o = Json::object({{"count", slacks.size()}});
     o.set("endpoints", std::move(list));
     return o;
   }
 
   // ---- ECO edits ----------------------------------------------------------
   const auto edited = [this] {
-    Json o = Json::object();
-    o.set("epoch", static_cast<double>(session_.epoch()));
-    o.set("undo_depth", session_.undo_depth());
-    return o;
+    return Json::object({{"epoch", static_cast<double>(session_.epoch())},
+                         {"undo_depth", session_.undo_depth()}});
   };
   if (cmd == "set_driver_cell") {
     session_.set_driver_cell(arg_string(args, "inst"), arg_string(args, "cell"));
@@ -438,11 +410,7 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
   // A `cancel` that reaches dispatch found no analysis in flight (the
   // server intercepts mid-analyze cancels out-of-band from the progress
   // sink and answers them there, with "cancelled": true).
-  if (cmd == "cancel") {
-    Json o = Json::object();
-    o.set("cancelled", false);
-    return o;
-  }
+  if (cmd == "cancel") return Json::object({{"cancelled", false}});
 
   // Daemon-only: subscribe/unsubscribe this connection to periodic
   // {"event":"stats",...} lines (the handler owns the streamer thread).
@@ -542,17 +510,12 @@ std::string Protocol::handle_line(std::string_view line) {
   if (response.empty()) {
     errors_.add();
     if (code == "unknown_cmd") cmd_name = RequestContext::kInvalidCommand;
-    Json err = Json::object();
-    err.set("code", code);
-    err.set("message", message);
+    Json err = Json::object({{"code", code}, {"message", message}});
     if (detail.is_object()) {
       for (const auto& [k, v] : detail.members()) err.set(k, v);
     }
-    Json resp = Json::object();
-    resp.set("id", std::move(id));
-    resp.set("ok", false);
-    resp.set("error", std::move(err));
-    response = resp.dump();
+    response = Json::object({{"id", std::move(id)}, {"ok", false}, {"error", std::move(err)}})
+                   .dump();
   }
   if (reqobs_ != nullptr) {
     const double ms =

@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "noise/report_writer.hpp"
 #include "obs/memtrack.hpp"
 #include "session/protocol.hpp"
+#include "util/strings.hpp"
 
 namespace nw::session {
 
@@ -218,12 +220,11 @@ std::vector<std::string> tokenize(const std::string& line) {
 
 double num_arg(const std::vector<std::string>& toks, std::size_t i) {
   if (i >= toks.size()) throw std::invalid_argument("missing numeric argument");
-  std::size_t used = 0;
-  const double v = std::stod(toks[i], &used);
-  if (used != toks[i].size()) {
+  try {
+    return parse_double(toks[i]);
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument("bad number '" + toks[i] + "'");
   }
-  return v;
 }
 
 std::size_t count_arg(const std::vector<std::string>& toks, std::size_t i,

@@ -76,11 +76,6 @@ class Circuit {
   [[nodiscard]] const std::vector<Capacitor>& capacitors() const noexcept { return cs_; }
   [[nodiscard]] const std::vector<VoltageSource>& vsources() const noexcept { return vs_; }
 
-  /// Count of circuit elements (model-size metric in benches).
-  [[nodiscard]] std::size_t element_count() const noexcept {
-    return rs_.size() + cs_.size() + vs_.size();
-  }
-
  private:
   void check_node(std::size_t n, const char* what) const;
 

@@ -614,6 +614,9 @@ TEST(Cli, ShellSubcommandRunsCommands) {
       "arrival in0 nan 1e-10\n"  // refused: used to hang the next analysis
       "set period nan\n"
       "violations nan\n"  // refused: NaN is not a count
+      "scale w0 1e999 1\n"  // refused: out of range, named
+      "scale w0 abc 1\n"
+      "violations 1e999\n"
       "slack 1e300\n"     // saturates: every endpoint, not none
       "violations 3\n"
       "noise w1\n"
@@ -636,6 +639,15 @@ TEST(Cli, ShellSubcommandRunsCommands) {
   EXPECT_NE(out.str().find("error: set_option period: 'nan'"), std::string::npos);
   EXPECT_NE(out.str().find("error: count must be a non-negative number"),
             std::string::npos);
+  // Malformed numbers name the token; one line each for the two 1e999s.
+  std::size_t bad_1e999 = 0;
+  for (std::size_t at = 0;
+       (at = out.str().find("error: bad number '1e999'", at)) != std::string::npos;
+       ++at) {
+    ++bad_1e999;
+  }
+  EXPECT_EQ(bad_1e999, 2u) << out.str();
+  EXPECT_NE(out.str().find("error: bad number 'abc'"), std::string::npos);
   std::size_t slack_lines = 0;
   std::istringstream lines(out.str());
   for (std::string line; std::getline(lines, line);) {

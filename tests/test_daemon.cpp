@@ -536,7 +536,7 @@ TEST(Daemon, StatsSectionCarriesServingCounters) {
     ASSERT_TRUE(is_ok(parse(c.request("{\"id\":1,\"cmd\":\"violations\"}"))));
   }
   d.stop();
-  const session::Json stats = parse(d.stats_section_json());
+  const session::Json stats = d.daemon_section();
   ASSERT_TRUE(stats.is_object());
   EXPECT_EQ(stats.find("accepted")->as_number(), 1.0);
   EXPECT_EQ(stats.find("active")->as_number(), 0.0);

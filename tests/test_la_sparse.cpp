@@ -122,7 +122,6 @@ TEST_P(SparseLuRandom, MatchesDense) {
   const SparseLu slu(b);
   const auto x = slu.solve(rhs);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-7);
-  EXPECT_GE(slu.factor_nonzeros(), n);  // at least the diagonal
 
   // The in-place solve, the allocating wrapper and the nested-row reference
   // factorization agree bit for bit, also with b aliasing x.

@@ -21,6 +21,7 @@
 #include "noise/report_writer.hpp"
 #include "obs/memtrack.hpp"
 #include "session/json.hpp"
+#include "session/stats_json.hpp"
 #include "sta/sta.hpp"
 #include "tools/cli.hpp"
 #include "util/executor.hpp"
@@ -282,12 +283,19 @@ TEST(MemtrackStats, StatsJsonReportsSixNonzeroAccounts) {
 TEST(MemtrackStats, MemoryJsonParsesAndSumsMatch) {
   const EnabledGuard guard;
   MemTracker::set_enabled(true);
-  std::ostringstream os;
-  obs::write_memory_json(os);
-  const std::optional<session::Json> doc = session::json_parse(os.str());
-  ASSERT_TRUE(doc.has_value()) << os.str();
+  const std::optional<session::Json> doc = session::json_parse(session::memory_json().dump());
+  ASSERT_TRUE(doc.has_value());
+  std::vector<std::string> keys;
+  for (const auto& [k, v] : doc->members()) keys.push_back(k);
+  EXPECT_EQ(keys, (std::vector<std::string>{"enabled", "accounts", "total_current_bytes",
+                                            "total_peak_bytes"}));
   const session::Json* accounts = doc->find("accounts");
   ASSERT_NE(accounts, nullptr);
+  ASSERT_EQ(accounts->members().size(), obs::kMemAccountCount);
+  for (std::size_t i = 0; i < obs::kMemAccountCount; ++i) {
+    EXPECT_EQ(accounts->members()[i].first,
+              obs::to_string(static_cast<obs::MemAccountId>(i)));
+  }
   double sum_current = 0;
   double sum_peak = 0;
   for (const auto& [name, acct] : accounts->members()) {

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -23,6 +23,8 @@
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "obs/tracer.hpp"
+#include "session/json.hpp"
+#include "session/stats_json.hpp"
 #include "sta/sta.hpp"
 #include "util/executor.hpp"
 #include "util/units.hpp"
@@ -30,115 +32,12 @@
 namespace nw {
 namespace {
 
-// ---- a minimal JSON validity checker (no external deps) --------------------
-// Accepts exactly one JSON value; enough to assert the exports parse.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view s) : s_(s) {}
-  [[nodiscard]] bool parse() {
-    skip();
-    if (!value()) return false;
-    skip();
-    return pos_ == s_.size();
-  }
-
- private:
-  [[nodiscard]] char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                                s_[pos_] == '\n' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool lit(std::string_view w) {
-    if (s_.substr(pos_, w.size()) != w) return false;
-    pos_ += w.size();
-    return true;
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (std::isdigit(static_cast<unsigned char>(peek())) || peek() == '.' ||
-           peek() == 'e' || peek() == 'E' || peek() == '+' || peek() == '-') {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool array() {
-    ++pos_;
-    skip();
-    if (peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip();
-      if (!value()) return false;
-      skip();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool object() {
-    ++pos_;
-    skip();
-    if (peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip();
-      if (!string()) return false;
-      skip();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip();
-      if (!value()) return false;
-      skip();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return lit("true");
-      case 'f': return lit("false");
-      case 'n': return lit("null");
-      default: return number();
-    }
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
+/// The member keys of a parsed object, in document order.
+std::vector<std::string> keys(const session::Json& o) {
+  std::vector<std::string> out;
+  for (const auto& [k, v] : o.members()) out.push_back(k);
+  return out;
+}
 
 // ---- registry ---------------------------------------------------------------
 
@@ -262,22 +161,29 @@ TEST(Metrics, StatsJsonParsesAndSeparatesTiming) {
   meta.iterations = 2;
 
   std::ostringstream os;
-  obs::write_stats_json(os, meta, reg.snapshot());
-  const std::string json = os.str();
-  EXPECT_TRUE(JsonChecker(json).parse()) << json;
-  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos);
-  EXPECT_NE(json.find("\"d\\\"quoted\\\"\""), std::string::npos);
+  session::write_stats_json(os, meta, reg.snapshot());
+  const std::optional<session::Json> doc = session::json_parse(os.str());
+  ASSERT_TRUE(doc.has_value()) << os.str();
+  const session::Json& m = *doc->find("meta");
+  EXPECT_EQ(m.find("schema_version")->as_number(), 6.0);
+  EXPECT_EQ(m.find("design")->as_string(), "d\"quoted\"");
+  EXPECT_EQ(m.find("threads")->as_number(), 4.0);
+  EXPECT_EQ(m.find("iterations")->as_number(), 2.0);
+  EXPECT_EQ(doc->find("counters")->find("work_items")->as_number(), 7.0);
+  EXPECT_EQ(doc->find("gauges")->find("levels")->as_number(), 3.0);
   // The nondeterministic gauge lands in "timing", not in "gauges".
-  const auto gauges_at = json.find("\"gauges\"");
-  const auto timing_at = json.find("\"timing\"");
-  const auto wall_at = json.find("\"wall_seconds\"");
-  ASSERT_NE(gauges_at, std::string::npos);
-  ASSERT_NE(timing_at, std::string::npos);
-  ASSERT_NE(wall_at, std::string::npos);
-  EXPECT_GT(wall_at, timing_at);
+  EXPECT_EQ(doc->find("gauges")->find("wall_seconds"), nullptr);
+  EXPECT_EQ(doc->find("timing")->find("wall_seconds")->as_number(), 0.25);
   // v2: histograms carry the exact extremes and the quantile summary.
-  for (const char* key : {"\"min\"", "\"max\"", "\"p50\"", "\"p95\"", "\"p99\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
+  const session::Json& dist = *doc->find("histograms")->find("dist");
+  EXPECT_EQ(keys(dist), (std::vector<std::string>{"unit", "bounds", "counts", "count",
+                                                  "sum", "min", "max", "p50", "p95",
+                                                  "p99"}));
+  EXPECT_EQ(dist.find("count")->as_number(), 1.0);
+  EXPECT_EQ(dist.find("min")->as_number(), 1.5);
+  EXPECT_EQ(dist.find("max")->as_number(), 1.5);
+  for (const char* q : {"p50", "p95", "p99"}) {
+    EXPECT_EQ(dist.find(q)->as_number(), 1.5) << q;
   }
 }
 
@@ -295,31 +201,31 @@ TEST(Metrics, StatsJsonV2ResourcesAndExtraSections) {
   meta.options_digest = "abc123";
   meta.build = obs::build_version();
 
-  const std::pair<std::string, std::string> extra[] = {
-      {"slowlog", R"({"threshold_ms":5,"entries":[]})"},
-      {"bench", R"({"record_version":1})"}};
+  session::Json slowlog = session::Json::object();
+  slowlog.set("threshold_ms", 5);
+  slowlog.set("entries", session::Json::array());
+  session::Json bench = session::Json::object();
+  bench.set("record_version", 1);
+  session::Json extra = session::Json::object();
+  extra.set("slowlog", slowlog);
+  extra.set("bench", bench);
   std::ostringstream os;
-  obs::write_stats_json(os, meta, reg.snapshot(), extra);
-  const std::string json = os.str();
-  EXPECT_TRUE(JsonChecker(json).parse()) << json;
+  session::write_stats_json(os, meta, reg.snapshot(), extra);
+  const std::optional<session::Json> doc = session::json_parse(os.str());
+  ASSERT_TRUE(doc.has_value()) << os.str();
 
   // Resource gauges get their own section, after gauges and before timing;
-  // they appear in neither of the other two.
-  const auto resources_at = json.find("\"resources\"");
-  const auto timing_at = json.find("\"timing\"");
-  const auto rss_at = json.find("\"rss_bytes\":4096");
-  ASSERT_NE(resources_at, std::string::npos);
-  ASSERT_NE(rss_at, std::string::npos);
-  EXPECT_GT(rss_at, resources_at);
-  EXPECT_LT(rss_at, timing_at);
-
-  // Caller-rendered extra sections append verbatim, in order, at the end.
-  const auto slowlog_at = json.find("\"slowlog\":{\"threshold_ms\":5");
-  const auto bench_at = json.find("\"bench\":{\"record_version\":1}");
-  ASSERT_NE(slowlog_at, std::string::npos);
-  ASSERT_NE(bench_at, std::string::npos);
-  EXPECT_GT(slowlog_at, timing_at);
-  EXPECT_GT(bench_at, slowlog_at);
+  // they appear in neither of the other two. Caller-built extra sections
+  // append in order at the end.
+  EXPECT_EQ(keys(*doc),
+            (std::vector<std::string>{"meta", "counters", "gauges", "histograms",
+                                      "resources", "timing", "memory", "slowlog",
+                                      "bench"}));
+  EXPECT_EQ(doc->find("resources")->find("rss_bytes")->as_number(), 4096.0);
+  EXPECT_EQ(doc->find("gauges")->find("rss_bytes"), nullptr);
+  EXPECT_EQ(doc->find("timing")->find("rss_bytes"), nullptr);
+  EXPECT_EQ(doc->find("slowlog")->dump(), slowlog.dump());
+  EXPECT_EQ(doc->find("bench")->dump(), bench.dump());
 }
 
 // ---- resource sampler -------------------------------------------------------
@@ -521,10 +427,20 @@ TEST(TraceEvents, PhasesAppearOncePerPassAndNest) {
 
   std::ostringstream os;
   obs::Tracer::write_chrome(os);
-  const std::string json = os.str();
-  EXPECT_TRUE(JsonChecker(json).parse()) << json.substr(0, 400);
-  EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
-  EXPECT_NE(json.find("\"estimate-injected\""), std::string::npos);
+  const std::optional<session::Json> doc = session::json_parse(os.str());
+  ASSERT_TRUE(doc.has_value()) << os.str().substr(0, 400);
+  const session::Json* trace_events = doc->find("traceEvents");
+  ASSERT_NE(trace_events, nullptr);
+  std::size_t thread_names = 0;
+  std::size_t estimates = 0;
+  for (const session::Json& e : trace_events->items()) {
+    const std::string& name = e.find("name")->as_string();
+    thread_names += name == "thread_name" && e.find("ph")->as_string() == "M";
+    estimates += name == "estimate-injected" && e.find("cat") != nullptr &&
+                 e.find("cat")->as_string() == "phase";
+  }
+  EXPECT_GT(thread_names, 0u);
+  EXPECT_EQ(estimates, passes);
   obs::Tracer::clear();
 }
 

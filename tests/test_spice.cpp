@@ -39,7 +39,8 @@ TEST(Circuit, Validation) {
   EXPECT_THROW(c.add_cap(n, 0, 0.0), std::invalid_argument);
   c.add_res(n, 0, 1.0);
   c.add_cap(n, 0, 1e-15);
-  EXPECT_EQ(c.element_count(), 2u);
+  EXPECT_EQ(c.resistors().size(), 1u);
+  EXPECT_EQ(c.capacitors().size(), 1u);
   EXPECT_EQ(c.node_name(0), "0");
 }
 

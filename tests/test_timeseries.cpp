@@ -14,6 +14,7 @@
 #include "noise/analyzer.hpp"
 #include "noise/report_writer.hpp"
 #include "obs/timeseries.hpp"
+#include "session/stats_json.hpp"
 #include "sta/sta.hpp"
 #include "util/units.hpp"
 
@@ -64,13 +65,18 @@ TEST(TimeSeriesRing, SnapshotJsonCarriesStructure) {
   ring.set_interval_ms(250);
   ring.record(0.0, {3.0});
   ring.record(250.0, {4.0});
-  const std::string js = ring.snapshot().json();
-  EXPECT_NE(js.find("\"interval_ms\":250"), std::string::npos);
-  EXPECT_NE(js.find("\"capacity\":2"), std::string::npos);
-  EXPECT_NE(js.find("\"total\":2"), std::string::npos);
-  EXPECT_NE(js.find("\"series\":[\"q\"]"), std::string::npos);
-  EXPECT_NE(js.find("\"t_ms\":250.000"), std::string::npos);
-  EXPECT_NE(js.find("\"v\":[4]"), std::string::npos);
+  const session::Json js = session::timeseries_json(ring.snapshot());
+  std::vector<std::string> keys;
+  for (const auto& [k, v] : js.members()) keys.push_back(k);
+  EXPECT_EQ(keys, (std::vector<std::string>{"interval_ms", "capacity", "total",
+                                            "series", "samples"}));
+  EXPECT_EQ(js.find("interval_ms")->as_number(), 250.0);
+  EXPECT_EQ(js.find("capacity")->as_number(), 2.0);
+  EXPECT_EQ(js.find("total")->as_number(), 2.0);
+  EXPECT_EQ(js.find("series")->dump(), "[\"q\"]");
+  const std::vector<session::Json>& samples = js.find("samples")->items();
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[1].dump(), "{\"t_ms\":250,\"v\":[4]}");
 }
 
 TEST(RotatingQuantile, OldObservationsExpireAfterFullRotation) {

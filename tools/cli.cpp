@@ -9,6 +9,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/suite.hpp"
@@ -36,6 +37,7 @@
 #include "parasitics/spef.hpp"
 #include "session/server.hpp"
 #include "session/session.hpp"
+#include "session/stats_json.hpp"
 #include "sta/sta.hpp"
 #include "util/strings.hpp"
 
@@ -576,10 +578,11 @@ int run_session(const Args& a, std::istream& in, std::ostream& out) {
     // default Result.
     const noise::Result* last = session.last_result();
     static const noise::Result kEmpty;
-    const std::pair<std::string, std::string> extra[] = {
-        {"slowlog", reqobs.slowlog_json().dump()},
-        {"executor", noise::executor_stats_json(last ? *last : kEmpty)}};
-    obs::write_stats_json(sf, session.meta(), session.metrics_snapshot(), extra);
+    session::Json extra = session::Json::object();
+    extra.set("slowlog", reqobs.slowlog_json());
+    extra.set("executor", session::executor_json(last ? *last : kEmpty));
+    session::write_stats_json(sf, session.meta(), session.metrics_snapshot(),
+                              std::move(extra));
     require_written(sf, "--stats-json", a.stats_json_path);
     NW_LOG(kInfo) << "session stats written to " << a.stats_json_path;
   }
@@ -655,10 +658,11 @@ int run_daemon(const Args& a, std::ostream& out) {
 
   if (!a.stats_json_path.empty()) {
     std::ofstream sf = open_output(a.stats_json_path, "--stats-json");
-    const std::pair<std::string, std::string> extra[] = {
-        {"daemon", daemon.stats_section_json()},
-        {"timeseries", daemon.timeseries_section_json()}};
-    obs::write_stats_json(sf, daemon.meta(), daemon.registry().snapshot(), extra);
+    session::Json extra = session::Json::object();
+    extra.set("daemon", daemon.daemon_section());
+    extra.set("timeseries", session::timeseries_json(daemon.timeseries_snapshot()));
+    session::write_stats_json(sf, daemon.meta(), daemon.registry().snapshot(),
+                              std::move(extra));
     require_written(sf, "--stats-json", a.stats_json_path);
     NW_LOG(kInfo) << "daemon stats written to " << a.stats_json_path;
   }
@@ -814,12 +818,12 @@ int run_cli(std::span<const std::string> args, std::istream& in, std::ostream& o
         snap.samples.push_back(obs::wall_ms_sample(
             "explain_ms", "provenance rendering time", explain_s * 1e3));
       }
-      std::vector<std::pair<std::string, std::string>> extra = {
-          {"executor", noise::executor_stats_json(result)}};
+      session::Json extra = session::Json::object();
+      extra.set("executor", session::executor_json(result));
       if (a.sample_ms > 0) {
-        extra.emplace_back("timeseries", live_ring.snapshot().json());
+        extra.set("timeseries", session::timeseries_json(live_ring.snapshot()));
       }
-      obs::write_stats_json(sf, result.run_meta, snap, extra);
+      session::write_stats_json(sf, result.run_meta, snap, std::move(extra));
       require_written(sf, "--stats-json", a.stats_json_path);
       NW_LOG(kInfo) << "stats written to " << a.stats_json_path;
     }

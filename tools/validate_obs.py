@@ -14,7 +14,9 @@ required keys present, counter events well-formed) and the stats JSON
 (schema v6 meta, required metrics, histogram bucket counts + quantile
 summaries consistent, "resources", "executor" and "memory" sections
 present and internally consistent, "timeseries" ring invariants when
-sampling ran). The v5 "memory" section must satisfy the per-account
+sampling ran). No stats document or bench record may hold a null
+anywhere (the writer's spelling of a non-finite value); the failure names
+its JSON path. The v5 "memory" section must satisfy the per-account
 invariants (peak >= current >= 0) everywhere; --stats and --daemon-stats
 additionally require at least 6 accounts with nonzero peaks, and --stats
 requires the analysis_context and kernel_buffers accounts to be charged,
@@ -60,6 +62,30 @@ def fail(msg):
 def load(path):
     with open(path) as f:
         return json.load(f)
+
+
+def find_null(value, where="$"):
+    """JSON path of the first null in `value` (None when there is none)."""
+    if value is None:
+        return where
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        sub = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
+        hit = find_null(item, sub)
+        if hit is not None:
+            return hit
+    return None
+
+
+def load_stats(path, context):
+    """Load a stats document. The writer renders a non-finite number as
+    null, so any null is a value that went wrong upstream."""
+    doc = load(path)
+    where = find_null(doc)
+    if where is not None:
+        fail(f"{context}: null at {where} in {path} (a non-finite value)")
+    return doc
 
 
 def check_histogram(name, h):
@@ -323,7 +349,7 @@ def validate_trace(path, server=False, counters=False):
 
 
 def validate_stats(path, server=False):
-    doc = load(path)
+    doc = load_stats(path, "server stats" if server else "stats")
     meta = doc.get("meta")
     if not isinstance(meta, dict):
         fail("stats: no meta object")
@@ -398,7 +424,7 @@ def validate_stats(path, server=False):
 
 
 def validate_bench_record(path):
-    doc = load(path)
+    doc = load_stats(path, "bench record")
     validate_stats_like = doc.get("meta", {})
     if validate_stats_like.get("schema_version") != STATS_SCHEMA_VERSION:
         fail(f"bench record: unexpected schema_version in {path}")
@@ -519,7 +545,7 @@ def validate_daemon_stats(path):
     The counters here are the daemon's serving-layer registry — per-client
     analysis metrics live in each connection's session — so the analyzer
     metric requirements of --stats do not apply."""
-    doc = load(path)
+    doc = load_stats(path, "daemon stats")
     meta = doc.get("meta")
     if not isinstance(meta, dict):
         fail("daemon stats: no meta object")
