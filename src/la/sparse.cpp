@@ -145,8 +145,21 @@ std::vector<double> SparseLu::solve(std::span<const double> b) const {
 
 void SparseLu::solve_into(std::span<const double> b, std::span<double> y,
                           std::span<double> x) const {
-  if (b.size() != n_) throw std::invalid_argument("SparseLu::solve: size");
-  solve_fused([b](std::size_t r) { return b[r]; }, y, x);
+  if (b.size() != n_ || y.size() != n_ || x.size() != n_) {
+    throw std::invalid_argument("SparseLu::solve: size");
+  }
+  // Forward: L y = P b (L rows hold multipliers indexed by pivot step).
+  for (std::size_t i = 0; i < n_; ++i) {
+    double acc = b[perm_[i]];
+    for (std::size_t k = l_ptr_[i]; k < l_ptr_[i + 1]; ++k) acc -= l_val_[k] * y[l_col_[k]];
+    y[i] = acc;
+  }
+  // Back: U x = y, off-diagonal entries in ascending column order.
+  for (std::size_t i = n_; i-- > 0;) {
+    double acc = y[i];
+    for (std::size_t k = u_ptr_[i]; k < u_ptr_[i + 1]; ++k) acc -= u_val_[k] * x[u_col_[k]];
+    x[i] = acc / u_diag_[i];
+  }
 }
 
 }  // namespace nw::la

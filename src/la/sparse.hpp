@@ -11,8 +11,10 @@
 // (unit diagonal implied) as row pointers / pivot-step columns /
 // multipliers, U's off-diagonal rows the same way, and U's diagonal split
 // out into its own array. Substitution walks those arrays with no
-// allocation, so a transient run can re-solve every timestep in place
-// (SparseLu::solve_fused).
+// allocation. The arrays are readable (SparseLu::factors()): two factors
+// with the same structure (same_structure()) differ only in their value
+// arrays, so the transient engine walks one set of index arrays for many
+// factors at once, one value array per lane (spice/transient.hpp).
 #pragma once
 
 #include <cstddef>
@@ -72,6 +74,20 @@ class SparseMatrix {
   /// Entry lookup (binary search within the row; 0.0 if absent).
   [[nodiscard]] double get(std::size_t r, std::size_t c) const;
 
+  /// The CSR arrays: row r's entries are [row_ptr[r], row_ptr[r+1]) of
+  /// col (ascending) and val.
+  struct Csr {
+    std::span<const std::size_t> row_ptr;
+    std::span<const std::size_t> col;
+    std::span<const double> val;
+  };
+  [[nodiscard]] Csr csr() const noexcept { return {row_ptr_, col_, vals_}; }
+
+  /// Same dimension and the same entry positions (values may differ).
+  [[nodiscard]] bool same_pattern(const SparseMatrix& o) const noexcept {
+    return n_ == o.n_ && row_ptr_ == o.row_ptr_ && col_ == o.col_;
+  }
+
  private:
   std::size_t n_;
   std::vector<std::size_t> row_ptr_;
@@ -103,28 +119,31 @@ class SparseLu {
   void solve_into(std::span<const double> b, std::span<double> y,
                   std::span<double> x) const;
 
-  /// solve_into with the right-hand side produced on demand: `rhs(r)`
-  /// returns b[r] and is called once per row, in pivot order, before any
-  /// entry of x is written. A caller can thus assemble b from the previous
-  /// x inside the forward substitution and step x in place. Unchecked
-  /// beyond the span sizes.
-  template <typename Rhs>
-  void solve_fused(Rhs&& rhs, std::span<double> y, std::span<double> x) const {
-    if (y.size() != n_ || x.size() != n_) {
-      throw std::invalid_argument("SparseLu::solve: size");
-    }
-    // Forward: L y = P b (L rows hold multipliers indexed by pivot step).
-    for (std::size_t i = 0; i < n_; ++i) {
-      double acc = rhs(perm_[i]);
-      for (std::size_t k = l_ptr_[i]; k < l_ptr_[i + 1]; ++k) acc -= l_val_[k] * y[l_col_[k]];
-      y[i] = acc;
-    }
-    // Back: U x = y, off-diagonal entries in ascending column order.
-    for (std::size_t i = n_; i-- > 0;) {
-      double acc = y[i];
-      for (std::size_t k = u_ptr_[i]; k < u_ptr_[i + 1]; ++k) acc -= u_val_[k] * x[u_col_[k]];
-      x[i] = acc / u_diag_[i];
-    }
+  /// The flat factor arrays (see the file comment). Pivot i uses row
+  /// perm[i]; L row i holds [l_ptr[i], l_ptr[i+1]) of l_col (pivot steps,
+  /// ascending) and l_val; U row i holds its off-diagonal entries
+  /// [u_ptr[i], u_ptr[i+1]) of u_col (ascending) and u_val, and its
+  /// diagonal u_diag[i].
+  struct Factors {
+    std::span<const std::size_t> perm;
+    std::span<const std::size_t> l_ptr;
+    std::span<const std::size_t> l_col;
+    std::span<const double> l_val;
+    std::span<const std::size_t> u_ptr;
+    std::span<const std::size_t> u_col;
+    std::span<const double> u_val;
+    std::span<const double> u_diag;
+  };
+  [[nodiscard]] Factors factors() const noexcept {
+    return {perm_, l_ptr_, l_col_, l_val_, u_ptr_, u_col_, u_val_, u_diag_};
+  }
+
+  /// Same dimension, row permutation and L and U patterns: the factors
+  /// differ only in their value arrays. Threshold pivoting picks the
+  /// permutation from the values, so equal matrix patterns do not imply it.
+  [[nodiscard]] bool same_structure(const SparseLu& o) const noexcept {
+    return n_ == o.n_ && perm_ == o.perm_ && l_ptr_ == o.l_ptr_ && l_col_ == o.l_col_ &&
+           u_ptr_ == o.u_ptr_ && u_col_ == o.u_col_;
   }
 
  private:

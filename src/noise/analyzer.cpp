@@ -429,9 +429,15 @@ class Pipeline {
       const std::size_t limit = std::min(n, base + batch);
       exec_.parallel_for("estimate-injected", limit - base, kEstimateChunk,
                          [&](std::size_t begin, std::size_t end) {
+        const std::span<const GlitchEstimate> mna =
+            estimate_transients(base + begin, base + end, dirty);
+        std::size_t mna_next = 0;  // first pair of the next re-estimated victim
         for (std::size_t vi = base + begin; vi < base + end; ++vi) {
           if (dirty == nullptr || (*dirty)[vi]) {
-            estimate_for_victim(res.nets[vi], vi);
+            const std::size_t m = ctx_.agg_offsets[vi + 1] - ctx_.agg_offsets[vi];
+            estimate_for_victim(res.nets[vi], vi,
+                                mna.empty() ? mna : mna.subspan(mna_next, m));
+            mna_next += m;
           } else if (!reach_->net[vi]) {
             res.nets[vi] = previous_->nets[vi];
           } else {
@@ -470,6 +476,8 @@ class Pipeline {
   struct EstimateScratch {
     std::vector<double> peak, width, delay;
     std::vector<double> win_lo, win_hi, ext_hi;
+    std::vector<MnaPair> pairs;           ///< one chunk's re-estimated pairs
+    std::vector<GlitchEstimate> mna;      ///< their estimates, in pair order
   };
   static EstimateScratch& estimate_scratch() {
     thread_local EstimateScratch s;
@@ -484,16 +492,42 @@ class Pipeline {
     return s;
   }
 
+  /// Under the transient-backed models, estimates the pairs of every
+  /// re-estimated victim in [v_begin, v_end) as one batch
+  /// (estimate_mna_batch) and returns their estimates in CSR order, in a
+  /// per-thread buffer; empty under the analytic models.
+  std::span<const GlitchEstimate> estimate_transients(std::size_t v_begin,
+                                                      std::size_t v_end,
+                                                      const std::vector<char>* dirty) const {
+    if (opt_.model != GlitchModel::kReducedMna && opt_.model != GlitchModel::kMnaExact) {
+      return {};
+    }
+    EstimateScratch& es = estimate_scratch();
+    es.pairs.clear();
+    for (std::size_t vi = v_begin; vi < v_end; ++vi) {
+      if (dirty != nullptr && !(*dirty)[vi]) continue;
+      for (std::uint32_t r = ctx_.agg_offsets[vi]; r < ctx_.agg_offsets[vi + 1]; ++r) {
+        es.pairs.push_back({NetId{vi}, ctx_.agg_net[r], ctx_.pair_slew[r]});
+      }
+    }
+    es.mna.resize(es.pairs.size());
+    estimate_mna_batch(opt_.model, design_, para_, es.pairs, ctx_.vdd, opt_.mna_tran,
+                       es.mna);
+    return es.mna;
+  }
+
   /// Estimates victim vi's injected glitches over its CSR row: the analytic
-  /// models run batched over the packed scenario slabs, the MNA models per
-  /// pair. A contribution below min_peak is dropped; under temporal
+  /// models run batched over the packed scenario slabs; the MNA models'
+  /// estimates arrive in `mna`, one per row (estimate_transients). A
+  /// contribution below min_peak is dropped; under temporal
   /// filtering an aggressor that never switches is dropped (and counted),
   /// and every other glitch gets the window [sw.lo, sw.hi + peak_delay +
   /// width] — the earliest aggressor transition to the latest one plus
   /// injection ramp plus glitch width. Emptiness is judged on the RAW
   /// switching window, before extension, so extension cannot revive a
   /// never-switching aggressor.
-  void estimate_for_victim(NetNoise& nn, std::size_t vi) const {
+  void estimate_for_victim(NetNoise& nn, std::size_t vi,
+                           std::span<const GlitchEstimate> mna) const {
     const std::uint32_t row = ctx_.agg_offsets[vi];
     const std::size_t m = ctx_.agg_offsets[vi + 1] - row;
     nn.aggressor_count += m;
@@ -520,18 +554,10 @@ class Pipeline {
                      sub(ctx_.sc_slew), ctx_.vdd, es.peak, es.width, es.delay);
         break;
       default:
-        // The MNA models build per-pair circuits from the design; only the
-        // packed slew is flat.
         for (std::size_t k = 0; k < m; ++k) {
-          const GlitchEstimate g =
-              opt_.model == GlitchModel::kMnaExact
-                  ? estimate_mna(design_, para_, NetId{vi}, ctx_.agg_net[row + k],
-                                 ctx_.pair_slew[row + k], ctx_.vdd, opt_.mna_tran)
-                  : estimate_reduced(design_, para_, NetId{vi}, ctx_.agg_net[row + k],
-                                     ctx_.pair_slew[row + k], ctx_.vdd);
-          es.peak[k] = g.peak;
-          es.width[k] = g.width;
-          es.delay[k] = g.peak_delay;
+          es.peak[k] = mna[k].peak;
+          es.width[k] = mna[k].width;
+          es.delay[k] = mna[k].peak_delay;
         }
         break;
     }

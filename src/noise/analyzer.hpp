@@ -85,7 +85,9 @@ struct Options {
   /// value — stages write to pre-sized per-index slots and reduce in index
   /// order (see DESIGN.md "Execution model").
   int threads = 1;
-  spice::TranOptions mna_tran{2e-9, 0.5e-12};  ///< kMnaExact settings
+  /// kMnaExact timestep and shortest window: each pair's run extends to
+  /// its victim's settle time (estimate_mna).
+  spice::TranOptions mna_tran{2e-9, 0.5e-12};
   /// Functional filtering: mutual-exclusion groups of aggressor nets.
   /// Applies in every mode (it is orthogonal to temporal filtering).
   Constraints constraints;

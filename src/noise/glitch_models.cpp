@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "parasitics/reduce.hpp"
 #include "spice/cluster.hpp"
@@ -172,22 +173,49 @@ std::vector<double> extra_caps(const net::Design& design, const para::Parasitics
 
 }  // namespace
 
+namespace {
+
+/// What the victim presents to one aggressor: its pi model with every
+/// other coupling grounded, the coupling to the aggressor and its holding
+/// resistance.
+struct VictimLoad {
+  para::PiModel pi;
+  double cc = 0.0;
+  double r_hold = 0.0;
+  /// The holding time constant both MNA models size their runs from.
+  [[nodiscard]] double tau() const noexcept { return r_hold * (cc + pi.total_cap()); }
+};
+
+VictimLoad victim_load(const net::Design& design, const para::Parasitics& para,
+                       NetId victim, NetId aggressor) {
+  VictimLoad v;
+  v.pi = para::pi_model(para.net(victim), extra_caps(design, para, victim, aggressor));
+  for (const auto ci : para.couplings_of(victim)) {
+    const auto& c = para.coupling(ci);
+    if (c.other_net(victim) == aggressor) v.cc += c.c;
+  }
+  v.r_hold = spice::driver_resistance(design, victim, /*holding=*/true);
+  return v;
+}
+
+/// Injection plus twelve decay time constants (at least 5 ps each).
+double settle_time(const VictimLoad& v, double slew) {
+  return slew + 12.0 * std::max(v.tau(), 5e-12);
+}
+
+}  // namespace
+
 std::optional<ReducedCircuit> reduced_circuit(const net::Design& design,
                                               const para::Parasitics& para, NetId victim,
                                               NetId aggressor, double slew, double vdd) {
-  const para::PiModel pi_v =
-      para::pi_model(para.net(victim), extra_caps(design, para, victim, aggressor));
+  const VictimLoad load = victim_load(design, para, victim, aggressor);
+  const para::PiModel& pi_v = load.pi;
   const para::PiModel pi_a =
       para::pi_model(para.net(aggressor), extra_caps(design, para, aggressor, victim));
-
-  double cc = 0.0;
-  for (const auto ci : para.couplings_of(victim)) {
-    const auto& c = para.coupling(ci);
-    if (c.other_net(victim) == aggressor) cc += c.c;
-  }
+  const double cc = load.cc;
   if (cc <= 0.0) return std::nullopt;
 
-  const double r_hold = spice::driver_resistance(design, victim, /*holding=*/true);
+  const double r_hold = load.r_hold;
   const double r_drv = spice::driver_resistance(design, aggressor, /*holding=*/false);
 
   spice::Circuit ckt;
@@ -228,24 +256,25 @@ std::optional<ReducedCircuit> reduced_circuit(const net::Design& design,
   }
 
   // Simulate long enough for injection + decay.
-  const double tau = r_hold * (cc + pi_v.total_cap());
-  const double t_stop = slew + 12.0 * std::max(tau, 5e-12);
+  const double tau = load.tau();
+  const double t_stop = settle_time(load, slew);
   const double dt = std::max(std::min(slew, tau) / 50.0, 5e-14);
   return ReducedCircuit{std::move(ckt), v2, {t_stop, dt}};
 }
 
 namespace {
 
-/// Runs one pair's simulation, rethrowing a failure with the pair named.
-template <typename Run>
-spice::Waveform simulate_pair(const char* model, const net::Design& design,
-                              NetId victim, NetId aggressor, Run&& run) {
+/// Factors one pair's circuit, rethrowing a failure with the pair named.
+spice::TranSystem factor_pair(GlitchModel model, const net::Design& design,
+                              const MnaPair& pair, const spice::Circuit& ckt,
+                              const spice::TranOptions& tran, std::size_t probe) {
   const auto named = [&](const std::exception& e) {
-    return std::string(model) + ": victim net '" + design.net(victim).name +
-           "', aggressor net '" + design.net(aggressor).name + "': " + e.what();
+    return std::string(to_string(model)) + ": victim net '" +
+           design.net(pair.victim).name + "', aggressor net '" +
+           design.net(pair.aggressor).name + "': " + e.what();
   };
   try {
-    return run();
+    return spice::TranSystem(ckt, tran, probe);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(named(e));
   } catch (const std::runtime_error& e) {
@@ -253,40 +282,71 @@ spice::Waveform simulate_pair(const char* model, const net::Design& design,
   }
 }
 
-GlitchEstimate to_estimate(const spice::GlitchMeasure& m) {
-  GlitchEstimate g;
-  g.peak = m.peak;
-  g.width = m.width;
-  g.peak_delay = m.t_peak;
-  return g;
-}
-
 }  // namespace
+
+void estimate_mna_batch(GlitchModel model, const net::Design& design,
+                        const para::Parasitics& para, std::span<const MnaPair> pairs,
+                        double vdd, const spice::TranOptions& tran,
+                        std::span<GlitchEstimate> out) {
+  if (model != GlitchModel::kReducedMna && model != GlitchModel::kMnaExact) {
+    throw std::invalid_argument("estimate_mna_batch: not a transient-backed model");
+  }
+  if (out.size() != pairs.size()) throw std::invalid_argument("estimate_mna_batch: size");
+  std::vector<spice::TranSystem> systems;
+  std::vector<std::size_t> slot;     // pair index per system
+  std::vector<double> baseline;      // victim quiet level per system
+  systems.reserve(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const MnaPair& p = pairs[i];
+    out[i] = {};
+    if (model == GlitchModel::kReducedMna) {
+      const std::optional<ReducedCircuit> rc =
+          reduced_circuit(design, para, p.victim, p.aggressor, p.slew, vdd);
+      if (!rc) continue;
+      systems.push_back(factor_pair(model, design, p, rc->circuit, rc->tran, rc->probe));
+      baseline.push_back(0.0);
+    } else {
+      spice::ClusterSpec spec;
+      spec.victim = p.victim;
+      spec.vdd = vdd;
+      spec.aggressors.push_back({p.aggressor, /*start=*/0.0, p.slew, /*rising=*/true});
+      const spice::Cluster cl = spice::build_cluster(design, para, spec);
+      // Extend the configured window to the pair's settle time, but never
+      // past the step bound (kept two steps short of it, so rounding in
+      // ceil(t_stop / dt) cannot cross it).
+      const double settle = settle_time(victim_load(design, para, p.victim, p.aggressor),
+                                        p.slew);
+      const double longest = tran.dt * static_cast<double>(spice::kMaxSteps - 2);
+      const spice::TranOptions window{std::max(tran.t_stop, std::min(settle, longest)),
+                                      tran.dt};
+      systems.push_back(factor_pair(model, design, p, cl.circuit, window, cl.victim_probe));
+      baseline.push_back(cl.baseline);
+    }
+    slot.push_back(i);
+  }
+  spice::simulate_batch(systems, [&](std::size_t s, std::span<const double> samples) {
+    const spice::GlitchMeasure m =
+        spice::measure_glitch(samples, systems[s].dt(), baseline[s]);
+    out[slot[s]] = GlitchEstimate{m.peak, m.width, m.t_peak};
+  });
+}
 
 GlitchEstimate estimate_reduced(const net::Design& design, const para::Parasitics& para,
                                 NetId victim, NetId aggressor, double slew,
                                 double vdd) {
-  const std::optional<ReducedCircuit> rc =
-      reduced_circuit(design, para, victim, aggressor, slew, vdd);
-  if (!rc) return {};
-  const spice::Waveform w = simulate_pair("reduced-mna", design, victim, aggressor, [&] {
-    return spice::simulate_node(rc->circuit, rc->tran, rc->probe);
-  });
-  return to_estimate(spice::measure_glitch(w, 0.0));
+  const MnaPair pair{victim, aggressor, slew};
+  GlitchEstimate g;
+  estimate_mna_batch(GlitchModel::kReducedMna, design, para, {&pair, 1}, vdd, {}, {&g, 1});
+  return g;
 }
 
 GlitchEstimate estimate_mna(const net::Design& design, const para::Parasitics& para,
                             NetId victim, NetId aggressor, double slew, double vdd,
                             const spice::TranOptions& tran) {
-  spice::ClusterSpec spec;
-  spec.victim = victim;
-  spec.vdd = vdd;
-  spec.aggressors.push_back({aggressor, /*start=*/0.0, slew, /*rising=*/true});
-  const spice::Cluster cl = spice::build_cluster(design, para, spec);
-  const spice::Waveform w = simulate_pair("mna-exact", design, victim, aggressor, [&] {
-    return spice::simulate_node(cl.circuit, tran, cl.victim_probe);
-  });
-  return to_estimate(spice::measure_glitch(w, cl.baseline));
+  const MnaPair pair{victim, aggressor, slew};
+  GlitchEstimate g;
+  estimate_mna_batch(GlitchModel::kMnaExact, design, para, {&pair, 1}, vdd, tran, {&g, 1});
+  return g;
 }
 
 spice::Waveform synthesize_glitch(const GlitchEstimate& estimate, double t_start,

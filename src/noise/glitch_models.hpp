@@ -15,9 +15,14 @@
 //                   joined by the lumped coupling, solved by the MNA
 //                   transient engine on a 5-node circuit. Near-golden
 //                   accuracy at a fixed small cost per pair.
-//   kMnaExact       full cluster MNA transient (spice::simulate) measured
-//                   with spice::measure_glitch. Slowest, used for accuracy
+//   kMnaExact       full cluster MNA transient measured with
+//                   spice::measure_glitch. Slowest, used for accuracy
 //                   experiments and high-effort signoff mode.
+//
+// The two transient-backed models estimate pairs in batches
+// (estimate_mna_batch): every pair's circuit is factored, and pairs whose
+// factors share one structure step together in the transient engine's
+// lanes (spice/transient.hpp), each bit-identical to a run on its own.
 #pragma once
 
 #include <cstddef>
@@ -87,8 +92,12 @@ void peaks_two_pi(std::span<const double> r_hold, std::span<const double> c_grou
 [[nodiscard]] GlitchEstimate estimate(GlitchModel model, const CouplingScenario& s);
 
 /// Exact: build the victim/aggressor cluster and simulate, recording only
-/// the victim probe. Errors (a step count above spice::kMaxSteps, a
-/// singular circuit) are rethrown with the victim and aggressor net names.
+/// the victim probe. The run lasts max(tran.t_stop, slew + 12 tau) at
+/// tran.dt, tau the victim's holding time constant as reduced_circuit
+/// computes it, so a slow aggressor's glitch is not cut off; the extension
+/// alone never takes a run past spice::kMaxSteps. Errors (a step count
+/// above spice::kMaxSteps, a singular circuit) are rethrown with the victim
+/// and aggressor net names. A batch of one (estimate_mna_batch).
 [[nodiscard]] GlitchEstimate estimate_mna(const net::Design& design,
                                           const para::Parasitics& para, NetId victim,
                                           NetId aggressor, double slew, double vdd,
@@ -112,11 +121,31 @@ struct ReducedCircuit {
     NetId aggressor, double slew, double vdd);
 
 /// Reduced-order: simulates reduced_circuit(), recording only its probe.
-/// Errors are rethrown with the net names, as estimate_mna does.
+/// Errors are rethrown with the net names, as estimate_mna does. A batch of
+/// one (estimate_mna_batch).
 [[nodiscard]] GlitchEstimate estimate_reduced(const net::Design& design,
                                               const para::Parasitics& para,
                                               NetId victim, NetId aggressor,
                                               double slew, double vdd);
+
+/// One victim/aggressor pair of a transient-backed estimate.
+struct MnaPair {
+  NetId victim;
+  NetId aggressor;
+  double slew = 0.0;  ///< aggressor transition time [s]
+};
+
+/// Estimates every pair under `model` (kReducedMna or kMnaExact; `tran`
+/// only serves kMnaExact) into out[i]. Builds and factors each pair's
+/// circuit in order, then steps all of them together
+/// (spice::simulate_batch) and measures each probe waveform as its run
+/// finishes, so no batch holds more than one waveform per lane. out[i]
+/// equals estimate_reduced / estimate_mna on pair i bit for bit, and an
+/// error names the first pair, in order, whose circuit fails.
+void estimate_mna_batch(GlitchModel model, const net::Design& design,
+                        const para::Parasitics& para, std::span<const MnaPair> pairs,
+                        double vdd, const spice::TranOptions& tran,
+                        std::span<GlitchEstimate> out);
 
 /// Synthesize the canonical glitch waveform an estimate describes: linear
 /// rise to `peak` over `peak_delay`, then exponential decay whose time

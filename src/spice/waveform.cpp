@@ -29,21 +29,28 @@ double Waveform::min_value() const noexcept {
 }
 
 GlitchMeasure measure_glitch(const Waveform& w, double baseline, double width_fraction) {
+  GlitchMeasure g = measure_glitch(w.samples(), w.dt(), baseline, width_fraction);
+  g.t_peak += w.t0();
+  return g;
+}
+
+GlitchMeasure measure_glitch(std::span<const double> samples, double dt, double baseline,
+                             double width_fraction) {
   GlitchMeasure g;
-  if (w.empty()) return g;
+  if (samples.empty()) return g;
 
   // Find the extreme deviation and its polarity.
   double best = 0.0;
   std::size_t best_i = 0;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const double dev = w.sample(i) - baseline;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const double dev = samples[i] - baseline;
     if (std::abs(dev) > std::abs(best)) {
       best = dev;
       best_i = i;
     }
   }
   g.peak = std::abs(best);
-  g.t_peak = w.time_at(best_i);
+  g.t_peak = dt * static_cast<double>(best_i);
   g.positive = best >= 0.0;
   if (g.peak == 0.0) return g;
 
@@ -51,26 +58,20 @@ GlitchMeasure measure_glitch(const Waveform& w, double baseline, double width_fr
   const double thresh = width_fraction * g.peak;
   const double sign = g.positive ? 1.0 : -1.0;
   double width = 0.0;
-  double area = 0.0;
-  for (std::size_t i = 0; i + 1 < w.size(); ++i) {
-    const double d0 = sign * (w.sample(i) - baseline);
-    const double d1 = sign * (w.sample(i + 1) - baseline);
-    // Trapezoidal area of the positive part.
-    if (d0 > 0.0 || d1 > 0.0) {
-      area += 0.5 * (std::max(d0, 0.0) + std::max(d1, 0.0)) * w.dt();
-    }
+  for (std::size_t i = 0; i + 1 < samples.size(); ++i) {
+    const double d0 = sign * (samples[i] - baseline);
+    const double d1 = sign * (samples[i + 1] - baseline);
     // Fraction of the step above the width threshold (linear interp).
     const bool a0 = d0 >= thresh;
     const bool a1 = d1 >= thresh;
     if (a0 && a1) {
-      width += w.dt();
+      width += dt;
     } else if (a0 != a1) {
       const double f = (thresh - d0) / (d1 - d0);
-      width += w.dt() * (a0 ? f : (1.0 - f));
+      width += dt * (a0 ? f : (1.0 - f));
     }
   }
   g.width = width;
-  g.area = area;
   return g;
 }
 

@@ -41,7 +41,6 @@ struct GlitchMeasure {
   double peak = 0.0;     ///< |max deviation from baseline| [V]
   double t_peak = 0.0;   ///< time of the peak [s]
   double width = 0.0;    ///< time spent above 50% of peak [s]
-  double area = 0.0;     ///< integral of deviation above baseline [V*s]
   bool positive = true;  ///< polarity of the excursion
 };
 
@@ -49,6 +48,11 @@ struct GlitchMeasure {
 /// `width_fraction` sets the width threshold (default half-peak).
 [[nodiscard]] GlitchMeasure measure_glitch(const Waveform& w, double baseline,
                                            double width_fraction = 0.5);
+
+/// measure_glitch on samples taken every `dt` from t = 0 (what a
+/// transient run records); the Waveform overload adds its t0 to t_peak.
+[[nodiscard]] GlitchMeasure measure_glitch(std::span<const double> samples, double dt,
+                                           double baseline, double width_fraction = 0.5);
 
 /// Pointwise max abs difference between two waveforms over their common
 /// span, sampled at `n` points (accuracy metric between golden/model).

@@ -228,6 +228,65 @@ TEST(ReducedMna, StepBoundNamesThePair) {
   }
 }
 
+TEST(MnaExact, WindowCoversSlowAggressors) {
+  // The configured 2 ns window used to cut off any glitch slower than about
+  // 2 ns (width 1.97 ns at a 3 or 6 ns slew). Each pair's run now lasts
+  // until the victim has settled, so the glitch plateau, about one slew
+  // wide at half peak, is measured whole.
+  const lib::Library library = lib::default_library();
+  gen::BusConfig cfg;
+  cfg.bits = 4;
+  const gen::Generated g = gen::make_bus(library, cfg);
+  const NetId victim = *g.design.find_net("w1");
+  const NetId aggressor = *g.design.find_net("w2");
+  for (const double slew : {3 * NS, 6 * NS}) {
+    const GlitchEstimate e = estimate_mna(g.design, g.para, victim, aggressor, slew,
+                                          library.vdd(), Options{}.mna_tran);
+    ASSERT_GT(e.peak, 0.0);
+    EXPECT_NEAR(e.width, slew, 0.05 * slew);
+  }
+}
+
+TEST(GlitchAccuracy, ModelsStayWithinDeclaredBoundsOfGolden) {
+  // R-F1 as tier-1: the 60 seeded clusters of bench/bench_accuracy.cpp
+  // (same generator draws). Devgan on the bounding abstraction never falls
+  // below the MNA golden, and the reduced-MNA peak stays within the +-7 %
+  // DESIGN.md §4.1 declares. Two-pi's known under-estimates are an open
+  // ROADMAP item and are not asserted here.
+  const lib::Library library = lib::default_library();
+  const double vdd = library.vdd();
+  Rng rng(2026);
+  int compared = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    gen::BusConfig cfg;
+    cfg.bits = 5;
+    cfg.segments = 1 + static_cast<std::size_t>(rng.below(4));
+    cfg.coupling_adj = rng.uniform(2 * FF, 9 * FF);
+    cfg.coupling_2nd = rng.uniform(0.2 * FF, 2 * FF);
+    cfg.port_res = rng.uniform(300.0, 3000.0);
+    cfg.res_per_seg = rng.uniform(10.0, 60.0);
+    cfg.cap_per_seg = rng.uniform(1 * FF, 4 * FF);
+    cfg.seed = rng.next();
+    const gen::Generated g = gen::make_bus(library, cfg);
+    const NetId victim = *g.design.find_net("w2");
+    const NetId aggressor = *g.design.find_net(rng.chance(0.5) ? "w1" : "w3");
+    const double slew = rng.uniform(10 * PS, 100 * PS);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+
+    const GlitchEstimate golden = estimate_mna(g.design, g.para, victim, aggressor, slew,
+                                               vdd, {2 * NS, 0.5 * PS});
+    if (golden.peak < 1e-3) continue;
+    ++compared;
+    const GlitchEstimate devgan = estimate_devgan(
+        bound_scenario_for(g.design, g.para, victim, aggressor, slew, vdd));
+    EXPECT_GE(devgan.peak, 0.999 * golden.peak);
+    const GlitchEstimate reduced =
+        estimate_reduced(g.design, g.para, victim, aggressor, slew, vdd);
+    EXPECT_NEAR(reduced.peak, golden.peak, 0.07 * golden.peak);
+  }
+  EXPECT_EQ(compared, 60);
+}
+
 /// A bus whose input ports drive through `port_res` (0 = ideal source).
 gen::Generated ideal_driver_bus(const lib::Library& library, double port_res) {
   gen::BusConfig cfg;
