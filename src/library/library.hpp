@@ -38,8 +38,6 @@ class Library {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] double vdd() const noexcept { return vdd_; }
-  void set_vdd(double v) noexcept { vdd_ = v; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   /// Add a cell; throws std::invalid_argument on duplicate name.
   std::size_t add_cell(Cell cell);

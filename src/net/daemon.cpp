@@ -99,7 +99,7 @@ Daemon::Daemon(DaemonConfig config, std::shared_ptr<const Design> design,
     : cfg_(std::move(config)),
       design_(std::move(design)),
       para_(std::move(parasitics)),
-      governor_(LoadGovernor::Config{cfg_.analysis_slots, cfg_.max_waiters, 50.0},
+      governor_(LoadGovernor::Config{cfg_.analysis_slots, cfg_.max_waiters},
                 reg_),
       analyze_window_({1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000},
                       kLatencyWindows),
@@ -128,7 +128,6 @@ Daemon::Daemon(DaemonConfig config, std::shared_ptr<const Design> design,
     throw std::invalid_argument("Daemon: design/parasitics must not be null");
   }
   if (cfg_.max_connections < 1) cfg_.max_connections = 1;
-  if (cfg_.min_watch_period_ms < 1) cfg_.min_watch_period_ms = 1;
   governor_.set_latency_window(&analyze_window_);
   if (cfg_.sample_interval_ms > 0) {
     sampler_ = std::make_unique<obs::Sampler>(
@@ -437,7 +436,7 @@ session::Json Daemon::watch_command(Connection& conn, const session::Json& args)
   // Per-connection rate cap: a client asking for a 1 ms firehose gets the
   // daemon's floor instead (reported back, not errored — the client can
   // see what it actually subscribed to).
-  period_ms = std::max(period_ms, cfg_.min_watch_period_ms);
+  period_ms = std::max(period_ms, kMinWatchPeriodMs);
   if (action == "start") {
     start_watch(conn, period_ms);
   } else if (action == "stop") {
@@ -447,7 +446,7 @@ session::Json Daemon::watch_command(Connection& conn, const session::Json& args)
   }
   return session::Json::object({{"watching", conn.watcher.joinable()},
                                 {"period_ms", action == "start" ? period_ms : 0},
-                                {"min_period_ms", cfg_.min_watch_period_ms}});
+                                {"min_period_ms", kMinWatchPeriodMs}});
 }
 
 void Daemon::start_watch(Connection& conn, int period_ms) {

@@ -47,6 +47,9 @@
 
 namespace nw::net {
 
+/// Per-connection `watch` rate cap: the shortest period a subscription gets.
+inline constexpr int kMinWatchPeriodMs = 50;
+
 struct DaemonConfig {
   Endpoint listen;                ///< unix:<path> or tcp:<host>:<port>
   int max_connections = 32;       ///< concurrent clients before accept-shed
@@ -58,7 +61,6 @@ struct DaemonConfig {
   bool progress_events = true;    ///< stream progress event lines to clients
   int sample_interval_ms = 250;   ///< telemetry sampler period (0 = off)
   std::size_t sample_capacity = 512;  ///< timeseries ring bound (samples kept)
-  int min_watch_period_ms = 50;   ///< per-connection `watch` rate cap (floor)
   session::SessionConfig session; ///< per-connection session settings
 };
 

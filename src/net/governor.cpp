@@ -7,7 +7,7 @@ namespace nw::net {
 
 LoadGovernor::LoadGovernor(Config config, obs::Registry& reg)
     : cfg_(config),
-      ewma_ms_(config.seed_ewma_ms),
+      ewma_ms_(kSeedEwmaMs),
       admitted_(reg.counter(kMetricAdmitted, "analyses admitted through the gate",
                             /*deterministic=*/false)),
       shed_(reg.counter(kMetricShed, "requests shed with 'overloaded'",

@@ -28,8 +28,9 @@ class LoadGovernor final : public session::AnalysisGate {
   struct Config {
     int slots = 2;         ///< concurrent analyses admitted (0 = shed all)
     int max_waiters = 8;   ///< admissions allowed to queue behind full slots
-    double seed_ewma_ms = 50.0;  ///< latency prior until real samples arrive
   };
+  /// Latency prior of the EWMA until real samples arrive [ms].
+  static constexpr double kSeedEwmaMs = 50.0;
 
   /// Registers its counters/gauges into `reg` (the daemon's registry).
   LoadGovernor(Config config, obs::Registry& reg);

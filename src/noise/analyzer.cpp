@@ -131,12 +131,6 @@ class Pipeline {
     for (std::size_t li = 0; li < ctx_.level_count(); ++li) {
       level_width.observe(static_cast<double>(ctx_.level_width(li)));
     }
-    // Utilization accounting never touches scheduling, so results stay
-    // bit-identical (tested across profile rates in test_profile.cpp). Its
-    // per-region chunk counts are ceil(n/chunk) regardless of thread count,
-    // so the executor_tasks counter finish() derives from them is
-    // deterministic.
-    exec_.enable_utilization(true);
     level_walls_.assign(ctx_.level_count(), 0.0);
     checkpoint("build-context", 1, 1);
   }
@@ -269,7 +263,7 @@ class Pipeline {
     reg_.counter(kMetricVictimsEstimated, "nets whose glitches were computed");
     reg_.counter(kMetricVictimsReused, "incremental: estimates carried over");
     reg_.counter(kMetricAggressorPairs, "victim/aggressor pairs evaluated");
-    reg_.counter(kMetricPairsFilteredCap, "pairs dropped below min_coupling_cap");
+    reg_.counter(kMetricPairsFilteredCap, "pairs dropped below kMinCouplingCap");
     reg_.gauge(kMetricLevels, "propagation levels (last pass)");
     reg_.gauge(kMetricEndpoints, "endpoints checked (last pass)");
     reg_.gauge(kMetricViolations, "failing endpoints (last pass)");
@@ -339,6 +333,8 @@ class Pipeline {
     res.run_meta.threads = exec_.thread_count();
     res.run_meta.iterations = res.iterations;
     res.executor = exec_.utilization();
+    // Per-region chunk counts are ceil(n/chunk) for every thread count, so
+    // the executor_tasks counter derived from them is deterministic.
     std::uint64_t chunks = 0;
     for (const util::RegionStats& region : res.executor.regions) chunks += region.chunks;
     reg_.counter(kMetricExecutorTasks, "").add(chunks);
@@ -511,7 +507,7 @@ class Pipeline {
       }
     }
     es.mna.resize(es.pairs.size());
-    estimate_mna_batch(opt_.model, design_, para_, es.pairs, ctx_.vdd, opt_.mna_tran,
+    estimate_mna_batch(opt_.model, design_, para_, es.pairs, ctx_.vdd, kMnaTran,
                        es.mna);
     return es.mna;
   }
@@ -519,7 +515,7 @@ class Pipeline {
   /// Estimates victim vi's injected glitches over its CSR row: the analytic
   /// models run batched over the packed scenario slabs; the MNA models'
   /// estimates arrive in `mna`, one per row (estimate_transients). A
-  /// contribution below min_peak is dropped; under temporal
+  /// contribution below kMinPeak is dropped; under temporal
   /// filtering an aggressor that never switches is dropped (and counted),
   /// and every other glitch gets the window [sw.lo, sw.hi + peak_delay +
   /// width] — the earliest aggressor transition to the latest one plus
@@ -563,7 +559,7 @@ class Pipeline {
     }
     if (opt_.mode == AnalysisMode::kNoFiltering) {
       for (std::size_t k = 0; k < m; ++k) {
-        if (es.peak[k] < opt_.min_peak) continue;
+        if (es.peak[k] < kMinPeak) continue;
         Contribution c;
         c.aggressor = ctx_.agg_net[row + k];
         c.peak = es.peak[k];
@@ -583,7 +579,7 @@ class Pipeline {
     }
     kernels::extend_right(es.win_hi, es.delay, es.width, es.ext_hi);
     for (std::size_t k = 0; k < m; ++k) {
-      if (es.peak[k] < opt_.min_peak) continue;
+      if (es.peak[k] < kMinPeak) continue;
       if (es.win_lo[k] > es.win_hi[k]) {
         // The aggressor never switches: temporally filtered out.
         ++nn.filtered_temporal;
@@ -672,9 +668,9 @@ class Pipeline {
     }
     for (std::uint32_t k = out_b; k < out_e; ++k) {
       const NetId out = ctx_.out_net[k];
-      if (in_peak >= opt_.min_peak && !cell.arcs.empty()) {
+      if (in_peak >= kMinPeak && !cell.arcs.empty()) {
         const double out_peak = cell.propagation.out_peak.lookup(in_peak, in_width);
-        if (out_peak >= opt_.min_peak) {
+        if (out_peak >= kMinPeak) {
           const double out_width =
               cell.propagation.out_width.lookup(in_peak, in_width);
           const double load = ctx_.load_cap[out.index()];
@@ -839,7 +835,7 @@ class Pipeline {
         continue;
       }
       const NetNoise& nn = res.nets[pp.net.index()];
-      const double threshold = opt_.po_immunity_frac * ctx_.vdd;
+      const double threshold = kPoImmunityFrac * ctx_.vdd;
       EndpointOutcome outcome;
       outcome.slack = threshold - nn.total_peak;
       if (nn.total_peak >= threshold) {
@@ -872,7 +868,7 @@ class Pipeline {
 
   /// Whether a net's glitch reaches the weakest immunity of its receivers.
   [[nodiscard]] bool is_noisy(const NetNoise& nn, NetId id) const {
-    if (nn.total_peak < opt_.min_peak) return false;
+    if (nn.total_peak < kMinPeak) return false;
     double min_threshold = 1e30;
     for (const PinId load : design_.net(id).loads) {
       const net::Pin& lp = design_.pin(load);
@@ -1053,7 +1049,7 @@ class Pipeline {
       const Interval& base = sta_.nets[i].window;
       if (base.is_empty()) continue;
       const Interval inflated =
-          (nn.total_peak < opt_.min_peak) ? base : base.dilated(0.0, nn.width);
+          (nn.total_peak < kMinPeak) ? base : base.dilated(0.0, nn.width);
       if (!(inflated == Interval{ctx_.switch_lo[i], ctx_.switch_hi[i]})) {
         ctx_.switch_lo[i] = inflated.lo;
         ctx_.switch_hi[i] = inflated.hi;
@@ -1140,18 +1136,13 @@ std::string options_digest(const Options& o) {
   // order, constraints enumerated deterministically. `threads` is
   // deliberately excluded — results (and therefore digests) are identical
   // for every thread count, so caches keyed on the digest stay valid
-  // across it.
+  // across it. The fixed settings (kMinPeak and its neighbours) are
+  // constants, so no digest needs to tell them apart.
   std::ostringstream os;
   os << std::hexfloat;
   os << "mode=" << to_string(o.mode) << ";model=" << to_string(o.model)
-     << ";min_coupling_cap=" << o.min_coupling_cap << ";min_peak=" << o.min_peak
      << ";clock_period=" << o.clock_period
-     << ";clock_uncertainty=" << o.clock_uncertainty
-     << ";latch_duty=" << o.latch_duty << ";default_slew=" << o.default_slew
-     << ";po_immunity_frac=" << o.po_immunity_frac
-     << ";refine_iterations=" << o.refine_iterations
-     << ";mna_t_stop=" << o.mna_tran.t_stop << ";mna_dt=" << o.mna_tran.dt
-     << ";constraints=";
+     << ";refine_iterations=" << o.refine_iterations << ";constraints=";
   for (const auto& [net, group] : o.constraints.entries()) {
     os << net << ":" << group << ",";
   }

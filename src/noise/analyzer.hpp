@@ -69,25 +69,26 @@ enum class AnalysisMode { kNoFiltering, kSwitchingWindows, kNoiseWindows };
 inline constexpr unsigned kMaxThreads = 1024;
 inline constexpr unsigned kMaxRefineIterations = 64;
 
+/// Fixed analysis settings.
+inline constexpr double kMinCouplingCap = 0.05e-15;  ///< ignore weaker aggressor coupling [F]
+inline constexpr double kMinPeak = 1e-3;             ///< ignore contributions below [V]
+inline constexpr double kLatchDuty = 0.5;  ///< transparent fraction of the cycle (latches)
+inline constexpr double kDefaultSlew = 30e-12;   ///< aggressor slew when STA has none [s]
+inline constexpr double kPoImmunityFrac = 0.45;  ///< primary-output immunity (fraction of vdd)
+/// kMnaExact timestep and shortest window: each pair's run extends to its
+/// victim's settle time (estimate_mna).
+inline constexpr spice::TranOptions kMnaTran{2e-9, 0.5e-12};
+
 struct Options {
   AnalysisMode mode = AnalysisMode::kNoiseWindows;
   GlitchModel model = GlitchModel::kTwoPi;
-  double min_coupling_cap = 0.05e-15;  ///< ignore weaker aggressor coupling [F]
-  double min_peak = 1e-3;              ///< ignore contributions below [V]
   double clock_period = 1e-9;          ///< must match the STA run [s]
-  double clock_uncertainty = 0.0;      ///< widens sensitivity windows by +-u [s]
-  double latch_duty = 0.5;             ///< transparent fraction of the cycle (latches)
-  double default_slew = 30e-12;        ///< aggressor slew when STA has none [s]
-  double po_immunity_frac = 0.45;      ///< primary-output immunity (fraction of vdd)
   int refine_iterations = 0;           ///< extra noise-on-delay passes (0 = off)
   /// Analysis parallelism: 1 = serial (default), 0 = hardware_concurrency,
   /// n = a fixed pool of n threads. Results are bit-identical for every
   /// value — stages write to pre-sized per-index slots and reduce in index
   /// order (see DESIGN.md "Execution model").
   int threads = 1;
-  /// kMnaExact timestep and shortest window: each pair's run extends to
-  /// its victim's settle time (estimate_mna).
-  spice::TranOptions mna_tran{2e-9, 0.5e-12};
   /// Functional filtering: mutual-exclusion groups of aggressor nets.
   /// Applies in every mode (it is orthogonal to temporal filtering).
   Constraints constraints;
@@ -287,9 +288,10 @@ struct NoiseTrace {
 /// std::invalid_argument for a net outside `result.nets`.
 [[nodiscard]] NoiseTrace trace_origin(const Result& result, NetId net);
 
-/// Stable hex digest of every analysis option (FNV-1a over a canonical
-/// rendering) — two runs with equal digests analyzed under the same
-/// settings. Embedded in the stats JSON meta for trajectory comparison.
+/// Stable hex digest of every result-affecting Options field (FNV-1a over a
+/// canonical rendering; `threads` is left out) — two runs with equal
+/// digests analyzed under the same settings. Embedded in the stats JSON
+/// meta for trajectory comparison.
 [[nodiscard]] std::string options_digest(const Options& options);
 
 /// Estimated heap footprint of a Result in bytes (capacity-based: vector

@@ -50,7 +50,7 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
     std::sort(touched.begin(), touched.end());
     for (const auto agg : touched) {
       const NetId a{agg};
-      if (cap_sum[a.index()] < opt.min_coupling_cap) {
+      if (cap_sum[a.index()] < kMinCouplingCap) {
         ++ctx.pairs_filtered_cap;
       } else {
         ctx.agg_net.push_back(a);
@@ -66,7 +66,7 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
   ctx.load_cap.resize(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const NetId id{i};
-    double cap = para.total_cap(id, /*miller=*/1.0);
+    double cap = para.total_cap(id);
     for (const PinId load : design.net(id).loads) cap += design.pin_cap(load);
     ctx.load_cap[i] = cap;
   }
@@ -160,16 +160,12 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
     // Edge-triggered flops sample only around the next capture edge. A
     // level-sensitive latch is vulnerable throughout its transparent
     // phase — anything arriving while the enable is open flows through
-    // and is held at the closing edge. Clock uncertainty widens both.
-    Interval sens;
-    if (cell.kind == lib::CellKind::kLatch) {
-      sens = Interval{clk.lo - cell.setup,
-                      clk.hi + opt.latch_duty * opt.clock_period + cell.hold};
-    } else {
-      sens = Interval{clk.lo + opt.clock_period - cell.setup,
-                      clk.hi + opt.clock_period + cell.hold};
-    }
-    sens = sens.dilated(opt.clock_uncertainty, opt.clock_uncertainty);
+    // and is held at the closing edge.
+    const Interval sens =
+        cell.kind == lib::CellKind::kLatch
+            ? Interval{clk.lo - cell.setup, clk.hi + kLatchDuty * opt.clock_period + cell.hold}
+            : Interval{clk.lo + opt.clock_period - cell.setup,
+                       clk.hi + opt.clock_period + cell.hold};
     for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
       if (cell.pins[pi].role != lib::PinRole::kData) continue;
       const net::Pin& dp = design.pin(inst.pins[pi]);
@@ -204,7 +200,7 @@ void AnalysisContext::pack_scenarios(const net::Design& design,
         // The aggressor slew: STA's fastest transition, else the default,
         // floored at 1 ps (comparison + select + max: no arithmetic).
         const sta::NetTiming& at = sta.nets[agg.index()];
-        double slew = at.slew_min > 0.0 ? at.slew_min : opt.default_slew;
+        double slew = at.slew_min > 0.0 ? at.slew_min : kDefaultSlew;
         slew = std::max(slew, 1e-12);
         pair_slew[k] = slew;
         if (analytic) {

@@ -49,7 +49,8 @@ using KbVec = std::vector<T, obs::TrackedAlloc<T, obs::MemAccountId::kKernelBuff
 
 /// A sequential endpoint to check: one data pin of one sequential cell,
 /// with its sampling-sensitivity window precomputed from the clock
-/// arrival, cell setup/hold, and clock options.
+/// arrival, cell setup/hold, and the clock period (a latch stays open for
+/// kLatchDuty of it).
 struct EndpointRef {
   InstId inst;
   PinId pin;         ///< the data pin itself
@@ -63,7 +64,7 @@ struct AnalysisContext {
   // --- CSR aggressor adjacency (victim-major; row vi = net vi) ---
   // Per victim, the coupling caps to each aggressor summed in
   // Parasitics::couplings_of() order, kept when the sum reaches
-  // Options::min_coupling_cap, and sorted by aggressor id — so estimation
+  // kMinCouplingCap, and sorted by aggressor id — so estimation
   // order (and with it contribution order and scan-line tie-breaking) is
   // deterministic.
   CtxVec<std::uint32_t> agg_offsets;  ///< net_count+1 row starts
@@ -99,7 +100,7 @@ struct AnalysisContext {
   /// Current pass's switching window per net: the STA window, inflated in
   /// place by refinement. Empty windows keep their lo > hi encoding.
   KbVec<double> switch_lo, switch_hi;
-  /// Aggressor slew after the STA/default/floor rule, slot-parallel to
+  /// Aggressor slew after the STA/kDefaultSlew/floor rule, slot-parallel to
   /// agg_net — the raw input the MNA models take.
   KbVec<double> pair_slew;
   /// scenario_for()'s electrical abstract per pair slot, packed only for
@@ -136,7 +137,7 @@ struct AnalysisContext {
   /// estimates a change to `changed` nets can affect — the changed nets
   /// themselves plus every net coupled to one through `para` (the raw
   /// coupling incidence, not the threshold-filtered adjacency, so a cap
-  /// crossing min_coupling_cap in either direction still dirties its
+  /// crossing kMinCouplingCap in either direction still dirties its
   /// victim). Returns a sorted, duplicate-free net list. Throws
   /// std::invalid_argument naming the offending id when a changed net is
   /// outside this context's design.

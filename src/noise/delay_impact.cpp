@@ -26,7 +26,7 @@ DelayImpact impact_for_net(const sta::NetTiming& t, const NetNoise& nn,
   const double peak = combine_flat(nn.contributions, opt.mode, edge, opt.constraints,
                                    CombineView::kAll, scratch)
                           .peak;
-  if (peak < opt.min_peak) return di;
+  if (peak < kMinPeak) return di;
 
   affected = 1;
   di.peak_during_transition = peak;

@@ -294,7 +294,6 @@ void estimate_mna_batch(GlitchModel model, const net::Design& design,
   if (out.size() != pairs.size()) throw std::invalid_argument("estimate_mna_batch: size");
   std::vector<spice::TranSystem> systems;
   std::vector<std::size_t> slot;     // pair index per system
-  std::vector<double> baseline;      // victim quiet level per system
   systems.reserve(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const MnaPair& p = pairs[i];
@@ -304,7 +303,6 @@ void estimate_mna_batch(GlitchModel model, const net::Design& design,
           reduced_circuit(design, para, p.victim, p.aggressor, p.slew, vdd);
       if (!rc) continue;
       systems.push_back(factor_pair(model, design, p, rc->circuit, rc->tran, rc->probe));
-      baseline.push_back(0.0);
     } else {
       spice::ClusterSpec spec;
       spec.victim = p.victim;
@@ -320,13 +318,12 @@ void estimate_mna_batch(GlitchModel model, const net::Design& design,
       const spice::TranOptions window{std::max(tran.t_stop, std::min(settle, longest)),
                                       tran.dt};
       systems.push_back(factor_pair(model, design, p, cl.circuit, window, cl.victim_probe));
-      baseline.push_back(cl.baseline);
     }
     slot.push_back(i);
   }
   spice::simulate_batch(systems, [&](std::size_t s, std::span<const double> samples) {
     const spice::GlitchMeasure m =
-        spice::measure_glitch(samples, systems[s].dt(), baseline[s]);
+        spice::measure_glitch(samples, systems[s].dt(), /*baseline=*/0.0);
     out[slot[s]] = GlitchEstimate{m.peak, m.width, m.t_peak};
   });
 }
@@ -384,7 +381,7 @@ CouplingScenario scenario_for(const net::Design& design, const para::Parasitics&
   // the coupling caps: fold the aggressor time constant (drive resistance x
   // half the distributed load, plus half the wire's own RC) into the edge.
   const double r_agg = spice::driver_resistance(design, aggressor, /*holding=*/false);
-  double c_agg = para.total_cap(aggressor, 1.0);
+  double c_agg = para.total_cap(aggressor);
   for (const PinId load : design.net(aggressor).loads) c_agg += design.pin_cap(load);
   const double tau_agg =
       r_agg * 0.5 * c_agg + 0.5 * para.net(aggressor).total_res() * 0.5 * c_agg;

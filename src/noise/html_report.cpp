@@ -21,6 +21,10 @@ namespace {
 
 using report::html_escape;
 
+constexpr std::size_t kTimelineRows = 12;  ///< timeline rows (worst slack first)
+constexpr std::size_t kParetoBars = 12;    ///< Pareto bars
+constexpr std::size_t kSlackBins = 24;     ///< slack histogram resolution
+
 /// everything() bounds are sentinels (±1e30), not data — skip them when
 /// sizing a time axis and let the renderer clamp the span instead.
 bool finite_time(double t) { return std::abs(t) < 1e29; }
@@ -45,8 +49,7 @@ std::vector<std::size_t> worst_first(const Result& r) {
 }
 
 void write_timelines(std::ostream& os, const net::Design& design, const Result& r,
-                     const Options& opt, const std::vector<std::size_t>& order,
-                     std::size_t top_k) {
+                     const Options& opt, const std::vector<std::size_t>& order) {
   std::vector<report::TimelineRow> rows;
   double lo = 0.0;
   double hi = 0.0;
@@ -57,7 +60,7 @@ void write_timelines(std::ostream& os, const net::Design& design, const Result& 
     hi = any ? std::max(hi, t) : t;
     any = true;
   };
-  for (std::size_t k = 0; k < order.size() && k < top_k; ++k) {
+  for (std::size_t k = 0; k < order.size() && k < kTimelineRows; ++k) {
     const Violation& v = r.violations[order[k]];
     const Provenance& p = r.provenance[order[k]];
     report::TimelineRow row;
@@ -101,8 +104,7 @@ void write_timelines(std::ostream& os, const net::Design& design, const Result& 
   os << "</section>\n";
 }
 
-void write_pareto(std::ostream& os, const net::Design& design, const Result& r,
-                  std::size_t top_k) {
+void write_pareto(std::ostream& os, const net::Design& design, const Result& r) {
   // Total in-worst injected noise per aggressor net across every violation
   // (map keyed by net id => deterministic iteration order).
   std::map<NetId::value_type, double> totals;
@@ -123,7 +125,7 @@ void write_pareto(std::ostream& os, const net::Design& design, const Result& r,
        << "</p>\n";
   } else {
     std::vector<report::Bar> bars;
-    for (std::size_t i = 0; i < ranked.size() && i < top_k; ++i) {
+    for (std::size_t i = 0; i < ranked.size() && i < kParetoBars; ++i) {
       report::Bar b;
       b.label = design.net(NetId{ranked[i].first}).name;
       b.value = ranked[i].second;
@@ -131,16 +133,16 @@ void write_pareto(std::ostream& os, const net::Design& design, const Result& r,
       bars.push_back(std::move(b));
     }
     report::write_bar_chart(os, bars, report::ChartGeom{}, /*cumulative_line=*/true);
-    if (ranked.size() > top_k) {
-      os << "<p>" << (ranked.size() - top_k) << " weaker aggressors not shown.</p>\n";
+    if (ranked.size() > kParetoBars) {
+      os << "<p>" << (ranked.size() - kParetoBars) << " weaker aggressors not shown.</p>\n";
     }
   }
   os << "</section>\n";
 }
 
-void write_slack_hist(std::ostream& os, const Result& r, std::size_t bins) {
+void write_slack_hist(std::ostream& os, const Result& r) {
   os << "<section id=\"slack\">\n<h2>Endpoint noise-slack distribution</h2>\n";
-  if (r.endpoint_slacks.empty() || bins == 0) {
+  if (r.endpoint_slacks.empty()) {
     os << "<p>No endpoints checked.</p>\n</section>\n";
     return;
   }
@@ -151,16 +153,16 @@ void write_slack_hist(std::ostream& os, const Result& r, std::size_t bins) {
     hi = std::max(hi, s);
   }
   if (!(hi > lo)) hi = lo + 1e-6;
-  std::vector<report::HistogramBin> hist(bins);
-  const double step = (hi - lo) / static_cast<double>(bins);
-  for (std::size_t i = 0; i < bins; ++i) {
+  std::vector<report::HistogramBin> hist(kSlackBins);
+  const double step = (hi - lo) / static_cast<double>(kSlackBins);
+  for (std::size_t i = 0; i < kSlackBins; ++i) {
     hist[i].lo = lo + step * static_cast<double>(i);
     hist[i].hi = hist[i].lo + step;
     hist[i].cls = hist[i].hi <= 0.0 ? "binbad" : "bin";
   }
   for (const double s : r.endpoint_slacks) {
     auto idx = static_cast<std::size_t>((s - lo) / step);
-    if (idx >= bins) idx = bins - 1;
+    if (idx >= kSlackBins) idx = kSlackBins - 1;
     ++hist[idx].count;
   }
   os << "<p class=\"legend\"><span class=\"sw binbad\"></span> violating "
@@ -545,9 +547,9 @@ void write_html_report(std::ostream& os, const net::Design& design,
   os << "</div>\n</section>\n";
 
   const std::vector<std::size_t> order = worst_first(r);
-  write_timelines(os, design, r, opt, order, hopt.top_violations);
-  write_pareto(os, design, r, hopt.top_aggressors);
-  write_slack_hist(os, r, hopt.slack_bins);
+  write_timelines(os, design, r, opt, order);
+  write_pareto(os, design, r);
+  write_slack_hist(os, r);
   write_executor(os, r);
   write_flame(os, hopt.profile);
   write_live(os, hopt.timeseries);

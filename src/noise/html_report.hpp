@@ -26,9 +26,6 @@
 namespace nw::noise {
 
 struct HtmlReportOptions {
-  std::size_t top_violations = 12;  ///< timeline rows (worst slack first)
-  std::size_t top_aggressors = 12;  ///< Pareto bars
-  std::size_t slack_bins = 24;      ///< slack histogram resolution
   /// Collapsed-stack samples for the #flame panel (obs::Profiler::snapshot).
   /// Empty = profiling off; the panel renders a "profiling disabled" note.
   std::vector<obs::FoldedEntry> profile;

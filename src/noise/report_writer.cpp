@@ -30,29 +30,20 @@ void write_report(std::ostream& os, const net::Design& design, const Options& op
       return a->slack() < b->slack();
     });
 
-    report::TextTable t(ropt.include_windows
-                            ? std::vector<std::string>{"endpoint", "net", "peak", "width",
-                                                       "threshold", "slack", "sensitivity"}
-                            : std::vector<std::string>{"endpoint", "net", "peak", "width",
-                                                       "threshold", "slack"});
+    report::TextTable t(
+        {"endpoint", "net", "peak", "width", "threshold", "slack", "sensitivity"});
     std::size_t shown = 0;
     for (const auto* v : sorted) {
-      if (shown++ >= ropt.max_violations) break;
-      std::vector<std::string> row{design.pin_name(v->endpoint),
-                                   design.net(v->net).name,
-                                   report::fmt_mv(v->peak),
-                                   report::fmt_ps(v->width),
-                                   report::fmt_mv(v->threshold),
-                                   report::fmt_mv(v->slack())};
-      if (ropt.include_windows) {
-        row.push_back(v->sensitivity == Interval::everything() ? "(always)"
-                                                               : v->sensitivity.str());
-      }
-      t.add_row(std::move(row));
+      if (shown++ >= kMaxViolationRows) break;
+      t.add_row({design.pin_name(v->endpoint), design.net(v->net).name,
+                 report::fmt_mv(v->peak), report::fmt_ps(v->width),
+                 report::fmt_mv(v->threshold), report::fmt_mv(v->slack()),
+                 v->sensitivity == Interval::everything() ? "(always)"
+                                                          : v->sensitivity.str()});
     }
     os << "-- violations (worst slack first";
-    if (result.violations.size() > ropt.max_violations) {
-      os << ", showing " << ropt.max_violations << " of " << result.violations.size();
+    if (result.violations.size() > kMaxViolationRows) {
+      os << ", showing " << kMaxViolationRows << " of " << result.violations.size();
     }
     os << ") --\n";
     t.print(os);
@@ -76,7 +67,7 @@ void write_report(std::ostream& os, const net::Design& design, const Options& op
   std::size_t rows = 0;
   for (const auto i : order) {
     const NetNoise& nn = result.nets[i];
-    if (nn.total_peak <= 0.0 || rows++ >= ropt.max_noisy_nets) break;
+    if (nn.total_peak <= 0.0 || rows++ >= kMaxNoisyNetRows) break;
     worst.add_row({design.net(NetId{i}).name, std::to_string(nn.aggressor_count),
                    report::fmt_mv(nn.injected_peak), report::fmt_mv(nn.propagated_peak),
                    report::fmt_mv(nn.total_peak), report::fmt_ps(nn.width),
@@ -94,7 +85,7 @@ void write_report(std::ostream& os, const net::Design& design, const Options& op
 }
 
 void write_delay_impact(std::ostream& os, const net::Design& design,
-                        const DelayImpactSummary& impact, std::size_t max_rows) {
+                        const DelayImpactSummary& impact) {
   os << "\n-- crosstalk delay impact --\n";
   os << "affected nets: " << impact.affected_nets
      << "   total delta: " << report::fmt_ps(impact.total_delta)
@@ -108,7 +99,7 @@ void write_delay_impact(std::ostream& os, const net::Design& design,
   std::size_t rows = 0;
   for (const auto i : order) {
     const DelayImpact& di = impact.nets[i];
-    if (di.delta_delay <= 0.0 || rows++ >= max_rows) break;
+    if (di.delta_delay <= 0.0 || rows++ >= kMaxDelayImpactRows) break;
     t.add_row({design.net(NetId{i}).name, report::fmt_mv(di.peak_during_transition),
                report::fmt_ps(di.delta_delay)});
   }

@@ -10,22 +10,25 @@
 
 namespace nw::noise {
 
+/// Row caps of the report tables.
+inline constexpr std::size_t kMaxViolationRows = 50;    ///< detailed violation rows
+inline constexpr std::size_t kMaxNoisyNetRows = 20;     ///< worst-net table
+inline constexpr std::size_t kMaxDelayImpactRows = 20;  ///< delay-impact table
+
 struct ReportOptions {
-  std::size_t max_violations = 50;   ///< cap on detailed violation rows
-  std::size_t max_noisy_nets = 20;   ///< cap on the worst-net table
-  bool include_windows = true;       ///< print noise/sensitivity windows
   /// Append the run's telemetry table (the same rendering as --stats, via
   /// write_stats) so a report file is a self-contained run record.
   bool telemetry_footer = false;
 };
 
-/// Write the full report: summary, violation table, worst nets by peak.
+/// Write the full report: summary, violation table (with each endpoint's
+/// sensitivity window), worst nets by peak.
 void write_report(std::ostream& os, const net::Design& design, const Options& options,
                   const Result& result, const ReportOptions& ropt = {});
 
 /// Append a delay-impact section to a report stream.
 void write_delay_impact(std::ostream& os, const net::Design& design,
-                        const DelayImpactSummary& impact, std::size_t max_rows = 20);
+                        const DelayImpactSummary& impact);
 
 [[nodiscard]] std::string report_string(const net::Design& design, const Options& options,
                                         const Result& result,

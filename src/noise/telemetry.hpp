@@ -31,7 +31,7 @@ struct Telemetry {
   std::size_t victims_estimated = 0;   ///< nets whose glitches were computed
   std::size_t victims_reused = 0;      ///< incremental: estimates carried over
   std::size_t aggressor_pairs = 0;     ///< victim/aggressor pairs evaluated
-  std::size_t pairs_filtered_cap = 0;  ///< pairs dropped below min_coupling_cap
+  std::size_t pairs_filtered_cap = 0;  ///< pairs dropped below kMinCouplingCap
   std::size_t levels = 0;              ///< propagation levels (parallel width)
   std::size_t endpoints = 0;           ///< endpoints checked per pass
 };

@@ -148,8 +148,8 @@ double Parasitics::coupling_cap_of(NetId id) const {
   return c;
 }
 
-double Parasitics::total_cap(NetId id, double miller) const {
-  return net(id).total_ground_cap() + miller * coupling_cap_of(id);
+double Parasitics::total_cap(NetId id) const {
+  return net(id).total_ground_cap() + coupling_cap_of(id);
 }
 
 std::size_t Parasitics::memory_bytes() const noexcept {

@@ -138,9 +138,9 @@ class Parasitics {
   /// Sum of coupling capacitance incident to a net [F].
   [[nodiscard]] double coupling_cap_of(NetId id) const;
 
-  /// Grounded + `miller` x coupling cap of a net [F]. miller = 1 treats the
-  /// far side as quiet AC ground (the standard noise/delay lumping).
-  [[nodiscard]] double total_cap(NetId id, double miller = 1.0) const;
+  /// Grounded + coupling cap of a net [F]: the far side of every coupling
+  /// is quiet AC ground (the standard noise/delay lumping).
+  [[nodiscard]] double total_cap(NetId id) const;
 
   /// Capacity-based estimate of the heap bytes the parasitics own (RC
   /// trees, coupling list, incidence index). Feeds the "parasitics" memory

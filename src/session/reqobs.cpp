@@ -31,9 +31,8 @@ const std::vector<double> kLatencyBoundsMs = {0.05, 0.1, 0.25, 0.5,  1.0,   2.5,
 
 }  // namespace
 
-RequestContext::RequestContext(obs::Registry& registry, double slow_ms,
-                               std::size_t slowlog_capacity)
-    : registry_(registry), slow_ms_(slow_ms), slow_log_(slowlog_capacity) {}
+RequestContext::RequestContext(obs::Registry& registry, double slow_ms)
+    : registry_(registry), slow_ms_(slow_ms), slow_log_(kSlowLogCapacity) {}
 
 std::uint64_t RequestContext::next_id() noexcept {
   return next_id_.fetch_add(1, std::memory_order_relaxed);

@@ -76,8 +76,10 @@ class RequestContext {
  public:
   /// Latency histograms are registered into `registry` (the session's, so
   /// one stats snapshot covers engine, transport, and request latency).
-  explicit RequestContext(obs::Registry& registry, double slow_ms = 100.0,
-                          std::size_t slowlog_capacity = 32);
+  explicit RequestContext(obs::Registry& registry, double slow_ms = 100.0);
+
+  /// Slow-log entries kept (the oldest fall off).
+  static constexpr std::size_t kSlowLogCapacity = 32;
 
   [[nodiscard]] std::uint64_t next_id() noexcept;
   [[nodiscard]] double slow_ms() const noexcept { return slow_ms_; }

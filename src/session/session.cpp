@@ -83,8 +83,6 @@ Session::Session(std::shared_ptr<const net::Design> base_design,
                                 " nets but the design has " +
                                 std::to_string(design().net_count()));
   }
-  if (cfg_.undo_capacity == 0) cfg_.undo_capacity = 1;
-  if (cfg_.cache_capacity == 0) cfg_.cache_capacity = 1;
   reg_.gauge(kMetricEpoch, "current design-state epoch", kUnit);
   reg_.gauge(kMetricCachedResults, "results held in the cache", kUnit);
   // Registered up front so the "resources" section has a fixed shape even
@@ -184,7 +182,7 @@ void Session::commit_edit(UndoEntry entry, bool bump_epoch) {
   if (bump_epoch) epoch_ = next_epoch_++;
   pending_dirty_.insert(pending_dirty_.end(), entry.dirty.begin(), entry.dirty.end());
   journal_.push_back(std::move(entry));
-  while (journal_.size() > cfg_.undo_capacity) journal_.pop_front();
+  while (journal_.size() > kUndoCapacity) journal_.pop_front();
   edits_.add();
   update_memory_accounts();
   reg_.gauge(kMetricEpoch, "current design-state epoch", kUnit)
@@ -380,7 +378,7 @@ void Session::cache_insert(CacheEntry entry) {
   // Cached results are immutable, so an entry's bytes are summed once here.
   entry.bytes = entry_bytes(entry);
   cache_.push_back(std::move(entry));
-  while (cache_.size() > cfg_.cache_capacity) cache_.erase(cache_.begin());
+  while (cache_.size() > kCacheCapacity) cache_.erase(cache_.begin());
   update_memory_accounts();
   reg_.gauge(kMetricCachedResults, "results held in the cache", kUnit)
       .set(static_cast<double>(cache_.size()));

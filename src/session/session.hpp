@@ -51,11 +51,12 @@ class NotFound : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+inline constexpr std::size_t kUndoCapacity = 64;   ///< journal depth (oldest edits fall off)
+inline constexpr std::size_t kCacheCapacity = 16;  ///< cached (digest, epoch) results
+
 struct SessionConfig {
   noise::Options noise;          ///< analysis options (mutable via set_option)
   sta::Options sta;              ///< base STA options (arrivals mutable via edits)
-  std::size_t undo_capacity = 64;   ///< journal depth (oldest edits fall off)
-  std::size_t cache_capacity = 16;  ///< cached (digest, epoch) results
 };
 
 /// A completed base analysis exported from one session and adopted by

@@ -54,18 +54,13 @@ Cluster build_cluster(const net::Design& design, const para::Parasitics& para,
     }
   }
 
-  // Victim tree + holding driver. A 0-ohm driver is an ideal source on the
-  // root node: a DC source at the quiet level, or the aggressor's ramp.
+  // Victim tree + holding driver (to ground). A 0-ohm driver is an ideal
+  // source on the root node: a 0 V source, or the aggressor's ramp.
   cl.victim_nodes = emit_net(ckt, design, para, spec.victim,
                              "v_" + design.net(spec.victim).name);
   const double r_hold = driver_resistance(design, spec.victim, /*holding=*/true);
-  cl.baseline = spec.victim_high ? spec.vdd : 0.0;
   if (r_hold <= 0.0) {
-    ckt.add_vsrc(cl.victim_nodes[0], 0, Pwl::dc(cl.baseline));
-  } else if (spec.victim_high) {
-    const std::size_t rail = ckt.add_node("vdd_hold");
-    ckt.add_vsrc(rail, 0, Pwl::dc(spec.vdd));
-    ckt.add_res(cl.victim_nodes[0], rail, r_hold);
+    ckt.add_vsrc(cl.victim_nodes[0], 0, Pwl::dc(0.0));
   } else {
     ckt.add_res(cl.victim_nodes[0], 0, r_hold);
   }

@@ -6,7 +6,8 @@
 // cluster out of a full Design/Parasitics into a spice::Circuit, used both
 // by the MNA-exact glitch model and by the golden-reference accuracy
 // experiments. Quiet neighbours are treated as AC ground (their coupling
-// caps are grounded), the standard signoff simplification.
+// caps are grounded), the standard signoff simplification. The victim is
+// held low, so its glitch is positive-going from 0 V.
 #pragma once
 
 #include <cstddef>
@@ -30,19 +31,17 @@ struct ClusterSpec {
   NetId victim;
   std::vector<AggressorExcitation> aggressors;
   double vdd = 1.2;
-  bool victim_high = false;  ///< quiet level; false = held low (positive glitch)
 };
 
 struct Cluster {
   Circuit circuit;
   std::vector<std::size_t> victim_nodes;  ///< circuit node per victim RC node
   std::size_t victim_probe = 0;           ///< far-end victim node
-  double baseline = 0.0;                  ///< victim quiet level [V]
 };
 
 /// Build the cluster circuit. A 0-ohm driver becomes an ideal source on
-/// its net's root node: a DC source at the quiet level for the victim's
-/// holder, the ramp itself for an aggressor. Throws std::invalid_argument
+/// its net's root node: a 0 V source for the victim's holder, the ramp
+/// itself for an aggressor. Throws std::invalid_argument
 /// if an aggressor equals the victim or appears twice.
 [[nodiscard]] Cluster build_cluster(const net::Design& design,
                                     const para::Parasitics& para,

@@ -21,10 +21,9 @@ namespace {
 /// pays only for the nets it reads.
 class Wires {
  public:
-  Wires(const net::Design& d, const para::Parasitics& para, const Options& opt)
+  Wires(const net::Design& d, const para::Parasitics& para)
       : d_(d),
         para_(para),
-        opt_(opt),
         wire_delay_(d.pin_count(), 0.0),
         load_cap_(d.net_count(), 0.0),
         done_(d.net_count(), 0) {}
@@ -34,7 +33,7 @@ class Wires {
     if (!done_[net.index()]) prepare(net);
     return wire_delay_[load.index()];
   }
-  /// Ground + pin + Miller-lumped coupling load of `net` [F].
+  /// Ground + pin + coupling load of `net` [F].
   [[nodiscard]] double load(NetId net) {
     if (!done_[net.index()]) prepare(net);
     return load_cap_[net.index()];
@@ -53,7 +52,7 @@ class Wires {
     done_[id.index()] = 1;
     const net::Net& net = d_.net(id);
     const para::RcNet& rc = para_.net(id);
-    // Per-node extra caps: attached pin loads plus Miller-lumped couplings.
+    // Per-node extra caps: attached pin loads plus coupling caps.
     extra_.assign(rc.node_count(), 0.0);
     load_node_.clear();
     for (const PinId load : net.loads) {
@@ -68,7 +67,7 @@ class Wires {
     }
     for (const auto ci : para_.couplings_of(id)) {
       const auto& cc = para_.coupling(ci);
-      extra_[cc.node_on(id)] += opt_.miller_factor * cc.c;
+      extra_[cc.node_on(id)] += cc.c;
     }
 
     std::vector<double> elmore;
@@ -80,20 +79,11 @@ class Wires {
 
     double load_cap = rc.total_ground_cap();
     for (const double e : extra_) load_cap += e;
-    if (opt_.use_ceff && rc.res_count() > 0 && net.driver.valid()) {
-      const para::PiModel pi = para::pi_model(rc, extra_);
-      if (pi.r > 0.0) {
-        const double rd = d_.driver_resistance(id, /*holding=*/false);
-        const double k = rd / (rd + pi.r);
-        load_cap = pi.c_near + k * pi.c_far;
-      }
-    }
     load_cap_[id.index()] = load_cap;
   }
 
   const net::Design& d_;
   const para::Parasitics& para_;
-  const Options& opt_;
   std::vector<double> wire_delay_;        // per PinId
   std::vector<double> load_cap_;          // per NetId
   std::vector<char> done_;                // per NetId: entries computed
@@ -160,7 +150,7 @@ EdgeOut eval_edge(const lib::Table2D& delay_tbl, const lib::Table2D& slew_tbl,
 
 PinTiming port_seed(const net::Design& design, const Options& opt, PinId p) {
   PinTiming t;
-  Interval arr = opt.default_input_arrival;
+  Interval arr{0.0, 0.0};
   const auto it = opt.input_arrivals.find(design.pin(p).port_name);
   if (it != opt.input_arrivals.end()) arr = it->second;
   t.rise = arr;
@@ -451,7 +441,7 @@ Result run(const net::Design& design, const para::Parasitics& para, const Option
   res.pins.assign(design.pin_count(), PinTiming{});
   res.nets.assign(design.net_count(), NetTiming{});
 
-  Wires wires(design, para, opt);
+  Wires wires(design, para);
   wires.prepare_all();
 
   for (const PinId p : design.input_ports()) res.pins[p.index()] = port_seed(design, opt, p);
@@ -494,7 +484,7 @@ Update run_incremental(const net::Design& design, const para::Parasitics& para,
   res.sweep1_reached = base.sweep1_reached;
   const std::vector<std::uint32_t> rank = ranks_of(res.order);
 
-  Wires w(design, para, opt);
+  Wires w(design, para);
 
   // Back to the state sweep 1 left; `moved` collects every pin whose final
   // value may differ from the base's.

@@ -103,18 +103,14 @@ struct Endpoint {
   [[nodiscard]] double slack() const noexcept { return required - arrival; }
 };
 
+/// Gate delays see a net's total capacitance (ground, receiver pins and
+/// every coupling cap at face value, no effective-capacitance shielding:
+/// the conservative signoff convention), and a port without an entry in
+/// Options::input_arrivals switches at time 0.
 struct Options {
   double clock_period = 1e-9;
   std::string clock_port;                      ///< name of the clock input port
-  std::map<std::string, Interval> input_arrivals;  ///< per-port overrides
-  Interval default_input_arrival{0.0, 0.0};
-  double miller_factor = 1.0;                  ///< coupling-cap lumping for delay
-  /// Effective capacitance: account for resistive shielding of far wire
-  /// cap when looking up gate delays. The pi model's far cap is scaled by
-  /// k = Rd / (Rd + Rpi) — a strong driver behind a resistive wire sees
-  /// less of the downstream cap. Off by default (total-cap is the
-  /// conservative signoff convention).
-  bool use_ceff = false;
+  std::map<std::string, Interval> input_arrivals;  ///< per-port arrival windows
 };
 
 /// A pin's timing as sweep 1 left it.
@@ -169,8 +165,8 @@ struct Update {
 /// the header comment); equal field by field to run(design, para, options).
 /// `edited_nets` must hold every net whose parasitics, driver cell or load
 /// cells changed since `base`; the state must keep base's connectivity and
-/// cell kinds (footprint-compatible swaps), its miller_factor and use_ceff.
-/// Input arrivals and the clock period may differ. Throws like run(), and
+/// cell kinds (footprint-compatible swaps). Input arrivals and the clock
+/// period may differ. Throws like run(), and
 /// std::invalid_argument when `base` does not match the design or an edited
 /// net lies outside it.
 [[nodiscard]] Update run_incremental(const net::Design& design,

@@ -55,9 +55,7 @@ struct Executor::Pool {
   void work(Executor* owner, int slot) {
     RunningGuard guard(owner);
     WorkerSlot* const prev_slot = Executor::tl_slot_;
-    Executor::tl_slot_ =
-        owner->util_enabled_ ? &owner->slots_[static_cast<std::size_t>(slot)]
-                             : nullptr;
+    Executor::tl_slot_ = &owner->slots_[static_cast<std::size_t>(slot)];
     const auto& body = *fn;
     for (;;) {
       const std::size_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
@@ -98,6 +96,9 @@ Executor::Executor(int threads) {
     threads = hw > 0 ? static_cast<int>(hw) : 1;
   }
   thread_count_ = threads;
+  slots_.resize(static_cast<std::size_t>(thread_count_));
+  worker_totals_.resize(static_cast<std::size_t>(thread_count_));
+  for (int i = 0; i < thread_count_; ++i) worker_totals_[static_cast<std::size_t>(i)].worker = i;
   if (thread_count_ == 1) return;  // serial fallback: no pool at all
   pool_ = new Pool;
   pool_->workers.reserve(static_cast<std::size_t>(thread_count_) - 1);
@@ -119,19 +120,9 @@ Executor::~Executor() {
 
 void Executor::run_chunk(const char* label, std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn) {
-  // Fast path: no tracing/profiling, no utilization — just the body.
-  const bool traced = label != nullptr && obs::spans_active();
   WorkerSlot* const slot = tl_slot_;
-  if (!traced && slot == nullptr) {
-    fn(begin, end);
-    return;
-  }
   std::optional<obs::Span> span;
-  if (traced) span.emplace(label, obs::SpanKind::kTask);
-  if (slot == nullptr) {
-    fn(begin, end);
-    return;
-  }
+  if (label != nullptr && obs::spans_active()) span.emplace(label, obs::SpanKind::kTask);
   // Utilization needs the chunk's start relative to the region, not only
   // its duration, so it keeps its own clock pair.
   const auto t0 = std::chrono::steady_clock::now();
@@ -148,7 +139,7 @@ void Executor::run_serial(const char* label, std::size_t n, std::size_t chunk,
                           const std::function<void(std::size_t, std::size_t)>& fn) {
   RunningGuard guard(this);
   WorkerSlot* const prev_slot = tl_slot_;
-  tl_slot_ = util_enabled_ ? &slots_[0] : nullptr;
+  tl_slot_ = &slots_[0];
   try {
     for (std::size_t begin = 0; begin < n; begin += chunk) {
       run_chunk(label, begin, std::min(n, begin + chunk), fn);
@@ -205,18 +196,9 @@ void Executor::end_region(const char* label, std::size_t n) {
   util_wall_s_ += wall;
 }
 
-void Executor::enable_utilization(bool on) {
-  util_enabled_ = on;
-  if (on && slots_.empty()) {
-    slots_.resize(static_cast<std::size_t>(thread_count_));
-    worker_totals_.resize(static_cast<std::size_t>(thread_count_));
-    for (int i = 0; i < thread_count_; ++i) worker_totals_[static_cast<std::size_t>(i)].worker = i;
-  }
-}
-
 UtilizationSnapshot Executor::utilization() const {
   UtilizationSnapshot snap;
-  snap.enabled = util_enabled_;
+  snap.enabled = true;
   snap.threads = thread_count_;
   snap.wall_s = util_wall_s_;
   snap.workers = worker_totals_;
@@ -269,10 +251,6 @@ void Executor::parallel_for(const char* label, std::size_t n, std::size_t chunk,
   }
   if (n == 0) return;
   if (chunk == 0) chunk = 1;
-  if (!util_enabled_) {
-    dispatch(label, n, chunk, fn);
-    return;
-  }
   begin_region();
   try {
     dispatch(label, n, chunk, fn);

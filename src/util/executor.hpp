@@ -16,11 +16,11 @@
 // Observability: the labeled overloads emit one obs::Span per executed
 // chunk (category "task") when tracing is enabled, so load imbalance
 // inside a region shows up as per-thread tracks in the trace; pool workers
-// name their tracks "worker <i>". Utilization accounting (off by default)
-// times every chunk for the per-worker and per-region aggregates. There is
+// name their tracks "worker <i>". Utilization accounting times every chunk
+// (two clock reads) for the per-worker and per-region aggregates. There is
 // no per-chunk observer callback: the chunk counts live in the utilization
-// snapshot. With tracing and utilization off, the chunk path is the body
-// plus one relaxed load.
+// snapshot. With tracing off, the chunk path is the body, the clock pair
+// and one relaxed load.
 //
 // Error contract: the first exception thrown by any chunk is captured and
 // rethrown on the calling thread after all workers have quiesced; the
@@ -74,7 +74,7 @@ struct RegionStats {
 /// of stats-JSON schema v3. All timing — nondeterministic by nature; the
 /// deterministic chunk *counts* are also in the executor_tasks counter.
 struct UtilizationSnapshot {
-  bool enabled = false;
+  bool enabled = false;  ///< taken from an executor (false = default-constructed)
   int threads = 1;
   double wall_s = 0.0;  ///< total wall time inside instrumented regions
   std::vector<WorkerStats> workers;
@@ -94,12 +94,8 @@ class Executor {
   /// Resolved parallelism (pooled workers + the calling thread).
   [[nodiscard]] int thread_count() const noexcept { return thread_count_; }
 
-  /// Turn on utilization accounting: per-worker busy time and chunk
-  /// counts, per-region wall/busy/max-busy/first-chunk-wait aggregates.
-  /// Costs two clock reads per chunk. Set between regions.
-  void enable_utilization(bool on);
-
-  /// Copy of everything measured so far. Call between regions (the same
+  /// Copy of everything measured so far: per-worker busy time and chunk
+  /// counts, per-region wall/busy/max-busy/first-chunk-wait aggregates. Call between regions (the same
   /// single-submitter contract as parallel_for). Worker idle time is
   /// derived here as (region wall total − busy).
   [[nodiscard]] UtilizationSnapshot utilization() const;
@@ -150,7 +146,6 @@ class Executor {
   // tl_slot_ points at the current thread's slot of the executor whose
   // region it is running (saved/restored across nested executors).
   static thread_local WorkerSlot* tl_slot_;
-  bool util_enabled_ = false;
   std::vector<WorkerSlot> slots_;        // size thread_count_, index 0 = caller
   std::vector<WorkerStats> worker_totals_;
   std::vector<RegionStats> regions_;

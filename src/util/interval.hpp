@@ -110,7 +110,6 @@ class IntervalSet {
     for (const auto& iv : ivs) add(iv);
   }
 
-  [[nodiscard]] static IntervalSet empty_set() { return {}; }
   [[nodiscard]] static IntervalSet everything() {
     return IntervalSet{Interval::everything()};
   }

@@ -238,8 +238,6 @@ inline gen::Generated make_shuffled(const lib::Library& library, std::uint64_t s
     const NetId b{rng.below(d.net_count())};
     if (a != b) g.para.add_coupling(a, 0, b, 0, rng.uniform(0.5 * FF, 5 * FF));
   }
-  g.sta_options.miller_factor = rng.uniform(0.0, 2.0);
-  g.sta_options.use_ceff = rng.chance(0.5);
   g.sta_options.clock_port = "clk_in";
   return g;
 }

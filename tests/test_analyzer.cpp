@@ -239,12 +239,10 @@ TEST(Analyzer, PropagationAddsContribution) {
 }
 
 TEST(Analyzer, CouplingThresholdDropsWeakAggressors) {
-  const SeqFixture f(40 * FF, 0.08 * FF);  // agg2 coupling below threshold
+  const SeqFixture f(40 * FF, 0.6 * kMinCouplingCap);  // agg2 below the threshold
   const auto p = f.make_para();
   const auto timing = f.run_sta(p, {0, 50 * PS}, {0, 50 * PS});
-  Options o = opts(AnalysisMode::kNoiseWindows);
-  o.min_coupling_cap = 0.5 * FF;
-  const Result r = analyze(f.design, p, timing, o);
+  const Result r = analyze(f.design, p, timing, opts(AnalysisMode::kNoiseWindows));
   EXPECT_EQ(r.net(f.victim).aggressor_count, 1u);
 }
 
@@ -304,18 +302,6 @@ TEST(Analyzer, LatchTransparencyCatchesEarlyGlitches) {
   const std::size_t latch = violations_with(true);
   EXPECT_EQ(dff, 0u);
   EXPECT_GT(latch, 0u);
-}
-
-TEST(Analyzer, ClockUncertaintyWidensSensitivity) {
-  const SeqFixture f;
-  const auto p = f.make_para();
-  // Glitch at ~500 ps, capture edge at ~1 ns: misses with tight clocks.
-  const auto timing = f.run_sta(p, {400 * PS, 480 * PS}, {400 * PS, 480 * PS});
-  Options o = opts(AnalysisMode::kNoiseWindows);
-  EXPECT_EQ(analyze(f.design, p, timing, o).violations.size(), 0u);
-  // A sloppy clock tree (+-400 ps) pulls the sampling window onto it.
-  o.clock_uncertainty = 400 * PS;
-  EXPECT_GE(analyze(f.design, p, timing, o).violations.size(), 1u);
 }
 
 TEST(Analyzer, MismatchedStaThrows) {

@@ -33,7 +33,6 @@ TEST_F(ClusterTest, BuildsVictimAndAggressors) {
   EXPECT_EQ(cl.victim_nodes.size(), bus_.para.net(spec.victim).node_count());
   // Two aggressor PWL sources.
   EXPECT_EQ(cl.circuit.vsources().size(), 2u);
-  EXPECT_DOUBLE_EQ(cl.baseline, 0.0);
   // Probe is the far-end node, not the root.
   EXPECT_NE(cl.victim_probe, cl.victim_nodes[0]);
 }
@@ -74,7 +73,7 @@ TEST_F(ClusterTest, TwoAggressorsSuperpose) {
     spec.aggressors = std::move(aggs);
     const Cluster cl = build_cluster(bus_.design, bus_.para, spec);
     const TransientResult r = simulate(cl.circuit, tran);
-    return measure_glitch(r.waveform(cl.victim_probe), cl.baseline).peak;
+    return measure_glitch(r.waveform(cl.victim_probe), 0.0).peak;
   };
 
   const double p1 = run_peak({{a1, 100 * PS, 20 * PS, true}});
@@ -88,19 +87,6 @@ TEST_F(ClusterTest, TwoAggressorsSuperpose) {
   // Separated in time, the combined peak collapses to the worst single one.
   EXPECT_LT(apart, 1.15 * std::max(p1, p2));
   EXPECT_GT(aligned, 1.5 * std::max(p1, p2));
-}
-
-TEST_F(ClusterTest, VictimHeldHighSeesNegativeGlitch) {
-  ClusterSpec spec;
-  spec.victim = *bus_.design.find_net("w2");
-  spec.victim_high = true;
-  spec.aggressors.push_back({*bus_.design.find_net("w1"), 100 * PS, 20 * PS, false});
-  const Cluster cl = build_cluster(bus_.design, bus_.para, spec);
-  EXPECT_DOUBLE_EQ(cl.baseline, spec.vdd);
-  const TransientResult r = simulate(cl.circuit, {1.5 * NS, 0.5 * PS});
-  const GlitchMeasure g = measure_glitch(r.waveform(cl.victim_probe), cl.baseline);
-  EXPECT_FALSE(g.positive);  // falling aggressor pulls the high victim down
-  EXPECT_GT(g.peak, 0.01);
 }
 
 TEST_F(ClusterTest, DriverResistanceLookup) {

@@ -224,7 +224,7 @@ TEST(SessionCow, AdoptSeedOnlyWhenPristineAndDigestMatches) {
 
 TEST(Governor, ShedsDeterministicallyPastSlotsAndWaiters) {
   obs::Registry reg;
-  LoadGovernor gov(LoadGovernor::Config{1, 0, 40.0}, reg);
+  LoadGovernor gov(LoadGovernor::Config{1, 0}, reg);
   const auto t1 = gov.admit("violations");
   EXPECT_TRUE(t1.admitted);
   // Slot busy, zero waiters allowed: immediate structured shed.
@@ -235,12 +235,12 @@ TEST(Governor, ShedsDeterministicallyPastSlotsAndWaiters) {
   gov.release(10.0);
   EXPECT_TRUE(gov.admit("violations").admitted);
   gov.release(10.0);
-  EXPECT_LT(gov.ewma_ms(), 40.0);  // EWMA moved toward the observed 10ms
+  EXPECT_LT(gov.ewma_ms(), LoadGovernor::kSeedEwmaMs);  // moved toward the observed 10ms
 }
 
 TEST(Governor, MaintenanceModeShedsEverything) {
   obs::Registry reg;
-  LoadGovernor gov(LoadGovernor::Config{0, 8, 40.0}, reg);
+  LoadGovernor gov(LoadGovernor::Config{0, 8}, reg);
   const auto t = gov.admit("violations");
   EXPECT_FALSE(t.admitted);
   EXPECT_GE(t.retry_after_ms, 1);
@@ -651,20 +651,18 @@ TEST(Daemon, StatsCommandServesDaemonTimeseriesAndLatencySections) {
 
 TEST(Daemon, WatchStreamsStatsEventsAndStopsCleanly) {
   const Base base = make_base();
-  DaemonConfig cfg = daemon_config(base, unique_socket_path("watch"));
-  cfg.min_watch_period_ms = 5;
-  Daemon d(cfg, base.design, base.para);
+  Daemon d(daemon_config(base, unique_socket_path("watch")), base.design, base.para);
   d.start();
   {
     Client c(d.bound_endpoint());
     const session::Json sub = parse(c.request(
         "{\"id\":1,\"cmd\":\"watch\",\"args\":{\"action\":\"start\","
-        "\"period_ms\":10}}"));
+        "\"period_ms\":" + std::to_string(kMinWatchPeriodMs) + "}}"));
     ASSERT_TRUE(is_ok(sub));
     const session::Json* data = sub.find("data");
     ASSERT_NE(data, nullptr);
     EXPECT_TRUE(data->find("watching")->as_bool());
-    EXPECT_EQ(data->find("period_ms")->as_number(), 10.0);
+    EXPECT_EQ(data->find("period_ms")->as_number(), kMinWatchPeriodMs);
 
     // Three events: seq increments from 0, each carries the live gauges.
     double expect_seq = 0.0;
@@ -701,9 +699,7 @@ TEST(Daemon, WatchStreamsStatsEventsAndStopsCleanly) {
 
 TEST(Daemon, WatchRateCapClampsFirehosePeriods) {
   const Base base = make_base();
-  DaemonConfig cfg = daemon_config(base, unique_socket_path("watchcap"));
-  cfg.min_watch_period_ms = 40;
-  Daemon d(cfg, base.design, base.para);
+  Daemon d(daemon_config(base, unique_socket_path("watchcap")), base.design, base.para);
   d.start();
   {
     Client c(d.bound_endpoint());
@@ -711,22 +707,21 @@ TEST(Daemon, WatchRateCapClampsFirehosePeriods) {
         "{\"id\":1,\"cmd\":\"watch\",\"args\":{\"period_ms\":1}}"));
     ASSERT_TRUE(is_ok(sub));
     // Clamped to the floor and reported back, not errored.
-    EXPECT_EQ(sub.find("data")->find("period_ms")->as_number(), 40.0);
-    EXPECT_EQ(sub.find("data")->find("min_period_ms")->as_number(), 40.0);
+    EXPECT_EQ(sub.find("data")->find("period_ms")->as_number(), kMinWatchPeriodMs);
+    EXPECT_EQ(sub.find("data")->find("min_period_ms")->as_number(), kMinWatchPeriodMs);
   }
   d.stop();
 }
 
 TEST(Daemon, WatchTearsDownOnAbruptDisconnect) {
   const Base base = make_base();
-  DaemonConfig cfg = daemon_config(base, unique_socket_path("watchdrop"));
-  cfg.min_watch_period_ms = 5;
-  Daemon d(cfg, base.design, base.para);
+  Daemon d(daemon_config(base, unique_socket_path("watchdrop")), base.design, base.para);
   d.start();
   {
     Client c(d.bound_endpoint());
-    ASSERT_TRUE(is_ok(parse(
-        c.request("{\"id\":1,\"cmd\":\"watch\",\"args\":{\"period_ms\":5}}"))));
+    ASSERT_TRUE(is_ok(parse(c.request(
+        "{\"id\":1,\"cmd\":\"watch\",\"args\":{\"period_ms\":" +
+        std::to_string(kMinWatchPeriodMs) + "}}"))));
     ASSERT_FALSE(c.next_line().empty());  // the stream is live
   }  // socket drops with the subscription still active
   // Connection teardown joins the watcher; a drain afterwards must not hang.

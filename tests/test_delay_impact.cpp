@@ -202,7 +202,7 @@ TEST(DelayImpact, MatchesIntervalSetScanBitForBit) {
           double delta = 0.0;
           if (t.switches() && !nn.contributions.empty()) {
             const double p = scan_oracle_peak(t, nn, o);
-            if (p >= o.min_peak) {
+            if (p >= kMinPeak) {
               ++affected;
               peak = p;
               delta = (p / library.vdd()) * t.slew_max;

@@ -118,18 +118,8 @@ TEST(Executor, DistinctExecutorsMayNest) {
 // Utilization accounting (the stats-JSON v3 "executor" section)
 // ---------------------------------------------------------------------------
 
-TEST(ExecutorUtilization, DisabledByDefault) {
-  Executor ex(2);
-  ex.parallel_for("region", 10, 1, [](std::size_t, std::size_t) {});
-  const UtilizationSnapshot snap = ex.utilization();
-  EXPECT_FALSE(snap.enabled);
-  EXPECT_TRUE(snap.regions.empty());
-  EXPECT_EQ(snap.wall_s, 0.0);
-}
-
 TEST(ExecutorUtilization, AccountsChunksItemsAndBusyIdleSums) {
   Executor ex(2);
-  ex.enable_utilization(true);
   constexpr std::size_t n = 16;
   ex.parallel_for("work", n, 2, [](std::size_t, std::size_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -173,7 +163,6 @@ TEST(ExecutorUtilization, SkewedRegionShowsImbalance) {
   // One heavy chunk among trivial ones: the busiest worker holds nearly
   // all the busy time, so the gauge approaches `threads`.
   Executor ex(2);
-  ex.enable_utilization(true);
   ex.parallel_for("skewed", 4, 1, [](std::size_t begin, std::size_t) {
     if (begin == 0) std::this_thread::sleep_for(std::chrono::milliseconds(40));
   });
@@ -186,7 +175,6 @@ TEST(ExecutorUtilization, SkewedRegionShowsImbalance) {
 
 TEST(ExecutorUtilization, SerialExecutorAttributesEverythingToWorkerZero) {
   Executor ex(1);
-  ex.enable_utilization(true);
   ex.parallel_for("serial", 8, 3, [](std::size_t, std::size_t) {});
   const UtilizationSnapshot snap = ex.utilization();
   EXPECT_EQ(snap.threads, 1);
@@ -201,7 +189,6 @@ TEST(ExecutorUtilization, SerialExecutorAttributesEverythingToWorkerZero) {
 
 TEST(ExecutorUtilization, UnlabeledRegionsAreStillAccounted) {
   Executor ex(2);
-  ex.enable_utilization(true);
   ex.parallel_for(6, 1, [](std::size_t, std::size_t) {});
   const UtilizationSnapshot snap = ex.utilization();
   ASSERT_EQ(snap.regions.size(), 1u);

@@ -11,7 +11,6 @@
 #include "library/library.hpp"
 #include "noise/analyzer.hpp"
 #include "noise/glitch_models.hpp"
-#include "spice/cluster.hpp"
 #include "sta/sta.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -241,7 +240,7 @@ TEST(MnaExact, WindowCoversSlowAggressors) {
   const NetId aggressor = *g.design.find_net("w2");
   for (const double slew : {3 * NS, 6 * NS}) {
     const GlitchEstimate e = estimate_mna(g.design, g.para, victim, aggressor, slew,
-                                          library.vdd(), Options{}.mna_tran);
+                                          library.vdd(), kMnaTran);
     ASSERT_GT(e.peak, 0.0);
     EXPECT_NEAR(e.width, slew, 0.05 * slew);
   }
@@ -326,19 +325,6 @@ TEST(IdealDriver, ZeroOhmDriverIsAnIdealSourceInBothMnaModels) {
       EXPECT_NEAR(e0.width, e1.width, 1e-3 * e1.width);
     }
   }
-
-  // A victim held high by an ideal holder sits at the rail and dips.
-  spice::ClusterSpec spec;
-  spec.victim = *ideal.design.find_net("w3");
-  spec.vdd = vdd;
-  spec.victim_high = true;
-  spec.aggressors.push_back({*ideal.design.find_net("w4"), 0.0, 30 * PS, false});
-  const spice::Cluster cl = spice::build_cluster(ideal.design, ideal.para, spec);
-  const spice::Waveform w = spice::simulate_node(cl.circuit, tran, cl.victim_probe);
-  EXPECT_NEAR(w.sample(0), vdd, 1e-9);
-  const spice::GlitchMeasure m = spice::measure_glitch(w, cl.baseline);
-  EXPECT_FALSE(m.positive);
-  EXPECT_GT(m.peak, 0.0);
 
   // The analyzer runs both models on the ideal-driver design.
   const sta::Result timing = sta::run(ideal.design, ideal.para, ideal.sta_options);

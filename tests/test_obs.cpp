@@ -353,7 +353,7 @@ TEST(OptionsDigest, StableSensitiveAndThreadBlind) {
   noise::Options b;
   EXPECT_EQ(noise::options_digest(a), noise::options_digest(b));
   EXPECT_EQ(noise::options_digest(a).size(), 16u);  // zero-padded hex64
-  b.min_peak *= 2;
+  b.clock_period *= 2;
   EXPECT_NE(noise::options_digest(a), noise::options_digest(b));
   noise::Options c;
   c.threads = 8;  // excluded: results are thread-count independent

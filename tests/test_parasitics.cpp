@@ -92,8 +92,7 @@ TEST(Parasitics, CouplingBookkeeping) {
   EXPECT_EQ(cc.other_net(NetId{1}), NetId{0});
   EXPECT_EQ(cc.node_on(NetId{0}), 1u);
   EXPECT_DOUBLE_EQ(p.coupling_cap_of(NetId{0}), 2e-15);
-  EXPECT_DOUBLE_EQ(p.total_cap(NetId{0}, 1.0), 3e-15);
-  EXPECT_DOUBLE_EQ(p.total_cap(NetId{0}, 2.0), 5e-15);
+  EXPECT_DOUBLE_EQ(p.total_cap(NetId{0}), 3e-15);
 }
 
 TEST(Parasitics, CouplingValidation) {

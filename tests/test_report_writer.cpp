@@ -54,13 +54,27 @@ TEST(ReportWriter, ContainsSummaryAndTables) {
 }
 
 TEST(ReportWriter, CapsRows) {
-  const Fixture f;
-  ReportOptions ropt;
-  ropt.max_violations = 3;
-  const std::string text = report_string(f.g.design, f.opt, f.result, ropt);
-  if (f.result.violations.size() > 3) {
-    EXPECT_NE(text.find("showing 3 of"), std::string::npos) << text;
-  }
+  const lib::Library library = lib::default_library();
+  gen::PipelineConfig cfg = pipe_cfg();
+  cfg.paths = 4 * kMaxViolationRows;
+  const gen::Generated g = gen::make_pipeline(library, cfg);
+  const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
+  Options opt;
+  opt.mode = AnalysisMode::kNoFiltering;
+  opt.clock_period = g.sta_options.clock_period;
+  const Result r = analyze(g.design, g.para, timing, opt);
+  ASSERT_GT(r.violations.size(), kMaxViolationRows);
+  const std::string text = report_string(g.design, opt, r);
+  const std::string heading = "-- violations (worst slack first, showing " +
+                              std::to_string(kMaxViolationRows) + " of " +
+                              std::to_string(r.violations.size()) + ") --\n";
+  const std::size_t at = text.find(heading);
+  ASSERT_NE(at, std::string::npos) << text;
+  // The table runs to the first blank line: a header, a rule and the rows.
+  std::istringstream table(text.substr(at + heading.size()));
+  std::size_t lines = 0;
+  for (std::string line; std::getline(table, line) && !line.empty();) ++lines;
+  EXPECT_EQ(lines, 2 + kMaxViolationRows);
 }
 
 TEST(ReportWriter, CleanDesignHasNoViolationSection) {

@@ -73,7 +73,7 @@ TEST(RequestContext, IdsAreMonotonicFromOne) {
 
 TEST(RequestContext, ObserveFeedsHistogramAndThresholdsSlowLog) {
   obs::Registry reg;
-  RequestContext ctx(reg, /*slow_ms=*/10.0, /*slowlog_capacity=*/4);
+  RequestContext ctx(reg, /*slow_ms=*/10.0);
   ctx.observe(1, "hello", 0.5, true);    // fast: histogram only
   ctx.observe(2, "stats", 25.0, true);   // slow
   ctx.observe(3, "hello", 10.0, false);  // exactly at threshold: slow
@@ -97,13 +97,24 @@ TEST(RequestContext, ObserveFeedsHistogramAndThresholdsSlowLog) {
 
   const Json j = ctx.slowlog_json();
   EXPECT_DOUBLE_EQ(j.find("threshold_ms")->as_number(), 10.0);
-  EXPECT_DOUBLE_EQ(j.find("capacity")->as_number(), 4.0);
+  EXPECT_DOUBLE_EQ(j.find("capacity")->as_number(),
+                   static_cast<double>(RequestContext::kSlowLogCapacity));
   EXPECT_DOUBLE_EQ(j.find("recorded")->as_number(), 2.0);
   ASSERT_EQ(j.find("entries")->items().size(), 2u);
   const Json& first = j.find("entries")->items()[0];
   EXPECT_DOUBLE_EQ(first.find("id")->as_number(), 2.0);
   EXPECT_EQ(first.find("cmd")->as_string(), "stats");
   EXPECT_TRUE(first.find("ok")->as_bool());
+
+  // Past the capacity the log keeps the newest entries, oldest first.
+  const std::uint64_t extra = RequestContext::kSlowLogCapacity + 5;
+  for (std::uint64_t id = 4; id < 4 + extra; ++id) ctx.observe(id, "stats", 50.0, true);
+  const std::vector<SlowRequest> kept = ctx.slow_log().entries();
+  ASSERT_EQ(kept.size(), RequestContext::kSlowLogCapacity);
+  EXPECT_EQ(kept.front().id, 4 + extra - RequestContext::kSlowLogCapacity);
+  EXPECT_EQ(kept.back().id, 3 + extra);
+  EXPECT_DOUBLE_EQ(ctx.slowlog_json().find("recorded")->as_number(),
+                   static_cast<double>(2 + extra));
 }
 
 // ---- protocol integration ---------------------------------------------------

@@ -209,16 +209,12 @@ TEST(Session, UndoEveryEditKindRestoresState) {
 }
 
 TEST(Session, UndoJournalIsBounded) {
-  SessionConfig cfg;
-  cfg.undo_capacity = 3;
-  Session s = make_session(cfg);
-  for (int i = 0; i < 6; ++i) {
-    s.scale_net_parasitics("w1", 1.1, 1.0);
+  Session s = make_session();
+  for (std::size_t i = 0; i < kUndoCapacity + 3; ++i) {
+    s.scale_net_parasitics("w1", i % 2 == 0 ? 1.1 : 0.9, 1.0);
   }
-  EXPECT_EQ(s.undo_depth(), 3u);
-  EXPECT_TRUE(s.undo());
-  EXPECT_TRUE(s.undo());
-  EXPECT_TRUE(s.undo());
+  EXPECT_EQ(s.undo_depth(), kUndoCapacity);
+  for (std::size_t i = 0; i < kUndoCapacity; ++i) ASSERT_TRUE(s.undo()) << i;
   EXPECT_FALSE(s.undo());  // older edits fell off the ring
 }
 
@@ -505,9 +501,7 @@ TEST(Session, RandomEditUndoSequencesMatchFullReference) {
 TEST(Session, CacheBytesGaugeEqualsAFullWalk) {
   // The gauge sums byte figures memoized per cache entry; after every kind
   // of cache change it must equal a walk over every cached result.
-  SessionConfig cfg;
-  cfg.cache_capacity = 2;
-  Session s = make_session(cfg);
+  Session s = make_session();
   const auto gauge = [&] {
     return s.metrics_snapshot().find(Session::kMetricCacheBytes)->value;
   };
@@ -516,9 +510,11 @@ TEST(Session, CacheBytesGaugeEqualsAFullWalk) {
   };
   (void)s.result();
   expect_walk("insert");
-  s.scale_net_parasitics("w1", 1.5, 1.0);
-  (void)s.result();
-  expect_walk("second insert");
+  for (std::size_t i = 1; i < kCacheCapacity; ++i) {
+    s.scale_net_parasitics("w1", i % 2 == 0 ? 1.5 : 0.7, 1.0);
+    (void)s.result();
+    expect_walk("insert");
+  }
   s.set_coupling_cap("w2", "w3", 30 * FF);
   (void)s.result();
   expect_walk("eviction");
@@ -531,18 +527,16 @@ TEST(Session, CacheBytesGaugeEqualsAFullWalk) {
 }
 
 TEST(Session, ResultCacheIsBounded) {
-  SessionConfig cfg;
-  cfg.cache_capacity = 2;
-  Session s = make_session(cfg);
+  Session s = make_session();
   (void)s.result();
-  for (int i = 0; i < 4; ++i) {
-    s.scale_net_parasitics("w1", 1.2, 1.0);
+  for (std::size_t i = 0; i < kCacheCapacity + 3; ++i) {
+    s.scale_net_parasitics("w1", i % 2 == 0 ? 1.2 : 0.8, 1.0);
     (void)s.result();
   }
   const obs::MetricsSnapshot snap = s.metrics_snapshot();
   const obs::MetricSample* cached = snap.find(Session::kMetricCachedResults);
   ASSERT_NE(cached, nullptr);
-  EXPECT_LE(cached->value, 2.0);
+  EXPECT_EQ(cached->value, static_cast<double>(kCacheCapacity));
 }
 
 TEST(Session, MetricsExposeDirtySetSizes) {

@@ -35,12 +35,10 @@ using namespace fixtures;
 
 struct RefWireInfo {
   std::vector<double> elmore;  ///< per RC node, from the root
-  double load_cap = 0.0;       ///< ground + pin + miller * coupling [F]
+  double load_cap = 0.0;       ///< ground + pin + coupling [F]
 };
 
-RefWireInfo ref_wire_info(const net::Design& d, const para::Parasitics& para, NetId id,
-                          const Options& opt) {
-  const double miller = opt.miller_factor;
+RefWireInfo ref_wire_info(const net::Design& d, const para::Parasitics& para, NetId id) {
   RefWireInfo w;
   const para::RcNet& rc = para.net(id);
   std::vector<double> extra(rc.node_count(), 0.0);
@@ -55,7 +53,7 @@ RefWireInfo ref_wire_info(const net::Design& d, const para::Parasitics& para, Ne
   }
   for (const auto ci : para.couplings_of(id)) {
     const auto& cc = para.coupling(ci);
-    extra[cc.node_on(id)] += miller * cc.c;
+    extra[cc.node_on(id)] += cc.c;
   }
   if (rc.res_count() == 0) {
     w.elmore.assign(rc.node_count(), 0.0);
@@ -64,14 +62,6 @@ RefWireInfo ref_wire_info(const net::Design& d, const para::Parasitics& para, Ne
   }
   w.load_cap = rc.total_ground_cap();
   for (const double e : extra) w.load_cap += e;
-  if (opt.use_ceff && rc.res_count() > 0 && d.net(id).driver.valid()) {
-    const para::PiModel pi = para::pi_model(rc, extra);
-    if (pi.r > 0.0) {
-      const double rd = d.driver_resistance(id, /*holding=*/false);
-      const double k = rd / (rd + pi.r);
-      w.load_cap = pi.c_near + k * pi.c_far;
-    }
-  }
   return w;
 }
 
@@ -98,11 +88,11 @@ Result reference_run(const net::Design& design, const para::Parasitics& para,
   res.nets.assign(design.net_count(), NetTiming{});
   std::vector<RefWireInfo> wires;
   for (std::size_t i = 0; i < design.net_count(); ++i) {
-    wires.push_back(ref_wire_info(design, para, NetId{i}, opt));
+    wires.push_back(ref_wire_info(design, para, NetId{i}));
   }
   for (const PinId p : design.input_ports()) {
     PinTiming t;
-    Interval arr = opt.default_input_arrival;
+    Interval arr{0.0, 0.0};
     const auto it = opt.input_arrivals.find(design.pin(p).port_name);
     if (it != opt.input_arrivals.end()) arr = it->second;
     t.rise = arr;
@@ -465,68 +455,11 @@ TEST_F(StaTest, SlewRangeTracked) {
   EXPECT_GE(r.net(w0).slew_max, r.net(w0).slew_min);
 }
 
-TEST_F(StaTest, EffectiveCapacitanceShieldsResistiveWire) {
-  // Strong driver behind a resistive wire: with Ceff the gate sees less
-  // load, so arrivals come earlier; with a near-zero wire resistance the
-  // two options agree.
-  net::Design d(library_, "ceff");
-  const NetId n0 = d.add_net("n0");
-  const NetId n1 = d.add_net("n1");
-  d.add_input_port("in", n0, {500.0, 20 * PS});
-  const InstId g = d.add_instance("g", "INV_X4");
-  d.connect(g, "A", n0);
-  d.connect(g, "Y", n1);
-  d.add_output_port("out", n1);
-
-  para::Parasitics p(d.net_count());
-  p.net(n0).add_cap(0, 2e-15);
-  // n1: heavy far cap behind a large wire resistance.
-  para::RcNet& rc = p.net(n1);
-  const auto far = rc.add_node(60e-15);
-  rc.add_res(0, far, 5000.0);
-
-  Options opt;
-  const Result plain = run(d, p, opt);
-  opt.use_ceff = true;
-  const Result ceff = run(d, p, opt);
-  EXPECT_LT(ceff.net(n1).window.hi, plain.net(n1).window.hi);
-
-  // Negligible wire resistance: shielding vanishes.
-  para::Parasitics p2(d.net_count());
-  p2.net(n0).add_cap(0, 2e-15);
-  para::RcNet& rc2 = p2.net(n1);
-  const auto far2 = rc2.add_node(60e-15);
-  rc2.add_res(0, far2, 0.01);
-  Options o2;
-  const Result a = run(d, p2, o2);
-  o2.use_ceff = true;
-  const Result b = run(d, p2, o2);
-  EXPECT_NEAR(a.net(n1).window.hi, b.net(n1).window.hi,
-              0.01 * a.net(n1).window.hi);
-}
-
 TEST_F(StaTest, MismatchedParasiticsThrow) {
   net::Design d(library_, "x");
   d.add_net("n");
   para::Parasitics p(5);
   EXPECT_THROW((void)run(d, p, {}), std::invalid_argument);
-}
-
-TEST_F(StaTest, MillerFactorIncreasesDelay) {
-  gen::BusConfig cfg;
-  cfg.bits = 8;
-  cfg.segments = 3;
-  gen::Generated g = gen::make_bus(library_, cfg);
-  sta::Options o = g.sta_options;
-  o.miller_factor = 0.0;  // coupling ignored
-  const Result light = run(g.design, g.para, o);
-  o.miller_factor = 2.0;  // worst-case switching-opposite lumping
-  const Result heavy = run(g.design, g.para, o);
-  const NetId w3 = *g.design.find_net("w3");
-  // More lumped cap -> later arrival at the receiver output.
-  const NetId r3 = *g.design.find_net("r3_0");
-  EXPECT_GT(heavy.net(r3).window.hi, light.net(r3).window.hi);
-  EXPECT_GE(heavy.net(w3).slew_max, light.net(w3).slew_max);
 }
 
 TEST_F(StaTest, EndpointSlackRespondsToPeriod) {
