@@ -69,12 +69,16 @@ enum class AnalysisMode { kNoFiltering, kSwitchingWindows, kNoiseWindows };
 inline constexpr unsigned kMaxThreads = 1024;
 inline constexpr unsigned kMaxRefineIterations = 64;
 
-/// Fixed analysis settings.
-inline constexpr double kMinCouplingCap = 0.05e-15;  ///< ignore weaker aggressor coupling [F]
-inline constexpr double kMinPeak = 1e-3;             ///< ignore contributions below [V]
-inline constexpr double kLatchDuty = 0.5;  ///< transparent fraction of the cycle (latches)
-inline constexpr double kDefaultSlew = 30e-12;   ///< aggressor slew when STA has none [s]
-inline constexpr double kPoImmunityFrac = 0.45;  ///< primary-output immunity (fraction of vdd)
+/// Aggressors whose summed coupling to a victim is below this are ignored [F].
+inline constexpr double kMinCouplingCap = 0.05e-15;
+/// Glitch contributions below this peak are ignored [V].
+inline constexpr double kMinPeak = 1e-3;
+/// Transparent fraction of the clock cycle of a latch.
+inline constexpr double kLatchDuty = 0.5;
+/// Aggressor slew where STA has none [s].
+inline constexpr double kDefaultSlew = 30e-12;
+/// Primary-output immunity, as a fraction of vdd.
+inline constexpr double kPoImmunityFrac = 0.45;
 /// kMnaExact timestep and shortest window: each pair's run extends to its
 /// victim's settle time (estimate_mna).
 inline constexpr spice::TranOptions kMnaTran{2e-9, 0.5e-12};

@@ -161,11 +161,14 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
     // level-sensitive latch is vulnerable throughout its transparent
     // phase — anything arriving while the enable is open flows through
     // and is held at the closing edge.
-    const Interval sens =
-        cell.kind == lib::CellKind::kLatch
-            ? Interval{clk.lo - cell.setup, clk.hi + kLatchDuty * opt.clock_period + cell.hold}
-            : Interval{clk.lo + opt.clock_period - cell.setup,
-                       clk.hi + opt.clock_period + cell.hold};
+    Interval sens;
+    if (cell.kind == lib::CellKind::kLatch) {
+      sens = Interval{clk.lo - cell.setup,
+                      clk.hi + kLatchDuty * opt.clock_period + cell.hold};
+    } else {
+      sens = Interval{clk.lo + opt.clock_period - cell.setup,
+                      clk.hi + opt.clock_period + cell.hold};
+    }
     for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
       if (cell.pins[pi].role != lib::PinRole::kData) continue;
       const net::Pin& dp = design.pin(inst.pins[pi]);

@@ -14,7 +14,6 @@
 //   #phases     stats-v2 phase/latency tables from the metrics snapshot
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <vector>
 

@@ -95,9 +95,10 @@ class Executor {
   [[nodiscard]] int thread_count() const noexcept { return thread_count_; }
 
   /// Copy of everything measured so far: per-worker busy time and chunk
-  /// counts, per-region wall/busy/max-busy/first-chunk-wait aggregates. Call between regions (the same
-  /// single-submitter contract as parallel_for). Worker idle time is
-  /// derived here as (region wall total − busy).
+  /// counts, per-region wall/busy/max-busy/first-chunk-wait aggregates.
+  /// Call between regions (the same single-submitter contract as
+  /// parallel_for). Worker idle time is derived here as (region wall
+  /// total − busy).
   [[nodiscard]] UtilizationSnapshot utilization() const;
 
   /// Invoke `fn(begin, end)` over disjoint chunks of at most `chunk`
