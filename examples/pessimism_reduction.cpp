@@ -2,6 +2,7 @@
 // capture-flop data nets are coupled, and show that the latch
 // sensitivity-window check (noise windows) clears violations the
 // amplitude-only analysis reports.
+#include <algorithm>
 #include <iostream>
 
 #include "gen/pipeline.hpp"
@@ -24,7 +25,11 @@ int main() {
             << report::fmt_ps(g.sta_options.clock_period) << "\n\n";
 
   const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
-  std::cout << "worst setup slack: " << report::fmt_ps(timing.worst_slack()) << "\n\n";
+  double worst_setup = timing.endpoints.empty() ? 0.0 : 1e30;
+  for (const sta::Endpoint& e : timing.endpoints) {
+    worst_setup = std::min(worst_setup, e.required - e.arrival);
+  }
+  std::cout << "worst setup slack: " << report::fmt_ps(worst_setup) << "\n\n";
 
   report::TextTable table({"mode", "endpoints", "violations", "worst slack"});
   for (const auto mode :

@@ -4,6 +4,7 @@
 // The circuit: two parallel wires w0 (victim) and w1 (aggressor) coupled by
 // 8 fF, each driven from a primary input and received by an inverter.
 #include <iostream>
+#include <string>
 
 #include "library/library.hpp"
 #include "netlist/design.hpp"
@@ -12,6 +13,16 @@
 #include "report/table.hpp"
 #include "sta/sta.hpp"
 #include "util/units.hpp"
+
+// A noise window as "{[lo, hi] u [lo, hi] ...}".
+std::string window_str(const nw::IntervalSet& window) {
+  std::string s = "{";
+  for (const nw::Interval& iv : window.intervals()) {
+    if (s.size() > 1) s += " u ";
+    s += iv.str();
+  }
+  return s + "}";
+}
 
 int main() {
   using namespace nw;
@@ -79,7 +90,7 @@ int main() {
     table.add_row({noise::to_string(mode), report::fmt_mv(nn.total_peak),
                    report::fmt_ps(nn.width),
                    mode == noise::AnalysisMode::kNoFiltering ? "(always)"
-                                                             : nn.window.str(),
+                                                             : window_str(nn.window),
                    std::to_string(r.violations.size())});
   }
   table.print(std::cout);

@@ -11,18 +11,6 @@ void TripletBuilder::add(std::size_t r, std::size_t c, double v) {
   rows_[r][c] += v;
 }
 
-double TripletBuilder::get(std::size_t r, std::size_t c) const {
-  if (r >= n_ || c >= n_) throw std::out_of_range("TripletBuilder::get");
-  const auto it = rows_[r].find(c);
-  return it == rows_[r].end() ? 0.0 : it->second;
-}
-
-std::size_t TripletBuilder::nonzeros() const noexcept {
-  std::size_t nnz = 0;
-  for (const auto& r : rows_) nnz += r.size();
-  return nnz;
-}
-
 SparseMatrix::SparseMatrix(const TripletBuilder& b) : n_(b.dim()) {
   row_ptr_.reserve(n_ + 1);
   row_ptr_.push_back(0);
@@ -33,22 +21,6 @@ SparseMatrix::SparseMatrix(const TripletBuilder& b) : n_(b.dim()) {
     }
     row_ptr_.push_back(col_.size());
   }
-}
-
-std::vector<double> SparseMatrix::multiply(std::span<const double> x) const {
-  if (x.size() != n_) throw std::invalid_argument("SparseMatrix::multiply: size");
-  std::vector<double> y(n_);
-  for (std::size_t r = 0; r < n_; ++r) y[r] = row_dot(r, x);
-  return y;
-}
-
-double SparseMatrix::get(std::size_t r, std::size_t c) const {
-  if (r >= n_ || c >= n_) throw std::out_of_range("SparseMatrix::get");
-  const auto first = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r]);
-  const auto last = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r + 1]);
-  const auto it = std::lower_bound(first, last, c);
-  if (it == last || *it != c) return 0.0;
-  return vals_[static_cast<std::size_t>(it - col_.begin())];
 }
 
 SparseLu::SparseLu(const TripletBuilder& a, double pivot_threshold) : n_(a.dim()) {
@@ -136,17 +108,10 @@ SparseLu::SparseLu(const TripletBuilder& a, double pivot_threshold) : n_(a.dim()
   perm_ = std::move(rowidx);
 }
 
-std::vector<double> SparseLu::solve(std::span<const double> b) const {
-  std::vector<double> y(n_);
-  std::vector<double> x(n_);
-  solve_into(b, y, x);
-  return x;
-}
-
 void SparseLu::solve_into(std::span<const double> b, std::span<double> y,
                           std::span<double> x) const {
   if (b.size() != n_ || y.size() != n_ || x.size() != n_) {
-    throw std::invalid_argument("SparseLu::solve: size");
+    throw std::invalid_argument("SparseLu::solve_into: size");
   }
   // Forward: L y = P b (L rows hold multipliers indexed by pivot step).
   for (std::size_t i = 0; i < n_; ++i) {

@@ -36,14 +36,9 @@ class TripletBuilder {
   /// Accumulate v at (r, c).
   void add(std::size_t r, std::size_t c, double v);
 
-  /// Read an entry (0.0 if absent).
-  [[nodiscard]] double get(std::size_t r, std::size_t c) const;
-
   [[nodiscard]] const std::map<std::size_t, double>& row(std::size_t r) const {
     return rows_[r];
   }
-
-  [[nodiscard]] std::size_t nonzeros() const noexcept;
 
  private:
   friend class SparseMatrix;
@@ -59,20 +54,6 @@ class SparseMatrix {
 
   [[nodiscard]] std::size_t dim() const noexcept { return n_; }
   [[nodiscard]] std::size_t nonzeros() const noexcept { return vals_.size(); }
-
-  /// y = A x
-  [[nodiscard]] std::vector<double> multiply(std::span<const double> x) const;
-
-  /// Row r of A x, summed over the row's entries in column order (what
-  /// multiply() stores in y[r]). Unchecked.
-  [[nodiscard]] double row_dot(std::size_t r, std::span<const double> x) const noexcept {
-    double acc = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) acc += vals_[k] * x[col_[k]];
-    return acc;
-  }
-
-  /// Entry lookup (binary search within the row; 0.0 if absent).
-  [[nodiscard]] double get(std::size_t r, std::size_t c) const;
 
   /// The CSR arrays: row r's entries are [row_ptr[r], row_ptr[r+1]) of
   /// col (ascending) and val.
@@ -109,9 +90,6 @@ class SparseLu {
   explicit SparseLu(const TripletBuilder& a, double pivot_threshold = 0.1);
 
   [[nodiscard]] std::size_t dim() const noexcept { return n_; }
-
-  /// x = A^-1 b in a fresh vector (a wrapper over solve_into).
-  [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
   /// x = A^-1 b into caller buffers: forward substitution writes y, back
   /// substitution writes x. Every span has dim() entries; y must not alias

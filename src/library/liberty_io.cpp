@@ -5,7 +5,6 @@
 #include <limits>
 #include <ostream>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -227,12 +226,6 @@ void write_library(std::ostream& os, const Library& lib) {
   os << "end_library\n";
 }
 
-std::string write_library_string(const Library& lib) {
-  std::ostringstream os;
-  write_library(os, lib);
-  return os.str();
-}
-
 Library read_library(std::istream& is) {
   LineReader lr(is);
   auto toks = lr.next();
@@ -319,11 +312,6 @@ Library read_library(std::istream& is) {
     }
   }
   lr.fail("missing end_library");
-}
-
-Library read_library_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_library(is);
 }
 
 }  // namespace nw::lib

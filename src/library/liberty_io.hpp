@@ -2,7 +2,8 @@
 //
 // A compact line-oriented format: one keyword per line, tables flattened as
 // `t1 <n> ; axis... ; values...` / `t2 <nx> <ny> ; xaxis ; yaxis ; values`.
-// Round-trips exactly (doubles printed with max_digits10).
+// Round-trips exactly: read_library on what write_library printed gives an
+// equal library (doubles printed with max_digits10).
 #pragma once
 
 #include <iosfwd>
@@ -14,11 +15,9 @@ namespace nw::lib {
 
 /// Serialize a library to the .nlib text format.
 void write_library(std::ostream& os, const Library& lib);
-[[nodiscard]] std::string write_library_string(const Library& lib);
 
 /// Parse an .nlib stream. Throws std::runtime_error with a line number on
 /// malformed input.
 [[nodiscard]] Library read_library(std::istream& is);
-[[nodiscard]] Library read_library_string(const std::string& text);
 
 }  // namespace nw::lib

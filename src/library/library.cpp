@@ -23,12 +23,6 @@ std::optional<std::size_t> Library::find(std::string_view cell_name) const {
   return it->second;
 }
 
-const Cell& Library::require(const std::string& cell_name) const {
-  const auto idx = find(cell_name);
-  if (!idx) throw std::out_of_range("Library: no cell named '" + cell_name + "'");
-  return cells_[*idx];
-}
-
 namespace model {
 
 double delay(double drive_res, double intrinsic, double slew_in, double c_load) {

@@ -48,8 +48,6 @@ class Library {
 
   /// Hashed lookup by name, without a std::string temporary.
   [[nodiscard]] std::optional<std::size_t> find(std::string_view cell_name) const;
-  /// Lookup that throws std::out_of_range with the cell name on a miss.
-  [[nodiscard]] const Cell& require(const std::string& cell_name) const;
 
  private:
   std::string name_ = "unnamed";

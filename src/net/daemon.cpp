@@ -513,9 +513,6 @@ obs::RunMeta Daemon::meta() const {
 std::uint64_t Daemon::connections_accepted() const noexcept {
   return accepted_.value();
 }
-std::uint64_t Daemon::connections_rejected() const noexcept {
-  return rejected_.value();
-}
 std::uint64_t Daemon::requests_handled() const noexcept { return handled_.value(); }
 std::uint64_t Daemon::requests_shed() const noexcept { return shed_.value(); }
 

@@ -120,7 +120,6 @@ class Daemon {
 
   // Convenience totals (tests + exit summary).
   [[nodiscard]] std::uint64_t connections_accepted() const noexcept;
-  [[nodiscard]] std::uint64_t connections_rejected() const noexcept;
   [[nodiscard]] std::uint64_t requests_handled() const noexcept;
   [[nodiscard]] std::uint64_t requests_shed() const noexcept;
 

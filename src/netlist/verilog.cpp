@@ -3,7 +3,6 @@
 #include <iomanip>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -42,12 +41,6 @@ void write_netlist(std::ostream& os, const Design& design) {
     os << "\n";
   }
   os << "endmodule\n";
-}
-
-std::string write_netlist_string(const Design& design) {
-  std::ostringstream os;
-  write_netlist(os, design);
-  return os.str();
 }
 
 Design read_netlist(std::istream& is, const lib::Library& library) {
@@ -140,11 +133,6 @@ Design read_netlist(std::istream& is, const lib::Library& library) {
   }
   if (!have_design || in_module) fail("missing endmodule");
   return design;
-}
-
-Design read_netlist_string(const std::string& text, const lib::Library& library) {
-  std::istringstream is(text);
-  return read_netlist(is, library);
 }
 
 }  // namespace nw::net

@@ -16,10 +16,11 @@
 //
 // Round-trip contract: write_netlist declares every net as a `wire` line in
 // NetId order before the port lines, and read_netlist numbers nets in the
-// order they are first declared, so read_netlist(write_netlist(d)) has the
-// same NetIds, InstIds and port order as `d`, and writing it again gives
-// the same bytes. Analyses that order work by NetId (aggressor lists,
-// summation order) therefore give the same bits from files as in memory.
+// order they are first declared, so reading back what write_netlist printed
+// for `d` gives the same NetIds, InstIds and port order as `d`, and writing
+// that again gives the same bytes. Analyses that order work by NetId
+// (aggressor lists, summation order) therefore give the same bits from
+// files as in memory.
 //
 // Cost: reading is linear in the file. Each net, instance, cell and pin
 // name is one hashed lookup on a slice of the line, with no per-token
@@ -34,12 +35,9 @@
 namespace nw::net {
 
 void write_netlist(std::ostream& os, const Design& design);
-[[nodiscard]] std::string write_netlist_string(const Design& design);
 
 /// Parse; throws std::runtime_error (with a line number) on malformed
 /// input, unknown cells/pins, or connectivity errors.
 [[nodiscard]] Design read_netlist(std::istream& is, const lib::Library& library);
-[[nodiscard]] Design read_netlist_string(const std::string& text,
-                                         const lib::Library& library);
 
 }  // namespace nw::net

@@ -685,9 +685,10 @@ class Pipeline {
           // Only full noise-window mode tracks *when* propagated noise
           // can exist; the weaker modes assume it coincides with anything.
           if (opt_.mode == AnalysisMode::kNoiseWindows) {
-            // Flat shifted().dilated(0, after): a uniform shift keeps the
-            // members sorted, so union_flat's sort is an identity
-            // permutation and only the dilation-induced merges run.
+            // Each member shifted by the gate delay and dilated by (0,
+            // after): a uniform shift keeps the members sorted, so
+            // union_flat's sort is an identity permutation and only the
+            // dilation-induced merges run.
             const double after = std::max(out_width - in_width, 0.0);
             auto& members = interval_scratch();
             members.clear();

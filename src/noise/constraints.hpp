@@ -6,7 +6,8 @@
 // lines, clock-gated groups. noisewin models the common industrial form:
 // *mutual-exclusion groups*, sets of nets of which at most one switches
 // per cycle. During combination, at most the heaviest active member of
-// each group contributes (util::scan_max_overlap_grouped).
+// each group contributes: kernels::combine_flat runs the grouped scan
+// scan_events_max_overlap_grouped (util/scanline.hpp).
 #pragma once
 
 #include <algorithm>

@@ -137,18 +137,6 @@ GlitchEstimate estimate_two_pi(const CouplingScenario& s) {
   return estimate_one(peaks_two_pi, s);
 }
 
-GlitchEstimate estimate(GlitchModel model, const CouplingScenario& s) {
-  switch (model) {
-    case GlitchModel::kChargeSharing: return estimate_charge_sharing(s);
-    case GlitchModel::kDevgan: return estimate_devgan(s);
-    case GlitchModel::kTwoPi: return estimate_two_pi(s);
-    case GlitchModel::kReducedMna:
-    case GlitchModel::kMnaExact:
-      throw std::invalid_argument("estimate: model needs the design context");
-  }
-  return {};
-}
-
 namespace {
 
 /// Per-node extra capacitance of `net`: load pin caps at their attachment

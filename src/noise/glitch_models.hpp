@@ -87,10 +87,6 @@ void peaks_two_pi(std::span<const double> r_hold, std::span<const double> c_grou
                   double vdd, std::span<double> peak, std::span<double> width,
                   std::span<double> peak_delay);
 
-/// Dispatch over the three analytic models (not kReducedMna/kMnaExact,
-/// which need the design context).
-[[nodiscard]] GlitchEstimate estimate(GlitchModel model, const CouplingScenario& s);
-
 /// Exact: build the victim/aggressor cluster and simulate, recording only
 /// the victim probe. The run lasts max(tran.t_stop, slew + 12 tau) at
 /// tran.dt, tau the victim's holding time constant as reduced_circuit

@@ -106,13 +106,6 @@ void write_delay_impact(std::ostream& os, const net::Design& design,
   t.print(os);
 }
 
-std::string report_string(const net::Design& design, const Options& options,
-                          const Result& result, const ReportOptions& ropt) {
-  std::ostringstream os;
-  write_report(os, design, options, result, ropt);
-  return os.str();
-}
-
 namespace {
 
 std::string interval_str(const Interval& iv) {

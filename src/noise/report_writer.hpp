@@ -30,10 +30,6 @@ void write_report(std::ostream& os, const net::Design& design, const Options& op
 void write_delay_impact(std::ostream& os, const net::Design& design,
                         const DelayImpactSummary& impact);
 
-[[nodiscard]] std::string report_string(const net::Design& design, const Options& options,
-                                        const Result& result,
-                                        const ReportOptions& ropt = {});
-
 /// Explain every violation on `net` from its Provenance record: ranked
 /// aggressor shares (peak, coupling, window overlap, filter verdict), the
 /// filtering-stage peaks with the culling stage, and the propagation path.

@@ -30,7 +30,9 @@ void append_wall_clock(std::string& out) {
   std::tm tm{};
   const std::time_t secs = ts.tv_sec;
   localtime_r(&secs, &tm);
-  char buf[24];
+  // Room for the widest int and long the fields could print, so the
+  // compiler can prove snprintf never truncates ("[hh:mm:ss.mmm] " is 15).
+  char buf[64];
   std::snprintf(buf, sizeof(buf), "[%02d:%02d:%02d.%03ld] ", tm.tm_hour,
                 tm.tm_min, tm.tm_sec, ts.tv_nsec / 1000000);
   out += buf;

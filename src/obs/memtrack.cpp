@@ -82,16 +82,6 @@ std::uint64_t MemTracker::total_current() noexcept {
   return total;
 }
 
-std::uint64_t MemTracker::total_peak() noexcept {
-  std::uint64_t total = 0;
-  for (const MemAccount& a : accounts()) total += a.peak();
-  return total;
-}
-
-void MemTracker::reset() noexcept {
-  for (MemAccount& a : accounts()) a.reset();
-}
-
 namespace {
 
 /// "12.3 MB" style rendering for the human table (JSON stays in raw bytes).

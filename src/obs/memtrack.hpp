@@ -124,14 +124,6 @@ class MemAccount {
     return frees_.load(std::memory_order_relaxed);
   }
 
-  /// Tests only: forget everything, including the high-water mark.
-  void reset() noexcept {
-    current_.store(0, std::memory_order_relaxed);
-    peak_.store(0, std::memory_order_relaxed);
-    allocs_.store(0, std::memory_order_relaxed);
-    frees_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   void update_peak(std::int64_t now) noexcept {
     std::int64_t seen = peak_.load(std::memory_order_relaxed);
@@ -171,14 +163,8 @@ class MemTracker {
   /// buffers from the tracer/profiler) first, so exports are current.
   [[nodiscard]] static std::vector<MemAccountSample> snapshot();
 
-  /// Sum of account currents / peaks. The peak total is a sum of
-  /// per-account high-water marks — an upper bound, not a simultaneous
-  /// process maximum.
+  /// Sum of account currents.
   [[nodiscard]] static std::uint64_t total_current() noexcept;
-  [[nodiscard]] static std::uint64_t total_peak() noexcept;
-
-  /// Tests only: zero every account (high-water marks included).
-  static void reset() noexcept;
 };
 
 /// The --mem-report table: one row per account plus RSS, aligned columns.

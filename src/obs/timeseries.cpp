@@ -44,16 +44,6 @@ TimeSeriesSnapshot TimeSeriesRing::snapshot(std::size_t last_n) const {
   return snap;
 }
 
-std::size_t TimeSeriesRing::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-std::uint64_t TimeSeriesRing::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
 void TimeSeriesRing::set_interval_ms(int interval_ms) {
   std::lock_guard<std::mutex> lock(mu_);
   interval_ms_ = interval_ms;
@@ -119,13 +109,6 @@ double RotatingQuantile::quantile(double q) const {
   return histogram_quantile(merged_locked(), q);
 }
 
-std::uint64_t RotatingQuantile::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const Window& w : wins_) total += w.count;
-  return total;
-}
-
 Sampler::Sampler(TimeSeriesRing& ring, SampleFn fn, int interval_ms)
     : ring_(ring),
       fn_(std::move(fn)),
@@ -158,11 +141,6 @@ void Sampler::stop() {
   if (joiner.joinable()) joiner.join();
   std::lock_guard<std::mutex> lock(mu_);
   running_ = false;
-}
-
-bool Sampler::running() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return running_;
 }
 
 void Sampler::loop() {

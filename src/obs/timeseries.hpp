@@ -73,8 +73,6 @@ class TimeSeriesRing {
   /// Last `last_n` samples, oldest first (0 = everything retained).
   [[nodiscard]] TimeSeriesSnapshot snapshot(std::size_t last_n = 0) const;
 
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t total() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const std::vector<std::string>& series() const noexcept {
     return series_;
@@ -107,7 +105,6 @@ class RotatingQuantile {
   /// Quantile over all live sub-windows (0 when empty). Interpolated via
   /// histogram_quantile; min/max are tracked per sub-window horizon.
   [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] std::uint64_t count() const;
   [[nodiscard]] std::size_t windows() const noexcept { return wins_.size(); }
 
  private:
@@ -144,7 +141,6 @@ class Sampler {
   /// Records one sample immediately (t=0), then one per interval.
   void start();
   void stop();
-  [[nodiscard]] bool running() const;
   [[nodiscard]] int interval_ms() const noexcept { return interval_ms_; }
 
  private:

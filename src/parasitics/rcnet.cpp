@@ -92,12 +92,6 @@ void RcNet::scale(double cap_factor, double res_factor) {
   for (auto& e : ress_) e.r *= res_factor;
 }
 
-RcNet RcNet::lumped(double cap) {
-  RcNet n;
-  n.add_cap(0, cap);
-  return n;
-}
-
 std::size_t Parasitics::add_coupling(NetId a, std::uint32_t node_a, NetId b,
                                      std::uint32_t node_b, double c) {
   if (a == b) throw std::invalid_argument("Parasitics::add_coupling: same net");

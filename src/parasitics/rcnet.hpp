@@ -65,9 +65,6 @@ class RcNet {
   /// True iff the resistor graph is a connected tree spanning all nodes.
   [[nodiscard]] bool is_tree() const;
 
-  /// Make a single-node net (driver == load node) with a lumped cap.
-  [[nodiscard]] static RcNet lumped(double cap);
-
   /// Capacity-based heap bytes of this RC network.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return nodes_.capacity() * sizeof(RcNode) + ress_.capacity() * sizeof(RcRes);

@@ -3,7 +3,6 @@
 #include <iomanip>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -61,12 +60,6 @@ void write_spef(std::ostream& os, const net::Design& design, const Parasitics& p
        << design.net(cc.net_b).name << ' ' << cc.node_b << ' ' << cc.c << "\n";
   }
   os << "*END\n";
-}
-
-std::string write_spef_string(const net::Design& design, const Parasitics& para) {
-  std::ostringstream os;
-  write_spef(os, design, para);
-  return os.str();
 }
 
 Parasitics read_spef(std::istream& is, const net::Design& design) {
@@ -141,11 +134,6 @@ Parasitics read_spef(std::istream& is, const net::Design& design) {
   }
   fail("missing *END");
   return para;  // unreachable
-}
-
-Parasitics read_spef_string(const std::string& text, const net::Design& design) {
-  std::istringstream is(text);
-  return read_spef(is, design);
 }
 
 }  // namespace nw::para

@@ -44,20 +44,6 @@ std::string TextTable::str() const {
   return os.str();
 }
 
-std::string TextTable::csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) os << ',';
-      os << row[c];
-    }
-    os << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 void TextTable::print(std::ostream& os) const { os << str(); }
 
 std::string fmt_ps(double seconds) {

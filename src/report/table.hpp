@@ -17,7 +17,6 @@ class TextTable {
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 
   [[nodiscard]] std::string str() const;
-  [[nodiscard]] std::string csv() const;
   void print(std::ostream& os) const;
 
  private:

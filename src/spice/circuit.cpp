@@ -18,11 +18,6 @@ Pwl Pwl::ramp(double t0, double tr, double v0, double v1) {
   return Pwl({{t0, v0}, {t0 + tr, v1}});
 }
 
-Pwl Pwl::pulse(double t0, double tr, double hold, double v0, double v1) {
-  if (tr <= 0.0 || hold < 0.0) throw std::invalid_argument("Pwl::pulse: bad shape");
-  return Pwl({{t0, v0}, {t0 + tr, v1}, {t0 + tr + hold, v1}, {t0 + 2 * tr + hold, v0}});
-}
-
 double Pwl::at(double t) const noexcept {
   if (pts_.empty()) return 0.0;
   if (t <= pts_.front().t) return pts_.front().v;

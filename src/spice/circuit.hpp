@@ -28,8 +28,6 @@ class Pwl {
   [[nodiscard]] static Pwl dc(double v) { return Pwl({{0.0, v}}); }
   /// A single ramp from v0 to v1 starting at t0 with transition time tr.
   [[nodiscard]] static Pwl ramp(double t0, double tr, double v0, double v1);
-  /// A pulse: ramp up at t0 (tr), hold for `hold`, ramp back down (tr).
-  [[nodiscard]] static Pwl pulse(double t0, double tr, double hold, double v0, double v1);
 
   [[nodiscard]] double at(double t) const noexcept;
   [[nodiscard]] const std::vector<PwlPoint>& points() const noexcept { return pts_; }

@@ -38,7 +38,7 @@ std::size_t step_count(const TranOptions& opt) {
 
 std::size_t checked_probe(const Circuit& ckt, std::size_t probe) {
   if (probe >= ckt.node_count()) {
-    throw std::out_of_range("simulate_node: node index out of range");
+    throw std::out_of_range("TranSystem: probe node out of range");
   }
   return probe;
 }
@@ -294,16 +294,6 @@ TransientResult simulate(const Circuit& ckt, const TranOptions& opt) {
       },
       [](std::size_t, std::size_t) {});
   return res;
-}
-
-Waveform simulate_node(const Circuit& ckt, const TranOptions& opt, std::size_t node) {
-  const TranSystem sys(ckt, opt, node);
-  std::vector<double> samples;
-  const TranSystem* group[] = {&sys};
-  LaneLoop::run_probes<1>(group, [&](std::size_t, std::span<const double> s) {
-    samples.assign(s.begin(), s.end());
-  });
-  return Waveform(0.0, opt.dt, std::move(samples));
 }
 
 void simulate_batch(std::span<const TranSystem> systems,

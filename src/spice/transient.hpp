@@ -20,7 +20,7 @@
 // structure and runs each group through the lanes, longest runs first; a
 // lane that reaches its own step count takes the next system of its group
 // (refill), and a lane with no system left steps an identity system of
-// zeros. simulate() and simulate_node() are the W = 1 case.
+// zeros. simulate() is the W = 1 case, as is a batch of one system.
 //
 // The loop allocates nothing per step. Each step evaluates every lane's
 // voltage sources, assembles the right-hand side row by row inside the
@@ -127,19 +127,13 @@ class TranSystem {
 /// Simulate, recording every node. Throws as TranSystem does.
 [[nodiscard]] TransientResult simulate(const Circuit& ckt, const TranOptions& opt);
 
-/// Simulate, recording only `node` (0 = ground, all zeros). The samples
-/// equal simulate(ckt, opt).waveform(node) bit for bit. Throws as
-/// TranSystem does.
-[[nodiscard]] Waveform simulate_node(const Circuit& ckt, const TranOptions& opt,
-                                     std::size_t node);
-
 /// Runs every system, recording its probe node: groups the systems by
 /// structure and steps each group in kLanes lanes, longest runs first, a
 /// group of one in a single lane. Calls done(i, samples)
 /// once per system, as its run finishes, with system i's steps() probe
 /// samples; the span is a lane's reused buffer, valid only during the
-/// call. Each system's samples equal simulate_node() on its circuit bit
-/// for bit.
+/// call. Each system's samples equal simulate(ckt, opt).waveform(probe)
+/// of its circuit bit for bit, whatever the batch.
 void simulate_batch(std::span<const TranSystem> systems,
                     const std::function<void(std::size_t, std::span<const double>)>& done);
 

@@ -16,18 +16,6 @@ double Waveform::at(double t) const noexcept {
   return samples_[i] * (1.0 - f) + samples_[i + 1] * f;
 }
 
-double Waveform::max_value() const noexcept {
-  double m = samples_.empty() ? 0.0 : samples_[0];
-  for (const double v : samples_) m = std::max(m, v);
-  return m;
-}
-
-double Waveform::min_value() const noexcept {
-  double m = samples_.empty() ? 0.0 : samples_[0];
-  for (const double v : samples_) m = std::min(m, v);
-  return m;
-}
-
 GlitchMeasure measure_glitch(const Waveform& w, double baseline, double width_fraction) {
   GlitchMeasure g = measure_glitch(w.samples(), w.dt(), baseline, width_fraction);
   g.t_peak += w.t0();

@@ -27,9 +27,6 @@ class Waveform {
   /// Linear interpolation at time t (clamped to the ends).
   [[nodiscard]] double at(double t) const noexcept;
 
-  [[nodiscard]] double max_value() const noexcept;
-  [[nodiscard]] double min_value() const noexcept;
-
  private:
   double t0_ = 0.0;
   double dt_ = 1.0;

@@ -415,12 +415,6 @@ void derive_endpoints(const net::Design& design, Wires& w, const Options& opt,
 
 }  // namespace
 
-double Result::worst_slack() const noexcept {
-  double w = 1e30;
-  for (const auto& e : endpoints) w = std::min(w, e.slack());
-  return endpoints.empty() ? 0.0 : w;
-}
-
 std::size_t memory_bytes(const Result& r) noexcept {
   std::size_t bytes = r.pins.capacity() * sizeof(PinTiming) +
                       r.nets.capacity() * sizeof(NetTiming) +

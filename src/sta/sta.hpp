@@ -95,12 +95,11 @@ struct NetTiming {
   [[nodiscard]] bool switches() const noexcept { return !window.is_empty(); }
 };
 
-/// A timing endpoint and its setup slack.
+/// A timing endpoint; its setup slack is required - arrival.
 struct Endpoint {
   PinId pin;
   double required = 0.0;     ///< latest tolerable arrival [s]
   double arrival = 0.0;      ///< latest actual arrival [s]
-  [[nodiscard]] double slack() const noexcept { return required - arrival; }
 };
 
 /// Gate delays see a net's total capacitance (ground, receiver pins and
@@ -141,7 +140,6 @@ struct Result {
 
   [[nodiscard]] const NetTiming& net(NetId id) const { return nets.at(id.index()); }
   [[nodiscard]] const PinTiming& pin(PinId id) const { return pins.at(id.index()); }
-  [[nodiscard]] double worst_slack() const noexcept;
 };
 
 /// Capacity-based heap bytes a Result owns. Feeds the "sta" memory account

@@ -17,12 +17,6 @@ std::ostream& operator<<(std::ostream& os, const Interval& iv) {
   return os << "[" << iv.lo << ", " << iv.hi << "]";
 }
 
-double IntervalSet::measure() const noexcept {
-  double m = 0.0;
-  for (const auto& iv : ivs_) m += iv.length();
-  return m;
-}
-
 Interval IntervalSet::hull() const noexcept {
   if (ivs_.empty()) return Interval::empty();
   return {ivs_.front().lo, ivs_.back().hi};
@@ -36,26 +30,6 @@ bool IntervalSet::contains(double t) const noexcept {
   return std::prev(it)->contains(t);
 }
 
-bool IntervalSet::overlaps(const Interval& iv) const noexcept {
-  if (iv.is_empty()) return false;
-  auto it = std::lower_bound(ivs_.begin(), ivs_.end(), iv.lo,
-                             [](const Interval& a, double v) { return a.hi < v; });
-  return it != ivs_.end() && it->overlaps(iv);
-}
-
-bool IntervalSet::overlaps(const IntervalSet& o) const noexcept {
-  std::size_t i = 0, j = 0;
-  while (i < ivs_.size() && j < o.ivs_.size()) {
-    if (ivs_[i].overlaps(o.ivs_[j])) return true;
-    if (ivs_[i].hi < o.ivs_[j].hi) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
 void IntervalSet::add(const Interval& iv) {
   if (iv.is_empty()) return;
   // Find the range of existing intervals that touch or overlap iv.
@@ -67,16 +41,6 @@ void IntervalSet::add(const Interval& iv) {
   for (auto it = first; it != last; ++it) merged = merged.hull(*it);
   const auto pos = ivs_.erase(first, last);
   ivs_.insert(pos, merged);
-}
-
-void IntervalSet::add(const IntervalSet& o) {
-  for (const auto& iv : o.ivs_) add(iv);
-}
-
-IntervalSet IntervalSet::unite(const IntervalSet& o) const {
-  IntervalSet r = *this;
-  r.add(o);
-  return r;
 }
 
 IntervalSet IntervalSet::intersect(const Interval& iv) const {
@@ -102,78 +66,6 @@ IntervalSet IntervalSet::intersect(const IntervalSet& o) const {
     }
   }
   return r;
-}
-
-IntervalSet IntervalSet::subtract(const IntervalSet& o) const {
-  if (o.is_empty() || is_empty()) return *this;
-  const Interval span = hull().hull(o.hull()).dilated(1.0, 1.0);
-  return intersect(o.complement(span));
-}
-
-IntervalSet IntervalSet::complement(const Interval& span) const {
-  IntervalSet r;
-  if (span.is_empty()) return r;
-  double cursor = span.lo;
-  for (const auto& iv : ivs_) {
-    if (iv.hi < span.lo) continue;
-    if (iv.lo > span.hi) break;
-    if (iv.lo > cursor) r.ivs_.push_back({cursor, iv.lo});
-    cursor = std::max(cursor, iv.hi);
-  }
-  if (cursor < span.hi) r.ivs_.push_back({cursor, span.hi});
-  return r;
-}
-
-IntervalSet IntervalSet::shifted(double dt) const {
-  IntervalSet r;
-  r.ivs_.reserve(ivs_.size());
-  for (const auto& iv : ivs_) r.ivs_.push_back(iv.shifted(dt));
-  return r;
-}
-
-IntervalSet IntervalSet::dilated(double before, double after) const {
-  // Dilation can merge neighbours; rebuild through add().
-  IntervalSet r;
-  for (const auto& iv : ivs_) r.add(iv.dilated(before, after));
-  return r;
-}
-
-IntervalSet IntervalSet::plus(const Interval& iv) const {
-  IntervalSet r;
-  if (iv.is_empty()) return r;
-  for (const auto& a : ivs_) r.add(a.plus(iv));
-  return r;
-}
-
-std::optional<double> IntervalSet::first_at_or_after(double t) const {
-  for (const auto& iv : ivs_) {
-    if (iv.hi < t) continue;
-    return std::max(t, iv.lo);
-  }
-  return std::nullopt;
-}
-
-bool IntervalSet::valid_invariant() const noexcept {
-  for (std::size_t i = 0; i < ivs_.size(); ++i) {
-    if (ivs_[i].is_empty()) return false;
-    if (i > 0 && !(ivs_[i - 1].hi < ivs_[i].lo)) return false;
-  }
-  return true;
-}
-
-std::string IntervalSet::str() const {
-  std::ostringstream os;
-  os << *this;
-  return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const IntervalSet& s) {
-  os << "{";
-  for (std::size_t i = 0; i < s.count(); ++i) {
-    if (i > 0) os << " u ";
-    os << s[i];
-  }
-  return os << "}";
 }
 
 }  // namespace nw

@@ -6,9 +6,9 @@
 //  - a latch sensitivity window is [clock - setup, clock + hold].
 //
 // IntervalSet keeps a sorted vector of disjoint, non-adjacent closed
-// intervals and supports the boolean algebra (union, intersection,
-// complement within a span), Minkowski-style shift/dilate used by noise
-// propagation, and coverage queries.
+// intervals with the operations the analyzer runs on them: insertion with
+// merging (union), intersection, hull and containment. Propagation
+// shifts and dilates window members in flat arrays (noise/analyzer.cpp).
 #pragma once
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include <initializer_list>
 #include <iosfwd>
 #include <limits>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,9 +48,6 @@ struct Interval {
   [[nodiscard]] constexpr bool contains(const Interval& o) const noexcept {
     return o.is_empty() || (lo <= o.lo && o.hi <= hi);
   }
-  [[nodiscard]] constexpr bool overlaps(const Interval& o) const noexcept {
-    return !is_empty() && !o.is_empty() && lo <= o.hi && o.lo <= hi;
-  }
 
   /// Set intersection; empty if disjoint.
   [[nodiscard]] constexpr Interval intersect(const Interval& o) const noexcept {
@@ -80,13 +76,6 @@ struct Interval {
     return r.is_empty() ? empty() : r;
   }
 
-  /// Minkowski sum with another interval: {a+b : a in this, b in o}.
-  /// Used when a delay itself is an interval [dmin, dmax].
-  [[nodiscard]] constexpr Interval plus(const Interval& o) const noexcept {
-    if (is_empty() || o.is_empty()) return empty();
-    return {lo + o.lo, hi + o.hi};
-  }
-
   friend constexpr bool operator==(const Interval& a, const Interval& b) noexcept {
     if (a.is_empty() && b.is_empty()) return true;
     return a.lo == b.lo && a.hi == b.hi;
@@ -99,7 +88,7 @@ std::ostream& operator<<(std::ostream& os, const Interval& iv);
 
 /// A set of disjoint, sorted, non-adjacent closed intervals.
 ///
-/// Invariant (checked by `valid_invariant()`):
+/// Invariant (tests check it with ref::valid_invariant, tests/util/):
 ///   for consecutive intervals a, b:  a.hi < b.lo  (strictly), and no
 ///   member interval is empty.
 class IntervalSet {
@@ -115,51 +104,24 @@ class IntervalSet {
   }
 
   [[nodiscard]] bool is_empty() const noexcept { return ivs_.empty(); }
-  [[nodiscard]] std::size_t count() const noexcept { return ivs_.size(); }
   [[nodiscard]] std::span<const Interval> intervals() const noexcept { return ivs_; }
-  [[nodiscard]] const Interval& operator[](std::size_t i) const { return ivs_[i]; }
 
-  /// Sum of member lengths.
-  [[nodiscard]] double measure() const noexcept;
   /// Convex hull of the whole set (empty interval if set is empty).
   [[nodiscard]] Interval hull() const noexcept;
   [[nodiscard]] bool contains(double t) const noexcept;
-  [[nodiscard]] bool overlaps(const Interval& iv) const noexcept;
-  [[nodiscard]] bool overlaps(const IntervalSet& o) const noexcept;
 
   /// Insert an interval, merging as needed. No-op for empty input.
   void add(const Interval& iv);
-  void add(const IntervalSet& o);
 
-  [[nodiscard]] IntervalSet unite(const IntervalSet& o) const;
   [[nodiscard]] IntervalSet intersect(const Interval& iv) const;
   [[nodiscard]] IntervalSet intersect(const IntervalSet& o) const;
-  /// Set difference: this \ o.
-  [[nodiscard]] IntervalSet subtract(const IntervalSet& o) const;
-  /// Complement within `span`.
-  [[nodiscard]] IntervalSet complement(const Interval& span) const;
-
-  [[nodiscard]] IntervalSet shifted(double dt) const;
-  [[nodiscard]] IntervalSet dilated(double before, double after) const;
-  /// Minkowski sum with an interval (delay ranges).
-  [[nodiscard]] IntervalSet plus(const Interval& iv) const;
-
-  /// First time point >= t contained in the set, if any.
-  [[nodiscard]] std::optional<double> first_at_or_after(double t) const;
 
   friend bool operator==(const IntervalSet& a, const IntervalSet& b) {
     return a.ivs_ == b.ivs_;
   }
 
-  /// Check the class invariant (used by tests).
-  [[nodiscard]] bool valid_invariant() const noexcept;
-
-  [[nodiscard]] std::string str() const;
-
  private:
   std::vector<Interval> ivs_;
 };
-
-std::ostream& operator<<(std::ostream& os, const IntervalSet& s);
 
 }  // namespace nw

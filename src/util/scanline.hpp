@@ -54,8 +54,14 @@ struct ScanResult {
 [[nodiscard]] ScanResult scan_events_max_overlap(std::vector<ScanEvent>& events,
                                                  std::span<const double> weights);
 
-/// Core of scan_max_overlap_grouped over caller-built events. `groups`
-/// parallels `weights`; negative ids mean unconstrained (singleton group).
+/// Constrained scan over caller-built events: contributions carrying the
+/// same non-negative group id are mutually exclusive (at most one switches
+/// per cycle — complementary phases, one-hot selects), so at any time point
+/// only the heaviest active member of each group counts. `groups` parallels
+/// `weights`; a negative id means unconstrained (its own group). Objective:
+/// max over t of sum over groups of max{w_i : t in W_i}. Sorts `events` as
+/// scan_events_max_overlap does; O(m log m) with an ordered multiset per
+/// group. noise::kernels::combine_flat runs it under logic constraints.
 [[nodiscard]] ScanResult scan_events_max_overlap_grouped(
     std::vector<ScanEvent>& events, std::span<const double> weights,
     std::span<const int> groups);
@@ -75,19 +81,5 @@ struct ScanSample {
 /// share a common point. Exponential — used only by tests and the
 /// algorithmic-ablation bench.
 [[nodiscard]] ScanResult brute_force_max_overlap(std::span<const WeightedWindow> items);
-
-/// Constrained scan: contributions carrying the same non-negative group id
-/// are mutually exclusive (at most one switches per cycle — complementary
-/// phases, one-hot selects), so at any time point only the heaviest active
-/// member of each group counts. group < 0 means unconstrained (its own
-/// group). Objective: max over t of sum over groups of max{w_i : t in W_i}.
-///
-/// O(m log m) events with an ordered multiset per group.
-[[nodiscard]] ScanResult scan_max_overlap_grouped(std::span<const WeightedWindow> items,
-                                                  std::span<const int> groups);
-
-/// Brute-force reference for the grouped scan (test/ablation use only).
-[[nodiscard]] ScanResult brute_force_max_overlap_grouped(
-    std::span<const WeightedWindow> items, std::span<const int> groups);
 
 }  // namespace nw

@@ -154,7 +154,6 @@ spice::TransientResult simulate(const spice::Circuit& ckt, const spice::TranOpti
     }
   }
   const NestedLu lu(lhs);
-  const la::SparseMatrix rhs_m(rhs_mat);
 
   auto source_vec = [&](double t) {
     std::vector<double> b(dim, 0.0);
@@ -176,7 +175,10 @@ spice::TransientResult simulate(const spice::Circuit& ckt, const spice::TranOpti
   for (std::size_t k = 1; k < steps; ++k) {
     const double t = opt.dt * static_cast<double>(k);
     const std::vector<double> b_now = source_vec(t);
-    std::vector<double> rhs = rhs_m.multiply(x);
+    std::vector<double> rhs(dim, 0.0);
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (const auto& [col, val] : rhs_mat.row(r)) rhs[r] += val * x[col];
+    }
     for (std::size_t j = 0; j < ns; ++j) rhs[nv + j] = b_now[nv + j];
     x = lu.solve(rhs);
     for (std::size_t node = 1; node < n_nodes; ++node) res.set(node, k, x[vi(node)]);

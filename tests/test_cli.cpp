@@ -14,6 +14,7 @@
 #include "library/liberty_io.hpp"
 #include "netlist/verilog.hpp"
 #include "parasitics/spef.hpp"
+#include "text_io.hpp"
 #include "tools/cli.hpp"
 #include "util/units.hpp"
 
@@ -163,7 +164,7 @@ TEST(Cli, FileFlowEndToEnd) {
   }
 
   // A NaN port drive is refused with its netlist line, not analyzed as clean.
-  std::string netlist = net::write_netlist_string(g.design);
+  std::string netlist = textio::written(net::write_netlist, g.design);
   const std::size_t drive = netlist.find("input in0 w0 drive ");
   ASSERT_NE(drive, std::string::npos) << netlist;
   const std::size_t value = drive + std::string("input in0 w0 drive ").size();
@@ -200,7 +201,7 @@ TEST(Cli, MnaStepBoundFailsNamingTheNets) {
   const auto lib_path = (dir / "lib.nlib").string();
   const auto nv_path = (dir / "top.nv").string();
   const auto spef_path = (dir / "top.nwspef").string();
-  std::string netlist = net::write_netlist_string(g.design);
+  std::string netlist = textio::written(net::write_netlist, g.design);
   const std::string input = "input in1 w1 drive ";
   const std::size_t slew = netlist.find(" slew ", netlist.find(input));
   ASSERT_NE(slew, std::string::npos) << netlist;
@@ -245,7 +246,7 @@ TEST(Cli, BadLibraryValueFailsWithItsLine) {
   const auto lib_path = (dir / "lib.nlib").string();
   const auto nv_path = (dir / "top.nv").string();
   const auto spef_path = (dir / "top.nwspef").string();
-  std::string text = lib::write_library_string(library);
+  std::string text = textio::written(lib::write_library, library);
   const std::size_t pin = text.find("pin A input role none cap ", text.find("cell INV_X1 "));
   ASSERT_NE(pin, std::string::npos);
   text.replace(pin, text.find('\n', pin) - pin, "pin A input role none cap -1e-12");

@@ -97,7 +97,7 @@ TEST_F(ClusterTest, DriverResistanceLookup) {
   const NetId r0 = *bus_.design.find_net("r0_0");
   const double drv = driver_resistance(bus_.design, r0, false);
   const double hold = driver_resistance(bus_.design, r0, true);
-  EXPECT_DOUBLE_EQ(drv, library_.require("INV_X1").drive_resistance);
+  EXPECT_DOUBLE_EQ(drv, library_.cell(library_.find("INV_X1").value()).drive_resistance);
   EXPECT_GT(hold, drv);
 }
 

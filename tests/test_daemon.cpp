@@ -355,7 +355,7 @@ TEST(Daemon, EightConcurrentClientsBitIdenticalToStdioServe) {
     }
   }
   EXPECT_EQ(d.connections_accepted(), static_cast<std::uint64_t>(kClients));
-  EXPECT_EQ(d.connections_rejected(), 0u);
+  EXPECT_EQ(d.daemon_section().find("rejected")->as_number(), 0.0);
 }
 
 TEST(Daemon, MaintenanceModeShedsAnalysesButServesCheapCommands) {
@@ -407,7 +407,7 @@ TEST(Daemon, ConnectionCapRejectsWithStructuredError) {
     EXPECT_NE(resp.find("error")->find("retry_after_ms"), nullptr);
     EXPECT_EQ(second.next_response(), "");  // then EOF
   }
-  EXPECT_EQ(d.connections_rejected(), 1u);
+  EXPECT_EQ(d.daemon_section().find("rejected")->as_number(), 1.0);
   d.stop();
 }
 

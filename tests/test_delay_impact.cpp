@@ -10,6 +10,7 @@
 #include "noise/analyzer.hpp"
 #include "noise/delay_impact.hpp"
 #include "sta/sta.hpp"
+#include "util/scan_ref.hpp"
 #include "util/scanline.hpp"
 #include "util/units.hpp"
 
@@ -137,7 +138,7 @@ double scan_oracle_peak(const sta::NetTiming& t, const NetNoise& nn, const Optio
     items.push_back({c.peak, no_filtering ? IntervalSet::everything() : c.window.intersect(edge)});
     groups.push_back(c.aggressor.valid() ? opt.constraints.group_of(c.aggressor) : -1);
   }
-  if (!opt.constraints.empty()) return scan_max_overlap_grouped(items, groups).best_sum;
+  if (!opt.constraints.empty()) return ref::scan_max_overlap_grouped(items, groups).best_sum;
   return no_filtering ? sum : scan_max_overlap(items).best_sum;
 }
 

@@ -115,15 +115,6 @@ TEST(Models, InvalidSlewThrows) {
   EXPECT_THROW((void)estimate_two_pi(s), std::invalid_argument);
 }
 
-TEST(Models, DispatchMatchesDirectCalls) {
-  const CouplingScenario s = base_scenario();
-  EXPECT_DOUBLE_EQ(estimate(GlitchModel::kChargeSharing, s).peak,
-                   estimate_charge_sharing(s).peak);
-  EXPECT_DOUBLE_EQ(estimate(GlitchModel::kDevgan, s).peak, estimate_devgan(s).peak);
-  EXPECT_DOUBLE_EQ(estimate(GlitchModel::kTwoPi, s).peak, estimate_two_pi(s).peak);
-  EXPECT_THROW((void)estimate(GlitchModel::kMnaExact, s), std::invalid_argument);
-}
-
 /// Conservativeness sweep: on generated bus victims, Devgan must upper-
 /// bound the MNA golden; two-pi must stay within a sane conservative band.
 class Conservativeness : public ::testing::TestWithParam<int> {};
@@ -360,8 +351,9 @@ TEST(SynthesizeGlitch, ShapeMatchesEstimate) {
 
 TEST(SynthesizeGlitch, ZeroPeakIsFlat) {
   const spice::Waveform w = synthesize_glitch({}, 0.0, 0.3, 1 * PS, 0.1 * NS);
-  EXPECT_DOUBLE_EQ(w.max_value(), 0.3);
-  EXPECT_DOUBLE_EQ(w.min_value(), 0.3);
+  const auto [lo, hi] = std::ranges::minmax(w.samples());
+  EXPECT_DOUBLE_EQ(hi, 0.3);
+  EXPECT_DOUBLE_EQ(lo, 0.3);
 }
 
 TEST(SynthesizeGlitch, BadGridThrows) {

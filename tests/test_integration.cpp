@@ -11,6 +11,8 @@
 #include "spice/cluster.hpp"
 #include "spice/transient.hpp"
 #include "sta/sta.hpp"
+#include "text_io.hpp"
+#include "util/interval_ref.hpp"
 #include "util/units.hpp"
 
 namespace nw {
@@ -29,7 +31,8 @@ TEST(Integration, BusFullFlow) {
   // Round-trip parasitics through the SPEF format before analysis: the
   // exchange format must be analysis-lossless.
   const para::Parasitics para =
-      para::read_spef_string(para::write_spef_string(g.design, g.para), g.design);
+      textio::parsed(para::read_spef, textio::written(para::write_spef, g.design, g.para),
+                     g.design);
 
   const sta::Result timing = sta::run(g.design, para, g.sta_options);
   // Every wire switches.
@@ -47,7 +50,7 @@ TEST(Integration, BusFullFlow) {
   const auto mid = *g.design.find_net("w12");
   EXPECT_EQ(r.net(mid).aggressor_count, 4u);
   EXPECT_GT(r.net(mid).total_peak, 0.0);
-  EXPECT_TRUE(r.net(mid).window.valid_invariant());
+  EXPECT_TRUE(ref::valid_invariant(r.net(mid).window));
   // Edge wires see fewer aggressors. (Their per-aggressor glitch can be
   // *larger* — less quiet-neighbour grounding — so only counts compare.)
   const auto edge = *g.design.find_net("w0");
@@ -149,7 +152,7 @@ TEST(Integration, RandLogicEndToEnd) {
     EXPECT_EQ(r.endpoint_slacks.size(), r.endpoints_checked);
     for (const auto& nn : r.nets) {
       EXPECT_GE(nn.total_peak, 0.0);
-      EXPECT_TRUE(nn.window.valid_invariant());
+      EXPECT_TRUE(ref::valid_invariant(nn.window));
     }
   }
 }
@@ -159,7 +162,7 @@ TEST(Integration, LibraryRoundTripPreservesAnalysis) {
   // noise results (the .nlib format is analysis-lossless).
   const lib::Library lib_a = lib::default_library();
   const lib::Library lib_b =
-      lib::read_library_string(lib::write_library_string(lib_a));
+      textio::parsed(lib::read_library, textio::written(lib::write_library, lib_a));
 
   gen::BusConfig cfg;
   cfg.bits = 8;

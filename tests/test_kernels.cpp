@@ -23,6 +23,7 @@
 #include "noise/kernels.hpp"
 #include "sta/sta.hpp"
 #include "util/executor.hpp"
+#include "util/scan_ref.hpp"
 #include "util/scanline.hpp"
 #include "util/units.hpp"
 
@@ -323,7 +324,7 @@ Combined scalar_combine(std::span<const Contribution> cs, AnalysisMode mode,
   }
   const ScanResult scan = constraints.empty()
                               ? scan_max_overlap(items)
-                              : scan_max_overlap_grouped(items, groups);
+                              : ref::scan_max_overlap_grouped(items, groups);
   out.peak = scan.best_sum;
   out.alignment = scan.best_interval;
   out.active = scan.active;
@@ -521,6 +522,7 @@ TEST(FlatPathOracle, RandomDesignsMatchDefinitions) {
       const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
       Options o;
       o.clock_period = g.sta_options.clock_period;
+      ASSERT_EQ(o.model, GlitchModel::kTwoPi);  // the pair estimates below
       // Bus runs exercise the grouped scan: mutually exclusive neighbours.
       for (std::size_t b = 0; !logic && b + 2 < g.design.net_count(); b += 9) {
         const NetId group[] = {NetId{b}, NetId{b + 1}, NetId{b + 2}};
@@ -541,7 +543,7 @@ TEST(FlatPathOracle, RandomDesignsMatchDefinitions) {
           IntervalSet window;
           for (std::size_t i = 0; i < cs.size(); ++i) {
             if (cs[i].in_worst) in_worst.push_back(i);
-            window.add(cs[i].window);
+            for (const Interval& iv : cs[i].window.intervals()) window.add(iv);
           }
           expect_matches_oracle(nn.total_peak, nn.width, nn.worst_alignment, in_worst,
                                 oracle_items(cs, o.mode, Interval::everything(),
@@ -562,8 +564,8 @@ TEST(FlatPathOracle, RandomDesignsMatchDefinitions) {
             const NetId agg = ctx.agg_net[slot];
             const double fastest = timing.nets[agg.index()].slew_min;
             const double slew = std::max(fastest > 0.0 ? fastest : kDefaultSlew, 1e-12);
-            const GlitchEstimate e = estimate(
-                o.model, scenario_for(g.design, g.para, NetId{vi}, agg, slew, ctx.vdd));
+            const GlitchEstimate e = estimate_two_pi(
+                scenario_for(g.design, g.para, NetId{vi}, agg, slew, ctx.vdd));
             if (e.peak < kMinPeak) continue;
             const bool filtering = o.mode != AnalysisMode::kNoFiltering;
             const Interval sw{ctx.switch_lo[agg.index()], ctx.switch_hi[agg.index()]};

@@ -5,14 +5,15 @@
 #include <string>
 
 #include "library/liberty_io.hpp"
+#include "text_io.hpp"
 
 namespace nw::lib {
 namespace {
 
 TEST(LibertyIo, RoundTripDefaultLibrary) {
   const Library lib = default_library();
-  const std::string text = write_library_string(lib);
-  const Library back = read_library_string(text);
+  const std::string text = textio::written(write_library, lib);
+  const Library back = textio::parsed(read_library, text);
 
   EXPECT_EQ(back.name(), lib.name());
   EXPECT_DOUBLE_EQ(back.vdd(), lib.vdd());
@@ -54,8 +55,8 @@ TEST(LibertyIo, RoundTripDefaultLibrary) {
 
 TEST(LibertyIo, DoubleRoundTripIsIdentical) {
   const Library lib = default_library();
-  const std::string once = write_library_string(lib);
-  const std::string twice = write_library_string(read_library_string(once));
+  const std::string once = textio::written(write_library, lib);
+  const std::string twice = textio::written(write_library, textio::parsed(read_library, once));
   EXPECT_EQ(once, twice);
 }
 
@@ -66,7 +67,7 @@ TEST(LibertyIo, CommentsAndBlanksIgnored) {
       "library t vdd 1\n"
       "# another\n"
       "end_library\n";
-  const Library lib = read_library_string(text);
+  const Library lib = textio::parsed(read_library, text);
   EXPECT_EQ(lib.name(), "t");
   EXPECT_EQ(lib.size(), 0u);
 }
@@ -75,7 +76,7 @@ TEST(LibertyIo, CommentsAndBlanksIgnored) {
 /// `cell` replaced by `line`; `lineno` receives the edited line's number.
 std::string edit_default(const std::string& cell, const std::string& prefix,
                          const std::string& line, std::size_t& lineno) {
-  std::istringstream in(write_library_string(default_library()));
+  std::istringstream in(textio::written(write_library, default_library()));
   std::string out;
   std::string cur;
   std::string text;
@@ -94,12 +95,12 @@ std::string edit_default(const std::string& cell, const std::string& prefix,
 }
 
 TEST(LibertyIo, Errors) {
-  EXPECT_THROW((void)read_library_string("bogus\n"), std::runtime_error);
-  EXPECT_THROW((void)read_library_string("library t vdd 1\n"), std::runtime_error);
-  EXPECT_THROW((void)read_library_string("library t vdd 1\npin A input role none cap 0\n"),
+  EXPECT_THROW((void)textio::parsed(read_library, "bogus\n"), std::runtime_error);
+  EXPECT_THROW((void)textio::parsed(read_library, "library t vdd 1\n"), std::runtime_error);
+  EXPECT_THROW((void)textio::parsed(read_library, "library t vdd 1\npin A input role none cap 0\n"),
                std::runtime_error);
   EXPECT_THROW(
-      (void)read_library_string("library t vdd 1\ncell C kind bogus drive 1 holdres 1 "
+      (void)textio::parsed(read_library, "library t vdd 1\ncell C kind bogus drive 1 holdres 1 "
                                 "setup 0 holdt 0\nend_cell\nend_library\n"),
       std::runtime_error);
 
@@ -147,7 +148,7 @@ TEST(LibertyIo, Errors) {
     const std::size_t at = std::string(p.message) == "duplicate cell" ? lineno + 11 : lineno;
     const std::string where = "nlib line " + std::to_string(at) + ": ";
     try {
-      (void)read_library_string(text);
+      (void)textio::parsed(read_library, text);
       ADD_FAILURE() << "accepted";
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
@@ -156,7 +157,7 @@ TEST(LibertyIo, Errors) {
     }
   }
   try {
-    (void)read_library_string("library t vdd -1\nend_library\n");
+    (void)textio::parsed(read_library, "library t vdd -1\nend_library\n");
     ADD_FAILURE() << "negative vdd accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("nlib line 1: vdd must be >= 0"), std::string::npos)

@@ -72,7 +72,8 @@ TEST(RcNet, TreeDetection) {
 }
 
 TEST(RcNet, Lumped) {
-  const RcNet rc = RcNet::lumped(5e-15);
+  RcNet rc;  // a single-node net: the driver root carries the cap
+  rc.add_cap(0, 5e-15);
   EXPECT_EQ(rc.node_count(), 1u);
   EXPECT_DOUBLE_EQ(rc.total_ground_cap(), 5e-15);
   EXPECT_TRUE(rc.is_tree());
@@ -171,7 +172,8 @@ TEST(Elmore, NonTreeThrows) {
 }
 
 TEST(Moments, SingleNodeIsPureCap) {
-  const RcNet rc = RcNet::lumped(3e-15);
+  RcNet rc;
+  rc.add_cap(0, 3e-15);
   const AdmittanceMoments m = admittance_moments(rc);
   EXPECT_DOUBLE_EQ(m.m1, 3e-15);
   EXPECT_DOUBLE_EQ(m.m2, 0.0);

@@ -18,6 +18,7 @@
 #include "obs/profile.hpp"
 #include "obs/tracer.hpp"
 #include "sta/sta.hpp"
+#include "text_io.hpp"
 
 namespace nw {
 namespace {
@@ -175,7 +176,8 @@ TEST(ProfilerDeterminism, ByteIdenticalResultsAcrossRatesModesThreads) {
       obs::Profiler::stop();
       obs::Profiler::clear();
       const noise::Result ref = noise::analyze(g.design, g.para, timing, o);
-      const std::string ref_report = noise::report_string(g.design, o, ref);
+      const std::string ref_report =
+          textio::written(noise::write_report, g.design, o, ref, noise::ReportOptions{});
 
       for (const int hz : {97, 997}) {
         SCOPED_TRACE("hz=" + std::to_string(hz));
@@ -183,7 +185,8 @@ TEST(ProfilerDeterminism, ByteIdenticalResultsAcrossRatesModesThreads) {
         ASSERT_TRUE(obs::Profiler::start(hz));
         const noise::Result run = noise::analyze(g.design, g.para, timing, o);
         obs::Profiler::stop();
-        EXPECT_EQ(noise::report_string(g.design, o, run), ref_report);
+        EXPECT_EQ(textio::written(noise::write_report, g.design, o, run, noise::ReportOptions{}),
+                  ref_report);
       }
     }
   }

@@ -16,12 +16,6 @@ TEST(TextTable, AlignsColumns) {
   EXPECT_EQ(t.rows(), 2u);
 }
 
-TEST(TextTable, Csv) {
-  TextTable t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.csv(), "a,b\n1,2\n");
-}
-
 TEST(TextTable, Validation) {
   EXPECT_THROW(TextTable({}), std::invalid_argument);
   TextTable t({"a"});

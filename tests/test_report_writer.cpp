@@ -8,6 +8,7 @@
 #include "noise/delay_impact.hpp"
 #include "noise/report_writer.hpp"
 #include "sta/sta.hpp"
+#include "text_io.hpp"
 #include "util/units.hpp"
 
 namespace nw::noise {
@@ -38,7 +39,8 @@ struct Fixture {
 TEST(ReportWriter, ContainsSummaryAndTables) {
   const Fixture f;
   ASSERT_GT(f.result.violations.size(), 0u);
-  const std::string text = report_string(f.g.design, f.opt, f.result);
+  const std::string text =
+      textio::written(write_report, f.g.design, f.opt, f.result, ReportOptions{});
   EXPECT_NE(text.find("noisewin report"), std::string::npos);
   EXPECT_NE(text.find("mode: no-filtering"), std::string::npos);
   EXPECT_NE(text.find("violations: " + std::to_string(f.result.violations.size())),
@@ -64,7 +66,7 @@ TEST(ReportWriter, CapsRows) {
   opt.clock_period = g.sta_options.clock_period;
   const Result r = analyze(g.design, g.para, timing, opt);
   ASSERT_GT(r.violations.size(), kMaxViolationRows);
-  const std::string text = report_string(g.design, opt, r);
+  const std::string text = textio::written(write_report, g.design, opt, r, ReportOptions{});
   const std::string heading = "-- violations (worst slack first, showing " +
                               std::to_string(kMaxViolationRows) + " of " +
                               std::to_string(r.violations.size()) + ") --\n";
@@ -83,19 +85,20 @@ TEST(ReportWriter, CleanDesignHasNoViolationSection) {
   opt.mode = AnalysisMode::kNoiseWindows;  // pipeline glitches are early
   const Result clean = analyze(f.g.design, f.g.para, f.timing, opt);
   ASSERT_EQ(clean.violations.size(), 0u);
-  const std::string text = report_string(f.g.design, opt, clean);
+  const std::string text = textio::written(write_report, f.g.design, opt, clean, ReportOptions{});
   EXPECT_EQ(text.find("-- violations"), std::string::npos);
   EXPECT_NE(text.find("violations: 0"), std::string::npos);
 }
 
 TEST(ReportWriter, TelemetryFooterIsOptional) {
   const Fixture f;
-  const std::string without = report_string(f.g.design, f.opt, f.result);
+  const std::string without =
+      textio::written(write_report, f.g.design, f.opt, f.result, ReportOptions{});
   EXPECT_EQ(without.find("analysis stats"), std::string::npos);
 
   ReportOptions ropt;
   ropt.telemetry_footer = true;
-  const std::string with = report_string(f.g.design, f.opt, f.result, ropt);
+  const std::string with = textio::written(write_report, f.g.design, f.opt, f.result, ropt);
   // The footer is the write_stats rendering, appended verbatim.
   std::ostringstream expected;
   write_stats(expected, f.result.telemetry);

@@ -52,10 +52,12 @@ void expect_bit_identical(const noise::Result& a, const noise::Result& b) {
     EXPECT_EQ(x.width, y.width) << "net " << i;
     EXPECT_EQ(x.aggressor_count, y.aggressor_count) << "net " << i;
     EXPECT_EQ(x.filtered_temporal, y.filtered_temporal) << "net " << i;
-    ASSERT_EQ(x.window.count(), y.window.count()) << "net " << i;
-    for (std::size_t w = 0; w < x.window.count(); ++w) {
-      EXPECT_EQ(x.window[w].lo, y.window[w].lo);
-      EXPECT_EQ(x.window[w].hi, y.window[w].hi);
+    const auto xw = x.window.intervals();
+    const auto yw = y.window.intervals();
+    ASSERT_EQ(xw.size(), yw.size()) << "net " << i;
+    for (std::size_t w = 0; w < xw.size(); ++w) {
+      EXPECT_EQ(xw[w].lo, yw[w].lo);
+      EXPECT_EQ(xw[w].hi, yw[w].hi);
     }
     ASSERT_EQ(x.contributions.size(), y.contributions.size()) << "net " << i;
     for (std::size_t c = 0; c < x.contributions.size(); ++c) {
@@ -568,7 +570,9 @@ TEST(Session, TraceAndRequireValidation) {
                std::invalid_argument);
   const NetId w1 = s.require_net("w1");
   const noise::NoiseTrace tr = noise::trace_origin(s.result(), w1);  // any net
-  if (!tr.path.empty()) EXPECT_EQ(tr.path.front().net, w1);
+  if (!tr.path.empty()) {
+    EXPECT_EQ(tr.path.front().net, w1);
+  }
 }
 
 TEST(Session, ResourceGaugesTrackCacheAndJournal) {

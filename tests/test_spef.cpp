@@ -13,6 +13,7 @@
 #include "netlist/design.hpp"
 #include "netlist/verilog.hpp"
 #include "parasitics/spef.hpp"
+#include "text_io.hpp"
 #include "tools/cli.hpp"
 
 namespace nw::para {
@@ -59,8 +60,8 @@ struct Fixture {
 TEST(Spef, RoundTrip) {
   const Fixture f;
   const Parasitics p = f.make_para();
-  const std::string text = write_spef_string(f.design, p);
-  const Parasitics back = read_spef_string(text, f.design);
+  const std::string text = textio::written(write_spef, f.design, p);
+  const Parasitics back = textio::parsed(read_spef, text, f.design);
 
   ASSERT_EQ(back.net_count(), p.net_count());
   for (std::size_t i = 0; i < p.net_count(); ++i) {
@@ -82,27 +83,27 @@ TEST(Spef, RoundTrip) {
 TEST(Spef, DoubleRoundTripIsIdentical) {
   const Fixture f;
   const Parasitics p = f.make_para();
-  const std::string once = write_spef_string(f.design, p);
+  const std::string once = textio::written(write_spef, f.design, p);
   const std::string twice =
-      write_spef_string(f.design, read_spef_string(once, f.design));
+      textio::written(write_spef, f.design, textio::parsed(read_spef, once, f.design));
   EXPECT_EQ(once, twice);
 }
 
 TEST(Spef, ParseErrors) {
   const Fixture f;
-  EXPECT_THROW((void)read_spef_string("", f.design), std::runtime_error);
-  EXPECT_THROW((void)read_spef_string("*NET na 2\n*END\n", f.design),
+  EXPECT_THROW((void)textio::parsed(read_spef, "", f.design), std::runtime_error);
+  EXPECT_THROW((void)textio::parsed(read_spef, "*NET na 2\n*END\n", f.design),
                std::runtime_error);  // missing header
   EXPECT_THROW(
-      (void)read_spef_string("*NWSPEF 1\n*NET bogus 2\n*ENDNET\n*END\n", f.design),
+      (void)textio::parsed(read_spef, "*NWSPEF 1\n*NET bogus 2\n*ENDNET\n*END\n", f.design),
       std::runtime_error);
   EXPECT_THROW(
-      (void)read_spef_string("*NWSPEF 1\n*NET na 2\n*P 1 nosuch/PIN\n*ENDNET\n*END\n",
+      (void)textio::parsed(read_spef, "*NWSPEF 1\n*NET na 2\n*P 1 nosuch/PIN\n*ENDNET\n*END\n",
                              f.design),
       std::runtime_error);
-  EXPECT_THROW((void)read_spef_string("*NWSPEF 1\n*C 0 1e-15\n*END\n", f.design),
+  EXPECT_THROW((void)textio::parsed(read_spef, "*NWSPEF 1\n*C 0 1e-15\n*END\n", f.design),
                std::runtime_error);  // *C outside net
-  EXPECT_THROW((void)read_spef_string("*NWSPEF 1\n*NET na 1\n", f.design),
+  EXPECT_THROW((void)textio::parsed(read_spef, "*NWSPEF 1\n*NET na 1\n", f.design),
                std::runtime_error);  // missing *END
 }
 
@@ -110,7 +111,7 @@ TEST(Spef, ParseErrors) {
 void expect_fails_at_line(const std::string& text, const net::Design& design,
                           std::size_t line) {
   try {
-    (void)read_spef_string(text, design);
+    (void)textio::parsed(read_spef, text, design);
     ADD_FAILURE() << "expected a parse error at line " << line;
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line) + ":"),
@@ -146,7 +147,7 @@ TEST(Spef, Errors) {
   gen::BusConfig cfg;
   cfg.bits = 8;
   const gen::Generated g = gen::make_bus(library, cfg);
-  const std::string good = write_spef_string(g.design, g.para);
+  const std::string good = textio::written(write_spef, g.design, g.para);
 
   std::string text = good;
   expect_fails_at_line(text, g.design, replace_last_token(text, "*CC ", "nan"));
@@ -179,8 +180,8 @@ TEST(Spef, Errors) {
   const auto lib_path = (dir / "lib.nlib").string();
   const auto nv_path = (dir / "top.nv").string();
   const auto spef_path = (dir / "top.nwspef").string();
-  std::ofstream(lib_path) << lib::write_library_string(library);
-  std::ofstream(nv_path) << net::write_netlist_string(g.design);
+  std::ofstream(lib_path) << textio::written(lib::write_library, library);
+  std::ofstream(nv_path) << textio::written(net::write_netlist, g.design);
   std::ofstream(spef_path) << text;
   std::ostringstream out;
   std::ostringstream err;
@@ -201,9 +202,10 @@ TEST(Spef, PortHeavyRoundTripIsIdentical) {
   const lib::Library library = lib::default_library();
   const gen::Generated g = gen::make_rand_logic(library, bench::logic_config(20000));
   ASSERT_GT(g.design.output_ports().size(), 2000u);
-  const std::string text = write_spef_string(g.design, g.para);
-  const net::Design back = net::read_netlist_string(net::write_netlist_string(g.design), library);
-  EXPECT_EQ(write_spef_string(back, read_spef_string(text, back)), text);
+  const std::string text = textio::written(write_spef, g.design, g.para);
+  const net::Design back =
+      textio::parsed(net::read_netlist, textio::written(net::write_netlist, g.design), library);
+  EXPECT_EQ(textio::written(write_spef, back, textio::parsed(read_spef, text, back)), text);
 }
 
 TEST(Spef, ResolvesPortsAndInstancePins) {
@@ -217,7 +219,7 @@ TEST(Spef, ResolvesPortsAndInstancePins) {
       "*R 0 1 10\n"
       "*ENDNET\n"
       "*END\n";
-  const Parasitics p = read_spef_string(text, f.design);
+  const Parasitics p = textio::parsed(read_spef, text, f.design);
   const RcNet& rc = p.net(f.a);
   EXPECT_EQ(rc.node_count(), 2u);
   EXPECT_EQ(f.design.pin_name(rc.node(1).pin), "g1/A");

@@ -20,7 +20,8 @@ TEST(Pwl, RampAndPulse) {
   EXPECT_DOUBLE_EQ(r.at(1.5e-9), 1.0);
   EXPECT_DOUBLE_EQ(r.at(5e-9), 2.0);
 
-  const Pwl p = Pwl::pulse(0.0, 1e-9, 2e-9, 0.0, 1.0);
+  // Up in 1 ns, hold 2 ns, down in 1 ns.
+  const Pwl p({{0.0, 0.0}, {1e-9, 1.0}, {3e-9, 1.0}, {4e-9, 0.0}});
   EXPECT_DOUBLE_EQ(p.at(0.5e-9), 0.5);
   EXPECT_DOUBLE_EQ(p.at(2e-9), 1.0);
   EXPECT_DOUBLE_EQ(p.at(10e-9), 0.0);

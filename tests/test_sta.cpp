@@ -258,8 +258,7 @@ TEST_F(StaTest, ChainDelaysAccumulate) {
   EXPECT_TRUE(r.net(n2).switches());
   // One PO endpoint with positive slack at a relaxed period.
   ASSERT_EQ(r.endpoints.size(), 1u);
-  EXPECT_GT(r.endpoints[0].slack(), 0.0);
-  EXPECT_GT(r.worst_slack(), 0.0);
+  EXPECT_GT(r.endpoints[0].required - r.endpoints[0].arrival, 0.0);
 }
 
 TEST_F(StaTest, InputArrivalWindowPropagates) {
@@ -471,8 +470,13 @@ TEST_F(StaTest, EndpointSlackRespondsToPeriod) {
   const Result relaxed = run(g.design, g.para, o);
   o.clock_period = 0.2e-9;
   const Result tight = run(g.design, g.para, o);
-  EXPECT_GT(relaxed.worst_slack(), tight.worst_slack());
-  EXPECT_LT(tight.worst_slack(), 0.0);  // 200 ps is infeasible here
+  const auto worst_slack = [](const Result& r) {
+    double w = 1e30;
+    for (const Endpoint& e : r.endpoints) w = std::min(w, e.required - e.arrival);
+    return w;
+  };
+  EXPECT_GT(worst_slack(relaxed), worst_slack(tight));
+  EXPECT_LT(worst_slack(tight), 0.0);  // 200 ps is infeasible here
 }
 
 TEST_F(StaTest, UnreachedNetsDoNotSwitch) {

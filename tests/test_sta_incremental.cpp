@@ -246,7 +246,7 @@ TEST_F(StaIncrementalTest, ArcLessSwapMovesTheSweepTwoSeeds) {
   // is no load of an edited net — must leave the sweep-2 seeds; swapping
   // back must restore it.
   lib::Library library = lib::default_library();
-  lib::Cell open = library.require("BUF_X1");
+  lib::Cell open = library.cell(library.find("BUF_X1").value());
   open.name = "BUF_OPEN";
   open.arcs.clear();
   library.add_cell(open);

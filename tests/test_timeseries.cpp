@@ -16,6 +16,7 @@
 #include "obs/timeseries.hpp"
 #include "session/stats_json.hpp"
 #include "sta/sta.hpp"
+#include "text_io.hpp"
 #include "util/units.hpp"
 
 namespace nw {
@@ -26,11 +27,8 @@ TEST(TimeSeriesRing, WrapsAtCapacityKeepingNewestOldestFirst) {
   for (int i = 0; i < 6; ++i) {
     ring.record(static_cast<double>(i), {static_cast<double>(i), 10.0 + i});
   }
-  EXPECT_EQ(ring.total(), 6u);
-  EXPECT_EQ(ring.size(), 4u);  // bounded: only capacity samples retained
-
   const obs::TimeSeriesSnapshot snap = ring.snapshot();
-  ASSERT_EQ(snap.samples.size(), 4u);
+  ASSERT_EQ(snap.samples.size(), 4u);  // bounded: only capacity samples retained
   EXPECT_EQ(snap.total, 6u);
   EXPECT_EQ(snap.capacity, 4u);
   ASSERT_EQ(snap.series.size(), 2u);
@@ -82,7 +80,6 @@ TEST(TimeSeriesRing, SnapshotJsonCarriesStructure) {
 TEST(RotatingQuantile, OldObservationsExpireAfterFullRotation) {
   obs::RotatingQuantile rq({1, 10, 100}, 4);
   for (int i = 0; i < 50; ++i) rq.observe(50.0);  // lands in (10, 100]
-  EXPECT_EQ(rq.count(), 50u);
   EXPECT_GT(rq.quantile(0.5), 10.0);
   EXPECT_LE(rq.quantile(0.5), 100.0);
 
@@ -90,15 +87,16 @@ TEST(RotatingQuantile, OldObservationsExpireAfterFullRotation) {
   rq.rotate();
   rq.rotate();
   rq.rotate();
-  EXPECT_EQ(rq.count(), 50u);
+  EXPECT_GT(rq.quantile(0.5), 10.0);
+  EXPECT_LE(rq.quantile(0.5), 100.0);
   // Fourth rotation clears the sub-window that held them.
   rq.rotate();
-  EXPECT_EQ(rq.count(), 0u);
   EXPECT_DOUBLE_EQ(rq.quantile(0.5), 0.0);
 
   // New observations land in the (recycled) current window.
   rq.observe(5.0);
-  EXPECT_EQ(rq.count(), 1u);
+  EXPECT_GT(rq.quantile(0.5), 1.0);
+  EXPECT_LE(rq.quantile(0.5), 10.0);
 }
 
 TEST(RotatingQuantile, MergesAcrossLiveWindows) {
@@ -106,7 +104,6 @@ TEST(RotatingQuantile, MergesAcrossLiveWindows) {
   rq.observe(0.5);
   rq.rotate();
   rq.observe(8.0);
-  EXPECT_EQ(rq.count(), 2u);
   // Median of {0.5, 8.0} interpolates somewhere above the first bucket.
   EXPECT_GT(rq.quantile(0.95), 5.0);
   EXPECT_LE(rq.quantile(0.95), 10.0);
@@ -118,27 +115,25 @@ TEST(Sampler, StartStopAreIdempotentAndBounded) {
   obs::Sampler sampler(
       ring, [&] { return std::vector<double>{static_cast<double>(++calls)}; },
       5);
-  EXPECT_FALSE(sampler.running());
+  const auto total = [&] { return ring.snapshot().total; };
+  EXPECT_EQ(total(), 0u);  // constructing does not start
   sampler.start();
-  EXPECT_TRUE(sampler.running());
-  sampler.start();  // second start is a no-op, not a second thread
-  EXPECT_TRUE(sampler.running());
   // The first sample is recorded synchronously at start (t = 0).
-  EXPECT_GE(ring.total(), 1u);
+  EXPECT_GE(total(), 1u);
+  sampler.start();  // second start is a no-op, not a second thread
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   sampler.stop();
-  EXPECT_FALSE(sampler.running());
-  const std::uint64_t after_stop = ring.total();
+  const std::uint64_t after_stop = total();
   sampler.stop();  // idempotent
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(ring.total(), after_stop);  // no straggler ticks after join
+  EXPECT_EQ(total(), after_stop);  // no straggler ticks after join
   const obs::TimeSeriesSnapshot snap = ring.snapshot();
   for (std::size_t i = 1; i < snap.samples.size(); ++i) {
     EXPECT_GE(snap.samples[i].t_ms, snap.samples[i - 1].t_ms);
   }
-  // Restart works after stop.
+  // Restart works after stop: it records its synchronous first sample.
   sampler.start();
-  EXPECT_TRUE(sampler.running());
+  EXPECT_GT(total(), after_stop);
   sampler.stop();
 }
 
@@ -156,7 +151,8 @@ TEST(Sampler, AnalysisIsByteIdenticalWithSamplingOnOrOff) {
   o.clock_period = g.sta_options.clock_period;
 
   const noise::Result quiet = noise::analyze(g.design, g.para, timing, o);
-  const std::string quiet_report = noise::report_string(g.design, o, quiet);
+  const std::string quiet_report =
+      textio::written(noise::write_report, g.design, o, quiet, noise::ReportOptions{});
 
   obs::TimeSeriesRing ring({"tick"}, 64);
   obs::Sampler sampler(
@@ -164,7 +160,8 @@ TEST(Sampler, AnalysisIsByteIdenticalWithSamplingOnOrOff) {
   sampler.start();
   const noise::Result sampled = noise::analyze(g.design, g.para, timing, o);
   sampler.stop();
-  const std::string sampled_report = noise::report_string(g.design, o, sampled);
+  const std::string sampled_report =
+      textio::written(noise::write_report, g.design, o, sampled, noise::ReportOptions{});
 
   EXPECT_EQ(quiet_report, sampled_report);
   EXPECT_EQ(quiet.violations.size(), sampled.violations.size());

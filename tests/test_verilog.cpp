@@ -11,6 +11,7 @@
 #include "netlist/verilog.hpp"
 #include "noise/report_writer.hpp"
 #include "parasitics/spef.hpp"
+#include "text_io.hpp"
 
 namespace nw::net {
 namespace {
@@ -31,8 +32,8 @@ TEST_F(VerilogTest, RoundTripSmallDesign) {
   d.connect(g, "Y", y);
   d.add_output_port("out", y, 7e-15);
 
-  const std::string text = write_netlist_string(d);
-  const Design back = read_netlist_string(text, library_);
+  const std::string text = textio::written(write_netlist, d);
+  const Design back = textio::parsed(read_netlist, text, library_);
 
   EXPECT_EQ(back.name(), "rt");
   EXPECT_EQ(back.net_count(), d.net_count());
@@ -51,15 +52,16 @@ TEST_F(VerilogTest, RoundTripSmallDesign) {
 
 TEST_F(VerilogTest, DoubleRoundTripIsIdentical) {
   gen::Generated g = gen::make_rand_logic(library_, {});
-  const std::string once = write_netlist_string(g.design);
+  const std::string once = textio::written(write_netlist, g.design);
   const std::string twice =
-      write_netlist_string(read_netlist_string(once, library_));
+      textio::written(write_netlist, textio::parsed(read_netlist, once, library_));
   EXPECT_EQ(once, twice);
 }
 
 TEST_F(VerilogTest, RoundTripSequentialDesign) {
   gen::Generated g = gen::make_pipeline(library_, {});
-  const Design back = read_netlist_string(write_netlist_string(g.design), library_);
+  const Design back =
+      textio::parsed(read_netlist, textio::written(write_netlist, g.design), library_);
   EXPECT_EQ(back.sequentials().size(), g.design.sequentials().size());
   EXPECT_TRUE(back.lint().empty());
   EXPECT_NO_THROW((void)back.topological_order());
@@ -73,14 +75,14 @@ TEST_F(VerilogTest, CommentsAndBlankLines) {
       "input i n0\n"
       "output o n0\n"
       "endmodule\n";
-  const Design d = read_netlist_string(text, library_);
+  const Design d = textio::parsed(read_netlist, text, library_);
   EXPECT_EQ(d.net_count(), 1u);
   EXPECT_EQ(d.input_ports().size(), 1u);
 }
 
 TEST_F(VerilogTest, Errors) {
   auto expect_fail = [&](const std::string& text) {
-    EXPECT_THROW((void)read_netlist_string(text, library_), std::runtime_error) << text;
+    EXPECT_THROW((void)textio::parsed(read_netlist, text, library_), std::runtime_error) << text;
   };
   expect_fail("");                                       // no module
   expect_fail("module t\n");                             // missing endmodule
@@ -112,7 +114,7 @@ TEST_F(VerilogTest, DoubleDriverFailsWithLineNumber) {
       "inst g2 INV_X1 Y=w\n"
       "endmodule\n";
   try {
-    (void)read_netlist_string(text, library_);
+    (void)textio::parsed(read_netlist, text, library_);
     FAIL() << "expected throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos) << e.what();
@@ -129,15 +131,17 @@ TEST_F(VerilogTest, FileRoundTripKeepsNetIdsAndReport) {
     cfg.seed = seed;
     const gen::Generated g = gen::make_rand_logic(library_, cfg);
 
-    const lib::Library lib_back = lib::read_library_string(lib::write_library_string(library_));
-    const Design back = read_netlist_string(write_netlist_string(g.design), lib_back);
+    const lib::Library lib_back =
+        textio::parsed(lib::read_library, textio::written(lib::write_library, library_));
+    const Design back =
+        textio::parsed(read_netlist, textio::written(write_netlist, g.design), lib_back);
     ASSERT_EQ(back.net_count(), g.design.net_count()) << "seed " << seed;
     for (std::size_t i = 0; i < back.net_count(); ++i) {
       ASSERT_EQ(back.net(NetId{i}).name, g.design.net(NetId{i}).name)
           << "seed " << seed << " net " << i;
     }
     const para::Parasitics para_back =
-        para::read_spef_string(para::write_spef_string(g.design, g.para), back);
+        textio::parsed(para::read_spef, textio::written(para::write_spef, g.design, g.para), back);
 
     noise::Options opt;
     opt.mode = noise::AnalysisMode::kNoiseWindows;
