@@ -74,9 +74,6 @@ class TimeSeriesRing {
   [[nodiscard]] TimeSeriesSnapshot snapshot(std::size_t last_n = 0) const;
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] const std::vector<std::string>& series() const noexcept {
-    return series_;
-  }
 
   /// Recorded into snapshots for consumers; set by the sampler.
   void set_interval_ms(int interval_ms);
@@ -105,7 +102,6 @@ class RotatingQuantile {
   /// Quantile over all live sub-windows (0 when empty). Interpolated via
   /// histogram_quantile; min/max are tracked per sub-window horizon.
   [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] std::size_t windows() const noexcept { return wins_.size(); }
 
  private:
   struct Window {
@@ -141,7 +137,6 @@ class Sampler {
   /// Records one sample immediately (t=0), then one per interval.
   void start();
   void stop();
-  [[nodiscard]] int interval_ms() const noexcept { return interval_ms_; }
 
  private:
   void loop();

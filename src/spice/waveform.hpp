@@ -21,7 +21,6 @@ class Waveform {
   [[nodiscard]] double time_at(std::size_t i) const noexcept {
     return t0_ + dt_ * static_cast<double>(i);
   }
-  [[nodiscard]] double sample(std::size_t i) const { return samples_.at(i); }
   [[nodiscard]] std::span<const double> samples() const noexcept { return samples_; }
 
   /// Linear interpolation at time t (clamped to the ends).

@@ -107,12 +107,16 @@ def demangle(names):
 
 
 def require_symbol_flags(build: Path):
+    """Exit unless `build` compiles and links with SYMBOL_FLAGS."""
     cache = build / "CMakeCache.txt"
     if not cache.is_file():
         sys.exit(f"check_src_reach: {build} is not a CMake build directory")
-    flags = " ".join(line.split("=", 1)[1] for line in cache.read_text().splitlines()
-                     if re.match(r"CMAKE_(CXX_FLAGS|EXE_LINKER_FLAGS)\w*:", line))
-    missing = [f for f in SYMBOL_FLAGS if not any(f in word for word in flags.split())]
+    entries = dict(re.findall(r"^(\w+):\w+=(.*)$", cache.read_text(), re.MULTILINE))
+    kind = entries.get("CMAKE_BUILD_TYPE", "").upper()
+    words = " ".join(entries.get(key + suffix, "")
+                     for key in ("CMAKE_CXX_FLAGS", "CMAKE_EXE_LINKER_FLAGS")
+                     for suffix in ("", "_" + kind)).split()
+    missing = [f for f in SYMBOL_FLAGS if not any(f in word for word in words)]
     if missing:
         sys.exit(f"check_src_reach: {build} was not configured with {' '.join(missing)}; "
                  "dead functions would stay linked")
