@@ -30,7 +30,7 @@ int main() {
   // 1. A generated standard-cell library (see DESIGN.md: substitution for
   //    proprietary liberty data).
   const lib::Library library = lib::default_library();
-  std::cout << "library '" << library.name() << "' with " << library.size()
+  std::cout << "library '" << library.name() << "' with " << library.cells().size()
             << " cells, vdd = " << library.vdd() << " V\n\n";
 
   // 2. The design: in0 -> w0 -> INV -> out0, in1 -> w1 -> INV -> out1.

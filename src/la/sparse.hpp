@@ -52,9 +52,6 @@ class SparseMatrix {
  public:
   explicit SparseMatrix(const TripletBuilder& b);
 
-  [[nodiscard]] std::size_t dim() const noexcept { return n_; }
-  [[nodiscard]] std::size_t nonzeros() const noexcept { return vals_.size(); }
-
   /// The CSR arrays: row r's entries are [row_ptr[r], row_ptr[r+1]) of
   /// col (ascending) and val.
   struct Csr {

@@ -50,10 +50,6 @@ struct NoiseImmunity {
   [[nodiscard]] double threshold(double width) const {
     return threshold_vs_width.lookup(width);
   }
-  /// Noise slack: threshold(width) - peak. Negative means a violation.
-  [[nodiscard]] double slack(double peak, double width) const {
-    return threshold(width) - peak;
-  }
 };
 
 /// Noise transfer through a cell: for an input glitch (peak [V], width [s]),
@@ -90,19 +86,6 @@ struct Cell {
       if (pins[i].name == pin_name) return i;
     }
     return std::nullopt;
-  }
-
-  [[nodiscard]] std::optional<std::size_t> output_pin() const {
-    for (std::size_t i = 0; i < pins.size(); ++i) {
-      if (pins[i].dir == PinDir::kOutput) return i;
-    }
-    return std::nullopt;
-  }
-
-  [[nodiscard]] std::size_t input_count() const noexcept {
-    std::size_t n = 0;
-    for (const auto& p : pins) n += (p.dir == PinDir::kInput) ? 1 : 0;
-    return n;
   }
 
   [[nodiscard]] bool is_sequential() const noexcept {

@@ -42,7 +42,6 @@ class Library {
   /// Add a cell; throws std::invalid_argument on duplicate name.
   std::size_t add_cell(Cell cell);
 
-  [[nodiscard]] std::size_t size() const noexcept { return cells_.size(); }
   [[nodiscard]] const Cell& cell(std::size_t i) const { return cells_.at(i); }
   [[nodiscard]] const std::vector<Cell>& cells() const noexcept { return cells_; }
 

@@ -14,7 +14,6 @@
 
 #include "obs/log.hpp"
 #include "obs/memtrack.hpp"
-#include "obs/profile.hpp"
 #include "obs/resource.hpp"
 #include "obs/tracer.hpp"
 #include "session/json.hpp"
@@ -234,7 +233,6 @@ void Daemon::reader_loop(Connection& conn) {
 void Daemon::serve_connection(Connection& conn) {
   const std::string name = "conn-" + std::to_string(conn.id);
   obs::Tracer::set_thread_name(name);
-  obs::profile_set_thread_name(name);
   obs::set_log_connection(conn.id);
   try {
     session::Session session(design_, para_, cfg_.session);

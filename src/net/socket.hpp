@@ -57,7 +57,6 @@ class Listener {
   /// hard accept errors other than the benign transient ones.
   [[nodiscard]] int accept(int timeout_ms);
 
-  [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }
   [[nodiscard]] const Endpoint& bound_endpoint() const noexcept { return bound_; }
 
   void close();

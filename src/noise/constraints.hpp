@@ -23,7 +23,6 @@ namespace nw::noise {
 class Constraints {
  public:
   [[nodiscard]] bool empty() const noexcept { return group_of_.empty(); }
-  [[nodiscard]] int group_count() const noexcept { return next_group_; }
 
   /// Every (net value, group) assignment, sorted by net — a deterministic
   /// enumeration for digests and serialization.

@@ -31,8 +31,6 @@ struct DelayImpactSummary {
   double total_delta = 0.0;       ///< sum over nets [s]
   double max_delta = 0.0;         ///< worst single net [s]
   std::size_t affected_nets = 0;  ///< nets with non-zero impact
-
-  [[nodiscard]] const DelayImpact& net(NetId id) const { return nets.at(id.index()); }
 };
 
 /// Compute per-net delay impact from an existing noise Result. The victim

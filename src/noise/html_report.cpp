@@ -247,22 +247,22 @@ void write_executor(std::ostream& os, const Result& r) {
   os << "</section>\n";
 }
 
-/// Prefix-tree of sampled stacks; map keys give a deterministic layout.
+/// Prefix-tree of folded stacks; map keys give a deterministic layout.
 struct FlameNode {
   std::map<std::string, FlameNode> kids;
-  std::uint64_t total = 0;  ///< samples in this frame or deeper
+  std::uint64_t total = 0;  ///< microseconds in this frame or deeper
 };
 
-void flame_insert(FlameNode& root, std::string_view stack, std::uint64_t count) {
+void flame_insert(FlameNode& root, std::string_view stack, std::uint64_t us) {
   FlameNode* node = &root;
-  node->total += count;
+  node->total += us;
   while (!stack.empty()) {
     const std::size_t sep = stack.find(';');
     const std::string_view frame =
         sep == std::string_view::npos ? stack : stack.substr(0, sep);
     stack = sep == std::string_view::npos ? std::string_view{} : stack.substr(sep + 1);
     node = &node->kids[std::string(frame)];
-    node->total += count;
+    node->total += us;
   }
 }
 
@@ -287,7 +287,7 @@ void flame_rects(std::ostream& os, const FlameNode& node, double x, double width
       os << "<g><rect x=\"" << report::fmt_fixed(cx, 1) << "\" y=\"" << depth * kRow
          << "\" width=\"" << report::fmt_fixed(w, 1) << "\" height=\"" << kRow - 1.0
          << "\" fill=\"" << kFills[h % (sizeof kFills / sizeof kFills[0])]
-         << "\"><title>" << html_escape(name) << " — " << kid.total << " samples ("
+         << "\"><title>" << html_escape(name) << " — " << kid.total << " µs ("
          << p.str() << "%)</title></rect>\n";
       if (w >= 40.0) {
         os << "<text class=\"flabel\" x=\"" << report::fmt_fixed(cx + 3.0, 1)
@@ -310,24 +310,24 @@ int flame_depth(const FlameNode& node) {
 }
 
 void write_flame(std::ostream& os, const std::vector<obs::FoldedEntry>& profile) {
-  os << "<section id=\"flame\">\n<h2>Sampled span stacks (flamegraph)</h2>\n";
+  os << "<section id=\"flame\">\n<h2>Span stacks (flamegraph)</h2>\n";
   std::uint64_t total = 0;
   FlameNode root;
   for (const obs::FoldedEntry& e : profile) {
-    flame_insert(root, e.stack, e.count);
-    total += e.count;
+    flame_insert(root, e.stack, e.us);
+    total += e.us;
   }
   if (total == 0) {
-    os << "<p>Profiling disabled — rerun with <code>--profile-out FILE "
-       << "--profile-hz 97</code> to capture span-stack samples.</p>\n"
+    os << "<p>Profiling disabled — rerun with <code>--profile-out FILE</code> "
+       << "to fold span time into stacks.</p>\n"
        << "</section>\n";
     return;
   }
   static constexpr double kWidth = 860.0;
   const int depth = flame_depth(root);
   const double height = depth * 17.0 + 4.0;
-  os << "<p class=\"legend\">" << total << " samples; frame width is the share "
-     << "of samples in that span stack (hover for counts).</p>\n";
+  os << "<p class=\"legend\">" << total << " µs; frame width is the share of "
+     << "time in that span and the spans below it (hover for µs).</p>\n";
   os << "<svg width=\"" << kWidth << "\" height=\"" << report::fmt_fixed(height, 1)
      << "\" viewBox=\"0 0 " << kWidth << " " << report::fmt_fixed(height, 1)
      << "\">\n";

@@ -25,7 +25,7 @@
 namespace nw::noise {
 
 struct HtmlReportOptions {
-  /// Collapsed-stack samples for the #flame panel (obs::Profiler::snapshot).
+  /// Folded span stacks for the #flame panel (obs::Profiler::snapshot).
   /// Empty = profiling off; the panel renders a "profiling disabled" note.
   std::vector<obs::FoldedEntry> profile;
   /// Telemetry ring snapshot for the #live panel (one sparkline per series).

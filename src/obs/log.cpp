@@ -6,6 +6,8 @@
 #include <mutex>
 #include <string>
 
+#include "obs/tracer.hpp"
+
 namespace nw::obs {
 
 namespace detail {
@@ -16,9 +18,9 @@ namespace {
 std::mutex g_sink_mutex;
 std::ostream* g_sink = nullptr;  ///< nullptr = std::cerr
 
-// Per-thread origin labels; plain thread_locals, read only by the owning
-// thread when it assembles a line.
-thread_local std::string t_thread_label;
+// Per-thread connection label; a plain thread_local, read only by the
+// owning thread when it assembles a line. The thread's name comes from
+// Tracer::set_thread_name (detail::thread_name()).
 thread_local std::uint64_t t_conn_id = 0;
 
 /// "[HH:MM:SS.mmm] " from the wall clock (local time, same as an operator's
@@ -63,10 +65,6 @@ void set_log_sink(std::ostream* os) noexcept {
   g_sink = os;
 }
 
-void set_log_thread_name(std::string_view name) {
-  t_thread_label.assign(name);
-}
-
 void set_log_connection(std::uint64_t id) noexcept { t_conn_id = id; }
 
 namespace detail {
@@ -78,9 +76,9 @@ LogLine::~LogLine() {
   line += "[nw:";
   line += to_string(level_);
   line += "]";
-  if (!t_thread_label.empty()) {
+  if (const std::string& thread = detail::thread_name(); !thread.empty()) {
     line += " [";
-    line += t_thread_label;
+    line += thread;
     line += "]";
   }
   if (t_conn_id != 0) {

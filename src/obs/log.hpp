@@ -49,11 +49,6 @@ void set_log_level(LogLevel l) noexcept;
 /// stream alive while it is installed.
 void set_log_sink(std::ostream* os) noexcept;
 
-/// Label the calling thread's log lines (e.g. "conn-3"). Empty clears.
-/// Tracer::set_thread_name forwards here, so one call names the trace
-/// track, the profiler root frame, and the log origin together.
-void set_log_thread_name(std::string_view name);
-
 /// Attribute the calling thread's log lines to a daemon connection
 /// (0 clears). Lines render "... [conn N] ..." while set, which is what
 /// ties a slow-request warning back to the client that sent it.

@@ -1,14 +1,11 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/tracer.hpp"
@@ -17,127 +14,88 @@ namespace nw::obs {
 
 namespace {
 
-constexpr std::size_t kMaxDepth = 32;  ///< frames beyond this are dropped
-constexpr std::size_t kMaxFrame = 64;  ///< bytes per frame (NUL-truncated)
+/// Folded stacks below a root: ";frame;frame..." -> self nanoseconds.
+using FoldedNs = std::unordered_map<std::string, std::int64_t>;
 
-/// Per-thread active-frame stack. The owner thread mutates it (push/pop);
-/// the ticker reads it under the seqlock protocol described in the header.
-/// Registered once per thread and kept alive by the registry after the
-/// thread exits (an exited thread's stack is empty, so it samples as
-/// nothing).
-struct FrameStack {
-  std::atomic<std::uint32_t> seq{0};  ///< odd while a push is mutating frames
-  std::atomic<std::int32_t> depth{0};
-  char frames[kMaxDepth][kMaxFrame];
-  std::mutex name_mutex;
-  std::string name;  ///< root frame; "thread <tid>" until set
-  int tid = 0;
-};
-
-struct StackRegistry {
+/// One thread's call tree, stored flat: one entry per distinct stack, keyed
+/// by its frame path. Only the owner thread touches `path` and `open`;
+/// `mutex` guards `name` and `self_ns` against snapshot(), start() and
+/// renames from other threads.
+struct ThreadTree {
+  struct Open {
+    std::size_t path_len;  ///< `path` length before this frame was pushed
+    std::int64_t child_ns;  ///< summed durations of closed child spans
+  };
   std::mutex mutex;
-  std::vector<std::shared_ptr<FrameStack>> stacks;
-  int next_tid = 0;
+  std::string name;  ///< root frame
+  FoldedNs self_ns;
+  std::string path;  ///< the open frames, each prefixed by ';'
+  std::vector<Open> open;
 };
 
-StackRegistry& stack_registry() {
-  static StackRegistry* r = new StackRegistry;  // leaked: threads may push at exit
+struct Registry {
+  std::mutex mutex;  ///< guards everything below; taken before a tree's mutex
+  std::vector<ThreadTree*> live;
+  FoldedNs exited;  ///< full stacks (root included) of exited threads
+  int next_tid = 0;  ///< numbers unnamed threads' roots
+};
+
+Registry& registry() {
+  static Registry* r = new Registry;  // leaked: threads may fold at exit
   return *r;
 }
 
-FrameStack& local_stack() {
-  thread_local std::shared_ptr<FrameStack> tl_stack = [] {
-    auto fs = std::make_shared<FrameStack>();
-    StackRegistry& reg = stack_registry();
+/// Owns the calling thread's tree; at thread exit folds it into the
+/// registry's exited map and frees it.
+struct LocalTree {
+  std::unique_ptr<ThreadTree> tree;
+  ~LocalTree() {
+    if (!tree) return;
+    Registry& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    fs->tid = reg.next_tid++;
-    fs->name = "thread " + std::to_string(fs->tid);
-    reg.stacks.push_back(fs);
-    return fs;
-  }();
-  return *tl_stack;
-}
-
-/// Ticker state. Leaked for the same reason as the registries.
-struct ProfState {
-  std::mutex mutex;  ///< guards everything below plus `counts`
-  std::map<std::string, std::uint64_t> counts;  ///< folded stack -> samples
-  std::thread ticker;
-  std::atomic<bool> run{false};
-  int hz = 0;
-  std::uint64_t samples = 0;
-  std::uint64_t torn = 0;
+    reg.live.erase(std::find(reg.live.begin(), reg.live.end(), tree.get()));
+    for (const auto& [stack, ns] : tree->self_ns) reg.exited[tree->name + stack] += ns;
+  }
 };
 
-ProfState& prof() {
-  static ProfState* p = new ProfState;
-  return *p;
-}
+thread_local LocalTree t_tree;
 
-/// One seqlock read of a thread's stack into `out` (returns frame count,
-/// -1 when torn). A torn read means a push rewrote a frame mid-copy; the
-/// sample is discarded rather than reporting a garbled name.
-int read_stack(FrameStack& fs, char out[kMaxDepth][kMaxFrame]) {
-  const std::uint32_t s1 = fs.seq.load(std::memory_order_acquire);
-  if ((s1 & 1u) != 0) return -1;
-  std::int32_t d = fs.depth.load(std::memory_order_acquire);
-  if (d <= 0) return 0;
-  if (d > static_cast<std::int32_t>(kMaxDepth)) d = kMaxDepth;
-  std::memcpy(out, fs.frames, static_cast<std::size_t>(d) * kMaxFrame);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  const std::uint32_t s2 = fs.seq.load(std::memory_order_relaxed);
-  return s1 == s2 ? d : -1;
-}
-
-void sample_once(ProfState& p) {
-  // Snapshot the stack list (cheap: shared_ptr copies) so stack reads do
-  // not hold the registry lock while new threads register.
-  std::vector<std::shared_ptr<FrameStack>> stacks;
-  {
-    StackRegistry& reg = stack_registry();
+ThreadTree& local_tree() {
+  if (!t_tree.tree) {
+    auto tree = std::make_unique<ThreadTree>();
+    Registry& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    stacks = reg.stacks;
+    const std::string& name = detail::thread_name();
+    tree->name = name.empty() ? "thread " + std::to_string(reg.next_tid++) : name;
+    reg.live.push_back(tree.get());
+    t_tree.tree = std::move(tree);
   }
-  char frames[kMaxDepth][kMaxFrame];
-  std::string key;
-  for (const auto& fs : stacks) {
-    const int d = read_stack(*fs, frames);
-    if (d < 0) {
-      std::lock_guard<std::mutex> lock(p.mutex);
-      ++p.torn;
-      continue;
-    }
-    if (d == 0) continue;  // idle thread: nothing to attribute
-    key.clear();
-    {
-      std::lock_guard<std::mutex> lock(fs->name_mutex);
-      key = fs->name;
-    }
-    for (int i = 0; i < d; ++i) {
-      key += ';';
-      frames[i][kMaxFrame - 1] = '\0';
-      key += frames[i];
-    }
-    std::lock_guard<std::mutex> lock(p.mutex);
-    ++p.counts[key];
-    ++p.samples;
-  }
+  return *t_tree.tree;
 }
 
-void ticker_loop(ProfState& p, int hz) {
-  profile_set_thread_name("profiler");
-  const auto period = std::chrono::nanoseconds(1000000000LL / hz);
-  auto next = std::chrono::steady_clock::now() + period;
-  while (p.run.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_until(next);
-    next += period;
-    if (!p.run.load(std::memory_order_relaxed)) break;
-    sample_once(p);
-    // If sampling fell behind (machine load), skip missed ticks instead of
-    // bursting: the folded counts stay proportional to wall time.
-    const auto now = std::chrono::steady_clock::now();
-    if (next < now) next = now + period;
+/// Bytes of one folded map: hash nodes (key, value, next pointer, cached
+/// hash), heap key storage beyond the SSO buffer, and the bucket array.
+std::uint64_t folded_bytes(const FoldedNs& m) {
+  std::uint64_t bytes = m.bucket_count() * sizeof(void*);
+  for (const auto& [stack, ns] : m) {
+    bytes += sizeof(FoldedNs::value_type) + 2 * sizeof(void*);
+    if (stack.capacity() > sizeof(std::string)) bytes += stack.capacity();
   }
+  return bytes;
+}
+
+/// True when `stack` (frames each prefixed by ';') has a frame `frame`;
+/// an empty `frame` matches every stack.
+bool passes_through(std::string_view stack, std::string_view frame) {
+  if (frame.empty()) return true;
+  for (std::size_t at = stack.find(frame); at != std::string_view::npos;
+       at = stack.find(frame, at + 1)) {
+    const std::size_t end = at + frame.size();
+    if (at > 0 && stack[at - 1] == ';' && (end == stack.size() || stack[end] == ';')) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -145,135 +103,111 @@ void ticker_loop(ProfState& p, int hz) {
 namespace detail {
 
 void push_frame(std::string_view name) {
-  FrameStack& fs = local_stack();
-  const std::int32_t d = fs.depth.load(std::memory_order_relaxed);
-  if (d >= static_cast<std::int32_t>(kMaxDepth)) {
-    // Over-deep stack: keep the pop balanced but drop the frame bytes.
-    fs.depth.store(d + 1, std::memory_order_relaxed);
-    return;
-  }
-  fs.seq.fetch_add(1, std::memory_order_acq_rel);  // odd: frames mutating
-  const std::size_t len = std::min(name.size(), kMaxFrame - 1);
-  std::memcpy(fs.frames[d], name.data(), len);
-  fs.frames[d][len] = '\0';
-  fs.depth.store(d + 1, std::memory_order_release);
-  fs.seq.fetch_add(1, std::memory_order_release);  // even: stable again
+  ThreadTree& t = local_tree();
+  t.open.push_back({t.path.size(), 0});
+  t.path += ';';
+  t.path += name;
 }
 
-void pop_frame() noexcept {
-  // Shrinking never invalidates concurrently copied bytes (frames below
-  // the old depth are untouched until the next push, which bumps seq), so
-  // no seqlock round trip is needed here.
-  FrameStack& fs = local_stack();
-  fs.depth.fetch_sub(1, std::memory_order_release);
+void pop_frame(std::int64_t dur_ns) {
+  ThreadTree& t = *t_tree.tree;  // the matching push created it
+  const ThreadTree::Open top = t.open.back();
+  t.open.pop_back();
+  {
+    std::lock_guard<std::mutex> lock(t.mutex);
+    t.self_ns[t.path] += dur_ns - top.child_ns;
+  }
+  t.path.resize(top.path_len);
+  if (!t.open.empty()) t.open.back().child_ns += dur_ns;
+}
+
+void rename_frame_root(std::string_view name) {
+  if (!t_tree.tree) return;  // a tree created later reads thread_name()
+  std::lock_guard<std::mutex> lock(t_tree.tree->mutex);
+  t_tree.tree->name.assign(name);
 }
 
 }  // namespace detail
 
-void profile_set_thread_name(std::string_view name) {
-  FrameStack& fs = local_stack();
-  std::lock_guard<std::mutex> lock(fs.name_mutex);
-  fs.name.assign(name);
-}
-
-bool Profiler::start(int hz) {
-  if (hz <= 0 || hz > kMaxHz) return false;
-  ProfState& p = prof();
-  std::lock_guard<std::mutex> lock(p.mutex);
-  if (p.ticker.joinable()) return false;
-  p.hz = hz;
-  p.run.store(true, std::memory_order_relaxed);
+bool Profiler::start() {
+  Registry& reg = registry();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  if (running()) return false;
+  reg.exited.clear();
+  for (ThreadTree* t : reg.live) {
+    std::lock_guard<std::mutex> tlock(t->mutex);
+    t->self_ns.clear();
+  }
   detail::g_span_mask.fetch_or(detail::kSpanProfileBit, std::memory_order_relaxed);
-  p.ticker = std::thread([&p, hz] { ticker_loop(p, hz); });
   return true;
 }
 
 void Profiler::stop() {
-  ProfState& p = prof();
-  std::thread ticker;
-  {
-    std::lock_guard<std::mutex> lock(p.mutex);
-    if (!p.ticker.joinable()) return;
-    detail::g_span_mask.fetch_and(~detail::kSpanProfileBit,
-                                  std::memory_order_relaxed);
-    p.run.store(false, std::memory_order_relaxed);
-    ticker = std::move(p.ticker);
-  }
-  ticker.join();  // outside the lock: the ticker takes p.mutex per sample
-}
-
-void Profiler::clear() {
-  ProfState& p = prof();
-  std::lock_guard<std::mutex> lock(p.mutex);
-  p.counts.clear();
-  p.samples = 0;
-  p.torn = 0;
+  std::lock_guard<std::mutex> lock(registry().mutex);
+  detail::g_span_mask.fetch_and(~detail::kSpanProfileBit, std::memory_order_relaxed);
 }
 
 bool Profiler::running() noexcept {
   return profile_enabled();
 }
 
-int Profiler::hz() noexcept {
-  ProfState& p = prof();
-  std::lock_guard<std::mutex> lock(p.mutex);
-  return p.hz;
-}
-
-std::uint64_t Profiler::total_samples() {
-  ProfState& p = prof();
-  std::lock_guard<std::mutex> lock(p.mutex);
-  return p.samples;
-}
-
-std::uint64_t Profiler::torn_samples() {
-  ProfState& p = prof();
-  std::lock_guard<std::mutex> lock(p.mutex);
-  return p.torn;
+std::uint64_t Profiler::total_us() {
+  std::uint64_t total = 0;
+  for (const FoldedEntry& e : snapshot()) total += e.us;
+  return total;
 }
 
 std::uint64_t Profiler::approx_bytes() {
-  ProfState& p = prof();
-  std::lock_guard<std::mutex> lock(p.mutex);
-  std::uint64_t bytes = 0;
-  for (const auto& [stack, count] : p.counts) {
-    // One map node (two pointers of red-black overhead is close enough) plus
-    // the key's heap storage when it outgrew the SSO buffer.
-    bytes += sizeof(std::pair<const std::string, std::uint64_t>) + 3 * sizeof(void*);
-    if (stack.capacity() > sizeof(std::string)) bytes += stack.capacity();
-    (void)count;
+  Registry& reg = registry();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  std::uint64_t bytes = folded_bytes(reg.exited);
+  for (ThreadTree* t : reg.live) {
+    std::lock_guard<std::mutex> tlock(t->mutex);
+    bytes += sizeof(ThreadTree) + t->name.capacity() + folded_bytes(t->self_ns);
   }
   return bytes;
 }
 
-std::vector<FoldedEntry> Profiler::snapshot() {
-  ProfState& p = prof();
-  std::lock_guard<std::mutex> lock(p.mutex);
+std::vector<FoldedEntry> Profiler::snapshot(std::string_view frame) {
+  std::map<std::string, std::int64_t> folded;
+  {
+    Registry& reg = registry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    for (const auto& [stack, ns] : reg.exited) {
+      if (passes_through(stack, frame)) folded[stack] += ns;
+    }
+    for (ThreadTree* t : reg.live) {
+      std::lock_guard<std::mutex> tlock(t->mutex);
+      for (const auto& [stack, ns] : t->self_ns) {
+        if (passes_through(stack, frame)) folded[t->name + stack] += ns;
+      }
+    }
+  }
   std::vector<FoldedEntry> out;
-  out.reserve(p.counts.size());
-  for (const auto& [stack, count] : p.counts) out.push_back({stack, count});
+  out.reserve(folded.size());
+  for (const auto& [stack, ns] : folded) {
+    if (ns > 0) out.push_back({stack, static_cast<std::uint64_t>(ns + 999) / 1000});
+  }
   return out;  // std::map iteration is already stack-sorted
 }
 
 void Profiler::write_folded(std::ostream& os) {
-  for (const FoldedEntry& e : snapshot()) {
-    os << e.stack << ' ' << e.count << '\n';
-  }
+  for (const FoldedEntry& e : snapshot()) os << e.stack << ' ' << e.us << '\n';
 }
 
 std::vector<FoldedEntry> folded_delta(const std::vector<FoldedEntry>& before,
                                       const std::vector<FoldedEntry>& now,
                                       std::size_t limit) {
   std::map<std::string, std::uint64_t> base;
-  for (const FoldedEntry& e : before) base[e.stack] = e.count;
+  for (const FoldedEntry& e : before) base[e.stack] = e.us;
   std::vector<FoldedEntry> delta;
   for (const FoldedEntry& e : now) {
     const auto it = base.find(e.stack);
     const std::uint64_t prev = it == base.end() ? 0 : it->second;
-    if (e.count > prev) delta.push_back({e.stack, e.count - prev});
+    if (e.us > prev) delta.push_back({e.stack, e.us - prev});
   }
   std::sort(delta.begin(), delta.end(), [](const FoldedEntry& a, const FoldedEntry& b) {
-    return a.count != b.count ? a.count > b.count : a.stack < b.stack;
+    return a.us != b.us ? a.us > b.us : a.stack < b.stack;
   });
   if (delta.size() > limit) delta.resize(limit);
   return delta;

@@ -1,30 +1,31 @@
-// Sampling profiler over the tracer's RAII spans (no native unwinding).
+// Span-time profiler: the tracer's RAII spans folded into collapsed stacks
+// (no sampling, no native unwinding).
 //
-// Every obs::Span pushes its name onto the calling thread's active-frame
-// stack while the profiler runs (and pops it at destruction), so at any
-// instant each thread's stack reads root→leaf as "what the thread is doing
-// now" — phase → level/iteration → executor chunk. A ticker thread wakes
-// `hz` times per second, snapshots every registered thread's stack, and
-// aggregates samples into collapsed-stack ("folded") lines:
+// While the profiler runs, every obs::Span that arms pushes its name onto
+// the calling thread's call tree, and at destruction adds its *self* time to
+// that stack: its duration minus the durations of the spans it enclosed on
+// the same thread. The duration is the span's own clock pair — the one its
+// trace event and duration sink use — so a frame's inclusive time (its own
+// stack plus every stack below it) is exactly the time its spans measured.
+// Aggregated per distinct stack, in microseconds:
 //
-//   main;iteration 1;propagate;propagate-level 412
-//   worker 3;propagate-level 388
+//   main;iteration 1;propagate;propagate-level 412 183
+//   worker 3;propagate-level 388 97
 //
 // which is the format standard flamegraph tooling consumes directly
 // (flamegraph.pl, speedscope, inferno).
 //
-// Why this is deterministic-safe: sampling only *reads* span state. The
-// ticker never touches the metrics registry, never claims executor chunks,
-// and the per-span cost (a bounded memcpy push/pop) does not reorder any
-// parallel work — so results, violations, provenance, and deterministic
-// counters are byte-identical with profiling on or off, at any rate
-// (property-tested in tests/test_profile.cpp).
+// Why this is deterministic-safe: folding only reads the spans' own clocks.
+// It never touches the metrics registry or the executor, so results,
+// violations, provenance and deterministic counters are byte-identical with
+// profiling on or off (property-tested in tests/test_profile.cpp). The set
+// of stacks is the set of spans that ran: no phase is missed for being
+// short.
 //
-// Concurrency: each thread's stack is a fixed-depth seqlock — the owner
-// thread pushes/pops with two atomic bumps around a bounded copy; the
-// ticker retries/discards a snapshot whose sequence moved underneath it
-// (counted, never blocking the owner). A sample landing between a pop and
-// the next push sees the shorter — still valid — stack.
+// Threads: a thread's tree is created at its first push, updated by that
+// thread under its own (uncontended) mutex, read by snapshot() under the
+// same mutex, and folded into one process-wide map when the thread exits.
+// Memory is one entry per distinct stack.
 #pragma once
 
 #include <cstddef>
@@ -37,68 +38,55 @@
 namespace nw::obs {
 
 /// One aggregated collapsed-stack line: `stack` is the semicolon-joined
-/// frame path (root frame = thread name), `count` the number of samples.
+/// frame path (root frame = thread name), `us` the self time folded into
+/// exactly that stack, in microseconds (rounded up, so never 0).
 struct FoldedEntry {
   std::string stack;
-  std::uint64_t count = 0;
+  std::uint64_t us = 0;
 };
 
-/// Process-wide sampling profiler (static-only interface, like Tracer).
-/// At most one ticker runs at a time; start/stop are cheap and may bracket
-/// a single request (the session `profile` protocol command) or a whole
-/// CLI run (--profile-out/--profile-hz).
+/// Process-wide span-time profiler (static-only interface, like Tracer).
+/// start/stop are cheap and may bracket a single request (the session
+/// `profile` protocol command) or a whole CLI run (--profile-out).
 class Profiler {
  public:
   Profiler() = delete;
 
-  /// Sampling rates outside [1, kMaxHz] are rejected (start returns false);
-  /// the CLI maps `--profile-hz 0` to "profiling off" before getting here.
-  static constexpr int kMaxHz = 20000;
+  /// Drop the previous aggregate and start folding span time. Returns
+  /// false (and changes nothing) if the profiler is already running. Spans
+  /// opened *before* start never pushed a frame, so a mid-run start only
+  /// sees spans opened after it.
+  [[nodiscard]] static bool start();
 
-  /// Launch the ticker at `hz` samples/second. Returns false (and changes
-  /// nothing) if a ticker is already running or `hz` is out of range.
-  /// Spans opened *before* start never pushed a frame, so a mid-run start
-  /// only sees spans opened after it — document-accurate, not a bug.
-  [[nodiscard]] static bool start(int hz);
-
-  /// Stop the ticker (joins it; idempotent). Aggregated samples are kept
-  /// until clear() so they can still be dumped after stopping.
+  /// Stop pushing new frames (idempotent). Spans already pushed still fold
+  /// their time when they close. The aggregate is kept until the next
+  /// start() so it can be dumped after stopping.
   static void stop();
 
-  /// Drop every aggregated sample and counter (thread registrations kept).
-  static void clear();
-
   [[nodiscard]] static bool running() noexcept;
-  [[nodiscard]] static int hz() noexcept;
 
-  /// Ticks that found at least one non-empty stack, summed over threads —
-  /// i.e. the total of every FoldedEntry::count.
-  [[nodiscard]] static std::uint64_t total_samples();
+  /// Sum of every FoldedEntry::us in snapshot().
+  [[nodiscard]] static std::uint64_t total_us();
 
-  /// Snapshots discarded because a push raced the ticker (diagnostic).
-  [[nodiscard]] static std::uint64_t torn_samples();
-
-  /// Approximate bytes held by the folded-stack aggregate (string storage +
-  /// map nodes). Feeds the memtrack "trace_buffers" sampled account.
+  /// Approximate bytes held by the exited threads' folded map and the live
+  /// threads' trees (string storage + hash nodes). Feeds the memtrack
+  /// "trace_buffers" sampled account.
   [[nodiscard]] static std::uint64_t approx_bytes();
 
-  /// Aggregated folded stacks, sorted by stack string (stable across
-  /// identical sample sets). Safe while the ticker runs.
-  [[nodiscard]] static std::vector<FoldedEntry> snapshot();
+  /// Aggregated folded stacks, sorted by stack string; with a `frame`,
+  /// only the stacks that pass through a frame of that name. Safe while
+  /// spans run on other threads.
+  [[nodiscard]] static std::vector<FoldedEntry> snapshot(std::string_view frame = {});
 
-  /// Write `stack count` lines (the collapsed-stack format), sorted.
+  /// Write `stack us` lines (the collapsed-stack format), sorted.
   static void write_folded(std::ostream& os);
 };
 
-/// Top-`limit` stacks of `now - before` by descending count delta (ties by
+/// Top-`limit` stacks of `now - before` by descending time delta (ties by
 /// stack string) — the bounded one-shot capture attached to slow-request
-/// slowlog entries. Entries whose count did not grow are dropped.
+/// slowlog entries. Entries whose time did not grow are dropped.
 [[nodiscard]] std::vector<FoldedEntry> folded_delta(
     const std::vector<FoldedEntry>& before, const std::vector<FoldedEntry>& now,
     std::size_t limit);
-
-/// Label the calling thread's folded-stack root frame. Tracer::
-/// set_thread_name forwards here, so executor workers are named once.
-void profile_set_thread_name(std::string_view name);
 
 }  // namespace nw::obs

@@ -1,9 +1,6 @@
 #include "obs/tracer.hpp"
 
 #include <algorithm>
-
-#include "obs/log.hpp"
-#include "obs/profile.hpp"
 #include <chrono>
 #include <cstdio>
 #include <iomanip>
@@ -15,14 +12,15 @@ namespace nw::obs {
 
 namespace {
 
-/// Per-thread event buffer. Registered once per thread and kept alive by
-/// the registry after the thread exits, so worker spans survive pool
-/// teardown until the next clear().
+/// Per-thread event buffer, registered at the thread's first recorded
+/// event. A buffer holding events outlives its thread, so worker spans
+/// survive pool teardown until the next clear().
 struct Buffer {
   int tid = 0;
   std::string thread_name;
   std::mutex mutex;  ///< uncontended in steady state (owner thread appends)
   std::vector<TraceEvent> events;
+  bool exited = false;  ///< owner thread gone; clear() drops the buffer
 };
 
 struct Registry {
@@ -36,16 +34,35 @@ Registry& registry() {
   return *r;
 }
 
+/// Owns the calling thread's buffer registration. At thread exit a buffer
+/// with no events leaves the registry; one holding events stays until
+/// clear().
+struct LocalBuffer {
+  std::shared_ptr<Buffer> buf;
+  ~LocalBuffer() {
+    if (!buf) return;
+    Registry& reg = registry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    std::lock_guard<std::mutex> blk(buf->mutex);
+    buf->exited = true;
+    if (buf->events.empty()) std::erase(reg.buffers, buf);
+  }
+};
+
+thread_local LocalBuffer t_buffer;
+thread_local std::string t_thread_name;
+
 Buffer& local_buffer() {
-  thread_local std::shared_ptr<Buffer> tl_buffer = [] {
+  if (!t_buffer.buf) {
     auto buf = std::make_shared<Buffer>();
+    buf->thread_name = t_thread_name;
     Registry& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
     buf->tid = reg.next_tid++;
     reg.buffers.push_back(buf);
-    return buf;
-  }();
-  return *tl_buffer;
+    t_buffer.buf = std::move(buf);
+  }
+  return *t_buffer.buf;
 }
 
 std::chrono::steady_clock::time_point epoch() {
@@ -82,6 +99,8 @@ namespace detail {
 
 std::atomic<unsigned> g_span_mask{0};
 
+const std::string& thread_name() noexcept { return t_thread_name; }
+
 std::int64_t now_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - epoch())
@@ -109,10 +128,11 @@ void Tracer::disable() {
 void Tracer::clear() {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& buf : reg.buffers) {
+  std::erase_if(reg.buffers, [](const std::shared_ptr<Buffer>& buf) {
     std::lock_guard<std::mutex> blk(buf->mutex);
     buf->events.clear();
-  }
+    return buf->exited;
+  });
   CounterStore& cs = counter_store();
   std::lock_guard<std::mutex> clk(cs.mutex);
   cs.events.clear();
@@ -137,12 +157,14 @@ std::vector<CounterEvent> Tracer::counters() {
 
 void Tracer::set_thread_name(std::string name) {
   // One call labels every consumer: the trace track, the profiler's
-  // folded-stack root frame, and the log-line origin segment.
-  profile_set_thread_name(name);
-  set_log_thread_name(name);
-  Buffer& buf = local_buffer();
-  std::lock_guard<std::mutex> lock(buf.mutex);
-  buf.thread_name = std::move(name);
+  // folded-stack root frame, and the log-line origin segment (log.cpp
+  // reads thread_name()). Only state the thread already has is renamed.
+  detail::rename_frame_root(name);
+  if (t_buffer.buf) {
+    std::lock_guard<std::mutex> lock(t_buffer.buf->mutex);
+    t_buffer.buf->thread_name = name;
+  }
+  t_thread_name = std::move(name);
 }
 
 std::size_t Tracer::buffered_bytes() {
@@ -249,12 +271,11 @@ void Tracer::write_chrome(std::ostream& os) {
 }
 
 void Span::arm(std::string_view name, SpanKind kind) {
-  if (profile_enabled()) {
-    detail::push_frame(name);
-    pushed_ = true;
-  }
-  traced_ = trace_enabled();
-  if (!traced_ && seconds_ == nullptr) return;  // profiler-only: no clock
+  const unsigned mask = detail::g_span_mask.load(std::memory_order_relaxed);
+  folded_ = (mask & detail::kSpanProfileBit) != 0;
+  if (folded_) detail::push_frame(name);
+  traced_ = (mask & detail::kSpanTraceBit) != 0;
+  if (!traced_ && !folded_ && seconds_ == nullptr) return;
   if (traced_) {
     name_ = std::string(name);
     kind_ = kind;
@@ -265,6 +286,7 @@ void Span::arm(std::string_view name, SpanKind kind) {
 void Span::finish() {
   const std::int64_t dur_ns = detail::now_ns() - start_ns_;
   if (seconds_ != nullptr) *seconds_ += static_cast<double>(dur_ns) * 1e-9;
+  if (folded_) detail::pop_frame(dur_ns);
   // Tracing may have been disabled mid-span; still record for balance —
   // a dangling open span would break per-thread nesting.
   if (!traced_) return;

@@ -2,10 +2,12 @@
 // JSON output.
 //
 // A Span is an RAII scope marker: construction stamps a start time,
-// destruction appends one complete event to a thread-local buffer. Buffers
-// are registered globally (and outlive their threads), so one flush after a
-// run collects every thread's spans into per-thread tracks — which is what
-// makes load imbalance inside parallel regions directly visible.
+// destruction appends one complete event to a thread-local buffer. A
+// thread's buffer is registered globally at its first event and, once it
+// holds events, outlives the thread, so one flush after a run collects
+// every thread's spans into per-thread tracks — which is what makes load
+// imbalance inside parallel regions directly visible. A thread that exits
+// having recorded nothing leaves no buffer behind.
 //
 // A Span is also the program's one timing primitive: given a duration sink
 // (`double* seconds`), it adds its elapsed wall time to `*seconds`, and a
@@ -18,7 +20,8 @@
 // (DESIGN.md §4.6 budgets the whole subsystem at <= 2% when disabled). A
 // span with a sink always reads the clock at each end, traced or not. When
 // tracing is enabled, a span costs two steady_clock reads plus one
-// buffered append under an uncontended per-thread mutex.
+// buffered append under an uncontended per-thread mutex; when profiling is
+// enabled, the same two reads plus a fold into the thread's call tree.
 //
 // Threading contract: spans may be opened/closed on any thread; flushing
 // (`events()` / `write_chrome()` / `clear()`) is safe at any time but is
@@ -65,18 +68,22 @@ struct CounterEvent {
 
 namespace detail {
 /// One consumer-enable mask shared by every span site: bit 0 = the tracer
-/// (record completed events), bit 1 = the sampling profiler (maintain the
-/// per-thread active-frame stack, obs/profile.hpp). A single relaxed load
-/// keeps the disabled span cost at one test-and-branch regardless of how
-/// many consumers exist.
+/// (record completed events), bit 1 = the profiler (fold each span's self
+/// time into its thread's call tree, obs/profile.hpp). A single relaxed
+/// load keeps the disabled span cost at one test-and-branch regardless of
+/// how many consumers exist.
 inline constexpr unsigned kSpanTraceBit = 1u;
 inline constexpr unsigned kSpanProfileBit = 2u;
 extern std::atomic<unsigned> g_span_mask;
 [[nodiscard]] std::int64_t now_ns() noexcept;
 void record(TraceEvent&& ev);
-// Active-frame stack maintenance, defined in profile.cpp.
+/// The calling thread's name (Tracer::set_thread_name; empty until set).
+[[nodiscard]] const std::string& thread_name() noexcept;
+// Call-tree maintenance, defined in profile.cpp: push at arm, pop with the
+// span's duration at destruction, rename when the thread is (re)named.
 void push_frame(std::string_view name);
-void pop_frame() noexcept;
+void pop_frame(std::int64_t dur_ns);
+void rename_frame_root(std::string_view name);
 }  // namespace detail
 
 /// The span sites' fast guard: one relaxed load, inlined.
@@ -85,7 +92,7 @@ void pop_frame() noexcept;
           detail::kSpanTraceBit) != 0;
 }
 
-/// True while the sampling profiler (obs/profile.hpp) is running.
+/// True while the profiler (obs/profile.hpp) is running.
 [[nodiscard]] inline bool profile_enabled() noexcept {
   return (detail::g_span_mask.load(std::memory_order_relaxed) &
           detail::kSpanProfileBit) != 0;
@@ -105,7 +112,7 @@ class Tracer {
 
   static void enable();
   static void disable();
-  /// Drop every recorded event (thread registrations are kept).
+  /// Drop every recorded event, and the buffers of threads that exited.
   static void clear();
 
   /// Snapshot of all recorded events, ordered by (tid, start).
@@ -124,7 +131,8 @@ class Tracer {
   /// chrome://tracing and Perfetto.
   static void write_chrome(std::ostream& os);
 
-  /// Label the calling thread's track (e.g. "worker 3").
+  /// Label the calling thread (e.g. "worker 3"): its trace track, its
+  /// profiler root frame and its log-line origin.
   static void set_thread_name(std::string name);
 
   /// Approximate bytes held by the recorded-event buffers across every
@@ -138,8 +146,8 @@ class Tracer {
 /// times its scope and adds the elapsed seconds to `*seconds` at
 /// destruction; a traced span's event duration is that same interval. When
 /// the profiler is on, construction pushes the span name onto the calling
-/// thread's active-frame stack (popped at destruction) so the sampling
-/// ticker can attribute wall time to it.
+/// thread's call tree, and destruction folds that same interval, less the
+/// intervals of the spans it enclosed, into the stack as self time.
 class Span {
  public:
   explicit Span(std::string_view name, SpanKind kind = SpanKind::kPhase,
@@ -149,7 +157,6 @@ class Span {
   }
   ~Span() {
     if (start_ns_ >= 0) finish();
-    if (pushed_) detail::pop_frame();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -162,8 +169,8 @@ class Span {
   double* seconds_;             ///< duration sink (nullptr = none)
   SpanKind kind_ = SpanKind::kPhase;
   bool traced_ = false;         ///< records an event at destruction
-  bool pushed_ = false;         ///< frame pushed for the profiler at arm time
-  std::int64_t start_ns_ = -1;  ///< -1 = not timing (no sink, tracing off)
+  bool folded_ = false;         ///< frame pushed for the profiler at arm time
+  std::int64_t start_ns_ = -1;  ///< -1 = not timing (no consumer, no sink)
 };
 
 /// JSON string escaping: the program's one escaper, shared by the trace

@@ -14,7 +14,6 @@ class TextTable {
   explicit TextTable(std::vector<std::string> headers);
 
   void add_row(std::vector<std::string> cells);
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 
   [[nodiscard]] std::string str() const;
   void print(std::ostream& os) const;

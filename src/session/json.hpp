@@ -51,7 +51,6 @@ class Json {
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::kBool; }
   [[nodiscard]] bool is_number() const noexcept { return kind_ == Kind::kNumber; }
   [[nodiscard]] bool is_string() const noexcept { return kind_ == Kind::kString; }
   [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::kArray; }

@@ -233,28 +233,13 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
     return o;
   }
   if (cmd == "profile") {
-    // Controls the process-wide sampling profiler: requests between a
-    // `start` and a `stop` get span-stack samples (and slow ones a folded
-    // capture in the slow log); `dump` returns the aggregate so far.
+    // Controls the process-wide profiler: requests between a `start` and a
+    // `stop` fold their span time (and slow ones attach a folded capture to
+    // the slow log); `dump` returns the aggregate so far.
     const std::string action = arg_string(args, "action");
     Json o = Json::object();
     if (action == "start") {
-      int hz = 97;
-      if (require_object(args).find("hz") != nullptr) {
-        const double n = arg_number(args, "hz");
-        if (n < 1.0 || n > obs::Profiler::kMaxHz || n != std::floor(n)) {
-          bad_args("'hz' must be an integer in [1, " +
-                   std::to_string(obs::Profiler::kMaxHz) + "]");
-        }
-        hz = static_cast<int>(n);
-      }
-      if (obs::Profiler::running()) {
-        bad_args("profiler already running (stop it first)");
-      }
-      obs::Profiler::clear();
-      if (!obs::Profiler::start(hz)) {
-        throw ProtoError{"internal", "profiler failed to start"};
-      }
+      if (!obs::Profiler::start()) bad_args("profiler already running (stop it first)");
     } else if (action == "stop") {
       obs::Profiler::stop();
     } else if (action == "dump") {
@@ -263,7 +248,7 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
       Json list = Json::array();
       for (std::size_t i = 0; i < snap.size() && i < limit; ++i) {
         list.push_back(Json::object(
-            {{"stack", snap[i].stack}, {"count", static_cast<double>(snap[i].count)}}));
+            {{"stack", snap[i].stack}, {"us", static_cast<double>(snap[i].us)}}));
       }
       o.set("stacks", snap.size());
       o.set("entries", std::move(list));
@@ -271,9 +256,7 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
       bad_args("'action' must be start|stop|dump|status");
     }
     o.set("running", obs::Profiler::running());
-    o.set("hz", obs::Profiler::hz());
-    o.set("samples", static_cast<double>(obs::Profiler::total_samples()));
-    o.set("torn", static_cast<double>(obs::Profiler::torn_samples()));
+    o.set("total_us", static_cast<double>(obs::Profiler::total_us()));
     return o;
   }
 
@@ -428,11 +411,9 @@ std::string Protocol::handle_line(std::string_view line) {
   requests_.add();
   const std::uint64_t req_id = reqobs_ != nullptr ? reqobs_->next_id() : 0;
   const auto t0 = std::chrono::steady_clock::now();
-  // Folded-profile baseline for the one-shot slow-request capture: only
-  // taken while the sampling profiler runs (a bounded map copy).
-  std::vector<obs::FoldedEntry> prof_before;
-  const bool prof_capture = reqobs_ != nullptr && obs::Profiler::running();
-  if (prof_capture) prof_before = obs::Profiler::snapshot();
+  // The request span's frame while the profiler runs: a slow request's
+  // one-shot capture is the stacks under it.
+  std::string prof_frame;
   // Analysis-count delta tells whether this request triggered an analysis;
   // if so its phase breakdown is attached to any slow-log entry.
   const std::uint64_t analyses_before = session_.analyses();
@@ -470,7 +451,7 @@ std::string Protocol::handle_line(std::string_view line) {
     cmd_name = cmd->as_string();
     // The request span encloses dispatch — and with it any analysis the
     // command triggers on this thread, so phase spans nest inside it (and
-    // the profiler's samples attribute to this request's stack).
+    // the profiler folds their time under this request's stack).
     // Daemon spans carry "<connection>.<request>" so one trace of many
     // concurrent clients still attributes each request end to end (the
     // same "conn.req" key the slowlog and NW_LOG warnings use).
@@ -480,8 +461,9 @@ std::string Protocol::handle_line(std::string_view line) {
           caps_.connection_id != 0
               ? std::to_string(caps_.connection_id) + "." + std::to_string(req_id)
               : std::to_string(req_id);
-      span.emplace("request " + req_key + ": " + cmd_name,
-                   obs::SpanKind::kRequest);
+      const std::string frame = "request " + req_key + ": " + cmd_name;
+      if (obs::Profiler::running()) prof_frame = frame;
+      span.emplace(frame, obs::SpanKind::kRequest);
     }
     const Json* args = req->find("args");
     Json data = dispatch(cmd_name, args != nullptr ? *args : Json{});
@@ -523,11 +505,14 @@ std::string Protocol::handle_line(std::string_view line) {
             .count();
     const bool ran_analysis = session_.analyses() != analyses_before;
     std::vector<std::string> prof_lines;
-    if (prof_capture && ms >= reqobs_->slow_ms()) {
+    if (!prof_frame.empty() && ms >= reqobs_->slow_ms()) {
+      // The frame names this request alone, so every stack under it grew
+      // during the request: the delta is against nothing. Only a slow
+      // request pays for the scan of the folded stacks.
       for (const obs::FoldedEntry& e :
-           obs::folded_delta(prof_before, obs::Profiler::snapshot(),
+           obs::folded_delta({}, obs::Profiler::snapshot(prof_frame),
                              RequestContext::kMaxProfileLines)) {
-        prof_lines.push_back(e.stack + " " + std::to_string(e.count));
+        prof_lines.push_back(e.stack + " " + std::to_string(e.us));
       }
     }
     reqobs_->observe(req_id, cmd_name, ms, code.empty(),

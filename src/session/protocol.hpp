@@ -39,7 +39,7 @@ namespace nw::session {
 
 /// Protocol schema version, reported by `hello` and bumped on any
 /// incompatible change to commands or response layouts.
-inline constexpr int kProtocolVersion = 1;
+inline constexpr int kProtocolVersion = 2;
 
 /// Upper bound on one request line; longer lines are rejected with
 /// bad_request before parsing (a hostile client cannot balloon the heap).

@@ -45,10 +45,9 @@ struct SlowRequest {
   /// not just how long it took. Meaningful only when has_phases; rendered
   /// in ms by slowlog_json().
   Session::AnalysisPhases phases;
-  /// One-shot folded-profile capture ("stack count" lines, heaviest first):
-  /// where this request spent its sampled time. Only populated while the
-  /// sampling profiler runs, and bounded (kMaxProfileLines) so the slow
-  /// log stays small.
+  /// One-shot folded-profile capture ("stack us" lines, heaviest first):
+  /// where this request spent its time. Only populated while the profiler
+  /// runs, and bounded (kMaxProfileLines) so the slow log stays small.
   std::vector<std::string> profile;
 };
 
@@ -106,8 +105,6 @@ class RequestContext {
   void observe(std::uint64_t id, const std::string& cmd, double ms, bool ok,
                const Session::AnalysisPhases* phases = nullptr,
                std::vector<std::string> profile = {});
-
-  [[nodiscard]] const SlowLog& slow_log() const noexcept { return slow_log_; }
 
   /// The `slowlog` response / "slowlog" stats section:
   ///   {"threshold_ms":..,"capacity":..,"recorded":..,"entries":[...]}

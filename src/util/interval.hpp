@@ -41,12 +41,8 @@ struct Interval {
   [[nodiscard]] constexpr double length() const noexcept {
     return is_empty() ? 0.0 : hi - lo;
   }
-  [[nodiscard]] constexpr double mid() const noexcept { return 0.5 * (lo + hi); }
   [[nodiscard]] constexpr bool contains(double t) const noexcept {
     return lo <= t && t <= hi;
-  }
-  [[nodiscard]] constexpr bool contains(const Interval& o) const noexcept {
-    return o.is_empty() || (lo <= o.lo && o.hi <= hi);
   }
 
   /// Set intersection; empty if disjoint.

@@ -60,14 +60,6 @@ class Rng {
   /// Bernoulli trial with probability p.
   bool chance(double p) noexcept { return uniform() < p; }
 
-  /// Approximately normal via sum of uniforms (Irwin–Hall, 12 terms):
-  /// adequate for jittering geometric parameters.
-  double normal(double mean, double stddev) noexcept {
-    double s = 0.0;
-    for (int i = 0; i < 12; ++i) s += uniform();
-    return mean + stddev * (s - 6.0);
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -37,7 +37,6 @@ void Histogram::add(double x) noexcept {
     bin = static_cast<std::size_t>(std::clamp(f * nb, 0.0, nb - 1.0));
   }
   ++counts_[bin];
-  ++total_;
 }
 
 double Histogram::bin_lo(std::size_t bin) const noexcept {

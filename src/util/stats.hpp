@@ -34,9 +34,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x) noexcept;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
   [[nodiscard]] double bin_lo(std::size_t bin) const noexcept;
   [[nodiscard]] double bin_hi(std::size_t bin) const noexcept;
 
@@ -47,7 +44,6 @@ class Histogram {
   double lo_;
   double hi_;
   std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Percentile of a sample vector (copies and sorts; p in [0,100]).

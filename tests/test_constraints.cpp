@@ -93,7 +93,8 @@ TEST(Constraints, GroupBookkeeping) {
   const std::vector<NetId> g1{NetId{5}};
   EXPECT_EQ(c.add_mutex_group(g0), 0);
   EXPECT_EQ(c.add_mutex_group(g1), 1);
-  EXPECT_EQ(c.group_count(), 2);
+  EXPECT_EQ(c.entries(),
+            (std::vector<std::pair<NetId::value_type, int>>{{1, 0}, {2, 0}, {5, 1}}));
   EXPECT_EQ(c.group_of(NetId{1}), 0);
   EXPECT_EQ(c.group_of(NetId{2}), 0);
   EXPECT_EQ(c.group_of(NetId{5}), 1);

@@ -132,7 +132,7 @@ std::string error_code(const session::Json& resp) {
 
 bool is_ok(const session::Json& resp) {
   const session::Json* ok = resp.find("ok");
-  return ok != nullptr && ok->is_bool() && ok->as_bool();
+  return ok != nullptr && ok->kind() == session::Json::Kind::kBool && ok->as_bool();
 }
 
 // ---- endpoint parsing -------------------------------------------------------
@@ -162,10 +162,8 @@ TEST(Endpoint, ParsesAndRoundTrips) {
 TEST(Endpoint, TcpEphemeralPortResolvesAfterListen) {
   Listener l;
   l.open(parse_endpoint("tcp:127.0.0.1:0"));
-  EXPECT_TRUE(l.is_open());
   EXPECT_GT(l.bound_endpoint().port, 0);
   l.close();
-  EXPECT_FALSE(l.is_open());
 }
 
 // ---- copy-on-write session sharing -----------------------------------------
@@ -272,7 +270,7 @@ TEST(Daemon, HelloAdvertisesTransportAndLimits) {
     EXPECT_EQ(limits->find("max_connections")->as_number(), 5.0);
     EXPECT_EQ(limits->find("analysis_slots")->as_number(), 3.0);
     EXPECT_EQ(limits->find("idle_timeout_s")->as_number(), 11.0);
-    EXPECT_EQ(data.find("protocol")->as_number(), 1.0);
+    EXPECT_EQ(data.find("protocol")->as_number(), 2.0);
   }
   d.stop();
 }

@@ -49,9 +49,9 @@ TEST(DelayImpact, AlignedAggressorsShiftDelay) {
   EXPECT_GT(impact.total_delta, 0.0);
   EXPECT_GE(impact.max_delta, impact.total_delta / static_cast<double>(impact.affected_nets));
   const NetId victim = *f.g.design.find_net("w6");
-  EXPECT_GT(impact.net(victim).delta_delay, 0.0);
+  EXPECT_GT(impact.nets.at(victim.index()).delta_delay, 0.0);
   // delta = (peak/vdd) * slew by construction.
-  const auto& di = impact.net(victim);
+  const auto& di = impact.nets.at(victim.index());
   EXPECT_NEAR(di.delta_delay,
               di.peak_during_transition / f.library.vdd() *
                   timing.net(victim).slew_max,
@@ -78,8 +78,9 @@ TEST(DelayImpact, DisjointWindowsRemoveImpact) {
   const DelayImpactSummary without =
       compute_delay_impact(f.g.design, timing, r_none, none);
 
-  EXPECT_GT(without.net(victim).delta_delay, 0.0);
-  EXPECT_LT(with_windows.net(victim).delta_delay, without.net(victim).delta_delay);
+  EXPECT_GT(without.nets.at(victim.index()).delta_delay, 0.0);
+  EXPECT_LT(with_windows.nets.at(victim.index()).delta_delay,
+            without.nets.at(victim.index()).delta_delay);
   EXPECT_LT(with_windows.total_delta, without.total_delta);
 }
 
@@ -113,14 +114,15 @@ TEST(DelayImpact, ConstraintsReduceImpact) {
   Options o;
   o.clock_period = f.g.sta_options.clock_period;
   const Result r = analyze(f.g.design, f.g.para, timing, o);
-  const double before = compute_delay_impact(f.g.design, timing, r, o).net(victim).delta_delay;
+  const double before =
+      compute_delay_impact(f.g.design, timing, r, o).nets.at(victim.index()).delta_delay;
 
   Options oc = o;
   const std::vector<NetId> grp{*f.g.design.find_net("w5"), *f.g.design.find_net("w7")};
   oc.constraints.add_mutex_group(grp);
   const Result rc = analyze(f.g.design, f.g.para, timing, oc);
   const double after =
-      compute_delay_impact(f.g.design, timing, rc, oc).net(victim).delta_delay;
+      compute_delay_impact(f.g.design, timing, rc, oc).nets.at(victim.index()).delta_delay;
   EXPECT_LT(after, before);
 }
 

@@ -83,7 +83,9 @@ TEST(Integration, AnalyticNoiseIsConservativeVsGoldenOnWorstNet) {
   spice::ClusterSpec spec;
   spec.victim = victim;
   spec.vdd = library.vdd();
-  const double align = nn.worst_alignment.is_empty() ? 0.0 : nn.worst_alignment.mid();
+  const double align = nn.worst_alignment.is_empty()
+                           ? 0.0
+                           : 0.5 * (nn.worst_alignment.lo + nn.worst_alignment.hi);
   for (const auto& c : nn.contributions) {
     if (!c.in_worst || c.is_propagated()) continue;
     const double slew = std::max(timing.net(c.aggressor).slew_min, 1e-12);

@@ -24,8 +24,8 @@ std::vector<double> solve(const SparseLu& lu, std::span<const double> b) {
 /// y = A x over the CSR arrays, each row summed in column order.
 Vector multiply(const SparseMatrix& a, std::span<const double> x) {
   const SparseMatrix::Csr m = a.csr();
-  Vector y(a.dim(), 0.0);
-  for (std::size_t r = 0; r < a.dim(); ++r) {
+  Vector y(m.row_ptr.size() - 1, 0.0);
+  for (std::size_t r = 0; r < y.size(); ++r) {
     for (std::size_t k = m.row_ptr[r]; k < m.row_ptr[r + 1]; ++k) y[r] += m.val[k] * x[m.col[k]];
   }
   return y;
@@ -71,7 +71,7 @@ TEST(SparseMatrix, GetEntry) {
   ASSERT_EQ(m.row_ptr[2], 1u);
   EXPECT_EQ(m.col[0], 2u);
   EXPECT_DOUBLE_EQ(m.val[0], 5.0);
-  EXPECT_EQ(sp.nonzeros(), 1u);
+  EXPECT_EQ(m.val.size(), 1u);
 }
 
 TEST(SparseLu, SolvesSmallSystem) {

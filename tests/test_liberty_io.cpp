@@ -17,8 +17,8 @@ TEST(LibertyIo, RoundTripDefaultLibrary) {
 
   EXPECT_EQ(back.name(), lib.name());
   EXPECT_DOUBLE_EQ(back.vdd(), lib.vdd());
-  ASSERT_EQ(back.size(), lib.size());
-  for (std::size_t i = 0; i < lib.size(); ++i) {
+  ASSERT_EQ(back.cells().size(), lib.cells().size());
+  for (std::size_t i = 0; i < lib.cells().size(); ++i) {
     const Cell& a = lib.cell(i);
     const Cell& b = back.cell(i);
     EXPECT_EQ(a.name, b.name);
@@ -69,7 +69,7 @@ TEST(LibertyIo, CommentsAndBlanksIgnored) {
       "end_library\n";
   const Library lib = textio::parsed(read_library, text);
   EXPECT_EQ(lib.name(), "t");
-  EXPECT_EQ(lib.size(), 0u);
+  EXPECT_TRUE(lib.cells().empty());
 }
 
 /// The default library's text with the line starting `prefix` in cell

@@ -1,7 +1,9 @@
-// obs::Profiler: span-stack sampling into folded stacks, start/stop/clear
-// semantics, the folded_delta slow-request capture, and — the contract the
-// whole feature rests on — analysis results byte-identical with profiling
-// off vs on, at any rate, across modes and thread counts.
+// obs::Profiler: span time folded into collapsed stacks — exact self and
+// inclusive times, start/stop semantics, the folded_delta
+// slow-request capture, no per-thread state left behind by workers while
+// every consumer is off, and — the contract the whole feature rests on —
+// analysis results byte-identical with profiling off vs on, across modes
+// and thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,11 +12,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gen/randlogic.hpp"
 #include "noise/analyzer.hpp"
 #include "noise/report_writer.hpp"
+#include "noise/telemetry.hpp"
 #include "obs/profile.hpp"
 #include "obs/tracer.hpp"
 #include "sta/sta.hpp"
@@ -23,72 +27,160 @@
 namespace nw {
 namespace {
 
-/// Spin a named span long enough for a fast ticker to land in it.
-void dwell(std::string_view name, int ms) {
-  obs::Span span(name);
+/// Hold a named span open for `ms` milliseconds.
+void dwell(std::string_view name, int ms, double* seconds = nullptr) {
+  obs::Span span(name, obs::SpanKind::kPhase, seconds);
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-[[nodiscard]] bool has_stack(const std::vector<obs::FoldedEntry>& entries,
-                             std::string_view stack) {
-  return std::any_of(entries.begin(), entries.end(),
-                     [&](const obs::FoldedEntry& e) { return e.stack == stack; });
+[[nodiscard]] const obs::FoldedEntry* find_stack(
+    const std::vector<obs::FoldedEntry>& entries, std::string_view stack) {
+  const auto it = std::find_if(entries.begin(), entries.end(),
+                               [&](const obs::FoldedEntry& e) { return e.stack == stack; });
+  return it == entries.end() ? nullptr : &*it;
 }
 
-TEST(Profiler, RejectsBadRatesAndDoubleStart) {
-  obs::Profiler::clear();
-  EXPECT_FALSE(obs::Profiler::start(0));
-  EXPECT_FALSE(obs::Profiler::start(-7));
-  EXPECT_FALSE(obs::Profiler::start(obs::Profiler::kMaxHz + 1));
-  EXPECT_FALSE(obs::Profiler::running());
+gen::RandLogicConfig rand_logic_config() {
+  gen::RandLogicConfig cfg;
+  cfg.primary_inputs = 10;
+  cfg.gates = 200;
+  cfg.levels = 5;
+  cfg.coupling_prob = 0.6;
+  cfg.dff_fraction = 0.3;
+  cfg.seed = 29;
+  return cfg;
+}
 
-  ASSERT_TRUE(obs::Profiler::start(500));
+struct RandLogic {
+  lib::Library library = lib::default_library();
+  gen::Generated g = gen::make_rand_logic(library, rand_logic_config());
+  sta::Result timing = sta::run(g.design, g.para, g.sta_options);
+
+  [[nodiscard]] noise::Options options(int threads) const {
+    noise::Options o;
+    o.clock_period = g.sta_options.clock_period;
+    o.threads = threads;
+    return o;
+  }
+};
+
+const RandLogic& rand_logic() {
+  static const RandLogic d;
+  return d;
+}
+
+TEST(Profiler, RejectsDoubleStart) {
+  ASSERT_FALSE(obs::Profiler::running());
+  ASSERT_TRUE(obs::Profiler::start());
   EXPECT_TRUE(obs::Profiler::running());
-  EXPECT_EQ(obs::Profiler::hz(), 500);
-  EXPECT_FALSE(obs::Profiler::start(100));  // already running
-  EXPECT_EQ(obs::Profiler::hz(), 500);      // unchanged by the rejected start
+  EXPECT_FALSE(obs::Profiler::start());  // already running
+  EXPECT_TRUE(obs::Profiler::running());
 
   obs::Profiler::stop();
   EXPECT_FALSE(obs::Profiler::running());
   obs::Profiler::stop();  // idempotent
-  obs::Profiler::clear();
 }
 
-TEST(Profiler, SamplesNestedSpanStacksRootedAtTheThreadName) {
-  obs::profile_set_thread_name("ptest");
-  obs::Profiler::clear();
-  ASSERT_TRUE(obs::Profiler::start(4000));
+TEST(Profiler, FoldsNestedSpanStacksRootedAtTheThreadName) {
+  obs::Tracer::set_thread_name("ptest");
+  ASSERT_TRUE(obs::Profiler::start());
   {
     obs::Span outer("outer");
-    dwell("inner", 40);
+    dwell("inner", 2);
   }
-  dwell("solo", 40);
+  dwell("solo", 2);
   obs::Profiler::stop();
 
   const std::vector<obs::FoldedEntry> entries = obs::Profiler::snapshot();
-  ASSERT_FALSE(entries.empty());
-  EXPECT_GT(obs::Profiler::total_samples(), 0u);
-  // Root frame is the thread name; nesting joins with ';' leaf-last.
-  EXPECT_TRUE(has_stack(entries, "ptest;outer;inner"))
-      << "stacks: " << entries.size();
-  EXPECT_TRUE(has_stack(entries, "ptest;solo"));
+  // Root frame is the thread name; nesting joins with ';' leaf-last, and
+  // every span that ran is there, however short.
+  EXPECT_NE(find_stack(entries, "ptest;outer;inner"), nullptr);
+  EXPECT_NE(find_stack(entries, "ptest;solo"), nullptr);
+  std::uint64_t total = 0;
   for (const obs::FoldedEntry& e : entries) {
-    EXPECT_GT(e.count, 0u);
+    EXPECT_GT(e.us, 0u);
     EXPECT_EQ(e.stack.rfind("ptest", 0), 0u) << e.stack;
+    total += e.us;
   }
-  // Samples survive stop() (dumpable) and vanish on clear().
+  EXPECT_EQ(obs::Profiler::total_us(), total);
+  // The aggregate survives stop() (dumpable) and vanishes at the next
+  // start().
   EXPECT_FALSE(obs::Profiler::snapshot().empty());
-  obs::Profiler::clear();
+  ASSERT_TRUE(obs::Profiler::start());
+  obs::Profiler::stop();
   EXPECT_TRUE(obs::Profiler::snapshot().empty());
-  EXPECT_EQ(obs::Profiler::total_samples(), 0u);
+  EXPECT_EQ(obs::Profiler::total_us(), 0u);
+}
+
+TEST(Profiler, ParentSelfTimeIsItsTotalMinusItsChildren) {
+  obs::Tracer::set_thread_name("ptest");
+  double outer_s = 0.0;
+  double inner_s = 0.0;
+  ASSERT_TRUE(obs::Profiler::start());
+  {
+    obs::Span outer("outer", obs::SpanKind::kPhase, &outer_s);
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    dwell("inner", 2, &inner_s);
+    dwell("inner", 1, &inner_s);  // a second call folds into the same stack
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  obs::Profiler::stop();
+  const std::vector<obs::FoldedEntry> entries = obs::Profiler::snapshot();
+
+  ASSERT_EQ(entries.size(), 2u);
+  const obs::FoldedEntry* outer = find_stack(entries, "ptest;outer");
+  const obs::FoldedEntry* inner = find_stack(entries, "ptest;outer;inner");
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  // Each stack's nanoseconds are rounded up to whole microseconds once.
+  EXPECT_NEAR(static_cast<double>(inner->us), inner_s * 1e6, 1.0);
+  EXPECT_NEAR(static_cast<double>(outer->us), (outer_s - inner_s) * 1e6, 1.0);
+  EXPECT_NEAR(static_cast<double>(outer->us + inner->us), outer_s * 1e6, 2.0);
+  EXPECT_GE(outer->us, 4000u);  // the outer span's own sleeps
+}
+
+TEST(Profiler, FoldsExactPhaseTimesOnTheCallingThread) {
+  constexpr std::pair<const char*, const char*> kPhases[] = {
+      {"build-context", noise::kMetricContextSeconds},
+      {"estimate-injected", noise::kMetricEstimateSeconds},
+      {"propagate", noise::kMetricPropagateSeconds},
+      {"check-endpoints", noise::kMetricEndpointsSeconds}};
+  const RandLogic& d = rand_logic();
+  obs::Tracer::set_thread_name("ptest");
+  ASSERT_TRUE(obs::Profiler::start());
+  const noise::Result r = noise::analyze(d.g.design, d.g.para, d.timing, d.options(1));
+  obs::Profiler::stop();
+  const std::vector<obs::FoldedEntry> entries = obs::Profiler::snapshot();
+
+  for (const auto& [frame, metric] : kPhases) {
+    // Inclusive time: every stack on this thread that passes through the
+    // frame (a chunk span may repeat the phase's name below it; each stack
+    // counts once).
+    std::uint64_t us = 0;
+    std::size_t stacks = 0;
+    for (const obs::FoldedEntry& e : entries) {
+      if (e.stack.rfind("ptest;", 0) != 0) continue;
+      std::istringstream frames(e.stack);
+      std::string f;
+      bool under = false;
+      while (std::getline(frames, f, ';')) under = under || f == frame;
+      if (!under) continue;
+      us += e.us;
+      ++stacks;
+    }
+    const obs::MetricSample* gauge = r.metrics.find(metric);
+    ASSERT_NE(gauge, nullptr) << metric;
+    EXPECT_GT(stacks, 0u) << frame;
+    EXPECT_NEAR(static_cast<double>(us), gauge->value * 1e6, static_cast<double>(stacks))
+        << frame << " over " << stacks << " stacks";
+  }
 }
 
 TEST(Profiler, WriteFoldedEmitsSortedStackCountLines) {
-  obs::profile_set_thread_name("ptest");
-  obs::Profiler::clear();
-  ASSERT_TRUE(obs::Profiler::start(4000));
-  dwell("alpha", 25);
-  dwell("beta", 25);
+  obs::Tracer::set_thread_name("ptest");
+  ASSERT_TRUE(obs::Profiler::start());
+  dwell("alpha", 1);
+  dwell("beta", 1);
   obs::Profiler::stop();
 
   std::ostringstream os;
@@ -107,16 +199,31 @@ TEST(Profiler, WriteFoldedEmitsSortedStackCountLines) {
     EXPECT_LT(prev_stack, stack) << "unsorted or duplicate stack";
     prev_stack = stack;
   }
-  EXPECT_GT(lines, 0u);
-  obs::Profiler::clear();
+  EXPECT_EQ(lines, 2u);
 }
 
 TEST(Profiler, SpansCostNothingWhileStopped) {
-  obs::Profiler::clear();
-  ASSERT_FALSE(obs::Profiler::running());
-  dwell("unseen", 5);
+  ASSERT_TRUE(obs::Profiler::start());  // drops any earlier aggregate
+  obs::Profiler::stop();
+  dwell("unseen", 1);
   EXPECT_TRUE(obs::Profiler::snapshot().empty());
-  EXPECT_EQ(obs::Profiler::total_samples(), 0u);
+  EXPECT_EQ(obs::Profiler::total_us(), 0u);
+}
+
+TEST(Profiler, ExitedThreadsFoldIntoTheAggregate) {
+  ASSERT_TRUE(obs::Profiler::start());
+  std::thread([] {
+    obs::Tracer::set_thread_name("pworker");
+    dwell("job", 1);
+  }).join();
+  obs::Profiler::stop();
+  const obs::FoldedEntry* job = find_stack(obs::Profiler::snapshot(), "pworker;job");
+  ASSERT_NE(job, nullptr);
+  EXPECT_GE(job->us, 1000u);
+  EXPECT_GT(obs::Profiler::approx_bytes(), 0u);
+  ASSERT_TRUE(obs::Profiler::start());  // drops exited threads' stacks too
+  obs::Profiler::stop();
+  EXPECT_TRUE(obs::Profiler::snapshot().empty());
 }
 
 TEST(FoldedDelta, KeepsOnlyGrowthTopKByDelta) {
@@ -130,33 +237,56 @@ TEST(FoldedDelta, KeepsOnlyGrowthTopKByDelta) {
   // Sorted by descending delta: b grew 20, new grew 7; a (1) is cut by the
   // limit and shrunk (0) is never a candidate.
   EXPECT_EQ(top[0].stack, "t;b");
-  EXPECT_EQ(top[0].count, 20u);
+  EXPECT_EQ(top[0].us, 20u);
   EXPECT_EQ(top[1].stack, "t;new");
-  EXPECT_EQ(top[1].count, 7u);
+  EXPECT_EQ(top[1].us, 7u);
 
   EXPECT_TRUE(obs::folded_delta(now, now, 8).empty());
   EXPECT_EQ(obs::folded_delta({}, now, 99).size(), 4u);
 }
 
+// Executor workers are named and torn down on every analysis. With tracing
+// and profiling off they must leave nothing behind: no trace buffer, no
+// call tree.
+TEST(SpanConsumers, WorkerThreadsLeaveNoStateWhileOff) {
+  ASSERT_FALSE(obs::trace_enabled());
+  ASSERT_FALSE(obs::Profiler::running());
+  const RandLogic& d = rand_logic();
+  const noise::Options o = d.options(4);
+  (void)noise::analyze(d.g.design, d.g.para, d.timing, o);
+  const std::size_t trace_bytes = obs::Tracer::buffered_bytes();
+  const std::uint64_t profile_bytes = obs::Profiler::approx_bytes();
+  for (int i = 1; i < 50; ++i) (void)noise::analyze(d.g.design, d.g.para, d.timing, o);
+  EXPECT_EQ(obs::Tracer::buffered_bytes(), trace_bytes);
+  EXPECT_EQ(obs::Profiler::approx_bytes(), profile_bytes);
+}
+
+// A traced worker's buffer outlives the worker until clear(), which then
+// drops it.
+TEST(SpanConsumers, ExitedTracedThreadsKeepEventsUntilClear) {
+  obs::Tracer::clear();
+  const std::size_t base = obs::Tracer::buffered_bytes();
+  obs::Tracer::enable();
+  std::thread([] { const obs::Span s("exited-worker-span", obs::SpanKind::kTask); }).join();
+  obs::Tracer::disable();
+  const std::vector<obs::TraceEvent> events = obs::Tracer::events();
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [](const obs::TraceEvent& e) {
+    return e.name == "exited-worker-span";
+  }));
+  EXPECT_GT(obs::Tracer::buffered_bytes(), base);
+  obs::Tracer::clear();
+  EXPECT_EQ(obs::Tracer::buffered_bytes(), base);
+}
+
 // ---------------------------------------------------------------------------
-// The determinism contract: profiling only *reads* span state, so results
-// are byte-identical with profiling off vs on at any sampling rate, in
-// every mode, at any thread count. Compared via the full text report
-// (nets, violations, provenance rendering) — byte equality, not NEAR.
+// The determinism contract: profiling only reads the spans' own clocks, so
+// results are byte-identical with profiling off vs on, in every mode, at
+// any thread count. Compared via the full text report (nets, violations,
+// provenance rendering) — byte equality, not NEAR.
 // ---------------------------------------------------------------------------
 
-TEST(ProfilerDeterminism, ByteIdenticalResultsAcrossRatesModesThreads) {
-  const lib::Library library = lib::default_library();
-  gen::RandLogicConfig cfg;
-  cfg.primary_inputs = 10;
-  cfg.gates = 200;
-  cfg.levels = 5;
-  cfg.coupling_prob = 0.6;
-  cfg.dff_fraction = 0.3;
-  cfg.seed = 29;
-  const gen::Generated g = gen::make_rand_logic(library, cfg);
-  const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
-
+TEST(ProfilerDeterminism, ByteIdenticalResultsAcrossModesThreads) {
+  const RandLogic& d = rand_logic();
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   std::vector<int> thread_counts = {1};
   if (hw > 1) thread_counts.push_back(hw);
@@ -167,30 +297,22 @@ TEST(ProfilerDeterminism, ByteIdenticalResultsAcrossRatesModesThreads) {
     for (const int threads : thread_counts) {
       SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
                    " threads=" + std::to_string(threads));
-      noise::Options o;
+      noise::Options o = d.options(threads);
       o.mode = mode;
-      o.clock_period = g.sta_options.clock_period;
-      o.threads = threads;
 
-      // Reference: profiling off (the CLI's --profile-hz 0).
-      obs::Profiler::stop();
-      obs::Profiler::clear();
-      const noise::Result ref = noise::analyze(g.design, g.para, timing, o);
+      ASSERT_FALSE(obs::Profiler::running());
+      const noise::Result ref = noise::analyze(d.g.design, d.g.para, d.timing, o);
       const std::string ref_report =
-          textio::written(noise::write_report, g.design, o, ref, noise::ReportOptions{});
+          textio::written(noise::write_report, d.g.design, o, ref, noise::ReportOptions{});
 
-      for (const int hz : {97, 997}) {
-        SCOPED_TRACE("hz=" + std::to_string(hz));
-        obs::Profiler::clear();
-        ASSERT_TRUE(obs::Profiler::start(hz));
-        const noise::Result run = noise::analyze(g.design, g.para, timing, o);
-        obs::Profiler::stop();
-        EXPECT_EQ(textio::written(noise::write_report, g.design, o, run, noise::ReportOptions{}),
-                  ref_report);
-      }
+      ASSERT_TRUE(obs::Profiler::start());
+      const noise::Result run = noise::analyze(d.g.design, d.g.para, d.timing, o);
+      obs::Profiler::stop();
+      EXPECT_FALSE(obs::Profiler::snapshot().empty());
+      EXPECT_EQ(textio::written(noise::write_report, d.g.design, o, run, noise::ReportOptions{}),
+                ref_report);
     }
   }
-  obs::Profiler::clear();
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ TEST_P(BusProperty, WorstAlignmentIsAchievable) {
 
   for (const auto& nn : r.nets) {
     if (nn.total_peak <= 0.0 || nn.worst_alignment.is_empty()) continue;
-    const double t = nn.worst_alignment.mid();
+    const double t = 0.5 * (nn.worst_alignment.lo + nn.worst_alignment.hi);
     double sum = 0.0;
     for (const auto& c : nn.contributions) {
       if (c.window.contains(t)) sum += c.peak;

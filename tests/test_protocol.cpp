@@ -39,7 +39,7 @@ Json parse_response(const std::string& line) {
   EXPECT_NE(j->find("id"), nullptr) << line;
   const Json* ok = j->find("ok");
   EXPECT_NE(ok, nullptr) << line;
-  if (ok != nullptr && ok->is_bool() && ok->as_bool()) {
+  if (ok != nullptr && ok->kind() == Json::Kind::kBool && ok->as_bool()) {
     EXPECT_NE(j->find("data"), nullptr) << line;
   } else {
     const Json* e = j->find("error");
@@ -89,7 +89,7 @@ TEST(Protocol, MalformedLinesGetStructuredErrors) {
   for (const auto& [line, want_code] : cases) {
     const Json resp = parse_response(p.handle_line(line));
     const Json* ok = resp.find("ok");
-    ASSERT_TRUE(ok != nullptr && ok->is_bool());
+    ASSERT_TRUE(ok != nullptr && ok->kind() == Json::Kind::kBool);
     EXPECT_FALSE(ok->as_bool()) << line;
     EXPECT_EQ(error_code(resp), want_code) << line;
   }
@@ -103,7 +103,7 @@ TEST(Protocol, TruncatedRequestsNeverCrash) {
   for (std::size_t n = 0; n < valid.size(); ++n) {
     const Json resp = parse_response(p.handle_line(valid.substr(0, n)));
     const Json* ok = resp.find("ok");
-    ASSERT_TRUE(ok != nullptr && ok->is_bool()) << n;
+    ASSERT_TRUE(ok != nullptr && ok->kind() == Json::Kind::kBool) << n;
     EXPECT_FALSE(ok->as_bool()) << "prefix length " << n;
   }
   // The full line works.

@@ -13,7 +13,6 @@ TEST(TextTable, AlignsColumns) {
   const std::string s = t.str();
   EXPECT_NE(s.find("|   name | value |"), std::string::npos) << s;
   EXPECT_NE(s.find("| longer |    22 |"), std::string::npos) << s;
-  EXPECT_EQ(t.rows(), 2u);
 }
 
 TEST(TextTable, Validation) {

@@ -1,7 +1,8 @@
 // Request-scoped observability: the slow-request log's bound and eviction
 // order, RequestContext's latency histograms and threshold behaviour, and
 // the protocol integration — hello feature report, the slowlog command,
-// request spans on the trace, and cardinality bounding of garbage input.
+// request spans on the trace, the profile command and the folded capture on
+// slow requests, and cardinality bounding of garbage input.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -89,12 +90,6 @@ TEST(RequestContext, ObserveFeedsHistogramAndThresholdsSlowLog) {
   ASSERT_NE(snap.find("request_ms_stats"), nullptr);
   EXPECT_EQ(snap.find("request_ms_stats")->hist.count, 1u);
 
-  const std::vector<SlowRequest> slow = ctx.slow_log().entries();
-  ASSERT_EQ(slow.size(), 2u);
-  EXPECT_EQ(slow[0].id, 2u);
-  EXPECT_EQ(slow[1].id, 3u);
-  EXPECT_FALSE(slow[1].ok);
-
   const Json j = ctx.slowlog_json();
   EXPECT_DOUBLE_EQ(j.find("threshold_ms")->as_number(), 10.0);
   EXPECT_DOUBLE_EQ(j.find("capacity")->as_number(),
@@ -105,16 +100,20 @@ TEST(RequestContext, ObserveFeedsHistogramAndThresholdsSlowLog) {
   EXPECT_DOUBLE_EQ(first.find("id")->as_number(), 2.0);
   EXPECT_EQ(first.find("cmd")->as_string(), "stats");
   EXPECT_TRUE(first.find("ok")->as_bool());
+  const Json& second = j.find("entries")->items()[1];
+  EXPECT_DOUBLE_EQ(second.find("id")->as_number(), 3.0);
+  EXPECT_FALSE(second.find("ok")->as_bool());
 
   // Past the capacity the log keeps the newest entries, oldest first.
   const std::uint64_t extra = RequestContext::kSlowLogCapacity + 5;
   for (std::uint64_t id = 4; id < 4 + extra; ++id) ctx.observe(id, "stats", 50.0, true);
-  const std::vector<SlowRequest> kept = ctx.slow_log().entries();
+  const Json after = ctx.slowlog_json();
+  const std::vector<Json>& kept = after.find("entries")->items();
   ASSERT_EQ(kept.size(), RequestContext::kSlowLogCapacity);
-  EXPECT_EQ(kept.front().id, 4 + extra - RequestContext::kSlowLogCapacity);
-  EXPECT_EQ(kept.back().id, 3 + extra);
-  EXPECT_DOUBLE_EQ(ctx.slowlog_json().find("recorded")->as_number(),
-                   static_cast<double>(2 + extra));
+  EXPECT_DOUBLE_EQ(kept.front().find("id")->as_number(),
+                   static_cast<double>(4 + extra - RequestContext::kSlowLogCapacity));
+  EXPECT_DOUBLE_EQ(kept.back().find("id")->as_number(), static_cast<double>(3 + extra));
+  EXPECT_DOUBLE_EQ(after.find("recorded")->as_number(), static_cast<double>(2 + extra));
 }
 
 // ---- protocol integration ---------------------------------------------------
@@ -224,6 +223,95 @@ TEST(RequestObs, RequestSpansWrapCommandsOnTheTrace) {
     return false;
   };
   EXPECT_TRUE(named("check-endpoints"));
+}
+
+std::string error_code(const std::string& line) {
+  const auto j = json_parse(line);
+  EXPECT_TRUE(j.has_value()) << line;
+  if (!j.has_value() || j->find("ok")->as_bool()) return "";
+  return j->find("error")->find("code")->as_string();
+}
+
+[[nodiscard]] bool names_a_phase(const std::string& stack) {
+  for (const char* phase :
+       {"build-context", "estimate-injected", "propagate", "check-endpoints"}) {
+    if ((stack + ";").find(std::string(";") + phase + ";") != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(RequestObs, ProfileCommandStartsDumpsStopsAndKeepsTheAggregate) {
+  Session s = make_session();
+  RequestContext ctx(s.registry());
+  Protocol p(s, &ctx);
+  obs::Tracer::set_thread_name("server");
+  const Json started =
+      parse_ok(p.handle_line(R"({"id":1,"cmd":"profile","args":{"action":"start"}})"));
+  EXPECT_TRUE(started.find("running")->as_bool());
+  EXPECT_EQ(error_code(p.handle_line(R"({"id":2,"cmd":"profile","args":{"action":"start"}})")),
+            "bad_args");
+  (void)parse_ok(p.handle_line(R"({"id":3,"cmd":"violations"})"));
+
+  const Json dump =
+      parse_ok(p.handle_line(R"({"id":4,"cmd":"profile","args":{"action":"dump"}})"));
+  const auto& entries = dump.find("entries")->items();
+  ASSERT_FALSE(entries.empty());
+  EXPECT_EQ(dump.find("stacks")->as_number(), static_cast<double>(entries.size()));
+  bool phase_seen = false;
+  for (const Json& e : entries) {
+    const std::string& stack = e.find("stack")->as_string();
+    EXPECT_EQ(stack.rfind("server;", 0), 0u) << stack;
+    EXPECT_GT(e.find("us")->as_number(), 0.0) << stack;
+    phase_seen = phase_seen || names_a_phase(stack);
+  }
+  EXPECT_TRUE(phase_seen);
+
+  const Json stopped =
+      parse_ok(p.handle_line(R"({"id":5,"cmd":"profile","args":{"action":"stop"}})"));
+  EXPECT_FALSE(stopped.find("running")->as_bool());
+  // The stop request's own span closes after its reply; from then on the
+  // aggregate holds still.
+  const Json status =
+      parse_ok(p.handle_line(R"({"id":6,"cmd":"profile","args":{"action":"status"}})"));
+  const Json again =
+      parse_ok(p.handle_line(R"({"id":7,"cmd":"profile","args":{"action":"status"}})"));
+  EXPECT_FALSE(status.find("running")->as_bool());
+  EXPECT_GT(stopped.find("total_us")->as_number(), 0.0);
+  EXPECT_GE(status.find("total_us")->as_number(), stopped.find("total_us")->as_number());
+  EXPECT_EQ(again.find("total_us")->as_number(), status.find("total_us")->as_number());
+}
+
+TEST(RequestObs, SlowAnalyzingRequestsCarryFoldedPhaseLines) {
+  Session s = make_session();
+  RequestContext ctx(s.registry(), /*slow_ms=*/0.0);
+  Protocol p(s, &ctx);
+  obs::Tracer::set_thread_name("server");
+  (void)parse_ok(p.handle_line(R"({"id":1,"cmd":"profile","args":{"action":"start"}})"));
+  (void)parse_ok(p.handle_line(R"({"id":2,"cmd":"violations"})"));
+  (void)parse_ok(p.handle_line(R"({"id":3,"cmd":"profile","args":{"action":"stop"}})"));
+
+  const Json data = parse_ok(p.handle_line(R"({"id":4,"cmd":"slowlog"})"));
+  const Json* analyzing = nullptr;
+  for (const Json& e : data.find("entries")->items()) {
+    if (e.find("cmd")->as_string() == "violations") analyzing = &e;
+  }
+  ASSERT_NE(analyzing, nullptr);
+  const Json* profile = analyzing->find("profile");
+  ASSERT_NE(profile, nullptr);
+  ASSERT_FALSE(profile->items().empty());
+  EXPECT_LE(profile->items().size(), RequestContext::kMaxProfileLines);
+  bool phase_seen = false;
+  for (const Json& line : profile->items()) {
+    const std::string& text = line.as_string();
+    const std::size_t sep = text.rfind(' ');
+    ASSERT_NE(sep, std::string::npos) << text;
+    EXPECT_GT(std::stoull(text.substr(sep + 1)), 0u) << text;
+    EXPECT_NE(text.find(";request 2: violations"), std::string::npos) << text;
+    phase_seen = phase_seen || names_a_phase(text.substr(0, sep));
+  }
+  EXPECT_TRUE(phase_seen);
 }
 
 }  // namespace

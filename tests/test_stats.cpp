@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -55,6 +57,16 @@ TEST(RunningStats, MatchesBatchOnRandomData) {
   EXPECT_NEAR(s.variance(), var, 1e-10);
 }
 
+/// Bin counts as Histogram::ascii renders them ("lo .. hi : count\t###").
+std::vector<std::size_t> ascii_counts(const Histogram& h) {
+  std::istringstream rows(h.ascii());
+  std::vector<std::size_t> counts;
+  for (std::string row; std::getline(rows, row);) {
+    counts.push_back(std::stoul(row.substr(row.find(" : ") + 3)));
+  }
+  return counts;
+}
+
 TEST(Histogram, BinningAndClamping) {
   Histogram h(0.0, 10.0, 10);
   h.add(0.5);    // bin 0
@@ -62,10 +74,7 @@ TEST(Histogram, BinningAndClamping) {
   h.add(-5.0);   // clamps to bin 0
   h.add(25.0);   // clamps to bin 9
   h.add(5.0);    // bin 5
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-  EXPECT_EQ(h.count(5), 1u);
+  EXPECT_EQ(ascii_counts(h), (std::vector<std::size_t>{2, 0, 0, 0, 0, 1, 0, 0, 0, 2}));
   EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
   EXPECT_DOUBLE_EQ(h.bin_hi(5), 6.0);
 }
@@ -124,14 +133,6 @@ TEST(Rng, RangeInclusive) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
-}
-
-TEST(Rng, NormalRoughMoments) {
-  Rng rng(5);
-  RunningStats s;
-  for (int i = 0; i < 20000; ++i) s.add(rng.normal(10.0, 2.0));
-  EXPECT_NEAR(s.mean(), 10.0, 0.1);
-  EXPECT_NEAR(s.stddev(), 2.0, 0.1);
 }
 
 }  // namespace

@@ -57,7 +57,6 @@ struct Args {
   std::string stats_json_path;  ///< --stats-json: machine-readable run report
   std::string html_path;        ///< --html-report: self-contained dashboard
   std::string profile_path;     ///< --profile-out: collapsed-stack profile
-  int profile_hz = 97;          ///< --profile-hz: sampling rate (0 = off)
   std::string explain_net;      ///< explain: the net to explain
   std::string listen = "unix:/tmp/noisewin.sock";  ///< daemon: --listen endpoint
   int max_connections = 32;     ///< daemon: --max-connections
@@ -119,12 +118,11 @@ const char kUsage[] =
     "                      Under analyze: sample RSS during the run (default\n"
     "                      off); results are bit-identical either way\n"
     "  --sample-cap <n>    telemetry samples retained (ring bound, default 512)\n"
-    "  --profile-out <file> write a collapsed-stack ('folded') sampling\n"
-    "                      profile of the run — one 'thread;span;span N' line\n"
-    "                      per stack, ready for flamegraph tooling; results\n"
-    "                      are bit-identical with profiling on or off\n"
-    "  --profile-hz <n>    sampling rate for --profile-out (default 97;\n"
-    "                      0 disables sampling, max 20000)\n"
+    "  --profile-out <file> write a collapsed-stack ('folded') profile of the\n"
+    "                      run — one 'thread;span;span US' line per stack, its\n"
+    "                      self time in microseconds, ready for flamegraph\n"
+    "                      tooling; results are bit-identical with profiling\n"
+    "                      on or off\n"
     "  --verbose           more diagnostics on stderr (repeat for debug)\n"
     "  --report <file>     write the full report to a file (default: stdout)\n"
     "  --html-report <file> write the self-contained HTML noise dashboard\n"
@@ -261,16 +259,6 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
       const auto v = need_value();
       if (!v) return std::nullopt;
       a.profile_path = *v;
-    } else if (arg == "--profile-hz") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const unsigned long hz = nw::parse_uint(*v);
-      if (hz > static_cast<unsigned long>(obs::Profiler::kMaxHz)) {
-        err << "noisewin: --profile-hz " << *v << " too high (max "
-            << obs::Profiler::kMaxHz << ")\n";
-        return std::nullopt;
-      }
-      a.profile_hz = static_cast<int>(hz);
     } else if (arg == "--slow-ms") {
       const auto v = need_value();
       if (!v) return std::nullopt;
@@ -396,32 +384,25 @@ void require_written(std::ostream& os, const char* flag, const std::string& path
   }
 }
 
-/// Start the sampling profiler for this run if --profile-out asked for it.
-/// --profile-hz 0 keeps it off (an empty folded file is still written, so
-/// scripted consumers always find their artifact).
-bool start_profiler(const Args& a, const char* thread_name) {
-  if (a.profile_path.empty() || a.profile_hz <= 0) return false;
-  obs::profile_set_thread_name(thread_name);
-  obs::Profiler::clear();
-  if (!obs::Profiler::start(a.profile_hz)) {
-    NW_LOG(kWarn) << "sampling profiler failed to start (already running?)";
-    return false;
+/// Start the profiler for this run if --profile-out asked for it, naming
+/// the calling thread (the root frame of its stacks).
+void start_profiler(const Args& a, const char* thread_name) {
+  if (a.profile_path.empty()) return;
+  obs::Tracer::set_thread_name(thread_name);
+  if (!obs::Profiler::start()) {
+    NW_LOG(kWarn) << "profiler failed to start (already running?)";
   }
-  return true;
 }
 
-/// Stop sampling and write the collapsed-stack artifact. Safe to call when
-/// the profiler never started (writes an empty, still-valid folded file).
+/// Stop profiling and write the collapsed-stack artifact.
 void write_profile(const Args& a) {
   if (a.profile_path.empty()) return;
   obs::Profiler::stop();
   std::ofstream pf = open_output(a.profile_path, "--profile-out");
-  // --profile-hz 0: the file stays empty even if the process aggregate
-  // holds samples from an earlier in-process run (tests share a process).
-  if (a.profile_hz > 0) obs::Profiler::write_folded(pf);
+  obs::Profiler::write_folded(pf);
   require_written(pf, "--profile-out", a.profile_path);
   NW_LOG(kInfo) << "profile written to " << a.profile_path << " ("
-                << obs::Profiler::total_samples() << " samples)";
+                << obs::Profiler::total_us() << " us)";
 }
 
 /// A wall-time gauge appended to an exported snapshot copy (render times
@@ -545,14 +526,14 @@ int run_session(const Args& a, std::istream& in, std::ostream& out) {
   cfg.sta = sta_opt;
   session::Session session(std::move(*design), std::move(*parasitics), cfg);
 
+  // Name the conversation thread up front so its trace track, and the
+  // stacks of a profiler started later via the `profile` protocol command,
+  // are labelled "server".
+  obs::Tracer::set_thread_name("server");
   if (!a.trace_path.empty()) {
     obs::Tracer::clear();
-    obs::Tracer::set_thread_name("server");
     obs::Tracer::enable();
   }
-  // Name the conversation thread up front so a profiler started later via
-  // the `profile` protocol command labels its stacks "server", too.
-  obs::profile_set_thread_name("server");
   start_profiler(a, "server");
 
   session::RequestContext reqobs(session.registry(), a.slow_ms);
@@ -770,7 +751,7 @@ int run_cli(std::span<const std::string> args, std::istream& in, std::ostream& o
                                              noise::memory_bytes(result));
     if (meter) meter->finish();
     if (live_sampler) live_sampler->stop();
-    // Stop sampling before report rendering so the profile covers exactly
+    // Stop profiling before report rendering so the profile covers exactly
     // the analysis; the folded artifact is written with the other outputs.
     obs::Profiler::stop();
 

@@ -30,8 +30,10 @@ histograms, and the slow log. Bench run records need the "bench" section
 analyzer's timing bookkeeping: phase times non-negative and summing to at
 most total_seconds, and executor_tasks equal to the executor regions'
 summed chunks. --profile validates a
-collapsed-stack ("folded") sampling profile: well-formed `stack count`
-lines, sorted, with samples in every analyzer phase. Exits non-zero with a
+collapsed-stack ("folded") profile: well-formed `stack us` lines, sorted,
+with every analyzer phase present; given --stats too, each phase's
+inclusive microseconds on the main thread must match its phase gauge.
+Exits non-zero with a
 message on the first failure — schema violations gate CI; perf comparison
 (tools/bench_history.py, tools/perf_diff.py) stays advisory.
 """
@@ -50,6 +52,10 @@ REQUIRED_META = ["schema_version", "design", "mode", "model", "options_digest",
 REQUIRED_BENCH = ["record_version", "git_sha", "git_describe", "build_type",
                   "timestamp_utc", "unix_time", "peak_rss_bytes"]
 PHASES = ["estimate-injected", "propagate", "check-endpoints"]
+PHASE_FRAMES = {"build-context": "phase_context_seconds",
+                "estimate-injected": "phase_estimate_seconds",
+                "propagate": "phase_propagate_seconds",
+                "check-endpoints": "phase_endpoints_seconds"}
 PHASE_SECONDS = ["phase_context_seconds", "phase_estimate_seconds",
                  "phase_propagate_seconds", "phase_endpoints_seconds"]
 
@@ -454,41 +460,53 @@ def validate_bench_record(path):
           f"{bench['build_type']}, peak RSS {bench['peak_rss_bytes']} B)")
 
 
-def validate_profile(path, require_phases=True):
-    """A collapsed-stack ("folded") sampling profile: one `stack count`
-    line per aggregated stack, sorted by stack, root frame = thread name,
-    and — for an analysis capture — samples inside every analyzer phase."""
+def validate_profile(path, require_phases=True, stats_path=None):
+    """A collapsed-stack ("folded") profile: one `stack us` line per
+    distinct span stack, sorted by stack, root frame = thread name, and —
+    for an analysis capture — every analyzer phase present. With the run's
+    stats record, each phase frame's inclusive microseconds on the main
+    thread (the stacks that pass through it) must equal its phase gauge,
+    within 1 us per such stack (each stack's time is rounded up)."""
     with open(path) as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     if not lines:
-        fail(f"profile: {path} is empty (was --profile-hz 0 used?)")
+        fail(f"profile: {path} is empty")
     stacks = []
     total = 0
     for ln in lines:
-        stack, sep, count = ln.rpartition(" ")
+        stack, sep, us = ln.rpartition(" ")
         if not sep or not stack:
-            fail(f"profile: malformed folded line (no count): {ln!r}")
+            fail(f"profile: malformed folded line (no time): {ln!r}")
         try:
-            n = int(count)
+            n = int(us)
         except ValueError:
-            fail(f"profile: malformed count in line: {ln!r}")
+            fail(f"profile: malformed time in line: {ln!r}")
         if n <= 0:
-            fail(f"profile: non-positive count in line: {ln!r}")
+            fail(f"profile: non-positive time in line: {ln!r}")
         frames = stack.split(";")
         if any(not f for f in frames):
             fail(f"profile: empty frame in stack: {stack!r}")
-        stacks.append(stack)
+        stacks.append((frames, n))
         total += n
-    if stacks != sorted(stacks):
+    names = [";".join(frames) for frames, _ in stacks]
+    if names != sorted(names):
         fail("profile: stacks are not sorted (write_folded sorts by stack)")
-    if len(set(stacks)) != len(stacks):
+    if len(set(names)) != len(names):
         fail("profile: duplicate stack lines (aggregation broken)")
     if require_phases:
-        for phase in PHASES:
-            if not any(phase in s.split(";") for s in stacks):
-                fail(f"profile: no samples in analyzer phase '{phase}' "
-                     f"(sample longer or raise --profile-hz)")
-    print(f"validate_obs: profile OK ({len(stacks)} stacks, {total} samples)")
+        for phase in PHASE_FRAMES:
+            if not any(phase in frames for frames, _ in stacks):
+                fail(f"profile: no stack in analyzer phase '{phase}'")
+    if stats_path:
+        timing = load_stats(stats_path, "stats")["timing"]
+        for phase, gauge in PHASE_FRAMES.items():
+            under = [n for frames, n in stacks
+                     if frames[0] == "main" and phase in frames[1:]]
+            want = timing[gauge] * 1e6
+            if abs(sum(under) - want) > len(under):
+                fail(f"profile: '{phase}' on main folds {sum(under)} us over "
+                     f"{len(under)} stacks, but {gauge} is {want:.1f} us")
+    print(f"validate_obs: profile OK ({len(stacks)} stacks, {total} us)")
 
 
 def check_timeseries(doc, context, required=False):
@@ -632,7 +650,7 @@ def main():
                     help="daemon-side Chrome trace: counter tracks required")
     ap.add_argument("--bench-record", action="append", default=[])
     ap.add_argument("--html-report")
-    ap.add_argument("--profile", help="folded sampling profile to validate")
+    ap.add_argument("--profile", help="folded span-time profile to validate")
     ap.add_argument("--profile-no-phases", action="store_true",
                     help="skip the analyzer-phase coverage check (server "
                          "captures, partial runs)")
@@ -660,7 +678,8 @@ def main():
     if args.html_report:
         validate_html_report(args.html_report)
     if args.profile:
-        validate_profile(args.profile, require_phases=not args.profile_no_phases)
+        validate_profile(args.profile, require_phases=not args.profile_no_phases,
+                         stats_path=args.stats)
 
 
 if __name__ == "__main__":
