@@ -217,7 +217,8 @@ TEST(Profiler, ExitedThreadsFoldIntoTheAggregate) {
     dwell("job", 1);
   }).join();
   obs::Profiler::stop();
-  const obs::FoldedEntry* job = find_stack(obs::Profiler::snapshot(), "pworker;job");
+  const std::vector<obs::FoldedEntry> entries = obs::Profiler::snapshot();
+  const obs::FoldedEntry* job = find_stack(entries, "pworker;job");
   ASSERT_NE(job, nullptr);
   EXPECT_GE(job->us, 1000u);
   EXPECT_GT(obs::Profiler::approx_bytes(), 0u);
