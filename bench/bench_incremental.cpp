@@ -1,6 +1,6 @@
 // R-T7: incremental (ECO) re-analysis speedup vs a full re-run after a
-// single-net coupling change, under the expensive reduced-mna model where
-// glitch estimation dominates.
+// single-net coupling change, under the reduced-mna model, which solves a
+// circuit per victim/aggressor pair.
 #include <benchmark/benchmark.h>
 
 #include "bench/suite.hpp"

@@ -488,8 +488,8 @@ class Pipeline {
     return s;
   }
 
-  /// Under the transient-backed models, estimates the pairs of every
-  /// re-estimated victim in [v_begin, v_end) as one batch
+  /// Under the MNA models (reduced-mna, mna-exact), estimates the pairs of
+  /// every re-estimated victim in [v_begin, v_end) as one batch
   /// (estimate_mna_batch) and returns their estimates in CSR order, in a
   /// per-thread buffer; empty under the analytic models.
   std::span<const GlitchEstimate> estimate_transients(std::size_t v_begin,

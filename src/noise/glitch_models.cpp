@@ -161,108 +161,35 @@ std::vector<double> extra_caps(const net::Design& design, const para::Parasitics
 
 }  // namespace
 
-namespace {
-
-/// What the victim presents to one aggressor: its pi model with every
-/// other coupling grounded, the coupling to the aggressor and its holding
-/// resistance.
-struct VictimLoad {
-  para::PiModel pi;
-  double cc = 0.0;
-  double r_hold = 0.0;
-  /// The holding time constant both MNA models size their runs from.
-  [[nodiscard]] double tau() const noexcept { return r_hold * (cc + pi.total_cap()); }
-};
-
-VictimLoad victim_load(const net::Design& design, const para::Parasitics& para,
-                       NetId victim, NetId aggressor) {
-  VictimLoad v;
-  v.pi = para::pi_model(para.net(victim), extra_caps(design, para, victim, aggressor));
+ReducedPair reduced_pair(const net::Design& design, const para::Parasitics& para,
+                         NetId victim, NetId aggressor, double slew, double vdd) {
+  ReducedPair p;
+  p.aggressor = para::pi_model(para.net(aggressor), extra_caps(design, para, aggressor, victim));
+  p.victim = para::pi_model(para.net(victim), extra_caps(design, para, victim, aggressor));
   for (const auto ci : para.couplings_of(victim)) {
     const auto& c = para.coupling(ci);
-    if (c.other_net(victim) == aggressor) v.cc += c.c;
+    if (c.other_net(victim) == aggressor) p.cc += c.c;
   }
-  v.r_hold = spice::driver_resistance(design, victim, /*holding=*/true);
-  return v;
-}
-
-/// Injection plus twelve decay time constants (at least 5 ps each).
-double settle_time(const VictimLoad& v, double slew) {
-  return slew + 12.0 * std::max(v.tau(), 5e-12);
-}
-
-}  // namespace
-
-std::optional<ReducedCircuit> reduced_circuit(const net::Design& design,
-                                              const para::Parasitics& para, NetId victim,
-                                              NetId aggressor, double slew, double vdd) {
-  const VictimLoad load = victim_load(design, para, victim, aggressor);
-  const para::PiModel& pi_v = load.pi;
-  const para::PiModel pi_a =
-      para::pi_model(para.net(aggressor), extra_caps(design, para, aggressor, victim));
-  const double cc = load.cc;
-  if (cc <= 0.0) return std::nullopt;
-
-  const double r_hold = load.r_hold;
-  const double r_drv = spice::driver_resistance(design, aggressor, /*holding=*/false);
-
-  spice::Circuit ckt;
-  const std::size_t src = r_drv > 0.0 ? ckt.add_node("src") : 0;
-  const std::size_t a1 = ckt.add_node("a1");
-  const std::size_t a2 = (pi_a.r > 0.0) ? ckt.add_node("a2") : a1;
-  const std::size_t v1 = ckt.add_node("v1");
-  const std::size_t v2 = (pi_v.r > 0.0) ? ckt.add_node("v2") : v1;
-
-  if (r_drv > 0.0) {
-    ckt.add_vsrc(src, 0, spice::Pwl::ramp(0.0, slew, 0.0, vdd));
-    ckt.add_res(src, a1, r_drv);
-  } else {
-    ckt.add_vsrc(a1, 0, spice::Pwl::ramp(0.0, slew, 0.0, vdd));
-  }
-  if (pi_a.c_near > 0.0) ckt.add_cap(a1, 0, pi_a.c_near);
-  if (a2 != a1) {
-    ckt.add_res(a1, a2, pi_a.r);
-    if (pi_a.c_far > 0.0) ckt.add_cap(a2, 0, pi_a.c_far);
-  }
-  if (r_hold > 0.0) {
-    ckt.add_res(v1, 0, r_hold);
-  } else {
-    ckt.add_vsrc(v1, 0, spice::Pwl::dc(0.0));
-  }
-  if (pi_v.c_near > 0.0) ckt.add_cap(v1, 0, pi_v.c_near);
-  if (v2 != v1) {
-    ckt.add_res(v1, v2, pi_v.r);
-    if (pi_v.c_far > 0.0) ckt.add_cap(v2, 0, pi_v.c_far);
-  }
-  // Coupling split between the near and far ends of both pi models —
-  // distributed coupling collapses onto the reduced nodes half-and-half.
-  ckt.add_cap(a1, v1, 0.5 * cc);
-  if (a2 != a1 || v2 != v1) {
-    ckt.add_cap(a2, v2, 0.5 * cc);
-  } else {
-    ckt.add_cap(a1, v1, 0.5 * cc);
-  }
-
-  // Simulate long enough for injection + decay.
-  const double tau = load.tau();
-  const double t_stop = settle_time(load, slew);
-  const double dt = std::max(std::min(slew, tau) / 50.0, 5e-14);
-  return ReducedCircuit{std::move(ckt), v2, {t_stop, dt}};
+  p.r_drv = spice::driver_resistance(design, aggressor, /*holding=*/false);
+  p.r_hold = spice::driver_resistance(design, victim, /*holding=*/true);
+  p.slew = slew;
+  p.vdd = vdd;
+  return p;
 }
 
 namespace {
 
-/// Factors one pair's circuit, rethrowing a failure with the pair named.
-spice::TranSystem factor_pair(GlitchModel model, const net::Design& design,
-                              const MnaPair& pair, const spice::Circuit& ckt,
-                              const spice::TranOptions& tran, std::size_t probe) {
+/// Runs `estimate` for one pair, rethrowing a failure with the pair named.
+template <typename Estimate>
+auto named_pair(GlitchModel model, const net::Design& design, const MnaPair& pair,
+                Estimate&& estimate) {
   const auto named = [&](const std::exception& e) {
     return std::string(to_string(model)) + ": victim net '" +
            design.net(pair.victim).name + "', aggressor net '" +
            design.net(pair.aggressor).name + "': " + e.what();
   };
   try {
-    return spice::TranSystem(ckt, tran, probe);
+    return estimate();
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(named(e));
   } catch (const std::runtime_error& e) {
@@ -277,42 +204,45 @@ void estimate_mna_batch(GlitchModel model, const net::Design& design,
                         double vdd, const spice::TranOptions& tran,
                         std::span<GlitchEstimate> out) {
   if (model != GlitchModel::kReducedMna && model != GlitchModel::kMnaExact) {
-    throw std::invalid_argument("estimate_mna_batch: not a transient-backed model");
+    throw std::invalid_argument("estimate_mna_batch: not an MNA model");
   }
   if (out.size() != pairs.size()) throw std::invalid_argument("estimate_mna_batch: size");
-  std::vector<spice::TranSystem> systems;
-  std::vector<std::size_t> slot;     // pair index per system
-  systems.reserve(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const MnaPair& p = pairs[i];
-    out[i] = {};
-    if (model == GlitchModel::kReducedMna) {
-      const std::optional<ReducedCircuit> rc =
-          reduced_circuit(design, para, p.victim, p.aggressor, p.slew, vdd);
-      if (!rc) continue;
-      systems.push_back(factor_pair(model, design, p, rc->circuit, rc->tran, rc->probe));
-    } else {
-      spice::ClusterSpec spec;
-      spec.victim = p.victim;
-      spec.vdd = vdd;
-      spec.aggressors.push_back({p.aggressor, /*start=*/0.0, p.slew, /*rising=*/true});
-      const spice::Cluster cl = spice::build_cluster(design, para, spec);
-      // Extend the configured window to the pair's settle time, but never
-      // past the step bound (kept two steps short of it, so rounding in
-      // ceil(t_stop / dt) cannot cross it).
-      const double settle = settle_time(victim_load(design, para, p.victim, p.aggressor),
-                                        p.slew);
-      const double longest = tran.dt * static_cast<double>(spice::kMaxSteps - 2);
-      const spice::TranOptions window{std::max(tran.t_stop, std::min(settle, longest)),
-                                      tran.dt};
-      systems.push_back(factor_pair(model, design, p, cl.circuit, window, cl.victim_probe));
+  if (model == GlitchModel::kReducedMna) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const MnaPair& p = pairs[i];
+      const spice::GlitchMeasure m = named_pair(model, design, p, [&] {
+        return measure_reduced(reduced_pair(design, para, p.victim, p.aggressor, p.slew, vdd));
+      });
+      out[i] = GlitchEstimate{m.peak, m.width, m.t_peak};
     }
-    slot.push_back(i);
+    return;
+  }
+  std::vector<spice::TranSystem> systems;
+  systems.reserve(pairs.size());
+  for (const MnaPair& p : pairs) {
+    spice::ClusterSpec spec;
+    spec.victim = p.victim;
+    spec.vdd = vdd;
+    spec.aggressors.push_back({p.aggressor, /*start=*/0.0, p.slew, /*rising=*/true});
+    const spice::Cluster cl = spice::build_cluster(design, para, spec);
+    // Extend the configured window to the pair's settle time, injection
+    // plus twelve holding time constants (at least 5 ps each), but never
+    // past the step bound (kept two steps short of it, so rounding in
+    // ceil(t_stop / dt) cannot cross it).
+    const double tau =
+        reduced_pair(design, para, p.victim, p.aggressor, p.slew, vdd).hold_tau();
+    const double settle = p.slew + 12.0 * std::max(tau, 5e-12);
+    const double longest = tran.dt * static_cast<double>(spice::kMaxSteps - 2);
+    const spice::TranOptions window{std::max(tran.t_stop, std::min(settle, longest)),
+                                    tran.dt};
+    systems.push_back(named_pair(model, design, p, [&] {
+      return spice::TranSystem(cl.circuit, window, cl.victim_probe);
+    }));
   }
   spice::simulate_batch(systems, [&](std::size_t s, std::span<const double> samples) {
     const spice::GlitchMeasure m =
         spice::measure_glitch(samples, systems[s].dt(), /*baseline=*/0.0);
-    out[slot[s]] = GlitchEstimate{m.peak, m.width, m.t_peak};
+    out[s] = GlitchEstimate{m.peak, m.width, m.t_peak};
   });
 }
 

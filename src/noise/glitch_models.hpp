@@ -12,17 +12,18 @@
 //   kTwoPi          dominant-pole solution of the reduced (pi-model)
 //                   network; the workhorse model with peak AND width.
 //   kReducedMna     O'Brien–Savarino pi models of victim and aggressor
-//                   joined by the lumped coupling, solved by the MNA
-//                   transient engine on a 5-node circuit. Near-golden
-//                   accuracy at a fixed small cost per pair.
+//                   joined by the lumped coupling: a circuit of at most
+//                   four unknowns, solved in closed form by its modes
+//                   (noise/reduced_mna.hpp). Near-golden accuracy at a
+//                   fixed small cost per pair.
 //   kMnaExact       full cluster MNA transient measured with
 //                   spice::measure_glitch. Slowest, used for accuracy
 //                   experiments and high-effort signoff mode.
 //
-// The two transient-backed models estimate pairs in batches
-// (estimate_mna_batch): every pair's circuit is factored, and pairs whose
-// factors share one structure step together in the transient engine's
-// lanes (spice/transient.hpp), each bit-identical to a run on its own.
+// mna-exact estimates pairs in batches (estimate_mna_batch): every pair's
+// circuit is factored, and pairs whose factors share one structure step
+// together in the transient engine's lanes (spice/transient.hpp), each
+// bit-identical to a run on its own.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +32,7 @@
 #include <string_view>
 
 #include "netlist/design.hpp"
+#include "noise/reduced_mna.hpp"
 #include "parasitics/rcnet.hpp"
 #include "spice/transient.hpp"
 #include "util/ids.hpp"
@@ -89,42 +91,33 @@ void peaks_two_pi(std::span<const double> r_hold, std::span<const double> c_grou
 
 /// Exact: build the victim/aggressor cluster and simulate, recording only
 /// the victim probe. The run lasts max(tran.t_stop, slew + 12 tau) at
-/// tran.dt, tau the victim's holding time constant as reduced_circuit
-/// computes it, so a slow aggressor's glitch is not cut off; the extension
-/// alone never takes a run past spice::kMaxSteps. Errors (a step count
-/// above spice::kMaxSteps, a singular circuit) are rethrown with the victim
-/// and aggressor net names. A batch of one (estimate_mna_batch).
+/// tran.dt, tau the victim's holding time constant
+/// (ReducedPair::hold_tau), so a slow aggressor's glitch is not cut off;
+/// the extension alone never takes a run past spice::kMaxSteps. Errors (a
+/// step count above spice::kMaxSteps, a singular circuit) are rethrown with
+/// the victim and aggressor net names. A batch of one (estimate_mna_batch).
 [[nodiscard]] GlitchEstimate estimate_mna(const net::Design& design,
                                           const para::Parasitics& para, NetId victim,
                                           NetId aggressor, double slew, double vdd,
                                           const spice::TranOptions& tran);
 
-/// The circuit estimate_reduced simulates for one pair: the victim and
-/// aggressor pi models joined by the lumped coupling, the far victim node
-/// to probe and the transient settings sized to the pair's time constants.
-/// A 0-ohm driver is an ideal source: the holder pins the victim root at
-/// 0 V, the aggressor ramp drives its root directly.
-struct ReducedCircuit {
-  spice::Circuit circuit;
-  std::size_t probe = 0;
-  spice::TranOptions tran;
-};
+/// The reduced circuit of one pair: both pi models with every other
+/// coupling grounded, the summed coupling between the nets, the aggressor's
+/// driver and the victim's holding resistance.
+[[nodiscard]] ReducedPair reduced_pair(const net::Design& design,
+                                       const para::Parasitics& para, NetId victim,
+                                       NetId aggressor, double slew, double vdd);
 
-/// Builds the reduced circuit; nullopt when the pair shares no coupling
-/// capacitance.
-[[nodiscard]] std::optional<ReducedCircuit> reduced_circuit(
-    const net::Design& design, const para::Parasitics& para, NetId victim,
-    NetId aggressor, double slew, double vdd);
-
-/// Reduced-order: simulates reduced_circuit(), recording only its probe.
-/// Errors are rethrown with the net names, as estimate_mna does. A batch of
-/// one (estimate_mna_batch).
+/// Reduced-order: measure_reduced on reduced_pair(), the glitch at the far
+/// victim node in closed form. Errors (a non-positive or non-finite slew, a
+/// non-finite solution) are rethrown with the net names, as estimate_mna
+/// does. A batch of one (estimate_mna_batch).
 [[nodiscard]] GlitchEstimate estimate_reduced(const net::Design& design,
                                               const para::Parasitics& para,
                                               NetId victim, NetId aggressor,
                                               double slew, double vdd);
 
-/// One victim/aggressor pair of a transient-backed estimate.
+/// One victim/aggressor pair of an MNA-model estimate.
 struct MnaPair {
   NetId victim;
   NetId aggressor;
@@ -132,12 +125,13 @@ struct MnaPair {
 };
 
 /// Estimates every pair under `model` (kReducedMna or kMnaExact; `tran`
-/// only serves kMnaExact) into out[i]. Builds and factors each pair's
-/// circuit in order, then steps all of them together
-/// (spice::simulate_batch) and measures each probe waveform as its run
-/// finishes, so no batch holds more than one waveform per lane. out[i]
-/// equals estimate_reduced / estimate_mna on pair i bit for bit, and an
-/// error names the first pair, in order, whose circuit fails.
+/// only serves kMnaExact) into out[i]. kReducedMna solves each pair's
+/// reduced circuit in closed form, one after the other. kMnaExact builds
+/// and factors each pair's cluster in order, then steps all of them
+/// together (spice::simulate_batch) and measures each probe waveform as its
+/// run finishes, so no batch holds more than one waveform per lane. Either
+/// way out[i] equals estimate_reduced / estimate_mna on pair i bit for bit,
+/// and an error names the first pair, in order, that fails.
 void estimate_mna_batch(GlitchModel model, const net::Design& design,
                         const para::Parasitics& para, std::span<const MnaPair> pairs,
                         double vdd, const spice::TranOptions& tran,

@@ -84,8 +84,9 @@ class TransientResult {
 inline constexpr std::size_t kMaxSteps = std::size_t{1} << 22;
 
 /// Lane count of the stepping loop for groups of two or more systems. On
-/// the 6-unknown reduced-MNA pairs of a 1024-bit bus, 4 lanes halve the
-/// time per pair-step against one lane; 8 lanes gain nothing more (see
+/// the stepped 6-unknown reduced-MNA circuits of a 1024-bit bus, 4 lanes
+/// halved the time per pair-step against one lane and 8 lanes gained
+/// nothing more; mna-exact's clusters have not been measured (see
 /// DESIGN.md §4.1).
 inline constexpr std::size_t kLanes = 4;
 

@@ -122,7 +122,11 @@ void Executor::run_chunk(const char* label, std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn) {
   WorkerSlot* const slot = tl_slot_;
   std::optional<obs::Span> span;
-  if (label != nullptr && obs::spans_active()) span.emplace(label, obs::SpanKind::kTask);
+  // The chunk's own name: a region label is often the name of the phase
+  // span that encloses the region, and a stack must not repeat a frame.
+  if (label != nullptr && obs::spans_active()) {
+    span.emplace(std::string(label) + " chunk", obs::SpanKind::kTask);
+  }
   // Utilization needs the chunk's start relative to the region, not only
   // its duration, so it keeps its own clock pair.
   const auto t0 = std::chrono::steady_clock::now();

@@ -14,7 +14,8 @@
 // makes analysis output bit-identical across thread counts.
 //
 // Observability: the labeled overloads emit one obs::Span per executed
-// chunk (category "task") when tracing is enabled, so load imbalance
+// chunk (category "task", named "<label> chunk") while a span consumer is
+// on, so load imbalance
 // inside a region shows up as per-thread tracks in the trace; pool workers
 // name their tracks "worker <i>". Utilization accounting times every chunk
 // (two clock reads) for the per-worker and per-region aggregates. There is
@@ -111,8 +112,9 @@ class Executor {
     parallel_for(nullptr, n, chunk, fn);
   }
 
-  /// Same, with a trace label: each chunk records an obs::Span named
-  /// `label` when tracing is enabled. `label` must outlive the call.
+  /// Same, with a region label: the utilization stats are keyed by
+  /// `label`, and each chunk records an obs::Span named "<label> chunk"
+  /// while a span consumer is on. `label` must outlive the call.
   void parallel_for(const char* label, std::size_t n, std::size_t chunk,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 

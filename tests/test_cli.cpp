@@ -186,10 +186,10 @@ TEST(Cli, FileFlowEndToEnd) {
   fs::remove_all(dir);
 }
 
-TEST(Cli, MnaStepBoundFailsNamingTheNets) {
-  // A millisecond port slew asks the reduced-mna transient for billions of
-  // picosecond steps. The run must fail fast naming the victim/aggressor
-  // pair, not exhaust memory or run for minutes.
+TEST(Cli, ReducedMnaMillisecondSlewRunsToAReport) {
+  // A millisecond port slew used to ask the stepped reduced-mna transient
+  // for billions of picosecond steps, and the run failed on the step bound.
+  // The closed form takes no steps: the run ends in a report, at once.
   const lib::Library library = lib::default_library();
   gen::BusConfig cfg;
   cfg.bits = 4;
@@ -221,14 +221,12 @@ TEST(Cli, MnaStepBoundFailsNamingTheNets) {
   }
   std::string out;
   std::string err;
-  EXPECT_EQ(run({"--lib", lib_path, "--netlist", nv_path, "--spef", spef_path, "--model",
-                 "reduced-mna", "--mode", "no-filtering"},
-                &out, &err),
-            1);
-  EXPECT_NE(err.find("reduced-mna: victim net '"), std::string::npos) << err;
-  EXPECT_NE(err.find("aggressor net 'w1': simulate: "), std::string::npos) << err;
-  EXPECT_NE(err.find("exceed the limit of"), std::string::npos) << err;
-  EXPECT_EQ(out.find("violations:"), std::string::npos) << out;
+  const int code = run({"--lib", lib_path, "--netlist", nv_path, "--spef", spef_path,
+                        "--model", "reduced-mna", "--mode", "no-filtering"},
+                       &out, &err);
+  EXPECT_TRUE(code == 0 || code == 2) << code << ": " << err;
+  EXPECT_EQ(err.find("reduced-mna: "), std::string::npos) << err;
+  EXPECT_NE(out.find("violations:"), std::string::npos) << out;
   fs::remove_all(dir);
 }
 

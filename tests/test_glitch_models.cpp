@@ -191,30 +191,71 @@ TEST(ReducedMna, NoCouplingGivesNoGlitch) {
 }
 
 TEST(ReducedMna, StepBoundNamesThePair) {
-  // A millisecond aggressor slew on the reduced model's picosecond grid is
-  // billions of steps: refused before allocating, with the nets named.
+  // A millisecond window on mna-exact's picosecond grid is billions of
+  // steps: refused before allocating, with the nets named.
   const lib::Library library = lib::default_library();
   gen::BusConfig cfg;
   cfg.bits = 4;
   const gen::Generated g = gen::make_bus(library, cfg);
   const NetId victim = *g.design.find_net("w1");
   const NetId aggressor = *g.design.find_net("w2");
-  for (const bool exact : {false, true}) {
+  try {
+    (void)estimate_mna(g.design, g.para, victim, aggressor, 30 * PS, 1.2, {1e-3, 0.5 * PS});
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("mna-exact: victim net 'w1', aggressor net 'w2': simulate: "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("exceed the limit of " + std::to_string(spice::kMaxSteps)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(ReducedMna, MillisecondSlewGivesAFiniteGlitch) {
+  // The closed form takes no steps, so a millisecond aggressor slew (which
+  // the stepped model refused) is a slow ramp with a small, wide glitch.
+  const lib::Library library = lib::default_library();
+  gen::BusConfig cfg;
+  cfg.bits = 4;
+  const gen::Generated g = gen::make_bus(library, cfg);
+  const GlitchEstimate e = estimate_reduced(g.design, g.para, *g.design.find_net("w1"),
+                                            *g.design.find_net("w2"), 1e-3, 1.2);
+  ASSERT_TRUE(std::isfinite(e.peak) && std::isfinite(e.width) &&
+              std::isfinite(e.peak_delay));
+  EXPECT_GT(e.peak, 0.0);
+  EXPECT_LT(e.peak, 1e-3);
+  EXPECT_GT(e.width, 0.5e-3);
+  EXPECT_LE(e.width, 1.1e-3);
+}
+
+TEST(ReducedMna, BadInputAndNonFiniteGlitchNameThePair) {
+  const lib::Library library = lib::default_library();
+  gen::BusConfig cfg;
+  cfg.bits = 4;
+  const gen::Generated g = gen::make_bus(library, cfg);
+  const NetId victim = *g.design.find_net("w1");
+  const NetId aggressor = *g.design.find_net("w2");
+  const std::string pair = "reduced-mna: victim net 'w1', aggressor net 'w2': ";
+  for (const double slew : {0.0, -30 * PS, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(slew);
     try {
-      (void)(exact ? estimate_mna(g.design, g.para, victim, aggressor, 30 * PS, 1.2,
-                                  {1e-3, 0.5 * PS})
-                   : estimate_reduced(g.design, g.para, victim, aggressor, 1e-3, 1.2));
+      (void)estimate_reduced(g.design, g.para, victim, aggressor, slew, 1.2);
       FAIL() << "no throw";
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find(std::string(exact ? "mna-exact" : "reduced-mna") +
-                          ": victim net 'w1', aggressor net 'w2': simulate: "),
-                std::string::npos)
-          << what;
-      EXPECT_NE(what.find("exceed the limit of " + std::to_string(spice::kMaxSteps)),
-                std::string::npos)
+      EXPECT_EQ(what.rfind(pair + "aggressor slew must be positive and finite", 0), 0u)
           << what;
     }
+  }
+  // An infinite swing gives a non-finite solution.
+  try {
+    (void)estimate_reduced(g.design, g.para, victim, aggressor, 30 * PS, HUGE_VAL);
+    FAIL() << "no throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(pair + "reduced circuit: non-finite glitch", 0), 0u) << what;
   }
 }
 

@@ -154,8 +154,7 @@ TEST(Profiler, FoldsExactPhaseTimesOnTheCallingThread) {
 
   for (const auto& [frame, metric] : kPhases) {
     // Inclusive time: every stack on this thread that passes through the
-    // frame (a chunk span may repeat the phase's name below it; each stack
-    // counts once).
+    // frame, each stack counted once.
     std::uint64_t us = 0;
     std::size_t stacks = 0;
     for (const obs::FoldedEntry& e : entries) {
@@ -174,6 +173,28 @@ TEST(Profiler, FoldsExactPhaseTimesOnTheCallingThread) {
     EXPECT_NEAR(static_cast<double>(us), gauge->value * 1e6, static_cast<double>(stacks))
         << frame << " over " << stacks << " stacks";
   }
+}
+
+TEST(Profiler, NoStackEndsInTwoEqualFrames) {
+  // Executor chunks run under their region's phase span; a chunk frame
+  // named like its region label would nest each phase inside itself.
+  const RandLogic& d = rand_logic();
+  obs::Tracer::set_thread_name("ptest");
+  ASSERT_TRUE(obs::Profiler::start());
+  (void)noise::analyze(d.g.design, d.g.para, d.timing, d.options(1));
+  obs::Profiler::stop();
+  const std::vector<obs::FoldedEntry> entries = obs::Profiler::snapshot();
+  bool chunks = false;
+  for (const obs::FoldedEntry& e : entries) {
+    const std::size_t last = e.stack.rfind(';');
+    if (last == std::string::npos) continue;
+    const std::size_t before = e.stack.rfind(';', last - 1);
+    const std::size_t from = before == std::string::npos ? 0 : before + 1;
+    EXPECT_NE(e.stack.substr(from, last - from), e.stack.substr(last + 1)) << e.stack;
+    chunks = chunks || e.stack.find(";estimate-injected;estimate-injected chunk") !=
+                           std::string::npos;
+  }
+  EXPECT_TRUE(chunks) << "no estimate chunk under its phase";
 }
 
 TEST(Profiler, WriteFoldedEmitsSortedStackCountLines) {

@@ -2,24 +2,31 @@
 // tests/spice/reference.hpp: every sample must match bit for bit (memcmp),
 // on seeded random RC circuits, on the MNA glitch models' bus pairs, and on
 // every lane of a batched run (spice::simulate_batch), whatever the mix of
-// circuit structures, step counts and batch sizes.
+// circuit structures, step counts and batch sizes. Then the closed-form
+// reduced-MNA model (noise/reduced_mna.hpp) against the stepped run of the
+// same circuit (tests/noise/reduced_circuit.hpp), within a declared
+// tolerance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cfenv>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/suite.hpp"
 #include "gen/bus.hpp"
 #include "gen/randlogic.hpp"
 #include "library/library.hpp"
 #include "noise/analyzer.hpp"
 #include "noise/context.hpp"
 #include "noise/glitch_models.hpp"
+#include "noise/reduced_circuit.hpp"
+#include "noise/reduced_mna.hpp"
 #include "spice/circuit.hpp"
 #include "spice/cluster.hpp"
 #include "spice/reference.hpp"
@@ -179,15 +186,12 @@ TEST_P(GlitchModelOracle, ReducedAndExactMatchReferenceBitForBit) {
     SCOPED_TRACE(g.design.net(victim).name + " <- " + g.design.net(aggressor).name);
     const double slew = rng.uniform(10 * PS, 80 * PS);
 
-    const auto rc = noise::reduced_circuit(g.design, g.para, victim, aggressor, slew, vdd);
-    ASSERT_TRUE(rc.has_value());
-    const spice::GlitchMeasure want_r = spice::measure_glitch(
-        ref::simulate(rc->circuit, rc->tran).waveform(rc->probe), 0.0);
-    const noise::GlitchEstimate got_r =
-        noise::estimate_reduced(g.design, g.para, victim, aggressor, slew, vdd);
-    EXPECT_TRUE(same_bits(got_r.peak, want_r.peak));
-    EXPECT_TRUE(same_bits(got_r.width, want_r.width));
-    EXPECT_TRUE(same_bits(got_r.peak_delay, want_r.t_peak));
+    // The reduced circuit, stepped in a lane, equals the reference run;
+    // the closed form is checked against that run in ReducedOracle below.
+    const ref::ReducedCircuit rc = ref::reduced_circuit(
+        noise::reduced_pair(g.design, g.para, victim, aggressor, slew, vdd));
+    EXPECT_TRUE(same_bits(probe_samples(rc.circuit, rc.tran, rc.probe),
+                          ref::simulate(rc.circuit, rc.tran).waveform(rc.probe).samples()));
 
     spice::ClusterSpec spec;
     spec.victim = victim;
@@ -213,52 +217,39 @@ struct LaneRun {
   std::size_t probe = 0;
 };
 
-/// A run of one of reduced_circuit's 16 topologies with seeded values. The
+/// One of the reduced circuit's 16 topologies with seeded values. The
 /// pattern's bits choose a resistive aggressor driver (else a 0-ohm driver:
 /// the ramp drives a1), an aggressor far node (else a2 == a1), a victim far
 /// node (else v2 == v1) and a resistive holder (else an ideal 0 V source).
+/// With `grounded` false no node has a grounded capacitance, so nodes tied
+/// only by the coupling make C singular.
+noise::ReducedPair pattern_pair(Rng& rng, unsigned pattern, bool grounded = true) {
+  const auto ground_cap = [&] { return grounded ? rng.uniform(2 * FF, 8 * FF) : 0.0; };
+  noise::ReducedPair p;
+  p.slew = rng.uniform(10 * PS, 80 * PS);
+  p.vdd = 1.2;
+  p.r_drv = (pattern & 1u) != 0 ? rng.uniform(300.0, 3000.0) : 0.0;
+  p.aggressor.c_near = ground_cap();
+  if ((pattern & 2u) != 0) {
+    p.aggressor.r = rng.uniform(20.0, 200.0);
+    p.aggressor.c_far = ground_cap();
+  }
+  p.r_hold = (pattern & 8u) != 0 ? rng.uniform(500.0, 5000.0) : 0.0;
+  p.victim.c_near = ground_cap();
+  if ((pattern & 4u) != 0) {
+    p.victim.r = rng.uniform(20.0, 200.0);
+    p.victim.c_far = ground_cap();
+  }
+  p.cc = rng.uniform(2 * FF, 10 * FF);
+  return p;
+}
+
+/// A run of pattern_pair's circuit on its own window and step, so every
+/// lane has its own step count.
 LaneRun pattern_run(Rng& rng, unsigned pattern) {
-  const bool resistive_driver = (pattern & 1u) != 0;
-  const bool aggressor_far = (pattern & 2u) != 0;
-  const bool victim_far = (pattern & 4u) != 0;
-  const bool resistive_holder = (pattern & 8u) != 0;
-  LaneRun run;
-  spice::Circuit& ckt = run.ckt;
-  const std::size_t src = resistive_driver ? ckt.add_node("src") : 0;
-  const std::size_t a1 = ckt.add_node("a1");
-  const std::size_t a2 = aggressor_far ? ckt.add_node("a2") : a1;
-  const std::size_t v1 = ckt.add_node("v1");
-  const std::size_t v2 = victim_far ? ckt.add_node("v2") : v1;
-  const double slew = rng.uniform(10 * PS, 80 * PS);
-  const spice::Pwl ramp = spice::Pwl::ramp(0.0, slew, 0.0, 1.2);
-  if (resistive_driver) {
-    ckt.add_vsrc(src, 0, ramp);
-    ckt.add_res(src, a1, rng.uniform(300.0, 3000.0));
-  } else {
-    ckt.add_vsrc(a1, 0, ramp);
-  }
-  ckt.add_cap(a1, 0, rng.uniform(2 * FF, 8 * FF));
-  if (aggressor_far) {
-    ckt.add_res(a1, a2, rng.uniform(20.0, 200.0));
-    ckt.add_cap(a2, 0, rng.uniform(2 * FF, 8 * FF));
-  }
-  if (resistive_holder) {
-    ckt.add_res(v1, 0, rng.uniform(500.0, 5000.0));
-  } else {
-    ckt.add_vsrc(v1, 0, spice::Pwl::dc(0.0));
-  }
-  ckt.add_cap(v1, 0, rng.uniform(2 * FF, 8 * FF));
-  if (victim_far) {
-    ckt.add_res(v1, v2, rng.uniform(20.0, 200.0));
-    ckt.add_cap(v2, 0, rng.uniform(2 * FF, 8 * FF));
-  }
-  const double cc = rng.uniform(2 * FF, 10 * FF);
-  ckt.add_cap(a1, v1, 0.5 * cc);
-  ckt.add_cap(a2, v2, 0.5 * cc);  // a1-v1 again when neither far node exists
-  // Different windows and steps give every lane its own step count.
-  run.tran = {rng.uniform(150 * PS, 400 * PS), rng.uniform(0.3 * PS, 1 * PS)};
-  run.probe = v2;
-  return run;
+  ref::ReducedCircuit rc = ref::reduced_circuit(pattern_pair(rng, pattern));
+  const spice::TranOptions tran{rng.uniform(150 * PS, 400 * PS), rng.uniform(0.3 * PS, 1 * PS)};
+  return {std::move(rc.circuit), tran, rc.probe};
 }
 
 /// Runs `runs` as one batch and checks every system is reported once, with
@@ -296,10 +287,9 @@ TEST_P(LaneOracle, MixedStructureBatchesMatchReferenceBitForBit) {
     cfg.seed = static_cast<std::uint64_t>(GetParam()) + 3;
     const gen::Generated g = gen::make_bus(library, cfg);
     for (const auto& [victim, aggressor] : coupled_pairs(g)) {
-      auto rc = noise::reduced_circuit(g.design, g.para, victim, aggressor,
-                                       rng.uniform(10 * PS, 80 * PS), library.vdd());
-      ASSERT_TRUE(rc.has_value());
-      runs.push_back({std::move(rc->circuit), rc->tran, rc->probe});
+      ref::ReducedCircuit rc = ref::reduced_circuit(noise::reduced_pair(
+          g.design, g.para, victim, aggressor, rng.uniform(10 * PS, 80 * PS), library.vdd()));
+      runs.push_back({std::move(rc.circuit), rc.tran, rc.probe});
     }
   }
   expect_batch_matches_reference(runs);
@@ -405,6 +395,211 @@ TEST(LaneOracle, AnalyzerReducedMnaEqualsPerPairEstimates) {
   cfg.levels = 4;
   cfg.seed = 5;
   expect_analyzer_matches_per_pair(gen::make_rand_logic(library, cfg), 2);
+}
+
+/// Relative difference of a closed-form measure from its stepped value.
+double rel_diff(double closed, double stepped) {
+  return closed == stepped ? 0.0 : std::abs(closed - stepped) / std::abs(stepped);
+}
+
+/// The declared tolerance of the closed form against the stepped engine:
+/// peak and width within 1e-4 relative, and the peak time within one step
+/// or, on a flat top, between two samples one of which is within 1e-4 of
+/// the stepped peak.
+constexpr double kOracleTolerance = 1e-4;
+
+bool within_tolerance(const spice::GlitchMeasure& closed, const ref::SteppedGlitch& stepped,
+                      double dt) {
+  const spice::GlitchMeasure& s = stepped.measure;
+  if (rel_diff(closed.peak, s.peak) > kOracleTolerance) return false;
+  if (s.peak == 0.0) return true;
+  const bool same_time = std::abs(closed.t_peak - s.t_peak) <= dt;
+  const bool flat_top = rel_diff(stepped.near, s.peak) <= kOracleTolerance;
+  return rel_diff(closed.width, s.width) <= kOracleTolerance && (same_time || flat_top);
+}
+
+/// Two stepped runs of one pair agree to a tenth of the tolerance.
+bool converged(const spice::GlitchMeasure& a, const spice::GlitchMeasure& b) {
+  return rel_diff(a.peak, b.peak) <= 0.1 * kOracleTolerance &&
+         rel_diff(a.width, b.width) <= 0.1 * kOracleTolerance;
+}
+
+/// Checks measure_reduced on every pair against the stepped run of its
+/// reduced circuit over a window extended to settle the slowest mode
+/// (slew + 12 mu_max, never shorter than the shipped window). The shipped
+/// step is sized from the slew and the victim's holding time constant
+/// alone; a mode faster than two steps rings under the trapezoidal rule
+/// and can make two successive runs agree on a wrong value. So the run
+/// starts at no more than half the fastest mode (mu_min) as well,
+/// shortened to divide the slew so that a sample lands on the end of the
+/// ramp, where the probe has a kink, and halves the step until two
+/// successive runs agree to a tenth of the tolerance. Prints the largest
+/// differences, how many pairs needed more than one halving, and how many
+/// differ beyond the tolerance from the stepped engine as it shipped
+/// (shipped window and step).
+void expect_closed_form_matches_stepped(const std::vector<noise::ReducedPair>& pairs,
+                                        const char* what) {
+  const std::size_t n = pairs.size();
+  std::vector<spice::GlitchMeasure> closed;
+  std::vector<double> t_peak;
+  std::vector<spice::TranOptions> shipped;
+  std::vector<spice::TranOptions> tran;
+  for (const noise::ReducedPair& p : pairs) {
+    closed.push_back(noise::measure_reduced(p));
+    t_peak.push_back(closed.back().t_peak);
+    shipped.push_back(ref::reduced_circuit(p).tran);
+    const ref::TimeConstants tc = ref::time_constants(p);
+    spice::TranOptions t = shipped.back();
+    t.t_stop = std::max(t.t_stop, p.slew + 12.0 * tc.slowest);
+    if (tc.fastest > 0.0) t.dt = std::min(t.dt, 0.5 * tc.fastest);
+    t.dt = p.slew / std::ceil(p.slew / t.dt);
+    tran.push_back(t);
+  }
+
+  std::vector<ref::SteppedGlitch> stepped = ref::stepped_glitches(pairs, tran, t_peak);
+  std::vector<std::size_t> pending(n);
+  for (std::size_t i = 0; i < n; ++i) pending[i] = i;
+  std::size_t refined = 0;
+  int halvings = 0;
+  for (; halvings < 8 && !pending.empty(); ++halvings) {
+    std::vector<noise::ReducedPair> sub_pairs;
+    std::vector<spice::TranOptions> sub_tran;
+    std::vector<double> sub_at;
+    for (const std::size_t i : pending) {
+      sub_pairs.push_back(pairs[i]);
+      sub_tran.push_back({tran[i].t_stop, 0.5 * tran[i].dt});
+      sub_at.push_back(t_peak[i]);
+    }
+    const std::vector<ref::SteppedGlitch> finer =
+        ref::stepped_glitches(sub_pairs, sub_tran, sub_at);
+    std::vector<std::size_t> still;
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      const std::size_t i = pending[k];
+      const bool done = converged(stepped[i].measure, finer[k].measure);
+      if (!done && halvings == 0) ++refined;
+      if (halvings > 0 || !done) {
+        stepped[i] = finer[k];
+        tran[i] = sub_tran[k];
+      }
+      if (!done) still.push_back(i);
+    }
+    pending = std::move(still);
+  }
+  EXPECT_TRUE(pending.empty()) << pending.size() << " stepped runs did not converge";
+
+  double peak = 0.0;
+  double width = 0.0;
+  double steps = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const spice::GlitchMeasure& c = closed[i];
+    const spice::GlitchMeasure& s = stepped[i].measure;
+    EXPECT_TRUE(within_tolerance(c, stepped[i], tran[i].dt))
+        << what << " pair " << i << ": peak " << c.peak << " vs " << s.peak << ", width "
+        << c.width << " vs " << s.width << ", t_peak " << c.t_peak << " vs " << s.t_peak
+        << " (dt " << tran[i].dt << ")";
+    peak = std::max(peak, rel_diff(c.peak, s.peak));
+    if (s.peak == 0.0) continue;
+    width = std::max(width, rel_diff(c.width, s.width));
+    steps = std::max(steps, std::abs(c.t_peak - s.t_peak) / tran[i].dt);
+  }
+
+  const std::vector<ref::SteppedGlitch> as_shipped = ref::stepped_glitches(pairs, shipped, t_peak);
+  std::size_t outside = 0;
+  std::size_t wider = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (within_tolerance(closed[i], as_shipped[i], shipped[i].dt)) continue;
+    ++outside;
+    wider += closed[i].width > as_shipped[i].measure.width ? 1 : 0;
+  }
+  std::printf("%s: %zu pairs; closed form vs converged stepped run: largest peak difference "
+              "%.3g, width %.3g (relative), t_peak %.3g steps; %zu pairs needed more than "
+              "one halving of the starting step (%d at most); vs the stepped engine as "
+              "shipped: %zu pairs outside the tolerance, %zu of them wider in closed form\n",
+              what, n, peak, width, steps, refined, halvings, outside, wider);
+}
+
+TEST(ReducedOracle, ClosedFormMatchesSteppedRunOnEveryBusPair) {
+  // Every pair the analyzer estimates on bench::bus_config(1024), at its
+  // STA slew.
+  const lib::Library library = lib::default_library();
+  const gen::Generated g = gen::make_bus(library, bench::bus_config(1024));
+  const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
+  noise::Options o;
+  o.model = noise::GlitchModel::kReducedMna;
+  o.clock_period = g.sta_options.clock_period;
+  const noise::AnalysisContext ctx = noise::AnalysisContext::build(g.design, g.para, timing, o);
+  std::vector<noise::ReducedPair> pairs;
+  for (std::size_t vi = 0; vi < g.design.net_count(); ++vi) {
+    for (std::uint32_t k = ctx.agg_offsets[vi]; k < ctx.agg_offsets[vi + 1]; ++k) {
+      const sta::NetTiming& at = timing.nets[ctx.agg_net[k].index()];
+      const double slew =
+          std::max(at.slew_min > 0.0 ? at.slew_min : noise::kDefaultSlew, 1e-12);
+      pairs.push_back(noise::reduced_pair(g.design, g.para, NetId{vi}, ctx.agg_net[k], slew,
+                                          library.vdd()));
+    }
+  }
+  ASSERT_EQ(pairs.size(), 4090u);
+  expect_closed_form_matches_stepped(pairs, "bus_config(1024)");
+
+}
+
+TEST(ReducedOracle, ClosedFormMatchesSteppedRunOnTheRF1Clusters) {
+  // The 60 seeded clusters of bench/bench_accuracy.cpp (same generator
+  // draws as GlitchAccuracy.ModelsStayWithinDeclaredBoundsOfGolden).
+  const lib::Library library = lib::default_library();
+  Rng rng(2026);
+  std::vector<noise::ReducedPair> pairs;
+  for (int trial = 0; trial < 60; ++trial) {
+    gen::BusConfig cfg;
+    cfg.bits = 5;
+    cfg.segments = 1 + static_cast<std::size_t>(rng.below(4));
+    cfg.coupling_adj = rng.uniform(2 * FF, 9 * FF);
+    cfg.coupling_2nd = rng.uniform(0.2 * FF, 2 * FF);
+    cfg.port_res = rng.uniform(300.0, 3000.0);
+    cfg.res_per_seg = rng.uniform(10.0, 60.0);
+    cfg.cap_per_seg = rng.uniform(1 * FF, 4 * FF);
+    cfg.seed = rng.next();
+    const gen::Generated g = gen::make_bus(library, cfg);
+    const NetId victim = *g.design.find_net("w2");
+    const NetId aggressor = *g.design.find_net(rng.chance(0.5) ? "w1" : "w3");
+    const double slew = rng.uniform(10 * PS, 100 * PS);
+    pairs.push_back(
+        noise::reduced_pair(g.design, g.para, victim, aggressor, slew, library.vdd()));
+  }
+  expect_closed_form_matches_stepped(pairs, "R-F1 clusters");
+}
+
+/// Every topology of the reduced circuit, with and without grounded
+/// capacitance, four seeded draws each.
+std::vector<noise::ReducedPair> topology_pairs() {
+  Rng rng(9173);
+  std::vector<noise::ReducedPair> pairs;
+  for (int draw = 0; draw < 4; ++draw) {
+    for (unsigned pattern = 0; pattern < 16; ++pattern) {
+      for (const bool grounded : {true, false}) {
+        pairs.push_back(pattern_pair(rng, pattern, grounded));
+      }
+    }
+  }
+  return pairs;
+}
+
+TEST(ReducedOracle, ClosedFormMatchesSteppedRunOnAllTopologies) {
+  expect_closed_form_matches_stepped(topology_pairs(), "16 topologies");
+}
+
+TEST(ReducedOracle, ClosedFormNeverDividesByZero) {
+  // Zero grounded capacitance leaves nodes tied only by the coupling: C is
+  // singular and those modes have mu = 0. No pair may divide by zero, take
+  // an invalid operation or overflow, and every measure is finite.
+  const std::vector<noise::ReducedPair> pairs = topology_pairs();
+  std::vector<spice::GlitchMeasure> out(pairs.size());
+  std::feclearexcept(FE_ALL_EXCEPT);
+  for (std::size_t i = 0; i < pairs.size(); ++i) out[i] = noise::measure_reduced(pairs[i]);
+  EXPECT_EQ(std::fetestexcept(FE_DIVBYZERO | FE_INVALID | FE_OVERFLOW), 0);
+  for (const spice::GlitchMeasure& m : out) {
+    EXPECT_TRUE(std::isfinite(m.peak) && std::isfinite(m.width) && std::isfinite(m.t_peak));
+  }
 }
 
 }  // namespace

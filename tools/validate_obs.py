@@ -31,7 +31,8 @@ analyzer's timing bookkeeping: phase times non-negative and summing to at
 most total_seconds, and executor_tasks equal to the executor regions'
 summed chunks. --profile validates a
 collapsed-stack ("folded") profile: well-formed `stack us` lines, sorted,
-with every analyzer phase present; given --stats too, each phase's
+no stack ending in two equal frames, with every analyzer phase present;
+given --stats too, each phase's
 inclusive microseconds on the main thread must match its phase gauge.
 Exits non-zero with a
 message on the first failure — schema violations gate CI; perf comparison
@@ -462,7 +463,9 @@ def validate_bench_record(path):
 
 def validate_profile(path, require_phases=True, stats_path=None):
     """A collapsed-stack ("folded") profile: one `stack us` line per
-    distinct span stack, sorted by stack, root frame = thread name, and —
+    distinct span stack, sorted by stack, root frame = thread name, no
+    stack ending in two equal frames (a span nested in one of its own
+    name), and —
     for an analysis capture — every analyzer phase present. With the run's
     stats record, each phase frame's inclusive microseconds on the main
     thread (the stacks that pass through it) must equal its phase gauge,
@@ -486,6 +489,8 @@ def validate_profile(path, require_phases=True, stats_path=None):
         frames = stack.split(";")
         if any(not f for f in frames):
             fail(f"profile: empty frame in stack: {stack!r}")
+        if len(frames) >= 2 and frames[-1] == frames[-2]:
+            fail(f"profile: stack ends in two equal frames: {stack!r}")
         stacks.append((frames, n))
         total += n
     names = [";".join(frames) for frames, _ in stacks]
