@@ -86,8 +86,8 @@ inline constexpr std::size_t kMaxSteps = std::size_t{1} << 22;
 /// Lane count of the stepping loop for groups of two or more systems. On
 /// the stepped 6-unknown reduced-MNA circuits of a 1024-bit bus, 4 lanes
 /// halved the time per pair-step against one lane and 8 lanes gained
-/// nothing more; mna-exact's clusters have not been measured (see
-/// DESIGN.md §4.1).
+/// nothing more; on mna-exact's clusters 8 lanes are slower than 4 on the
+/// portable and the x86-64-v3 build alike (see DESIGN.md §4.1).
 inline constexpr std::size_t kLanes = 4;
 
 /// One circuit's transient run, assembled and factored: the step matrix's
